@@ -48,7 +48,11 @@ from .selection import (
 from .svm import load_model, save_model
 from .synth import SynthConfig, generate_dataset
 
-_SYNTH_CONFIG_KEYS = ("counts", "duration_s", "sample_rate_hz", "noise_std")
+# every key some subcommand reads from a config file; anything else is a typo
+_CONFIG_KEYS = frozenset({
+    "c", "degree", "eta", "features_list", "folds", "k", "kernel", "norm", "r",
+    "seed", "test_fraction", "counts", "duration_s", "sample_rate_hz", "noise_std",
+})
 
 
 def read_config_file(path: str) -> dict:
@@ -66,6 +70,8 @@ def read_config_file(path: str) -> dict:
             value = value.strip().strip("'\"")
             if not key:
                 raise ValueError(f"{path}: line {lineno}: empty key")
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
             cfg[key] = value
     return cfg
 

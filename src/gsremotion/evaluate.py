@@ -174,7 +174,7 @@ def kfold_cross_validate(dataset: Dataset, k: int, config, seed: int) -> CvRepor
     sit inside an armed HeldOutGuard.
     """
     from . import pipeline  # local import: pipeline orchestrates this module's types
-    from .features import FeatureMatrix, extract_dataset_features
+    from .features import extract_dataset_features
 
     prepared = pipeline.prepare_dataset(dataset, config)
     matrix = extract_dataset_features(prepared)
@@ -187,12 +187,7 @@ def kfold_cross_validate(dataset: Dataset, k: int, config, seed: int) -> CvRepor
     for test_rows in folds:
         test_set = set(test_rows)
         train_rows = [i for i in range(matrix.n_rows) if i not in test_set]
-        train_matrix = FeatureMatrix(
-            values=matrix.values[train_rows],
-            record_ids=[matrix.record_ids[i] for i in train_rows],
-            labels=[matrix.labels[i] for i in train_rows],
-            catalog_version=matrix.catalog_version,
-        )
+        train_matrix = pipeline.subset_rows(matrix, train_rows)
         guard = HeldOutGuard(matrix.values[test_rows])
         guard.arm()
         fitted = pipeline.fit_from_features(train_matrix, config)

@@ -222,6 +222,19 @@ class FeatureNormalization:
     def n_features(self) -> int:
         return self.mins.size
 
+    def scale(self, values: np.ndarray) -> np.ndarray:
+        """Scale a 2-D block of raw rows to [0, 1] per column (0 if degenerate)."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[1] != self.n_features:
+            raise ValueError(
+                f"rows have shape {values.shape}, normalization expects "
+                f"{self.n_features} columns"
+            )
+        span = np.where(self.degenerate, 1.0, self.maxs - self.mins)
+        scaled = (values - self.mins) / span
+        scaled[:, self.degenerate] = 0.0
+        return scaled
+
 
 def fit_feature_normalization(matrix: FeatureMatrix) -> FeatureNormalization:
     return FeatureNormalization(
@@ -232,30 +245,12 @@ def fit_feature_normalization(matrix: FeatureMatrix) -> FeatureNormalization:
 
 def apply_feature_normalization(matrix: FeatureMatrix,
                                 norm: FeatureNormalization) -> FeatureMatrix:
-    if matrix.n_features != norm.n_features:
-        raise ValueError(
-            f"matrix has {matrix.n_features} columns, normalization expects {norm.n_features}"
-        )
-    span = np.where(norm.degenerate, 1.0, norm.maxs - norm.mins)
-    scaled = (matrix.values - norm.mins) / span
-    scaled[:, norm.degenerate] = 0.0
     return FeatureMatrix(
-        values=scaled,
+        values=norm.scale(matrix.values),
         record_ids=list(matrix.record_ids),
         labels=list(matrix.labels),
         catalog_version=matrix.catalog_version,
     )
-
-
-def normalize_vector(values: np.ndarray, norm: FeatureNormalization) -> np.ndarray:
-    """Apply a fitted normalization to one raw feature row."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.shape != (norm.n_features,):
-        raise ValueError(f"expected {norm.n_features} values, got shape {v.shape}")
-    span = np.where(norm.degenerate, 1.0, norm.maxs - norm.mins)
-    out = (v - norm.mins) / span
-    out[norm.degenerate] = 0.0
-    return out
 
 
 def column_ids(n_features: int) -> list:

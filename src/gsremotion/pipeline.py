@@ -6,7 +6,7 @@ feature normalization and selection are always fitted on training rows
 only.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from .preprocess import preprocess_dataset, validate_norm_mode
 from .selection import SelectionResult, select_features, validate_catalog_indices
 from .svm import MulticlassSvmModel, TrainConfig, predict_batch, train_multiclass
 
-WAVELET_LEVELS = 5
-
 
 @dataclass
 class PipelineConfig:
@@ -38,12 +36,9 @@ class PipelineConfig:
     explicit_features: list | None = None
     norm_mode: str = "signal"
     seed: int = 42
-    wavelet_levels: int = WAVELET_LEVELS
 
     def __post_init__(self):
         validate_norm_mode(self.norm_mode)
-        if self.wavelet_levels != WAVELET_LEVELS:
-            raise ValueError(f"wavelet_levels is fixed at {WAVELET_LEVELS}")
         if not 1 <= self.selection_k:
             raise ValueError(f"selection_k must be >= 1, got {self.selection_k}")
         if self.explicit_features is not None:
@@ -139,12 +134,7 @@ def comparison_report(matrix: FeatureMatrix, config: PipelineConfig,
     test_matrix = subset_rows(matrix, test_rows)
 
     fitted_k = fit_from_features(train_matrix, config)
-    config_all = PipelineConfig(
-        kernel=config.kernel, c=config.c, tolerance=config.tolerance,
-        max_passes=config.max_passes, selection_k=config.selection_k,
-        explicit_features=list(range(1, matrix.n_features + 1)),
-        norm_mode=config.norm_mode, seed=config.seed,
-    )
+    config_all = replace(config, explicit_features=list(range(1, matrix.n_features + 1)))
     fitted_all = fit_from_features(train_matrix, config_all)
 
     def scores(fitted):

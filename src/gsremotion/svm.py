@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _core
 from .dataset import LABEL_ORDER, EmotionLabel, parse_label
-from .features import CATALOG_VERSION, FeatureMatrix, FeatureNormalization, FeatureVector, normalize_vector
+from .features import CATALOG_VERSION, FEATURE_NAMES, FeatureMatrix, FeatureNormalization, FeatureVector
 from .kernels import KernelSpec, gram
 
 MODEL_FORMAT_VERSION = 1
@@ -68,6 +68,17 @@ class BinarySvmModel:
         return self.support_vectors.shape[0]
 
 
+def _violating_bounds(G: np.ndarray, y: np.ndarray, alpha: np.ndarray,
+                      C: float) -> tuple:
+    """(m, M): max of -y*G over I_up and min over I_low; (0.0, 0.0) if either is empty."""
+    v = -y * G
+    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+    low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
+    if not up.any() or not low.any():
+        return 0.0, 0.0
+    return float(v[up].max()), float(v[low].min())
+
+
 def kkt_violation(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> float:
     """Maximal-violating-pair gap m - M for a candidate dual solution.
 
@@ -77,13 +88,8 @@ def kkt_violation(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> 
     y = np.asarray(y, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
     Q = K * np.outer(y, y)
-    G = Q @ alpha - 1.0
-    v = -y * G
-    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-    low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
-    if not up.any() or not low.any():
-        return 0.0
-    return float(v[up].max() - v[low].min())
+    m, M = _violating_bounds(Q @ alpha - 1.0, y, alpha, C)
+    return m - M
 
 
 def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig,
@@ -112,17 +118,9 @@ def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig,
         Q, y, config.c, config.tolerance, config.max_passes, tiebreak
     )
 
-    v = -y * G
-    up = ((y > 0) & (alpha < config.c)) | ((y < 0) & (alpha > 0))
-    low = ((y < 0) & (alpha < config.c)) | ((y > 0) & (alpha > 0))
-    violation = float(v[up].max() - v[low].min()) if up.any() and low.any() else 0.0
+    m, M = _violating_bounds(G, y, alpha, config.c)
     free = (alpha > 0) & (alpha < config.c)
-    if free.any():
-        bias = float((-y * G)[free].mean())
-    elif up.any() and low.any():
-        bias = float((v[up].max() + v[low].min()) / 2.0)
-    else:
-        bias = 0.0
+    bias = float((-y * G)[free].mean()) if free.any() else (m + M) / 2.0
 
     support = alpha > 0
     return BinarySvmModel(
@@ -133,7 +131,7 @@ def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig,
         label_pair=label_pair,
         iterations=int(iterations),
         converged=bool(converged),
-        final_violation=violation,
+        final_violation=m - M,
         objective_trace=np.asarray(trace),
     )
 
@@ -178,6 +176,16 @@ class MulticlassSvmModel:
             raise ValueError(
                 f"{len(self.machines)} machines for {len(self.label_order)} labels "
                 f"(expected {expected})"
+            )
+        if self.catalog_version != CATALOG_VERSION:
+            raise ValueError(
+                f"catalog_version {self.catalog_version} unsupported "
+                f"(expected {CATALOG_VERSION})"
+            )
+        if not all(1 <= i <= len(FEATURE_NAMES) for i in self.feature_indices):
+            raise ValueError(
+                f"feature indices {self.feature_indices} outside catalog "
+                f"columns 1..{len(FEATURE_NAMES)}"
             )
 
 
@@ -229,55 +237,41 @@ def train_multiclass(matrix: FeatureMatrix, config: TrainConfig,
 
 
 def _prepare_rows(model: MulticlassSvmModel, values: np.ndarray) -> np.ndarray:
-    """Normalize (if fitted) then restrict raw catalog rows to model columns."""
+    """Normalize (if fitted) then restrict full catalog rows to model columns."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"expected 2-D rows, got shape {values.shape}")
-    cols = [i - 1 for i in model.feature_indices]
+    if values.shape[1] != len(FEATURE_NAMES):
+        raise ValueError(
+            f"rows have {values.shape[1]} columns, the model needs full catalog "
+            f"rows of {len(FEATURE_NAMES)} columns"
+        )
+    if not np.all(np.isfinite(values)):
+        raise ValueError("rows contain non-finite values")
     if model.normalization is not None:
-        if values.shape[1] != model.normalization.n_features:
-            raise ValueError(
-                f"rows have {values.shape[1]} columns, normalization expects "
-                f"{model.normalization.n_features}"
-            )
-        values = np.stack([normalize_vector(row, model.normalization) for row in values])
-        return values[:, cols]
-    if values.shape[1] == len(cols):
-        # already restricted to the model's columns
-        return values
-    if max(cols) < values.shape[1]:
-        return values[:, cols]
-    raise ValueError(
-        f"rows have {values.shape[1]} columns, model needs catalog indices "
-        f"up to {max(cols) + 1}"
-    )
+        values = model.normalization.scale(values)
+    return values[:, [i - 1 for i in model.feature_indices]]
 
 
 def predict_batch(model: MulticlassSvmModel, values: np.ndarray) -> list:
-    """Predict a label per raw catalog row (or per already restricted row)."""
+    """Predict a label per full catalog row."""
     rows = _prepare_rows(model, values)
-    n = rows.shape[0]
-    n_labels = len(model.label_order)
-    votes = np.zeros((n, n_labels), dtype=np.int64)
-    strengths = np.zeros((n, n_labels))
-    for machine in model.machines:
-        a = model.label_order.index(machine.label_pair[0])
-        b = model.label_order.index(machine.label_pair[1])
-        f = decision_values(machine, rows)
-        wins_a = f > 0
-        votes[wins_a, a] += 1
-        votes[~wins_a, b] += 1
-        strengths[wins_a, a] += np.abs(f[wins_a])
-        strengths[~wins_a, b] += np.abs(f[~wins_a])
-    out = []
-    for r in range(n):
-        best_votes = votes[r].max()
-        tied = np.flatnonzero(votes[r] == best_votes)
-        if tied.size > 1:
-            best_strength = strengths[r, tied].max()
-            tied = tied[strengths[r, tied] == best_strength]
-        out.append(model.label_order[int(tied[0])])
-    return out
+    order = model.label_order
+    pairs = np.array([[order.index(m.label_pair[0]), order.index(m.label_pair[1])]
+                      for m in model.machines])
+    f = np.column_stack([decision_values(m, rows) for m in model.machines])
+    winners = np.where(f > 0, pairs[:, 0], pairs[:, 1])
+    # add.at sums each row's strengths in machine order, so tie-breaks see the
+    # same floats as adding one machine at a time
+    at = (np.arange(rows.shape[0])[:, None], winners)
+    votes = np.zeros((rows.shape[0], len(order)), dtype=np.int64)
+    strengths = np.zeros(votes.shape)
+    np.add.at(votes, at, 1)
+    np.add.at(strengths, at, np.abs(f))
+    # argmax takes the first maximum, so exact strength ties go by label order
+    most_votes = votes == votes.max(axis=1, keepdims=True)
+    best = np.argmax(np.where(most_votes, strengths, -np.inf), axis=1)
+    return [order[i] for i in best]
 
 
 def predict(model: MulticlassSvmModel, features) -> EmotionLabel:
@@ -367,6 +361,13 @@ def load_model(path: str) -> MulticlassSvmModel:
         )
     if payload.get("kind") != "one_vs_one_svm":
         raise ValueError(f"{path}: not a one_vs_one_svm model file")
+    try:
+        return _model_from_payload(payload)
+    except KeyError as exc:
+        raise ValueError(f"{path}: model file is missing key {exc.args[0]!r}") from None
+
+
+def _model_from_payload(payload: dict) -> MulticlassSvmModel:
     machines = []
     for m in payload["machines"]:
         n_features = int(m["n_features"])

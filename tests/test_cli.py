@@ -13,7 +13,7 @@ import pytest
 
 from gsremotion import cli
 from gsremotion.dataset import LABEL_ORDER, load_dataset
-from gsremotion.features import read_feature_csv
+from gsremotion.features import read_feature_csv, write_feature_csv
 from gsremotion.selection import read_selection_indices
 from gsremotion.svm import load_model
 
@@ -341,6 +341,14 @@ class TestConfigFile:
         assert rc == 1
         assert "expected key = value" in capsys.readouterr().err
 
+    def test_unknown_key_rejected(self, features_csv, tmp_path, capsys):
+        cfg = write_config(tmp_path / "typo.cfg", "k = 5\nkernal = linear\n")
+        rc = cli.main(["train", "--features", str(features_csv),
+                       "--out", str(tmp_path / "model.json"), "--config", cfg])
+        assert rc == 1
+        assert "line 2: unknown key 'kernal'" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
     def test_unparsable_value(self, features_csv, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad.cfg", "k = five\n")
         rc = cli.main(["train", "--features", str(features_csv),
@@ -361,6 +369,30 @@ class TestExitCodes:
                        "--features", str(features_csv),
                        "--out", str(tmp_path / "predictions.csv")])
         assert rc == 2
+
+    def test_model_missing_key_is_validation_error(self, model_path, features_csv,
+                                                   tmp_path, capsys):
+        payload = json.loads(model_path.read_text())
+        del payload["machines"][0]["bias"]
+        broken = tmp_path / "model.json"
+        broken.write_text(json.dumps(payload))
+        rc = cli.main(["eval", "--model", str(broken), "--features", str(features_csv),
+                       "--out", str(tmp_path / "scores")])
+        assert rc == 1
+        assert "missing key 'bias'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_restricted_table_is_validation_error(self, model_path, features_csv,
+                                                  tmp_path, capsys, command):
+        model = load_model(str(model_path))
+        restricted = tmp_path / "restricted.csv"
+        write_feature_csv(read_feature_csv(str(features_csv)).restrict(model.feature_indices),
+                          str(restricted))
+        rc = cli.main([command, "--model", str(model_path), "--features", str(restricted),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        k = len(model.feature_indices)
+        assert f"rows have {k} columns" in capsys.readouterr().err
 
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):

@@ -16,7 +16,6 @@ from gsremotion.features import (
     extract_dataset_features,
     extract_features,
     fit_feature_normalization,
-    normalize_vector,
     read_feature_csv,
     write_feature_csv,
 )
@@ -186,7 +185,7 @@ class TestFeatureNormalization:
         assert norm.mins[0] == 2.0 and norm.maxs[0] == 6.0
         out = apply_feature_normalization(m, norm)
         assert_allclose(out.values[:, 0], [0.0, 0.5, 1.0])
-        assert normalize_vector(np.array([7.0]), norm)[0] == pytest.approx(1.25)
+        assert norm.scale(np.array([[7.0]]))[0, 0] == pytest.approx(1.25)
 
     def test_degenerate_column_maps_to_zero(self):
         m = FeatureMatrix(values=np.array([[1.0, 5.0], [2.0, 5.0]]),
@@ -195,7 +194,7 @@ class TestFeatureNormalization:
         assert list(norm.degenerate) == [False, True]
         out = apply_feature_normalization(m, norm)
         assert_array_equal(out.values[:, 1], [0.0, 0.0])
-        assert normalize_vector(np.array([3.0, 9.0]), norm)[1] == 0.0
+        assert norm.scale(np.array([[3.0, 9.0]]))[0, 1] == 0.0
 
     def test_width_mismatch(self):
         m = FeatureMatrix(values=np.ones((2, 3)), record_ids=list("ab"),

@@ -1,11 +1,13 @@
 import json
+import re
+from itertools import combinations
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from gsremotion.dataset import LABEL_ORDER, EmotionLabel
-from gsremotion.features import FeatureMatrix
+from gsremotion.features import N_FEATURES, FeatureMatrix
 from gsremotion.kernels import KernelSpec
 from gsremotion.pipeline import PipelineConfig, fit_from_features, predict_rows
 from gsremotion.svm import (
@@ -29,26 +31,28 @@ def fitted(small_features):
     return fit_from_features(small_features, PipelineConfig(seed=42))
 
 
-def constant_machine(pair, bias):
-    """A machine with no support vectors: f(x) = bias everywhere."""
-    return BinarySvmModel(
-        support_vectors=np.zeros((0, 2)),
-        dual_coef=np.zeros(0),
-        bias=bias,
-        kernel=KernelSpec(kind="linear"),
-        label_pair=pair,
-    )
+def vote_model(labels=(H, G, C)):
+    """One-vs-one model whose k-th pairwise machine decides by catalog column k + 1.
 
-
-def vote_model(biases):
-    """3-label one-vs-one model from fixed (H,G), (H,C), (G,C) decisions."""
+    Each machine is linear with one unit support vector, so f(x) is exactly
+    that column's value. With the default labels, (H,G), (H,C) and (G,C)
+    read columns 1, 2 and 3.
+    """
+    pairs = list(combinations(labels, 2))
     machines = [
-        constant_machine((H, G), biases[0]),
-        constant_machine((H, C), biases[1]),
-        constant_machine((G, C), biases[2]),
+        BinarySvmModel(support_vectors=np.eye(len(pairs))[[k]], dual_coef=np.ones(1),
+                       bias=0.0, kernel=KernelSpec(kind="linear"), label_pair=pair)
+        for k, pair in enumerate(pairs)
     ]
-    return MulticlassSvmModel(machines=machines, label_order=(H, G, C),
-                              feature_indices=(1, 2))
+    return MulticlassSvmModel(machines=machines, label_order=labels,
+                              feature_indices=range(1, len(pairs) + 1))
+
+
+def catalog_row(decisions):
+    """A full-width catalog row that starts with the machines' decision values."""
+    row = np.zeros(N_FEATURES)
+    row[:len(decisions)] = decisions
+    return row
 
 
 class TestComposition:
@@ -115,36 +119,73 @@ class TestComposition:
             MulticlassSvmModel(machines=[], label_order=(H,), feature_indices=(1,))
 
 
+# (H,G), (H,C), (G,C) decisions for each voting outcome
+MAJORITY = [1.0, -1.0, -1.0]  # H beats G, C beats H, C beats G: two votes for C
+STRENGTH_TIE = [0.5, -3.0, 1.0]  # one vote each; C's single win is the strongest
+ORDER_TIE = [1.0, -1.0, 1.0]  # one vote each, all with |f| = 1: first label wins
+
+
 class TestVoting:
     def test_majority_wins(self):
-        # H beats G, C beats H, C beats G: two votes for C
-        model = vote_model([1.0, -1.0, -1.0])
-        assert predict(model, np.zeros(2)) is C
+        assert predict(vote_model(), catalog_row(MAJORITY)) is C
 
     def test_vote_tie_broken_by_decision_strength(self):
-        # one vote each; C's single win is the strongest
-        model = vote_model([0.5, -3.0, 1.0])
-        assert predict(model, np.zeros(2)) is C
+        assert predict(vote_model(), catalog_row(STRENGTH_TIE)) is C
 
     def test_strength_tie_falls_back_to_label_order(self):
-        # one vote each, all with |f| = 1: first label in order wins
-        model = vote_model([1.0, -1.0, 1.0])
-        assert predict(model, np.zeros(2)) is H
+        assert predict(vote_model(), catalog_row(ORDER_TIE)) is H
 
     def test_every_machine_contributes_one_vote(self):
-        model = vote_model([1.0, 1.0, 1.0])  # H beats both, G beats C
-        assert predict(model, np.zeros(2)) is H
+        # H beats both, G beats C
+        assert predict(vote_model(), catalog_row([1.0, 1.0, 1.0])) is H
+
+    def test_one_batch_resolves_every_outcome(self):
+        rows = np.stack([catalog_row(d) for d in (MAJORITY, STRENGTH_TIE, ORDER_TIE)])
+        assert predict_batch(vote_model(), rows) == [C, C, H]
+
+    def test_batch_vote_matches_per_row_reference(self):
+        # decisions from a small set, so vote and strength ties are common
+        decisions = np.random.default_rng(0).choice([-2.0, -1.0, 1.0, 2.0], size=(500, 10))
+        expected = []
+        for row in decisions:
+            votes = dict.fromkeys(LABEL_ORDER, 0)
+            strengths = dict.fromkeys(LABEL_ORDER, 0.0)
+            for (a, b), f in zip(combinations(LABEL_ORDER, 2), row):
+                winner = a if f > 0 else b
+                votes[winner] += 1
+                strengths[winner] += abs(f)
+            expected.append(max(LABEL_ORDER, key=lambda lab: (
+                votes[lab], strengths[lab], -LABEL_ORDER.index(lab))))
+        rows = np.stack([catalog_row(d) for d in decisions])
+        assert predict_batch(vote_model(LABEL_ORDER), rows) == expected
+
+
+class TestBatchPath:
+    @pytest.mark.parametrize("mode", ["signal", "both"])
+    def test_batch_matches_single_rows(self, small_features, mode):
+        model = fit_from_features(small_features,
+                                  PipelineConfig(norm_mode=mode, seed=42)).model
+        batch = predict_batch(model, small_features.values)
+        assert batch == [predict(model, row) for row in small_features.values]
 
 
 class TestPrepareRows:
     def test_full_catalog_rows_are_restricted(self, fitted, small_features):
+        k = len(fitted.model.feature_indices)
         cols = [i - 1 for i in fitted.model.feature_indices]
-        direct = predict_batch(fitted.model, small_features.values[:, cols])
-        assert predict_rows(fitted.model, small_features.values) == direct
+        with pytest.raises(ValueError, match=f"rows have {k} columns.* {N_FEATURES} columns"):
+            predict_batch(fitted.model, small_features.values[:, cols])
 
     def test_incompatible_width_rejected(self, fitted):
         with pytest.raises(ValueError, match="columns"):
             predict_batch(fitted.model, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_rejected(self, fitted, small_features, bad):
+        rows = small_features.values[:2].copy()
+        rows[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            predict_batch(fitted.model, rows)
 
     def test_1d_rows_rejected(self, fitted):
         with pytest.raises(ValueError, match="2-D"):
@@ -203,6 +244,38 @@ class TestSerialization:
         payload["kind"] = "random_forest"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="one_vs_one_svm"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("key_path", [
+        ("machines", 0, "bias"),
+        ("machines", 3, "support_vectors"),
+        ("config", "kernel"),
+        ("label_order",),
+        ("catalog_version",),
+    ])
+    def test_missing_key_rejected(self, fitted, tmp_path, key_path):
+        path = tmp_path / "model.json"
+        save_model(fitted.model, str(path))
+        payload = json.loads(path.read_text())
+        parent = payload
+        for step in key_path[:-1]:
+            parent = parent[step]
+        del parent[key_path[-1]]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*missing key '{key_path[-1]}'"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("feature_indices", [1, 31], "outside catalog"),
+        ("catalog_version", 2, "catalog_version 2"),
+    ])
+    def test_out_of_catalog_model_rejected(self, fitted, tmp_path, field, value, message):
+        path = tmp_path / "model.json"
+        save_model(fitted.model, str(path))
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
             load_model(str(path))
 
     def test_truncated_file_rejected(self, fitted, tmp_path):

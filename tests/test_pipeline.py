@@ -36,10 +36,6 @@ class TestPipelineConfig:
         assert tc.max_passes == 500
         assert tc.seed == 9
 
-    def test_wavelet_depth_is_pinned(self):
-        with pytest.raises(ValueError, match="fixed at 5"):
-            PipelineConfig(wavelet_levels=4)
-
     def test_selection_k_must_be_positive(self):
         with pytest.raises(ValueError, match="selection_k"):
             PipelineConfig(selection_k=0)

@@ -5,7 +5,6 @@ catalog over the signal and its differences plus spectrum, correlation-based
 feature selection, and one-vs-one SVM classification over five emotions.
 """
 
-from ._core import active_backend, available_backends
 from .dataset import (
     LABEL_ORDER,
     Dataset,
@@ -86,3 +85,11 @@ from .wavelet import (
 )
 
 __version__ = "0.1.0"
+
+
+def active_backend() -> str:
+    """Name of the SMO solver: always "python", the numpy loop in svm.
+
+    There is one solver; this exists because benchmark records read it.
+    """
+    return "python"

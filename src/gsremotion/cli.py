@@ -153,6 +153,16 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _warn_unconverged(machines, where: str = "") -> None:
+    """One stderr line per machine that stopped at max_passes."""
+    for m in machines:
+        if not m.converged:
+            a, b = m.label_pair
+            print(f"warning: {where}machine {a.value}/{b.value} did not converge: "
+                  f"stopped after {m.iterations} iterations with KKT gap "
+                  f"{m.final_violation:.4g}", file=sys.stderr)
+
+
 def cmd_synth(args) -> int:
     cfg = _load_cfg(args)
     seed = _resolve(args, cfg, "seed", 42, int)
@@ -239,6 +249,7 @@ def cmd_train(args) -> int:
         print(f"held out {test_matrix.n_rows} rows -> {args.test_out}")
     fitted = fit_from_features(matrix, config)
     save_model(fitted.model, args.out)
+    _warn_unconverged(fitted.model.machines)
     n_machines = len(fitted.model.machines)
     print(
         f"trained {n_machines} machines on {matrix.n_rows} rows "
@@ -308,6 +319,8 @@ def cmd_cv(args) -> int:
     dataset = load_dataset(args.manifest)
     report = kfold_cross_validate(dataset, folds, config, seed)
     _write_json(json_path, report.to_dict())
+    for fold, machine in report.unconverged:
+        _warn_unconverged([machine], f"fold {fold}: ")
     fold_lines = [
         f"fold {i + 1}: accuracy {a:.4f}"
         for i, a in enumerate(report.fold_accuracies)

@@ -143,6 +143,8 @@ class CvReport:
     confusion: ConfusionMatrix
     heldout_accesses: int
     fold_confusions: list = field(default_factory=list)
+    # (fold number, BinarySvmModel) for each machine stopped by max_passes
+    unconverged: list = field(default_factory=list)
 
     @property
     def mean_accuracy(self) -> float:
@@ -182,9 +184,10 @@ def kfold_cross_validate(dataset: Dataset, k: int, config, seed: int) -> CvRepor
 
     fold_accuracies = []
     fold_confusions = []
+    unconverged = []
     total_accesses = 0
     combined = None
-    for test_rows in folds:
+    for fold, test_rows in enumerate(folds, start=1):
         test_set = set(test_rows)
         train_rows = [i for i in range(matrix.n_rows) if i not in test_set]
         train_matrix = pipeline.subset_rows(matrix, train_rows)
@@ -193,6 +196,7 @@ def kfold_cross_validate(dataset: Dataset, k: int, config, seed: int) -> CvRepor
         fitted = pipeline.fit_from_features(train_matrix, config)
         total_accesses += guard.access_count
         guard.disarm()
+        unconverged += [(fold, m) for m in fitted.model.machines if not m.converged]
         predicted = pipeline.predict_rows(fitted.model, guard.values)
         truth = [matrix.labels[i] for i in test_rows]
         cm = ConfusionMatrix.from_predictions(truth, predicted,
@@ -207,6 +211,7 @@ def kfold_cross_validate(dataset: Dataset, k: int, config, seed: int) -> CvRepor
         confusion=combined,
         heldout_accesses=total_accesses,
         fold_confusions=fold_confusions,
+        unconverged=unconverged,
     )
 
 

@@ -6,6 +6,10 @@ with maximal-violating-pair working-set selection. The multiclass model
 holds one machine per unordered label pair and predicts by majority vote,
 breaking vote ties by the summed |decision value| of the machines that voted
 for each tied label, then by label order.
+
+The solver is LIBSVM's WSS1 loop (Keerthi et al., Neural Computation 2001;
+Chang & Lin, ACM TIST 2011) written to touch whole arrays only where it must:
+choosing the pair and updating the selection scores.
 """
 
 import json
@@ -13,12 +17,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _core
 from .dataset import LABEL_ORDER, EmotionLabel, parse_label
 from .features import CATALOG_VERSION, FEATURE_NAMES, FeatureMatrix, FeatureNormalization, FeatureVector
 from .kernels import KernelSpec, gram
 
 MODEL_FORMAT_VERSION = 1
+
+# Floor for non-positive curvature along the working-set direction.
+_TAU = 1e-12
 
 
 @dataclass
@@ -92,9 +98,128 @@ def kkt_violation(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> 
     return m - M
 
 
+def _smo_solve(Q, y, C, tol, max_iter, tiebreak):
+    """Run SMO on the dual to convergence or the iteration cap.
+
+    Args:
+        Q: (n, n) matrix K[i,j] * y[i] * y[j].
+        y: (n,) labels in {-1.0, +1.0}.
+        C: box constraint, > 0.
+        tol: KKT violation threshold (stop when m - M <= tol).
+        max_iter: cap on pair updates.
+        tiebreak: (n,) floats; the larger wins among exactly tied candidates.
+
+    Returns:
+        (alpha, G, iterations, converged, trace) where G = Q @ alpha - e and
+        trace[t] = -f(alpha) after t updates (trace[0] = 0).
+    """
+    C = float(C)
+    n = y.size
+    # In descending tiebreak order the first argmax/argmin hit is the winner.
+    p = np.argsort(-tiebreak, kind="stable")
+    yp = y[p]
+    ys = yp.tolist()
+    # Track v = -y*G. Row i of R = Q * -y moves v exactly as Q[i] moves G,
+    # since a sign flip commutes with rounding.
+    R = Q[np.ix_(p, p)]
+    R *= -yp
+    diag = (R.diagonal() * -yp).tolist()
+    v = yp.copy()  # G = -1 at alpha = 0
+    alpha = [0.0] * n
+    # 0 inside I_up (I_low), -inf (+inf) outside: an empty set gives m = -inf
+    # (M = +inf), which ends the loop like a closed gap.
+    up_pen = np.where(yp > 0, 0.0, -np.inf)
+    low_pen = np.where(yp < 0, 0.0, np.inf)
+    objective = 0.0
+    trace = [0.0]
+    converged = False
+    iterations = 0
+
+    for _ in range(max_iter):
+        vi = v + up_pen
+        i = int(vi.argmax())
+        vj = v + low_pen
+        j = int(vj.argmin())
+        if vi.item(i) - vj.item(j) <= tol:
+            converged = True
+            break
+
+        yi, yj = ys[i], ys[j]
+        Gi, Gj = -yi * v.item(i), -yj * v.item(j)
+        Qij = -yj * R.item(i, j)
+        old_i = ai = alpha[i]
+        old_j = aj = alpha[j]
+        if yi != yj:
+            quad = diag[i] + diag[j] + 2.0 * Qij
+            if quad <= 0.0:
+                quad = _TAU
+            delta = (-Gi - Gj) / quad
+            diff = ai - aj
+            ai += delta
+            aj += delta
+            if diff > 0.0:
+                if aj < 0.0:
+                    aj = 0.0
+                    ai = diff
+            else:
+                if ai < 0.0:
+                    ai = 0.0
+                    aj = -diff
+            if diff > 0.0:
+                if ai > C:
+                    ai = C
+                    aj = C - diff
+            else:
+                if aj > C:
+                    aj = C
+                    ai = C + diff
+        else:
+            quad = diag[i] + diag[j] - 2.0 * Qij
+            if quad <= 0.0:
+                quad = _TAU
+            delta = (Gi - Gj) / quad
+            total = ai + aj
+            ai -= delta
+            aj += delta
+            if total > C:
+                if ai > C:
+                    ai = C
+                    aj = total - C
+            else:
+                if aj < 0.0:
+                    aj = 0.0
+                    ai = total
+            if total > C:
+                if aj > C:
+                    aj = C
+                    ai = total - C
+            else:
+                if ai < 0.0:
+                    ai = 0.0
+                    aj = total
+
+        alpha[i] = ai
+        alpha[j] = aj
+        dai = ai - old_i
+        daj = aj - old_j
+        v += dai * R[i] + daj * R[j]
+        iterations += 1
+        objective -= dai * Gi + daj * Gj + 0.5 * (
+            dai * dai * diag[i] + 2.0 * dai * daj * Qij + daj * daj * diag[j])
+        trace.append(objective)
+        for t, a in ((i, ai), (j, aj)):
+            up_pen[t] = 0.0 if (a < C if ys[t] > 0 else a > 0.0) else -np.inf
+            low_pen[t] = 0.0 if (a < C if ys[t] < 0 else a > 0.0) else np.inf
+
+    alpha_out = np.empty(n)
+    alpha_out[p] = alpha
+    G = np.empty(n)
+    G[p] = v * -yp
+    return alpha_out, G, iterations, converged, np.array(trace)
+
+
 def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig,
-                 label_pair: tuple | None = None,
-                 backend: str | None = None) -> BinarySvmModel:
+                 label_pair: tuple | None = None) -> BinarySvmModel:
     """Fit one two-class machine on rows X with labels y in {-1, +1}."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -110,11 +235,10 @@ def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig,
         raise ValueError("both classes must be present")
 
     spec = config.kernel.resolved(X.shape[1])
-    K = gram(spec, X)
-    Q = K * np.outer(y, y)
+    Q = gram(spec, X)
+    Q *= np.outer(y, y)
     tiebreak = np.random.default_rng(config.seed).random(y.size)
-    solver = _core.get_solver(backend)
-    alpha, G, iterations, converged, trace = solver(
+    alpha, G, iterations, converged, trace = _smo_solve(
         Q, y, config.c, config.tolerance, config.max_passes, tiebreak
     )
 
@@ -191,8 +315,7 @@ class MulticlassSvmModel:
 
 def train_multiclass(matrix: FeatureMatrix, config: TrainConfig,
                      feature_indices=None,
-                     normalization: FeatureNormalization | None = None,
-                     backend: str | None = None) -> MulticlassSvmModel:
+                     normalization: FeatureNormalization | None = None) -> MulticlassSvmModel:
     """Train all pairwise machines on an already restricted/normalized table.
 
     matrix columns must correspond to feature_indices (defaults to the
@@ -223,7 +346,6 @@ def train_multiclass(matrix: FeatureMatrix, config: TrainConfig,
                 train_binary(
                     matrix.values[rows], y, config,
                     label_pair=(present[a], present[b]),
-                    backend=backend,
                 )
             )
     return MulticlassSvmModel(
@@ -350,24 +472,32 @@ def save_model(model: MulticlassSvmModel, path: str) -> None:
 
 
 def load_model(path: str) -> MulticlassSvmModel:
-    """Load a model saved by save_model; errors on foreign or truncated files."""
+    """Load a model saved by save_model; errors on foreign or truncated files.
+
+    Every malformed file, a missing key or a value of the wrong type
+    included, ends in a ValueError that names the file.
+    """
     with open(path) as fh:
-        payload = json.load(fh)
-    version = payload.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: model format_version {version!r} unsupported "
-            f"(expected {MODEL_FORMAT_VERSION})"
-        )
-    if payload.get("kind") != "one_vs_one_svm":
-        raise ValueError(f"{path}: not a one_vs_one_svm model file")
+        text = fh.read()
     try:
-        return _model_from_payload(payload)
+        return _model_from_payload(json.loads(text))
     except KeyError as exc:
         raise ValueError(f"{path}: model file is missing key {exc.args[0]!r}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: model file has a value of the wrong type ({exc})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _model_from_payload(payload: dict) -> MulticlassSvmModel:
+    version = payload.get("format_version")
+    if version != MODEL_FORMAT_VERSION:
+        raise ValueError(
+            f"model format_version {version!r} unsupported "
+            f"(expected {MODEL_FORMAT_VERSION})"
+        )
+    if payload.get("kind") != "one_vs_one_svm":
+        raise ValueError("not a one_vs_one_svm model file")
     machines = []
     for m in payload["machines"]:
         n_features = int(m["n_features"])

@@ -1,14 +1,13 @@
-"""Pure numpy SMO working-set solver (fallback when the extension is absent).
+"""Reference SMO solver: the straightforward numpy loop, kept for parity tests.
 
 Minimizes f(a) = 0.5 a'Qa - e'a subject to 0 <= a <= C, y'a = 0 using
 maximal-violating-pair selection. Exact ties in the selection score are
-broken by a caller-supplied tiebreak array so runs are reproducible and the
-compiled backend can match decisions bit for bit.
+broken by a caller-supplied tiebreak array so runs are reproducible.
 
-Every floating-point update here mirrors the compiled kernel operation for
-operation (same association, no fused multiply-add), so the two backends
-produce identical alpha vectors, not merely close ones. Only the objective
-trace uses whole-array reductions, which may differ in the last ulp.
+It recomputes the index sets, the selection scores and the objective from
+whole arrays on every step. gsremotion.svm._smo_solve does the same float
+operations on the working pair only, so the two must return identical
+alpha and G vectors; the objective trace may differ in the last ulps.
 """
 
 import numpy as np

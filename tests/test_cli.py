@@ -8,6 +8,7 @@ library tests and the acceptance suite.
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -285,6 +286,38 @@ class TestCv:
         assert "held-out accesses during fit: 0" in text
 
 
+class TestNonConvergence:
+    """A machine stopped by max_passes is named on stderr; files are unchanged."""
+
+    @pytest.fixture
+    def two_passes(self, monkeypatch):
+        build = cli._pipeline_config
+        monkeypatch.setattr(cli, "_pipeline_config",
+                            lambda *a, **kw: replace(build(*a, **kw), max_passes=2))
+
+    def test_train_warns(self, features_csv, tmp_path, capsys, two_passes):
+        out = tmp_path / "model.json"
+        assert cli.main(["train", "--features", str(features_csv), "--out", str(out)]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 10
+        assert "machine happiness/grief did not converge" in warnings[0]
+        assert "after 2 iterations with KKT gap" in warnings[0]
+        assert not any(m.converged for m in load_model(str(out)).machines)
+
+    def test_cv_warns_per_fold(self, manifest, tmp_path, capsys, two_passes):
+        assert cli.main(["cv", "--manifest", manifest, "--folds", "2",
+                         "--out", str(tmp_path / "cv"), "--seed", "3"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning: fold 1: machine") == 10
+        assert err.count("warning: fold 2: machine") == 10
+
+    def test_converged_run_is_quiet(self, features_csv, tmp_path, capsys):
+        assert cli.main(["train", "--features", str(features_csv),
+                         "--out", str(tmp_path / "model.json")]) == 0
+        assert "warning:" not in capsys.readouterr().err
+
+
 class TestReport:
     def run(self, features_csv, prefix, seed="3"):
         return cli.main(["report", "--features", str(features_csv),
@@ -380,6 +413,17 @@ class TestExitCodes:
                        "--out", str(tmp_path / "scores")])
         assert rc == 1
         assert "missing key 'bias'" in capsys.readouterr().err
+
+    def test_model_wrong_type_is_validation_error(self, model_path, features_csv,
+                                                  tmp_path, capsys):
+        payload = json.loads(model_path.read_text())
+        payload["machines"] = None
+        broken = tmp_path / "model.json"
+        broken.write_text(json.dumps(payload))
+        rc = cli.main(["eval", "--model", str(broken), "--features", str(features_csv),
+                       "--out", str(tmp_path / "scores")])
+        assert rc == 1
+        assert f"{broken}: model file has a value of the wrong type" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_restricted_table_is_validation_error(self, model_path, features_csv,

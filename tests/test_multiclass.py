@@ -265,6 +265,29 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*missing key '{key_path[-1]}'"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("key_path, value", [
+        (("machines",), None),
+        (("machines", 0, "bias"), 1.5),
+        (("config", "max_passes"), [1]),
+    ])
+    def test_wrong_type_rejected(self, fitted, tmp_path, key_path, value):
+        path = tmp_path / "model.json"
+        save_model(fitted.model, str(path))
+        payload = json.loads(path.read_text())
+        parent = payload
+        for step in key_path[:-1]:
+            parent = parent[step]
+        parent[key_path[-1]] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*wrong type"):
+            load_model(str(path))
+
+    def test_non_object_file_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*wrong type"):
+            load_model(str(path))
+
     @pytest.mark.parametrize("field, value, message", [
         ("feature_indices", [1, 31], "outside catalog"),
         ("catalog_version", 2, "catalog_version 2"),
@@ -282,5 +305,5 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(fitted.model, str(path))
         path.write_text(path.read_text()[: path.stat().st_size // 2])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             load_model(str(path))

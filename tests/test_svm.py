@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from gsremotion._core import active_backend, available_backends
 from gsremotion.kernels import KernelSpec, canonical_kind, gram, kernel_eval
 from gsremotion.svm import (
     TrainConfig,
+    _smo_solve,
     decision_value,
     decision_values,
     kkt_violation,
@@ -13,6 +13,7 @@ from gsremotion.svm import (
 )
 
 from conftest import XOR_X, XOR_Y
+from smo_reference import smo_solve as reference_smo_solve
 
 
 def recover_alpha(model, X, y):
@@ -256,27 +257,76 @@ class TestAgainstExhaustiveSolver:
         assert checked == 12
 
 
-class TestBackends:
-    def test_python_backend_always_available(self):
-        assert "python" in available_backends()
-        assert active_backend() in available_backends()
+class TestAgainstQpSolver:
+    TOL = 1e-3
 
-    @pytest.mark.skipif("compiled" not in available_backends(),
-                        reason="compiled extension not built")
-    def test_backends_agree_bit_for_bit(self, blobs):
-        X, y = blobs
-        config = TrainConfig(c=2.0, kernel=KernelSpec(kind="rbf", eta=0.5))
-        py = train_binary(X, y, config, backend="python")
-        cy = train_binary(X, y, config, backend="compiled")
-        assert_array_equal(py.dual_coef, cy.dual_coef)
-        assert_array_equal(py.support_vectors, cy.support_vectors)
-        assert py.bias == cy.bias
-        assert py.iterations == cy.iterations
+    @pytest.mark.parametrize("n", [20, 50, 100])
+    def test_dual_objective_matches_slsqp(self, n):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 3))
+        # overlapping classes, so the optimum has free and bounded alphas
+        y = np.where(X[:, 0] + 0.8 * rng.normal(size=n) > 0, 1.0, -1.0)
+        config = TrainConfig(c=1.0, kernel=KernelSpec(kind="rbf", eta=0.5),
+                             tolerance=self.TOL)
+        model = train_binary(X, y, config)
+        assert model.converged
+        alpha = recover_alpha(model, X, y)
 
-    def test_unknown_backend_rejected(self, blobs):
-        X, y = blobs
-        with pytest.raises(ValueError, match="backend"):
-            train_binary(X, y, TrainConfig(), backend="fortran")
+        Q = gram(model.kernel, X) * np.outer(y, y)
+        qp = optimize.minimize(
+            lambda a: 0.5 * a @ Q @ a - a.sum(), np.zeros(n),
+            jac=lambda a: Q @ a - 1.0, method="SLSQP",
+            bounds=[(0.0, config.c)] * n,
+            constraints=[{"type": "eq", "fun": lambda a: y @ a, "jac": lambda a: y}],
+            options={"ftol": 1e-12, "maxiter": 1000},
+        )
+        assert qp.success
+        best = -qp.fun
+        smo_obj = float(model.objective_trace[-1])
+        # SMO stops once the violating-pair gap m - M is <= tol; by convexity
+        # the optimum then lies at most (m - M)/2 * ||alpha - alpha*||_1 above
+        # the SMO objective.
+        slack = self.TOL / 2.0 * np.abs(alpha - qp.x).sum()
+        assert best - slack - 1e-9 * best <= smo_obj <= best + 1e-8 * best
+
+
+def duplicated_problem(kind, seed, n=40):
+    """Half the rows repeat the other half, so selection scores tie exactly."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(n // 2, 3))
+    X = np.vstack([base, base])
+    y = np.concatenate([np.where(rng.random(n // 2) < 0.5, -1.0, 1.0)] * 2)
+    y[0], y[1] = 1.0, -1.0
+    spec = {"linear": KernelSpec(kind="linear"),
+            "rbf": KernelSpec(kind="rbf", eta=0.5),
+            "poly": KernelSpec(kind="polynomial", eta=0.3, r=1.0, degree=3)}[kind]
+    return gram(spec, X) * np.outer(y, y), y, rng.random(n)
+
+
+class TestReferenceParity:
+    """The lean solver must reproduce the whole-array reference bit for bit."""
+
+    @pytest.mark.parametrize("max_iter", [1, 5, 50, 2_000])
+    @pytest.mark.parametrize("c", [0.01, 1e3])
+    @pytest.mark.parametrize("kind", ["linear", "rbf", "poly"])
+    def test_matches_reference(self, kind, c, max_iter):
+        for seed in range(3):
+            Q, y, tiebreak = duplicated_problem(kind, seed)
+            ref = reference_smo_solve(Q, y, c, 1e-3, max_iter, tiebreak)
+            new = _smo_solve(Q.copy(), y, c, 1e-3, max_iter, tiebreak)
+            assert_array_equal(new[0], ref[0])
+            assert_array_equal(new[1], ref[1])
+            assert new[2] == ref[2]
+            assert new[3] == ref[3]
+            assert_allclose(new[4], ref[4], rtol=1e-9, atol=1e-9)
+
+    def test_solver_leaves_its_inputs_alone(self):
+        Q, y, tiebreak = duplicated_problem("rbf", 0)
+        copies = Q.copy(), y.copy(), tiebreak.copy()
+        _smo_solve(Q, y, 1.0, 1e-3, 100, tiebreak)
+        for before, after in zip(copies, (Q, y, tiebreak)):
+            assert_array_equal(before, after)
 
 
 def test_kkt_violation_empty_index_sets():

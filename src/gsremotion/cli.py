@@ -7,15 +7,16 @@ win over the file, which wins over built-in defaults.
 """
 
 import argparse
-import json
 import os
 import sys
 
 from .dataset import (
     LABEL_ORDER,
+    file_errors,
     load_dataset,
     save_dataset,
     stratified_split_indices,
+    write_json,
 )
 from .evaluate import (
     ConfusionMatrix,
@@ -58,35 +59,39 @@ _CONFIG_KEYS = frozenset({
 def read_config_file(path: str) -> dict:
     """Parse a flat `key = value` defaults file (# starts a comment)."""
     cfg = {}
-    with open(path) as fh:
+    with file_errors(path), open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected key = value")
+                raise ValueError(f"line {lineno}: expected key = value")
             key, value = line.split("=", 1)
             key = key.strip().replace("-", "_")
             value = value.strip().strip("'\"")
             if not key:
-                raise ValueError(f"{path}: line {lineno}: empty key")
+                raise ValueError(f"line {lineno}: empty key")
             if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
+                raise ValueError(f"line {lineno}: unknown key {key!r}")
             cfg[key] = value
     return cfg
 
 
-def _resolve(args, cfg: dict, key: str, default, cast):
+def _resolve(args, cfg: dict, key: str, cast, default=None):
     """flag > config file > default; casts only the config-file string."""
-    flag_value = getattr(args, key, None)
-    if flag_value is not None:
-        return flag_value
-    if key in cfg:
+    value = getattr(args, key, None)
+    if value is not None or key not in cfg:
+        return default if value is None else value
+    with file_errors(args.config):
         try:
             return cast(cfg[key])
         except ValueError:
             raise ValueError(f"config key {key}: cannot parse {cfg[key]!r}")
-    return default
+
+
+def _given(**values) -> dict:
+    """Keyword arguments for the values that were set, so dataclass defaults fill the rest."""
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _parse_int_list(text: str) -> list:
@@ -103,33 +108,27 @@ def _check_out(path: str, force: bool) -> str:
 
 
 def _load_cfg(args) -> dict:
-    return read_config_file(args.config) if getattr(args, "config", None) else {}
-
-
-def _kernel_from(args, cfg: dict) -> KernelSpec:
-    return KernelSpec(
-        kind=_resolve(args, cfg, "kernel", "rbf", str),
-        eta=_resolve(args, cfg, "eta", None, float),
-        r=_resolve(args, cfg, "r", 0.0, float),
-        degree=_resolve(args, cfg, "degree", 3, int),
-    )
+    return read_config_file(args.config) if args.config else {}
 
 
 def _pipeline_config(args, cfg: dict, explicit_features=None) -> PipelineConfig:
-    return PipelineConfig(
-        kernel=_kernel_from(args, cfg),
-        c=_resolve(args, cfg, "c", 1.0, float),
-        selection_k=_resolve(args, cfg, "k", 15, int),
-        explicit_features=explicit_features,
-        norm_mode=_resolve(args, cfg, "norm", "signal", str),
-        seed=_resolve(args, cfg, "seed", 42, int),
-    )
+    kernel = KernelSpec(**_given(
+        kind=_resolve(args, cfg, "kernel", str),
+        eta=_resolve(args, cfg, "eta", float),
+        r=_resolve(args, cfg, "r", float),
+        degree=_resolve(args, cfg, "degree", int),
+    ))
+    return PipelineConfig(kernel=kernel, explicit_features=explicit_features, **_given(
+        c=_resolve(args, cfg, "c", float),
+        selection_k=_resolve(args, cfg, "k", int),
+        norm_mode=_resolve(args, cfg, "norm", str),
+        seed=_resolve(args, cfg, "seed", int),
+    ))
 
 
 def _explicit_features(args, cfg: dict):
     """Explicit catalog indices from --features-list or a selection file."""
-    listed = _resolve(args, cfg, "features_list", None,
-                      lambda s: _parse_int_list(s))
+    listed = _resolve(args, cfg, "features_list", _parse_int_list)
     if isinstance(listed, str):
         listed = _parse_int_list(listed)
     if listed is not None:
@@ -147,12 +146,6 @@ def _write_text(path: str, text: str) -> None:
             fh.write("\n")
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _warn_unconverged(machines, where: str = "") -> None:
     """One stderr line per machine that stopped at max_passes."""
     for m in machines:
@@ -165,24 +158,19 @@ def _warn_unconverged(machines, where: str = "") -> None:
 
 def cmd_synth(args) -> int:
     cfg = _load_cfg(args)
-    seed = _resolve(args, cfg, "seed", 42, int)
-    counts_text = cfg.get("counts")
-    kwargs = {"seed": seed}
-    if counts_text is not None:
-        values = _parse_int_list(counts_text)
-        if len(values) != len(LABEL_ORDER):
-            raise ValueError(
-                f"counts needs {len(LABEL_ORDER)} values "
-                f"({', '.join(l.value for l in LABEL_ORDER)}), got {len(values)}"
-            )
-        kwargs["per_label_counts"] = dict(zip(LABEL_ORDER, values))
-    if "duration_s" in cfg:
-        kwargs["duration_s"] = float(cfg["duration_s"])
-    if "sample_rate_hz" in cfg:
-        kwargs["sample_rate_hz"] = float(cfg["sample_rate_hz"])
-    if "noise_std" in cfg:
-        kwargs["noise_std_us"] = float(cfg["noise_std"])
-    config = SynthConfig(**kwargs)
+    counts = _resolve(args, cfg, "counts", _parse_int_list)
+    if counts is not None and len(counts) != len(LABEL_ORDER):
+        raise ValueError(
+            f"counts needs {len(LABEL_ORDER)} values "
+            f"({', '.join(l.value for l in LABEL_ORDER)}), got {len(counts)}"
+        )
+    config = SynthConfig(**_given(
+        per_label_counts=None if counts is None else dict(zip(LABEL_ORDER, counts)),
+        duration_s=_resolve(args, cfg, "duration_s", float),
+        sample_rate_hz=_resolve(args, cfg, "sample_rate_hz", float),
+        noise_std_us=_resolve(args, cfg, "noise_std", float),
+        seed=_resolve(args, cfg, "seed", int),
+    ))
     manifest = os.path.join(args.out, "manifest.txt")
     _check_out(manifest, args.force)
     dataset = generate_dataset(config)
@@ -193,7 +181,7 @@ def cmd_synth(args) -> int:
 
 def cmd_preprocess(args) -> int:
     cfg = _load_cfg(args)
-    norm = _resolve(args, cfg, "norm", "signal", str)
+    norm = _resolve(args, cfg, "norm", str, PipelineConfig.norm_mode)
     manifest = os.path.join(args.out, "manifest.txt")
     _check_out(manifest, args.force)
     dataset = load_dataset(args.manifest)
@@ -220,7 +208,7 @@ def cmd_select(args) -> int:
     if explicit is not None:
         result = SelectionResult(selected_indices=tuple(explicit), k=len(explicit))
     else:
-        k = _resolve(args, cfg, "k", 15, int)
+        k = _resolve(args, cfg, "k", int, PipelineConfig.selection_k)
         result = select_features(matrix, k)
     write_selection_json(result, args.out)
     for warning in result.warnings:
@@ -235,7 +223,7 @@ def cmd_train(args) -> int:
     matrix = read_feature_csv(args.features)
     explicit = _explicit_features(args, cfg)
     config = _pipeline_config(args, cfg, explicit_features=explicit)
-    test_fraction = _resolve(args, cfg, "test_fraction", None, float)
+    test_fraction = _resolve(args, cfg, "test_fraction", float)
     if test_fraction is not None:
         if not args.test_out:
             raise ValueError("--test-fraction requires --test-out for the held-out rows")
@@ -278,7 +266,7 @@ def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     json_path = _check_out(args.out + ".json", args.force)
     text_path = _check_out(args.out + ".txt", args.force)
-    seed = _resolve(args, cfg, "seed", 42, int)
+    seed = _resolve(args, cfg, "seed", int, PipelineConfig.seed)
     model = load_model(args.model)
     matrix = read_feature_csv(args.features)
     if any(lab is None for lab in matrix.labels):
@@ -289,7 +277,7 @@ def cmd_eval(args) -> int:
     acc = accuracy(cm)
     rates = per_label_rates(cm)
     sample = sampled_label_rates(matrix.labels, predicted, seed)
-    _write_json(json_path, {
+    write_json(json_path, {
         "accuracy": acc,
         "n_rows": cm.total,
         "label_order": [lab.value for lab in cm.label_order],
@@ -314,11 +302,10 @@ def cmd_cv(args) -> int:
     text_path = _check_out(args.out + ".txt", args.force)
     explicit = _explicit_features(args, cfg)
     config = _pipeline_config(args, cfg, explicit_features=explicit)
-    folds = _resolve(args, cfg, "folds", 5, int)
-    seed = _resolve(args, cfg, "seed", 42, int)
+    folds = _resolve(args, cfg, "folds", int, 5)
     dataset = load_dataset(args.manifest)
-    report = kfold_cross_validate(dataset, folds, config, seed)
-    _write_json(json_path, report.to_dict())
+    report = kfold_cross_validate(dataset, folds, config, config.seed)
+    write_json(json_path, report.to_dict())
     for fold, machine in report.unconverged:
         _warn_unconverged([machine], f"fold {fold}: ")
     fold_lines = [
@@ -343,11 +330,12 @@ def cmd_report(args) -> int:
     text_path = _check_out(args.out + ".txt", args.force)
     explicit = _explicit_features(args, cfg)
     config = _pipeline_config(args, cfg, explicit_features=explicit)
-    test_fraction = _resolve(args, cfg, "test_fraction", 0.3, float)
-    seed = _resolve(args, cfg, "seed", 42, int)
+    test_fraction = _resolve(args, cfg, "test_fraction", float, 0.3)
     matrix = read_feature_csv(args.features)
-    report = comparison_report(matrix, config, test_fraction, seed)
-    _write_json(json_path, report)
+    report = comparison_report(matrix, config, test_fraction, config.seed)
+    write_json(json_path, report)
+    for variant, machine in report.unconverged:
+        _warn_unconverged([machine], f"{variant} model: ")
     _write_text(text_path, format_comparison(report))
     acc = report["accuracy"]
     print(
@@ -357,12 +345,9 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_common(sub, *, config=True, force=True, seed=False):
-    if config:
-        sub.add_argument("--config", help="key = value defaults file")
-    if force:
-        sub.add_argument("--force", action="store_true",
-                         help="overwrite existing outputs")
+def _add_common(sub, *, seed=False):
+    sub.add_argument("--config", help="key = value defaults file")
+    sub.add_argument("--force", action="store_true", help="overwrite existing outputs")
     if seed:
         sub.add_argument("--seed", type=int, default=None)
 

@@ -1,11 +1,13 @@
-"""GSR record and dataset containers plus on-disk CSV format.
+"""GSR record and dataset containers, their CSV format, and the file boundary.
 
 A record is one skin-conductance time series for one subject under one
 emotion label. Datasets are flat lists of records addressed by a manifest
 file (one record filename per line, relative to the manifest's directory).
 """
 
+import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -14,6 +16,28 @@ import numpy as np
 MIN_SAMPLES = 64
 
 CSV_HEADER = "t_seconds,conductance_us"
+
+
+@contextmanager
+def file_errors(path: str, kind: str = "file"):
+    """Re-raise a missing key, a value of the wrong type or any ValueError
+    inside the block as `ValueError("<path>: ...")`, with `kind` naming the
+    file in the first two; an OSError passes through unchanged."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: {kind} is missing key {exc.args[0]!r}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: {kind} has a value of the wrong type ({exc})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def write_json(path: str, payload: dict) -> None:
+    """Indented, key-sorted JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 class EmotionLabel(Enum):
@@ -153,43 +177,43 @@ def load_record(path: str) -> GsrRecord:
     """Read one record CSV written by save_record."""
     meta = {}
     samples = []
-    with open(path) as fh:
+    with file_errors(path), open(path) as fh:
         lines = fh.read().splitlines()
-    idx = 0
-    while idx < len(lines) and lines[idx].startswith("#"):
-        body = lines[idx][1:].strip()
-        if ":" not in body:
-            raise ValueError(f"{path}: malformed metadata line {idx + 1}: {lines[idx]!r}")
-        key, value = body.split(":", 1)
-        meta[key.strip()] = value.strip()
+        idx = 0
+        while idx < len(lines) and lines[idx].startswith("#"):
+            body = lines[idx][1:].strip()
+            if ":" not in body:
+                raise ValueError(f"malformed metadata line {idx + 1}: {lines[idx]!r}")
+            key, value = body.split(":", 1)
+            meta[key.strip()] = value.strip()
+            idx += 1
+        if idx >= len(lines) or lines[idx] != CSV_HEADER:
+            raise ValueError(f"expected header {CSV_HEADER!r} after metadata")
         idx += 1
-    if idx >= len(lines) or lines[idx] != CSV_HEADER:
-        raise ValueError(f"{path}: expected header {CSV_HEADER!r} after metadata")
-    idx += 1
-    for lineno, line in enumerate(lines[idx:], start=idx + 1):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}: line {lineno}: expected 2 fields, got {len(parts)}")
+        for lineno, line in enumerate(lines[idx:], start=idx + 1):
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ValueError(f"line {lineno}: expected 2 fields, got {len(parts)}")
+            try:
+                samples.append(float(parts[1]))
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad conductance value {parts[1]!r}")
+        missing = [k for k in ("record_id", "subject", "label", "sample_rate_hz") if k not in meta]
+        if missing:
+            raise ValueError(f"missing metadata keys: {', '.join(missing)}")
         try:
-            samples.append(float(parts[1]))
+            rate = float(meta["sample_rate_hz"])
         except ValueError:
-            raise ValueError(f"{path}: line {lineno}: bad conductance value {parts[1]!r}")
-    missing = [k for k in ("record_id", "subject", "label", "sample_rate_hz") if k not in meta]
-    if missing:
-        raise ValueError(f"{path}: missing metadata keys: {', '.join(missing)}")
-    try:
-        rate = float(meta["sample_rate_hz"])
-    except ValueError:
-        raise ValueError(f"{path}: bad sample_rate_hz {meta['sample_rate_hz']!r}")
-    return GsrRecord(
-        record_id=meta["record_id"],
-        subject_id=meta["subject"],
-        label=parse_label(meta["label"]),
-        sample_rate_hz=rate,
-        samples=np.asarray(samples, dtype=np.float64),
-    )
+            raise ValueError(f"bad sample_rate_hz {meta['sample_rate_hz']!r}")
+        return GsrRecord(
+            record_id=meta["record_id"],
+            subject_id=meta["subject"],
+            label=parse_label(meta["label"]),
+            sample_rate_hz=rate,
+            samples=np.asarray(samples, dtype=np.float64),
+        )
 
 
 def save_dataset(dataset: Dataset, out_dir: str, manifest_name: str = "manifest.txt") -> str:
@@ -212,13 +236,14 @@ def load_dataset(manifest_path: str) -> Dataset:
     Blank lines and `#` comment lines are ignored.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
-    with open(manifest_path) as fh:
+    with file_errors(manifest_path), open(manifest_path) as fh:
         names = [
             line.strip() for line in fh
             if line.strip() and not line.strip().startswith("#")
         ]
     records = [load_record(os.path.join(base, name)) for name in names]
-    return Dataset(records=records)
+    with file_errors(manifest_path):  # records clash: the manifest is at fault
+        return Dataset(records=records)
 
 
 def stratified_split_indices(labels, test_fraction: float, seed: int):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, EmotionLabel, parse_label
+from .dataset import Dataset, EmotionLabel, file_errors, parse_label
 
 CATALOG_VERSION = 1
 
@@ -274,40 +274,36 @@ def write_feature_csv(matrix: FeatureMatrix, path: str) -> None:
 
 def read_feature_csv(path: str) -> FeatureMatrix:
     """Read a table written by write_feature_csv; validates catalog version."""
-    with open(path) as fh:
+    with file_errors(path), open(path) as fh:
         first = fh.readline().strip()
         if not first.startswith("# catalog_version:"):
-            raise ValueError(f"{path}: missing catalog_version line")
+            raise ValueError("missing catalog_version line")
         try:
             version = int(first.split(":", 1)[1])
         except ValueError:
-            raise ValueError(f"{path}: bad catalog_version line {first!r}")
+            raise ValueError(f"bad catalog_version line {first!r}")
         if version != CATALOG_VERSION:
-            raise ValueError(
-                f"{path}: catalog_version {version} unsupported (expected {CATALOG_VERSION})"
-            )
+            raise ValueError(f"catalog_version {version} unsupported (expected {CATALOG_VERSION})")
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:2] != ["record_id", "label"]:
-            raise ValueError(f"{path}: header must start with record_id,label")
+            raise ValueError("header must start with record_id,label")
         names = header[2:]
         if names != column_ids(len(names)) or not names:
-            raise ValueError(f"{path}: feature columns must be f01..f{len(names):02d}")
+            raise ValueError(f"feature columns must be f01..f{len(names):02d}")
         ids, labels, rows = [], [], []
         for lineno, row in enumerate(reader, start=3):
             if not row:
                 continue
             if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
+                raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
             ids.append(row[0])
             labels.append(parse_label(row[1]) if row[1] else None)
             try:
                 rows.append([float(v) for v in row[2:]])
             except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad feature value")
-    if not rows:
-        raise ValueError(f"{path}: no feature rows")
-    return FeatureMatrix(values=np.array(rows), record_ids=ids, labels=labels,
-                         catalog_version=version)
+                raise ValueError(f"line {lineno}: bad feature value")
+        if not rows:
+            raise ValueError("no feature rows")
+        return FeatureMatrix(values=np.array(rows), record_ids=ids, labels=labels,
+                             catalog_version=version)

@@ -122,8 +122,13 @@ def subset_rows(matrix: FeatureMatrix, rows) -> FeatureMatrix:
     )
 
 
+class ComparisonReport(dict):
+    """The comparison payload; `unconverged`, outside the dict, holds a
+    (variant, BinarySvmModel) pair for each machine stopped by max_passes."""
+
+
 def comparison_report(matrix: FeatureMatrix, config: PipelineConfig,
-                      test_fraction: float, seed: int) -> dict:
+                      test_fraction: float, seed: int) -> ComparisonReport:
     """Selected-k vs all-features accuracy on one stratified split.
 
     Both variants share the identical train/test rows; the all-features
@@ -143,7 +148,7 @@ def comparison_report(matrix: FeatureMatrix, config: PipelineConfig,
             "test": accuracy(evaluate_model(fitted.model, test_matrix)),
         }
 
-    return {
+    report = ComparisonReport({
         "test_fraction": test_fraction,
         "split_seed": seed,
         "n_train": len(train_rows),
@@ -154,7 +159,11 @@ def comparison_report(matrix: FeatureMatrix, config: PipelineConfig,
             "selected": scores(fitted_k),
             "all_features": scores(fitted_all),
         },
-    }
+    })
+    variants = (("selected-k", fitted_k), ("all-features", fitted_all))
+    report.unconverged = [(variant, m) for variant, fitted in variants
+                          for m in fitted.model.machines if not m.converged]
+    return report
 
 
 def format_comparison(report: dict) -> str:

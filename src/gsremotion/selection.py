@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LABEL_ORDER
+from .dataset import LABEL_ORDER, file_errors, write_json
 from .features import CATALOG_VERSION, FEATURE_NAMES, FeatureMatrix
 
 
@@ -239,19 +239,16 @@ def write_selection_json(result: SelectionResult, path: str) -> None:
             [float(v) for v in row] for row in result.correlation
         ] if result.correlation is not None else None,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def read_selection_indices(path: str) -> list:
     """Load selected catalog indices from a selection JSON file."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    indices = payload.get("selected_indices")
-    if not isinstance(indices, list) or not indices:
-        raise ValueError(f"{path}: missing or empty selected_indices")
-    return validate_catalog_indices(indices)
+    with file_errors(path, "selection file"), open(path) as fh:
+        indices = json.load(fh).get("selected_indices")
+        if not isinstance(indices, list) or not indices:
+            raise ValueError("missing or empty selected_indices")
+        return validate_catalog_indices(indices)
 
 
 def validate_catalog_indices(indices) -> list:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import LABEL_ORDER, EmotionLabel, parse_label
+from .dataset import LABEL_ORDER, EmotionLabel, file_errors, parse_label, write_json
 from .features import CATALOG_VERSION, FEATURE_NAMES, FeatureMatrix, FeatureNormalization, FeatureVector
 from .kernels import KernelSpec, gram
 
@@ -466,9 +466,7 @@ def save_model(model: MulticlassSvmModel, path: str) -> None:
         },
         "machines": machines,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_model(path: str) -> MulticlassSvmModel:
@@ -477,62 +475,51 @@ def load_model(path: str) -> MulticlassSvmModel:
     Every malformed file, a missing key or a value of the wrong type
     included, ends in a ValueError that names the file.
     """
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        return _model_from_payload(json.loads(text))
-    except KeyError as exc:
-        raise ValueError(f"{path}: model file is missing key {exc.args[0]!r}") from None
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"{path}: model file has a value of the wrong type ({exc})") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _model_from_payload(payload: dict) -> MulticlassSvmModel:
-    version = payload.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(
-            f"model format_version {version!r} unsupported "
-            f"(expected {MODEL_FORMAT_VERSION})"
+    with file_errors(path, "model file"), open(path) as fh:
+        payload = json.load(fh)
+        version = payload.get("format_version")
+        if version != MODEL_FORMAT_VERSION:
+            raise ValueError(
+                f"model format_version {version!r} unsupported "
+                f"(expected {MODEL_FORMAT_VERSION})"
+            )
+        if payload.get("kind") != "one_vs_one_svm":
+            raise ValueError("not a one_vs_one_svm model file")
+        machines = []
+        for m in payload["machines"]:
+            n_features = int(m["n_features"])
+            sv_rows = [[float.fromhex(v) for v in row] for row in m["support_vectors"]]
+            machines.append(BinarySvmModel(
+                support_vectors=np.array(sv_rows, dtype=np.float64).reshape(-1, n_features),
+                dual_coef=np.array([float.fromhex(v) for v in m["dual_coef"]]),
+                bias=float.fromhex(m["bias"]),
+                kernel=_kernel_from_payload(m["kernel"]),
+                label_pair=(parse_label(m["labels"][0]), parse_label(m["labels"][1])),
+                iterations=int(m["iterations"]),
+                converged=bool(m["converged"]),
+                final_violation=float.fromhex(m["final_violation"]),
+            ))
+        norm = None
+        if payload.get("normalization") is not None:
+            np_payload = payload["normalization"]
+            norm = FeatureNormalization(
+                mins=np.array([float.fromhex(v) for v in np_payload["mins"]]),
+                maxs=np.array([float.fromhex(v) for v in np_payload["maxs"]]),
+                degenerate=np.array(np_payload["degenerate"], dtype=bool),
+            )
+        cfg_payload = payload["config"]
+        config = TrainConfig(
+            c=float.fromhex(cfg_payload["c"]),
+            kernel=_kernel_from_payload(cfg_payload["kernel"]),
+            tolerance=float.fromhex(cfg_payload["tolerance"]),
+            max_passes=int(cfg_payload["max_passes"]),
+            seed=int(cfg_payload["seed"]),
         )
-    if payload.get("kind") != "one_vs_one_svm":
-        raise ValueError("not a one_vs_one_svm model file")
-    machines = []
-    for m in payload["machines"]:
-        n_features = int(m["n_features"])
-        sv_rows = [[float.fromhex(v) for v in row] for row in m["support_vectors"]]
-        machines.append(BinarySvmModel(
-            support_vectors=np.array(sv_rows, dtype=np.float64).reshape(-1, n_features),
-            dual_coef=np.array([float.fromhex(v) for v in m["dual_coef"]]),
-            bias=float.fromhex(m["bias"]),
-            kernel=_kernel_from_payload(m["kernel"]),
-            label_pair=(parse_label(m["labels"][0]), parse_label(m["labels"][1])),
-            iterations=int(m["iterations"]),
-            converged=bool(m["converged"]),
-            final_violation=float.fromhex(m["final_violation"]),
-        ))
-    norm = None
-    if payload.get("normalization") is not None:
-        np_payload = payload["normalization"]
-        norm = FeatureNormalization(
-            mins=np.array([float.fromhex(v) for v in np_payload["mins"]]),
-            maxs=np.array([float.fromhex(v) for v in np_payload["maxs"]]),
-            degenerate=np.array(np_payload["degenerate"], dtype=bool),
+        return MulticlassSvmModel(
+            machines=machines,
+            label_order=tuple(parse_label(v) for v in payload["label_order"]),
+            feature_indices=tuple(int(i) for i in payload["feature_indices"]),
+            normalization=norm,
+            config=config,
+            catalog_version=int(payload["catalog_version"]),
         )
-    cfg_payload = payload["config"]
-    config = TrainConfig(
-        c=float.fromhex(cfg_payload["c"]),
-        kernel=_kernel_from_payload(cfg_payload["kernel"]),
-        tolerance=float.fromhex(cfg_payload["tolerance"]),
-        max_passes=int(cfg_payload["max_passes"]),
-        seed=int(cfg_payload["seed"]),
-    )
-    return MulticlassSvmModel(
-        machines=machines,
-        label_order=tuple(parse_label(v) for v in payload["label_order"]),
-        feature_indices=tuple(int(i) for i in payload["feature_indices"]),
-        normalization=norm,
-        config=config,
-        catalog_version=int(payload["catalog_version"]),
-    )

@@ -312,6 +312,16 @@ class TestNonConvergence:
         assert err.count("warning: fold 1: machine") == 10
         assert err.count("warning: fold 2: machine") == 10
 
+    def test_report_warns_per_model(self, features_csv, tmp_path, capsys, two_passes):
+        assert cli.main(["report", "--features", str(features_csv), "--out",
+                         str(tmp_path / "cmp"), "--test-fraction", "0.5", "--k", "10"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning: selected-k model: machine") == 10
+        assert err.count("warning: all-features model: machine") == 10
+        assert set(json.loads((tmp_path / "cmp.json").read_text())) == {
+            "test_fraction", "split_seed", "n_train", "n_test", "k", "selected_indices",
+            "accuracy"}
+
     def test_converged_run_is_quiet(self, features_csv, tmp_path, capsys):
         assert cli.main(["train", "--features", str(features_csv),
                          "--out", str(tmp_path / "model.json")]) == 0
@@ -388,6 +398,10 @@ class TestConfigFile:
                        "--out", str(tmp_path / "model.json"), "--config", cfg])
         assert rc == 1
         assert "cannot parse" in capsys.readouterr().err
+        cfg = write_config(tmp_path / "synth.cfg", "duration_s = abc\n")
+        assert cli.main(["synth", "--out", str(tmp_path / "corpus"), "--config", cfg]) == 1
+        assert f"error: {cfg}: config key duration_s: cannot parse 'abc'" in \
+            capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -445,3 +459,75 @@ class TestExitCodes:
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):
             cli.main(["bogus"])
+
+
+class TestMalformedInputFiles:
+    """Each malformed input exits 1 with one `error: <file>: ...` line."""
+
+    @staticmethod
+    def assert_names(capsys, rc, path, message):
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+        assert err.count(str(path)) == 1
+        assert message in err
+
+    def train_with(self, features_csv, selection, tmp_path):
+        return cli.main(["train", "--features", str(features_csv), "--selection",
+                         str(selection), "--out", str(tmp_path / "model.json")])
+
+    def test_selection_is_a_list(self, features_csv, tmp_path, capsys):
+        selection = tmp_path / "selection.json"
+        selection.write_text("[1, 2]\n")
+        rc = self.train_with(features_csv, selection, tmp_path)
+        self.assert_names(capsys, rc, selection,
+                          "selection file has a value of the wrong type")
+
+    @pytest.mark.parametrize("indices", [[None], [[1]]])
+    def test_selection_index_of_wrong_type(self, features_csv, tmp_path, capsys, indices):
+        selection = tmp_path / "selection.json"
+        selection.write_text(json.dumps({"selected_indices": indices}))
+        rc = self.train_with(features_csv, selection, tmp_path)
+        self.assert_names(capsys, rc, selection,
+                          "selection file has a value of the wrong type")
+
+    def test_selection_is_not_json(self, features_csv, tmp_path, capsys):
+        selection = tmp_path / "selection.json"
+        selection.write_text("selected: 1, 2\n")
+        rc = self.train_with(features_csv, selection, tmp_path)
+        self.assert_names(capsys, rc, selection, "Expecting value: line 1")
+
+    @pytest.mark.parametrize("column, value, message", [
+        (1, "boredom", "unknown emotion label 'boredom'"),
+        (5, "nan", "non-finite"),
+    ], ids=["label", "nan"])
+    def test_feature_table_bad_field(self, features_csv, tmp_path, capsys,
+                                     column, value, message):
+        lines = features_csv.read_text().splitlines()
+        fields = lines[4].split(",")
+        fields[column] = value
+        lines[4] = ",".join(fields)
+        broken = tmp_path / "features.csv"
+        broken.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["select", "--features", str(broken),
+                       "--out", str(tmp_path / "selection.json")])
+        self.assert_names(capsys, rc, broken, message)
+
+    def test_manifest_lists_a_record_twice(self, corpus_dir, tmp_path, capsys):
+        first = (corpus_dir / "manifest.txt").read_text().splitlines()[0]
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"{corpus_dir / first}\n{corpus_dir / first}\n")
+        rc = cli.main(["features", "--manifest", str(manifest),
+                       "--out", str(tmp_path / "features.csv")])
+        self.assert_names(capsys, rc, manifest, "duplicate record_id")
+
+    def test_short_record_names_its_file(self, corpus_dir, tmp_path, capsys):
+        name = (corpus_dir / "manifest.txt").read_text().splitlines()[0]
+        lines = (corpus_dir / name).read_text().splitlines()
+        header = lines.index("t_seconds,conductance_us")
+        record = tmp_path / name
+        record.write_text("\n".join(lines[:header + 26]) + "\n")
+        (tmp_path / "manifest.txt").write_text(name + "\n")
+        rc = cli.main(["features", "--manifest", str(tmp_path / "manifest.txt"),
+                       "--out", str(tmp_path / "features.csv")])
+        self.assert_names(capsys, rc, record, "has 25 samples, need at least 64")

@@ -15,7 +15,6 @@ from .dataset import (
     parse_label,
     save_dataset,
     save_record,
-    split_dataset,
 )
 from .evaluate import (
     ConfusionMatrix,
@@ -29,7 +28,6 @@ from .evaluate import (
 from .features import (
     FEATURE_NAMES,
     FeatureMatrix,
-    FeatureVector,
     extract_dataset_features,
     extract_features,
     read_feature_csv,
@@ -41,7 +39,6 @@ from .pipeline import (
     PipelineConfig,
     comparison_report,
     evaluate_model,
-    fit_dataset,
     fit_from_features,
     predict_rows,
 )
@@ -50,30 +47,24 @@ from .preprocess import (
     fit_calm_baseline,
     normalize_signal,
     preprocess_dataset,
-    preprocess_record,
 )
 from .selection import (
     CovarianceMatrix,
     SelectionResult,
-    correlation,
-    covariance,
     covariance_matrix,
-    per_label_covariance,
     select_features,
 )
 from .svm import (
     BinarySvmModel,
     MulticlassSvmModel,
     TrainConfig,
-    decision_value,
     load_model,
-    predict,
     predict_batch,
     save_model,
     train_binary,
     train_multiclass,
 )
-from .synth import LabelBands, SynthConfig, default_config, generate_dataset, generate_record
+from .synth import LabelBands, SynthConfig, generate_dataset, generate_record
 from .wavelet import (
     FilterBank,
     WaveletDecomposition,

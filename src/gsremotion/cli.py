@@ -1,7 +1,8 @@
 """Command-line interface: one subcommand per pipeline stage.
 
-Exit codes: 0 success, 1 validation error (bad values, malformed data,
-refusing to overwrite), 2 I/O error (missing files, unwritable outputs).
+Exit codes: 0 success, 1 validation error (bad values, unparsable flags,
+malformed data, refusing to overwrite), 2 I/O error (missing files,
+unwritable outputs).
 A --config file supplies defaults as `key = value` lines; explicit flags
 win over the file, which wins over built-in defaults.
 """
@@ -376,8 +377,16 @@ def _add_selection_flags(sub, with_file=False):
                          help="selection JSON from the select stage")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A flag argparse cannot parse is a validation error: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="gsremotion",
         description="GSR emotion classification pipeline",
     )

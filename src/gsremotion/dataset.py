@@ -136,19 +136,6 @@ class Dataset:
     def __iter__(self):
         return iter(self.records)
 
-    def label_counts(self) -> dict:
-        counts = {}
-        for rec in self.records:
-            counts[rec.label] = counts.get(rec.label, 0) + 1
-        return counts
-
-    def subjects(self) -> list:
-        out = []
-        for rec in self.records:
-            if rec.subject_id not in out:
-                out.append(rec.subject_id)
-        return out
-
 
 def _format_number(value: float) -> str:
     """Integral floats print without the trailing .0 (cosmetic only)."""
@@ -216,15 +203,15 @@ def load_record(path: str) -> GsrRecord:
         )
 
 
-def save_dataset(dataset: Dataset, out_dir: str, manifest_name: str = "manifest.txt") -> str:
-    """Write every record plus a manifest listing them; returns manifest path."""
+def save_dataset(dataset: Dataset, out_dir: str) -> str:
+    """Write every record plus manifest.txt listing them; returns the manifest path."""
     os.makedirs(out_dir, exist_ok=True)
     names = []
     for rec in dataset.records:
         name = f"{rec.record_id}.csv"
         save_record(rec, os.path.join(out_dir, name))
         names.append(name)
-    manifest_path = os.path.join(out_dir, manifest_name)
+    manifest_path = os.path.join(out_dir, "manifest.txt")
     with open(manifest_path, "w") as fh:
         fh.write("\n".join(names) + "\n")
     return manifest_path
@@ -280,13 +267,4 @@ def stratified_split_indices(labels, test_fraction: float, seed: int):
         test_idx.update(rows[j] for j in order[:n_test])
     train = [i for i in range(len(labels)) if i not in test_idx]
     test = [i for i in range(len(labels)) if i in test_idx]
-    return train, test
-
-
-def split_dataset(dataset: Dataset, test_fraction: float, seed: int):
-    """Stratified train/test split of a dataset; returns (train, test)."""
-    labels = [rec.label for rec in dataset.records]
-    train_idx, test_idx = stratified_split_indices(labels, test_fraction, seed)
-    train = Dataset(records=[dataset.records[i] for i in train_idx])
-    test = Dataset(records=[dataset.records[i] for i in test_idx])
     return train, test

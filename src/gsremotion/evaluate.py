@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LABEL_ORDER, Dataset, EmotionLabel
+from .dataset import LABEL_ORDER, Dataset
 
 
 @dataclass

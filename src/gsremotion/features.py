@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, EmotionLabel, file_errors, parse_label
+from .dataset import Dataset, file_errors, parse_label
 
 CATALOG_VERSION = 1
 
@@ -38,24 +38,6 @@ FEATURE_NAMES = tuple(
 N_FEATURES = len(FEATURE_NAMES)  # 30
 
 MIN_FEATURE_SAMPLES = 64
-
-
-@dataclass
-class FeatureVector:
-    """One record's feature values in catalog order."""
-
-    values: np.ndarray
-    record_id: str = ""
-    label: EmotionLabel | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (N_FEATURES,):
-            raise ValueError(
-                f"feature vector must have {N_FEATURES} values, got shape {self.values.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError(f"feature vector for {self.record_id!r} has non-finite values")
 
 
 @dataclass
@@ -88,17 +70,6 @@ class FeatureMatrix:
     @property
     def n_features(self) -> int:
         return self.values.shape[1]
-
-    @classmethod
-    def from_vectors(cls, vectors) -> "FeatureMatrix":
-        vectors = list(vectors)
-        if not vectors:
-            raise ValueError("cannot build a feature matrix from zero vectors")
-        return cls(
-            values=np.stack([v.values for v in vectors]),
-            record_ids=[v.record_id for v in vectors],
-            labels=[v.label for v in vectors],
-        )
 
     def restrict(self, catalog_indices) -> "FeatureMatrix":
         """Column subset by 1-based catalog indices (order preserved)."""
@@ -163,8 +134,7 @@ def _spectral_block(x: np.ndarray, sample_rate_hz: float) -> list:
     return [total, band, ratio, centroid, spread, peak]
 
 
-def extract_features(signal: np.ndarray, sample_rate_hz: float,
-                     record_id: str = "", label: EmotionLabel | None = None) -> FeatureVector:
+def extract_features(signal: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     """Compute the full 30-value catalog for one signal."""
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
@@ -183,16 +153,24 @@ def extract_features(signal: np.ndarray, sample_rate_hz: float,
         _stat_block(x) + _stat_block(d1) + _stat_block(d2)
         + _spectral_block(x, sample_rate_hz)
     )
-    return FeatureVector(values=np.array(values), record_id=record_id, label=label)
+    return np.array(values)
 
 
 def extract_dataset_features(dataset: Dataset) -> FeatureMatrix:
-    """One catalog row per record, in dataset order."""
-    vectors = [
-        extract_features(rec.samples, rec.sample_rate_hz, rec.record_id, rec.label)
-        for rec in dataset.records
-    ]
-    return FeatureMatrix.from_vectors(vectors)
+    """One catalog row per record, in dataset order.
+
+    A record whose features overflow (samples near 1e200) is rejected by id.
+    """
+    records = dataset.records
+    if not records:
+        raise ValueError("cannot extract features from zero records")
+    values = np.array([extract_features(rec.samples, rec.sample_rate_hz) for rec in records])
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        record_id = records[int(bad.argmax())].record_id
+        raise ValueError(f"feature vector for {record_id!r} has non-finite values")
+    return FeatureMatrix(values=values, record_ids=[rec.record_id for rec in records],
+                         labels=[rec.label for rec in records])
 
 
 @dataclass
@@ -288,9 +266,8 @@ def read_feature_csv(path: str) -> FeatureMatrix:
         header = next(reader, None)
         if header is None or header[:2] != ["record_id", "label"]:
             raise ValueError("header must start with record_id,label")
-        names = header[2:]
-        if names != column_ids(len(names)) or not names:
-            raise ValueError(f"feature columns must be f01..f{len(names):02d}")
+        if header[2:] != column_ids(N_FEATURES):
+            raise ValueError(f"feature columns must be f01..f{N_FEATURES:02d}")
         ids, labels, rows = [], [], []
         for lineno, row in enumerate(reader, start=3):
             if not row:

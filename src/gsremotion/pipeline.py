@@ -8,16 +8,9 @@ only.
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .dataset import Dataset, stratified_split_indices
 from .evaluate import ConfusionMatrix, accuracy
-from .features import (
-    FeatureMatrix,
-    apply_feature_normalization,
-    extract_dataset_features,
-    fit_feature_normalization,
-)
+from .features import FeatureMatrix, apply_feature_normalization, fit_feature_normalization
 from .kernels import KernelSpec
 from .preprocess import preprocess_dataset, validate_norm_mode
 from .selection import SelectionResult, select_features, validate_catalog_indices
@@ -91,16 +84,8 @@ def fit_from_features(matrix: FeatureMatrix, config: PipelineConfig) -> FitResul
     return FitResult(model=model, selection=selection, normalization=norm)
 
 
-def fit_dataset(dataset: Dataset, config: PipelineConfig):
-    """Preprocess, extract and fit; returns (FitResult, raw feature matrix)."""
-    prepared = prepare_dataset(dataset, config)
-    matrix = extract_dataset_features(prepared)
-    return fit_from_features(matrix, config), matrix
-
-
-def predict_rows(model: MulticlassSvmModel, values) -> list:
-    """Labels for raw catalog rows (normalization/restriction happen inside)."""
-    return predict_batch(model, np.asarray(values, dtype=np.float64))
+# Labels for raw catalog rows; normalization and restriction happen inside.
+predict_rows = predict_batch
 
 
 def evaluate_model(model: MulticlassSvmModel, matrix: FeatureMatrix) -> ConfusionMatrix:

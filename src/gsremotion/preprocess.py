@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, EmotionLabel, GsrRecord
+from .dataset import Dataset, EmotionLabel
 from .wavelet import denoise
 
 NORM_MODES = ("signal", "feature", "both")
@@ -54,11 +54,6 @@ def normalize_signal(signal: np.ndarray, params: NormalizationParams) -> np.ndar
     return (x - params.x_min) / params.span
 
 
-def preprocess_record(record: GsrRecord) -> GsrRecord:
-    """Denoise one record, keeping its metadata."""
-    return record.with_samples(denoise(record.samples))
-
-
 def validate_norm_mode(mode: str) -> str:
     if mode not in NORM_MODES:
         raise ValueError(f"norm mode must be one of {NORM_MODES}, got {mode!r}")
@@ -73,7 +68,7 @@ def preprocess_dataset(dataset: Dataset, norm_mode: str = "signal") -> Dataset:
     without a calm record are an error in those modes.
     """
     validate_norm_mode(norm_mode)
-    denoised = [preprocess_record(rec) for rec in dataset.records]
+    denoised = [rec.with_samples(denoise(rec.samples)) for rec in dataset.records]
     if norm_mode == "feature":
         return Dataset(records=denoised)
 

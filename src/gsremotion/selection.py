@@ -11,40 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LABEL_ORDER, file_errors, write_json
+from .dataset import file_errors, write_json
 from .features import CATALOG_VERSION, FEATURE_NAMES, FeatureMatrix
 
 
 def _as_array(data) -> np.ndarray:
     values = data.values if isinstance(data, FeatureMatrix) else np.asarray(data, dtype=np.float64)
     return np.asarray(values, dtype=np.float64)
-
-
-def covariance(x, y) -> float:
-    """Population covariance (divides by n, not n-1)."""
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    if xv.ndim != 1 or yv.ndim != 1:
-        raise ValueError("covariance expects 1-D inputs")
-    if xv.size != yv.size:
-        raise ValueError(f"length mismatch: {xv.size} vs {yv.size}")
-    if xv.size < 2:
-        raise ValueError(f"covariance needs at least 2 samples, got {xv.size}")
-    if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
-        raise ValueError("covariance inputs must be finite")
-    return float(np.mean((xv - xv.mean()) * (yv - yv.mean())))
-
-
-def correlation(x, y) -> float:
-    """Pearson correlation, clamped to [-1, 1]; errors on constant input."""
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    cov = covariance(xv, yv)
-    sx = float(xv.std())
-    sy = float(yv.std())
-    if sx == 0.0 or sy == 0.0:
-        raise ValueError("correlation undefined for constant input")
-    return float(np.clip(cov / (sx * sy), -1.0, 1.0))
 
 
 @dataclass
@@ -98,24 +71,6 @@ def covariance_matrix(data, kind: str = "covariance") -> CovarianceMatrix:
     np.fill_diagonal(corr, 1.0)
     corr = (corr + corr.T) / 2.0
     return CovarianceMatrix(values=corr, kind="correlation")
-
-
-def per_label_covariance(matrix: FeatureMatrix, kind: str = "covariance") -> dict:
-    """One covariance matrix per label present in the table."""
-    groups = {}
-    for i, lab in enumerate(matrix.labels):
-        if lab is None:
-            raise ValueError(f"row {i} ({matrix.record_ids[i]!r}) has no label")
-        groups.setdefault(lab, []).append(i)
-    out = {}
-    for lab in LABEL_ORDER:
-        rows = groups.pop(lab, None)
-        if rows is None:
-            continue
-        if len(rows) < 2:
-            raise ValueError(f"label {lab.value!r} has {len(rows)} row(s), need at least 2")
-        out[lab] = covariance_matrix(matrix.values[rows], kind=kind)
-    return out
 
 
 @dataclass
@@ -252,9 +207,14 @@ def read_selection_indices(path: str) -> list:
 
 
 def validate_catalog_indices(indices) -> list:
-    """Check a 1-based catalog index list: ints in range, unique, ascending."""
+    """Check a 1-based catalog index list: ints in range, unique, ascending.
+
+    Booleans are refused although True == 1: JSON `true` is not an index.
+    """
     out = []
     for i in indices:
+        if isinstance(i, (bool, np.bool_)):
+            raise ValueError(f"catalog index {i!r} is a boolean, not an integer")
         v = int(i)
         if v != i or not 1 <= v <= len(FEATURE_NAMES):
             raise ValueError(f"catalog index {i!r} out of range 1..{len(FEATURE_NAMES)}")

@@ -13,12 +13,12 @@ choosing the pair and updating the selection scores.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LABEL_ORDER, EmotionLabel, file_errors, parse_label, write_json
-from .features import CATALOG_VERSION, FEATURE_NAMES, FeatureMatrix, FeatureNormalization, FeatureVector
+from .dataset import LABEL_ORDER, file_errors, parse_label, write_json
+from .features import CATALOG_VERSION, FEATURE_NAMES, FeatureMatrix, FeatureNormalization
 from .kernels import KernelSpec, gram
 
 MODEL_FORMAT_VERSION = 1
@@ -270,10 +270,6 @@ def decision_values(model: BinarySvmModel, X: np.ndarray) -> np.ndarray:
     return gram(model.kernel, X, model.support_vectors) @ model.dual_coef + model.bias
 
 
-def decision_value(model: BinarySvmModel, x: np.ndarray) -> float:
-    return float(decision_values(model, np.asarray(x, dtype=np.float64)[None, :])[0])
-
-
 @dataclass
 class MulticlassSvmModel:
     """One-vs-one ensemble over the labels seen at training time.
@@ -376,7 +372,7 @@ def _prepare_rows(model: MulticlassSvmModel, values: np.ndarray) -> np.ndarray:
 
 
 def predict_batch(model: MulticlassSvmModel, values: np.ndarray) -> list:
-    """Predict a label per full catalog row."""
+    """Predict a label per full catalog row; one row is a (1, 30) batch."""
     rows = _prepare_rows(model, values)
     order = model.label_order
     pairs = np.array([[order.index(m.label_pair[0]), order.index(m.label_pair[1])]
@@ -394,12 +390,6 @@ def predict_batch(model: MulticlassSvmModel, values: np.ndarray) -> list:
     most_votes = votes == votes.max(axis=1, keepdims=True)
     best = np.argmax(np.where(most_votes, strengths, -np.inf), axis=1)
     return [order[i] for i in best]
-
-
-def predict(model: MulticlassSvmModel, features) -> EmotionLabel:
-    """Predict one label from a FeatureVector or raw value row."""
-    values = features.values if isinstance(features, FeatureVector) else features
-    return predict_batch(model, np.asarray(values, dtype=np.float64)[None, :])[0]
 
 
 def _hex(value: float) -> str:

@@ -152,10 +152,6 @@ class SynthConfig:
         return int(round(self.duration_s * self.sample_rate_hz))
 
 
-def default_config(seed: int = 42) -> SynthConfig:
-    return SynthConfig(seed=seed)
-
-
 def _bump(t: np.ndarray, t0: float, amplitude: float, rise: float,
           decay: float) -> np.ndarray:
     """Difference-of-exponentials event, peak-normalized to `amplitude`."""

@@ -226,9 +226,8 @@ def soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
 
 
-def denoise(signal: np.ndarray, levels: int = DEFAULT_LEVELS,
-            order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Wavelet shrinkage with the universal threshold.
+def denoise(signal: np.ndarray) -> np.ndarray:
+    """Wavelet shrinkage with the universal threshold, DEFAULT_LEVELS of db(DEFAULT_ORDER).
 
     Noise scale comes from the finest detail band as median(|d1|) / 0.6745,
     the threshold is sigma * sqrt(2 ln N) with N the signal length, and all
@@ -237,8 +236,8 @@ def denoise(signal: np.ndarray, levels: int = DEFAULT_LEVELS,
     x = np.asarray(signal, dtype=np.float64)
     if x.size < 64:
         raise ValueError(f"denoise needs at least 64 samples, got {x.size}")
-    decomp = dwt_decompose(x, levels=levels, order=order)
+    decomp = dwt_decompose(x)
     sigma = float(np.median(np.abs(decomp.details[0]))) / MAD_SCALE
     threshold = sigma * np.sqrt(2.0 * np.log(x.size))
     decomp.details = [soft_threshold(d, threshold) for d in decomp.details]
-    return dwt_reconstruct(decomp, order=order)
+    return dwt_reconstruct(decomp)

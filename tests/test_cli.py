@@ -449,8 +449,20 @@ class TestExitCodes:
         rc = cli.main([command, "--model", str(model_path), "--features", str(restricted),
                        "--out", str(tmp_path / "out")])
         assert rc == 1
-        k = len(model.feature_indices)
-        assert f"rows have {k} columns" in capsys.readouterr().err
+        assert f"{restricted}: feature columns must be f01..f30" in capsys.readouterr().err
+
+    def test_unparsable_flag_is_validation_error(self, features_csv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--features", str(features_csv),
+                      "--out", str(tmp_path / "model.json"), "--c", "abc"])
+        assert exc.value.code == 1
+        assert "argument --c: invalid float value: 'abc'" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--help"])
+        assert exc.value.code == 0
+        assert "--features" in capsys.readouterr().out
 
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
@@ -512,6 +524,21 @@ class TestMalformedInputFiles:
         rc = cli.main(["select", "--features", str(broken),
                        "--out", str(tmp_path / "selection.json")])
         self.assert_names(capsys, rc, broken, message)
+
+    @pytest.mark.parametrize("command", [
+        ["select", "--k", "5"],
+        ["train"],
+        ["report"],
+    ], ids=["select", "train", "report"])
+    def test_feature_table_missing_last_column(self, features_csv, tmp_path, capsys,
+                                               command):
+        lines = features_csv.read_text().splitlines()
+        broken = tmp_path / "features.csv"
+        broken.write_text("\n".join(lines[:1] + [ln.rsplit(",", 1)[0] for ln in lines[1:]])
+                          + "\n")
+        rc = cli.main([command[0], "--features", str(broken), *command[1:],
+                       "--out", str(tmp_path / "out")])
+        self.assert_names(capsys, rc, broken, "feature columns must be f01..f30")
 
     def test_manifest_lists_a_record_twice(self, corpus_dir, tmp_path, capsys):
         first = (corpus_dir / "manifest.txt").read_text().splitlines()[0]

@@ -12,7 +12,6 @@ from gsremotion.dataset import (
     parse_label,
     save_dataset,
     save_record,
-    split_dataset,
     stratified_split_indices,
 )
 
@@ -161,19 +160,6 @@ def test_dataset_rejects_duplicate_record_ids():
         Dataset(records=recs)
 
 
-def test_dataset_counts_and_subjects():
-    recs = [
-        make_record("a", "S02", EmotionLabel.FEAR),
-        make_record("b", "S01", EmotionLabel.CALM),
-        make_record("c", "S02", EmotionLabel.FEAR),
-    ]
-    ds = Dataset(records=recs)
-    assert len(ds) == 3
-    assert ds.label_counts() == {EmotionLabel.FEAR: 2, EmotionLabel.CALM: 1}
-    # first-appearance order, not sorted
-    assert ds.subjects() == ["S02", "S01"]
-
-
 class TestManifest:
     def test_save_load_preserves_order(self, tmp_path):
         recs = [make_record(f"r{i}", seed=i) for i in range(5)]
@@ -260,15 +246,3 @@ class TestStratifiedSplit:
         labels = self.labels({EmotionLabel.CALM: 4, EmotionLabel.FEAR: 1})
         with pytest.raises(ValueError, match="at least 2"):
             stratified_split_indices(labels, 0.3, seed=0)
-
-
-def test_split_dataset_wraps_indices(default_corpus):
-    train, test = split_dataset(default_corpus, 0.3, seed=1)
-    assert len(train) == 180 and len(test) == 77
-    ids = {r.record_id for r in train} | {r.record_id for r in test}
-    assert len(ids) == 257
-    # row order within each side follows the original dataset order
-    original = [r.record_id for r in default_corpus]
-    pos = {rid: i for i, rid in enumerate(original)}
-    got = [pos[r.record_id] for r in train]
-    assert got == sorted(got)

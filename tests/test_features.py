@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from gsremotion.dataset import EmotionLabel
+from gsremotion.dataset import Dataset, EmotionLabel, GsrRecord
 from gsremotion.features import (
     CATALOG_VERSION,
     FEATURE_NAMES,
     N_FEATURES,
     FeatureMatrix,
     FeatureNormalization,
-    FeatureVector,
     apply_feature_normalization,
     column_ids,
     difference,
@@ -56,7 +55,7 @@ class TestDifference:
 
 class TestExtract:
     def test_constant_signal_degenerates(self):
-        fv = extract_features(np.full(128, 3.0), RATE).values
+        fv = extract_features(np.full(128, 3.0), RATE)
         # the whole signal block collapses onto the constant
         assert_allclose(fv[:8], [3.0, 3.0, 0.0, 3.0, 3.0, 0.0, 3.0, 3.0])
         # differences and spectrum are identically zero
@@ -64,24 +63,24 @@ class TestExtract:
         assert_allclose(fv[24:], 0.0)
 
     def test_median_is_lower_order_statistic(self):
-        fv = extract_features(np.arange(64, dtype=float), RATE).values
+        fv = extract_features(np.arange(64, dtype=float), RATE)
         assert fv[1] == 31.0  # not the 31.5 an averaged median would give
 
     def test_std_is_population(self):
         x = np.arange(64, dtype=float)
-        fv = extract_features(x, RATE).values
+        fv = extract_features(x, RATE)
         assert fv[2] == pytest.approx(np.sqrt(((x - x.mean()) ** 2).mean()), rel=1e-12)
         assert fv[2] != pytest.approx(np.std(x, ddof=1), rel=1e-6)
 
     def test_alternating_signal(self):
         x = (np.arange(128) % 2).astype(float)
-        fv = extract_features(x, RATE).values
+        fv = extract_features(x, RATE)
         assert fv[5] == 1.0  # signal range
         assert fv[9] == 1.0  # d1 lower median over {+1 x64, -1 x63}
 
     def test_sinusoid_peak_frequency(self):
         t = np.arange(512) / RATE
-        fv = extract_features(np.sin(2 * np.pi * 0.1 * t), RATE).values
+        fv = extract_features(np.sin(2 * np.pi * 0.1 * t), RATE)
         bin_width = RATE / 512
         assert fv[29] == pytest.approx(0.09375)
         assert abs(fv[29] - 0.1) <= bin_width
@@ -90,8 +89,8 @@ class TestExtract:
     def test_scale_equivariance(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(256) + 2.0
-        a = extract_features(x, RATE).values
-        b = extract_features(3.7 * x, RATE).values
+        a = extract_features(x, RATE)
+        b = extract_features(3.7 * x, RATE)
         assert_allclose(b[:24], 3.7 * a[:24], rtol=1e-9)
         assert_allclose(b[24:26], 3.7 ** 2 * a[24:26], rtol=1e-9)
         assert_allclose(b[26:], a[26:], rtol=1e-9)
@@ -99,15 +98,15 @@ class TestExtract:
     def test_signal_block_is_permutation_invariant(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(256) + 2.0
-        a = extract_features(x, RATE).values
-        b = extract_features(x[rng.permutation(256)], RATE).values
+        a = extract_features(x, RATE)
+        b = extract_features(x[rng.permutation(256)], RATE)
         assert_allclose(b[:8], a[:8], rtol=1e-12)
 
     def test_spectral_block_is_shift_invariant(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(256) + 2.0
-        a = extract_features(x, RATE).values
-        b = extract_features(np.roll(x, 37), RATE).values
+        a = extract_features(x, RATE)
+        b = extract_features(np.roll(x, 37), RATE)
         assert_allclose(b[24:], a[24:], rtol=1e-9)
 
     def test_too_short(self):
@@ -133,16 +132,23 @@ def test_extract_dataset_features_preserves_order(small_corpus):
     assert matrix.labels == [r.label for r in small_corpus]
 
 
+def test_extract_dataset_features_rejects_zero_records():
+    with pytest.raises(ValueError, match="zero records"):
+        extract_dataset_features(Dataset())
+
+
 class TestFeatureVector:
-    def test_wrong_length(self):
-        with pytest.raises(ValueError, match="30 values"):
-            FeatureVector(values=np.ones(29))
+    """One record's row of the feature table."""
 
     def test_non_finite(self):
-        v = np.ones(30)
-        v[7] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
-            FeatureVector(values=v)
+        rng = np.random.default_rng(0)
+        records = [
+            GsrRecord("ok", "S01", EmotionLabel.CALM, RATE, rng.uniform(1, 2, 128)),
+            GsrRecord("huge", "S01", EmotionLabel.FEAR, RATE, 1e200 * rng.uniform(1, 2, 128)),
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="'huge' has non-finite"):
+                extract_dataset_features(Dataset(records=records))
 
 
 class TestFeatureMatrix:
@@ -171,10 +177,6 @@ class TestFeatureMatrix:
     def test_metadata_mismatch(self):
         with pytest.raises(ValueError, match="metadata"):
             FeatureMatrix(values=np.ones((2, 4)), record_ids=["a"], labels=[None, None])
-
-    def test_from_vectors_empty(self):
-        with pytest.raises(ValueError, match="zero vectors"):
-            FeatureMatrix.from_vectors([])
 
 
 class TestFeatureNormalization:

@@ -2,11 +2,12 @@
 
 Each test takes a valid file, breaks it with a mutation that the format
 never accepts (truncation, a junk line, a missing key, a value of the wrong
-type), runs the command that reads it through cli.main, and checks the
-error contract: exit code 1 or 2, one `error:` or `io error:` line on
-stderr and nothing else, and for a validation error the broken file named
-once, right after `error:`. Examples are derandomized and bounded so the
-suite stays deterministic and fast.
+type, a table narrower than the catalog), runs the command that reads it
+through cli.main, and checks the error contract: exit code 1 or 2, one
+`error:` or `io error:` line on stderr and nothing else, and for a
+validation error the broken file named once, right after `error:`.
+Examples are derandomized and bounded so the suite stays deterministic and
+fast.
 """
 
 import contextlib
@@ -183,10 +184,15 @@ class TestRecordCsv:
 @st.composite
 def feature_mutation(draw, text):
     lines = text.splitlines()
-    kind = draw(st.sampled_from(["truncate", "bad_label", "bad_value", "drop_field"]))
+    kind = draw(st.sampled_from(["truncate", "bad_label", "bad_value", "drop_field",
+                                 "drop_columns"]))
     if kind == "truncate":
         # cut before the first row: version line, header or no rows at all
         return text[:draw(st.integers(0, len(lines[0]) + len(lines[1]) + 2))]
+    if kind == "drop_columns":
+        # a consistent table that is narrower than the catalog
+        j = draw(st.integers(1, 30))
+        return "\n".join(lines[:1] + [",".join(ln.split(",")[:-j]) for ln in lines[1:]]) + "\n"
     row = draw(st.integers(2, len(lines) - 1))
     fields = lines[row].split(",")
     if kind == "bad_label":
@@ -212,10 +218,11 @@ class TestFeatureCsv:
                         "--out", os.path.join(tmp, "sel.json")], broken)
 
 
-# every element is rejected: not an int, a non-integral float, out of 1..30,
-# or a container; booleans are left out because JSON true equals 1
+# every element is rejected: not an int, a boolean, a non-integral float,
+# out of 1..30, or a container
 bad_index = st.one_of(
-    st.none(), st.integers(max_value=0), st.integers(min_value=31), st.text(max_size=4),
+    st.none(), st.booleans(), st.integers(max_value=0), st.integers(min_value=31),
+    st.text(max_size=4),
     st.floats(allow_nan=False, allow_infinity=False).filter(lambda f: not f.is_integer()),
     st.lists(st.integers(1, 30), max_size=2), st.dictionaries(junk, st.integers(), max_size=1),
 )
@@ -232,6 +239,7 @@ def selection_mutation(draw, text):
     payload = json.loads(text)
     payload["selected_indices"] = draw(st.one_of(
         st.none(), st.integers(), st.text(), st.just([]), st.just([5, 2]), st.just([3, 3]),
+        st.just([True, 3]),
         st.lists(bad_index, min_size=1, max_size=3),
     ))
     return json.dumps(payload)

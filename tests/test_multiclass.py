@@ -16,7 +16,6 @@ from gsremotion.svm import (
     TrainConfig,
     decision_values,
     load_model,
-    predict,
     predict_batch,
     save_model,
     train_binary,
@@ -91,7 +90,7 @@ class TestComposition:
 
     def test_predict_accepts_single_rows(self, fitted, small_features):
         batch = predict_rows(fitted.model, small_features.values)
-        assert predict(fitted.model, small_features.values[0]) == batch[0]
+        assert predict_batch(fitted.model, small_features.values[0][None])[0] == batch[0]
 
     def test_unlabeled_training_rows_rejected(self, small_features):
         bad = FeatureMatrix(values=small_features.values[:4],
@@ -127,17 +126,17 @@ ORDER_TIE = [1.0, -1.0, 1.0]  # one vote each, all with |f| = 1: first label win
 
 class TestVoting:
     def test_majority_wins(self):
-        assert predict(vote_model(), catalog_row(MAJORITY)) is C
+        assert predict_batch(vote_model(), catalog_row(MAJORITY)[None])[0] is C
 
     def test_vote_tie_broken_by_decision_strength(self):
-        assert predict(vote_model(), catalog_row(STRENGTH_TIE)) is C
+        assert predict_batch(vote_model(), catalog_row(STRENGTH_TIE)[None])[0] is C
 
     def test_strength_tie_falls_back_to_label_order(self):
-        assert predict(vote_model(), catalog_row(ORDER_TIE)) is H
+        assert predict_batch(vote_model(), catalog_row(ORDER_TIE)[None])[0] is H
 
     def test_every_machine_contributes_one_vote(self):
         # H beats both, G beats C
-        assert predict(vote_model(), catalog_row([1.0, 1.0, 1.0])) is H
+        assert predict_batch(vote_model(), catalog_row([1.0, 1.0, 1.0])[None])[0] is H
 
     def test_one_batch_resolves_every_outcome(self):
         rows = np.stack([catalog_row(d) for d in (MAJORITY, STRENGTH_TIE, ORDER_TIE)])
@@ -166,7 +165,7 @@ class TestBatchPath:
         model = fit_from_features(small_features,
                                   PipelineConfig(norm_mode=mode, seed=42)).model
         batch = predict_batch(model, small_features.values)
-        assert batch == [predict(model, row) for row in small_features.values]
+        assert batch == [predict_batch(model, row[None])[0] for row in small_features.values]
 
 
 class TestPrepareRows:

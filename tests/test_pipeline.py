@@ -2,13 +2,11 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from gsremotion.dataset import EmotionLabel
-from gsremotion.evaluate import accuracy
 from gsremotion.features import FeatureMatrix
 from gsremotion.pipeline import (
     PipelineConfig,
     comparison_report,
     evaluate_model,
-    fit_dataset,
     fit_from_features,
     format_comparison,
     prepare_dataset,
@@ -88,15 +86,6 @@ class TestFitFromFeatures:
     def test_selection_k_capped_by_catalog(self, small_features):
         with pytest.raises(ValueError, match="k must be"):
             fit_from_features(small_features, PipelineConfig(selection_k=31))
-
-
-def test_fit_dataset_returns_model_and_raw_features(small_corpus):
-    fitted, matrix = fit_dataset(small_corpus, PipelineConfig(seed=42))
-    assert matrix.n_rows == len(small_corpus)
-    assert matrix.n_features == 30
-    cm = evaluate_model(fitted.model, matrix)
-    assert cm.total == len(small_corpus)
-    assert accuracy(cm) >= 0.9
 
 
 def test_evaluate_model_requires_labels(small_features):

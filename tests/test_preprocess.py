@@ -9,7 +9,6 @@ from gsremotion.preprocess import (
     fit_calm_baseline,
     normalize_signal,
     preprocess_dataset,
-    preprocess_record,
     validate_norm_mode,
 )
 from gsremotion.wavelet import denoise
@@ -69,10 +68,11 @@ class TestNormalizeSignal:
 
 def test_preprocess_record_denoises_and_keeps_metadata():
     rec = record("r9", "S03", EmotionLabel.GRIEF, seed=4)
-    out = preprocess_record(rec)
+    (out,) = preprocess_dataset(Dataset(records=[rec]), "feature")
     assert out.record_id == "r9"
     assert out.subject_id == "S03"
     assert out.label is EmotionLabel.GRIEF
+    assert out.sample_rate_hz == rec.sample_rate_hz
     assert_array_equal(out.samples, denoise(rec.samples))
 
 

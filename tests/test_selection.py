@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gsremotion.dataset import EmotionLabel
 from gsremotion.features import FEATURE_NAMES, FeatureMatrix
 from gsremotion.selection import (
     CovarianceMatrix,
     SelectionResult,
-    correlation,
-    covariance,
     covariance_matrix,
-    per_label_covariance,
     read_selection_indices,
     select_features,
     validate_catalog_indices,
@@ -20,73 +16,67 @@ from gsremotion.selection import (
 )
 
 
-def table(values, labels=None):
+def table(values):
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
     return FeatureMatrix(
         values=values,
         record_ids=[f"r{i}" for i in range(n)],
-        labels=labels if labels is not None else [None] * n,
+        labels=[None] * n,
     )
+
+
+def pair(x, y, kind="covariance"):
+    """The off-diagonal entry of the 2x2 matrix: the (co)variance of x and y."""
+    return covariance_matrix(np.column_stack([x, y]), kind=kind).values[0, 1]
 
 
 class TestCovariance:
     def test_variance_of_123(self):
-        assert covariance([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == pytest.approx(2.0 / 3.0)
+        assert pair([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == pytest.approx(2.0 / 3.0)
 
     def test_constant_second_argument(self):
-        assert covariance([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]) == 0.0
+        assert pair([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]) == 0.0
 
     def test_anticorrelated_pair(self):
-        assert covariance([1.0, 2.0], [2.0, 1.0]) == pytest.approx(-0.25)
+        assert pair([1.0, 2.0], [2.0, 1.0]) == pytest.approx(-0.25)
 
     def test_symmetry_and_bilinearity(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=40)
         y = rng.normal(size=40)
-        assert covariance(x, y) == pytest.approx(covariance(y, x), rel=1e-12)
-        assert covariance(3.0 * x + 7.0, y) == pytest.approx(3.0 * covariance(x, y), rel=1e-9)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            covariance([1.0, 2.0], [1.0, 2.0, 3.0])
+        assert pair(x, y) == pytest.approx(pair(y, x), rel=1e-12)
+        assert pair(3.0 * x + 7.0, y) == pytest.approx(3.0 * pair(x, y), rel=1e-9)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="at least 2"):
-            covariance([1.0], [1.0])
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError, match="1-D"):
-            covariance(np.ones((2, 2)), np.ones((2, 2)))
+            pair([1.0], [1.0])
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
-            covariance([1.0, np.nan], [1.0, 2.0])
+            pair([1.0, np.nan], [1.0, 2.0])
 
 
 class TestCorrelation:
     def test_perfect_positive(self):
-        assert correlation([1.0, 2.0, 3.0], [10.0, 20.0, 30.0]) == pytest.approx(1.0)
+        assert pair([1.0, 2.0, 3.0], [10.0, 20.0, 30.0], "correlation") == pytest.approx(1.0)
 
     def test_perfect_negative(self):
-        assert correlation([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) == pytest.approx(-1.0)
+        assert pair([1.0, 2.0, 3.0], [3.0, 2.0, 1.0], "correlation") == pytest.approx(-1.0)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=30)
         y = rng.normal(size=30)
-        assert correlation(2.5 * x + 4.0, y) == pytest.approx(correlation(x, y), rel=1e-9)
-
-    def test_constant_input_is_an_error(self):
-        with pytest.raises(ValueError, match="constant"):
-            correlation([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        assert pair(2.5 * x + 4.0, y, "correlation") == pytest.approx(
+            pair(x, y, "correlation"), rel=1e-9)
 
     def test_stays_in_unit_interval(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             x = rng.normal(size=10)
             y = rng.normal(size=10)
-            assert -1.0 <= correlation(x, y) <= 1.0
+            assert -1.0 <= pair(x, y, "correlation") <= 1.0
 
 
 class TestCovarianceMatrix:
@@ -96,7 +86,8 @@ class TestCovarianceMatrix:
         got = covariance_matrix(X).values
         for i in range(6):
             for j in range(6):
-                assert abs(got[i, j] - covariance(X[:, i], X[:, j])) <= 1e-10
+                direct = np.mean((X[:, i] - X[:, i].mean()) * (X[:, j] - X[:, j].mean()))
+                assert abs(got[i, j] - direct) <= 1e-10
         assert_allclose(got, got.T, atol=0)
 
     def test_correlation_diag_and_duplicate_columns(self):
@@ -139,35 +130,11 @@ class TestCovarianceMatrix:
 
 
 class TestPerLabelCovariance:
-    def test_blocks_match_per_label_tables(self):
-        rng = np.random.default_rng(11)
-        labels = [EmotionLabel.CALM] * 6 + [EmotionLabel.FEAR] * 5
-        X = rng.normal(size=(11, 3))
-        out = per_label_covariance(table(X, labels))
-        assert set(out) == {EmotionLabel.CALM, EmotionLabel.FEAR}
-        assert_allclose(out[EmotionLabel.CALM].values,
-                        covariance_matrix(X[:6]).values, atol=0)
-        assert_allclose(out[EmotionLabel.FEAR].values,
-                        covariance_matrix(X[6:]).values, atol=0)
-
-    def test_absent_labels_are_skipped(self):
-        X = np.random.default_rng(1).normal(size=(4, 2))
-        out = per_label_covariance(table(X, [EmotionLabel.GRIEF] * 4))
-        assert list(out) == [EmotionLabel.GRIEF]
-
-    def test_single_row_label_is_an_error(self):
-        labels = [EmotionLabel.CALM, EmotionLabel.CALM, EmotionLabel.FEAR]
-        with pytest.raises(ValueError, match="fear"):
-            per_label_covariance(table(np.ones((3, 2)) * np.arange(3)[:, None], labels))
-
-    def test_unlabeled_row_is_an_error(self):
-        with pytest.raises(ValueError, match="no label"):
-            per_label_covariance(table(np.random.default_rng(0).normal(size=(3, 2))))
-
     def test_default_corpus_blocks_are_psd(self, default_features):
-        out = per_label_covariance(default_features)
-        assert len(out) == 5
-        for cov in out.values():
+        labels = np.array([lab.value for lab in default_features.labels])
+        assert len(set(labels)) == 5
+        for lab in set(labels):
+            cov = covariance_matrix(default_features.values[labels == lab])
             assert cov.dim == 30
             assert np.linalg.eigvalsh(cov.values).min() >= -1e-8
 
@@ -293,6 +260,14 @@ class TestValidateCatalogIndices:
     def test_non_integer(self):
         with pytest.raises(ValueError, match="out of range"):
             validate_catalog_indices([2.5])
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_boolean_is_not_an_index(self, flag):
+        with pytest.raises(ValueError, match="boolean"):
+            validate_catalog_indices([flag, 3])
+
+    def test_numpy_integers_pass(self):
+        assert validate_catalog_indices(np.array([2, 7])) == [2, 7]
 
     def test_duplicates(self):
         with pytest.raises(ValueError, match="unique"):

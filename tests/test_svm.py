@@ -6,7 +6,6 @@ from gsremotion.kernels import KernelSpec, canonical_kind, gram, kernel_eval
 from gsremotion.svm import (
     TrainConfig,
     _smo_solve,
-    decision_value,
     decision_values,
     kkt_violation,
     train_binary,
@@ -210,7 +209,7 @@ class TestBinaryTraining:
 
     def test_decision_value_matches_batch(self, blobs):
         model, X, _ = self.fit_blobs(blobs)
-        assert decision_value(model, X[3]) == pytest.approx(
+        assert decision_values(model, X[3:4])[0] == pytest.approx(
             decision_values(model, X)[3], rel=1e-12)
 
     def test_single_class_rejected(self):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -58,15 +60,14 @@ def test_samples_stay_positive(default_corpus):
 
 def test_default_corpus_shape(default_corpus):
     assert len(default_corpus) == 257
-    counts = default_corpus.label_counts()
-    assert counts == DEFAULT_COUNTS
+    assert Counter(rec.label for rec in default_corpus) == DEFAULT_COUNTS
     ids = [rec.record_id for rec in default_corpus]
     assert len(set(ids)) == 257
 
 
 def test_every_subject_has_a_calm_record(default_corpus):
     with_calm = {r.subject_id for r in default_corpus if r.label is EmotionLabel.CALM}
-    assert set(default_corpus.subjects()) == with_calm
+    assert {r.subject_id for r in default_corpus} == with_calm
 
 
 def test_records_grouped_in_label_order(default_corpus):

@@ -33,7 +33,7 @@ from .features import (
     read_feature_csv,
     write_feature_csv,
 )
-from .kernels import KernelSpec, gram, kernel_eval
+from .kernels import KernelSpec, gram
 from .pipeline import (
     FitResult,
     PipelineConfig,

@@ -210,6 +210,9 @@ def cmd_select(args) -> int:
         result = SelectionResult(selected_indices=tuple(explicit), k=len(explicit))
     else:
         k = _resolve(args, cfg, "k", int, PipelineConfig.selection_k)
+        with file_errors(args.features):  # a one-row table is the file's fault
+            if matrix.n_rows < 2:
+                raise ValueError(f"selection needs at least 2 rows, got {matrix.n_rows}")
         result = select_features(matrix, k)
     write_selection_json(result, args.out)
     for warning in result.warnings:

@@ -1,8 +1,14 @@
-"""GSR record and dataset containers, their CSV format, and the file boundary.
+"""GSR record and dataset containers, their file formats, and the file boundary.
 
 A record is one skin-conductance time series for one subject under one
 emotion label. Datasets are flat lists of records addressed by a manifest
 file (one record filename per line, relative to the manifest's directory).
+
+A record file holds four `# key: value` metadata lines (record_id, subject,
+label, sample_rate_hz), the header `conductance_us`, then one sample per
+line as the repr of a float. Sampling is uniform: sample i was taken at
+i / sample_rate_hz, so no time column is stored, and a two-column file with
+a `t_seconds` column fails the header check.
 """
 
 import json
@@ -15,7 +21,7 @@ import numpy as np
 
 MIN_SAMPLES = 64
 
-CSV_HEADER = "t_seconds,conductance_us"
+CSV_HEADER = "conductance_us"
 
 
 @contextmanager
@@ -117,8 +123,8 @@ class GsrRecord:
 class Dataset:
     """Ordered collection of records with unique ids.
 
-    May be empty (an empty manifest loads fine); operations that need rows
-    reject empty datasets themselves.
+    May be empty, though load_dataset refuses a manifest that lists no
+    record; operations that need rows reject empty datasets themselves.
     """
 
     records: list = field(default_factory=list)
@@ -137,33 +143,22 @@ class Dataset:
         return iter(self.records)
 
 
-def _format_number(value: float) -> str:
-    """Integral floats print without the trailing .0 (cosmetic only)."""
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
-
-
 def save_record(record: GsrRecord, path: str) -> None:
-    """Write one record as CSV with `# key: value` metadata lines on top."""
-    lines = [
-        f"# record_id: {record.record_id}",
-        f"# subject: {record.subject_id}",
-        f"# label: {record.label.value}",
-        f"# sample_rate_hz: {_format_number(record.sample_rate_hz)}",
-        CSV_HEADER,
-    ]
-    for i, v in enumerate(record.samples):
-        t = i / record.sample_rate_hz
-        lines.append(f"{repr(float(t))},{repr(float(v))}")
+    """Write one record: `# key: value` metadata lines, the header, one sample per line."""
+    head = (
+        f"# record_id: {record.record_id}\n"
+        f"# subject: {record.subject_id}\n"
+        f"# label: {record.label.value}\n"
+        f"# sample_rate_hz: {float(record.sample_rate_hz)!r}\n"
+        f"{CSV_HEADER}\n"
+    )
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(head + "\n".join(map(repr, record.samples.tolist())) + "\n")
 
 
 def load_record(path: str) -> GsrRecord:
-    """Read one record CSV written by save_record."""
+    """Read one record file written by save_record."""
     meta = {}
-    samples = []
     with file_errors(path), open(path) as fh:
         lines = fh.read().splitlines()
         idx = 0
@@ -176,17 +171,17 @@ def load_record(path: str) -> GsrRecord:
             idx += 1
         if idx >= len(lines) or lines[idx] != CSV_HEADER:
             raise ValueError(f"expected header {CSV_HEADER!r} after metadata")
-        idx += 1
-        for lineno, line in enumerate(lines[idx:], start=idx + 1):
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 2 fields, got {len(parts)}")
-            try:
-                samples.append(float(parts[1]))
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad conductance value {parts[1]!r}")
+        body = lines[idx + 1:]
+        try:
+            # numpy's string-to-float cast accepts exactly what float() does
+            samples = np.array(body, dtype=np.float64)
+        except ValueError:
+            for lineno, value in enumerate(body, start=idx + 2):
+                try:
+                    float(value)
+                except ValueError:
+                    raise ValueError(f"line {lineno}: bad conductance value {value!r}") from None
+            raise
         missing = [k for k in ("record_id", "subject", "label", "sample_rate_hz") if k not in meta]
         if missing:
             raise ValueError(f"missing metadata keys: {', '.join(missing)}")
@@ -199,7 +194,7 @@ def load_record(path: str) -> GsrRecord:
             subject_id=meta["subject"],
             label=parse_label(meta["label"]),
             sample_rate_hz=rate,
-            samples=np.asarray(samples, dtype=np.float64),
+            samples=samples,
         )
 
 
@@ -220,7 +215,8 @@ def save_dataset(dataset: Dataset, out_dir: str) -> str:
 def load_dataset(manifest_path: str) -> Dataset:
     """Load all records named by a manifest file, preserving its order.
 
-    Blank lines and `#` comment lines are ignored.
+    Blank lines and `#` comment lines are ignored; a manifest that lists no
+    record is an error.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
     with file_errors(manifest_path), open(manifest_path) as fh:
@@ -228,6 +224,8 @@ def load_dataset(manifest_path: str) -> Dataset:
             line.strip() for line in fh
             if line.strip() and not line.strip().startswith("#")
         ]
+        if not names:
+            raise ValueError("manifest lists no records")
     records = [load_record(os.path.join(base, name)) for name in names]
     with file_errors(manifest_path):  # records clash: the manifest is at fault
         return Dataset(records=records)

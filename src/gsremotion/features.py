@@ -164,7 +164,8 @@ def extract_dataset_features(dataset: Dataset) -> FeatureMatrix:
     records = dataset.records
     if not records:
         raise ValueError("cannot extract features from zero records")
-    values = np.array([extract_features(rec.samples, rec.sample_rate_hz) for rec in records])
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below, by record id
+        values = np.array([extract_features(rec.samples, rec.sample_rate_hz) for rec in records])
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
         record_id = records[int(bad.argmax())].record_id

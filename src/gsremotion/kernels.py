@@ -54,23 +54,6 @@ class KernelSpec:
             raise ValueError(f"{self.kind} kernel used before eta was resolved")
 
 
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Evaluate K(x, y) for one pair of vectors."""
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    if xv.shape != yv.shape or xv.ndim != 1:
-        raise ValueError(f"kernel inputs must be 1-D and same shape, got {xv.shape} vs {yv.shape}")
-    spec.require_resolved()
-    if spec.kind == "linear":
-        return float(xv @ yv)
-    if spec.kind == "polynomial":
-        return float((spec.eta * (xv @ yv) + spec.r) ** spec.degree)
-    if spec.kind == "rbf":
-        diff = xv - yv
-        return float(np.exp(-spec.eta * (diff @ diff)))
-    return float(np.tanh(spec.eta * (xv @ yv) + spec.r))
-
-
 def gram(spec: KernelSpec, X, Z=None) -> np.ndarray:
     """Kernel matrix K[i, j] = K(X[i], Z[j]); Z defaults to X."""
     Xa = np.asarray(X, dtype=np.float64)

@@ -85,19 +85,6 @@ def _violating_bounds(G: np.ndarray, y: np.ndarray, alpha: np.ndarray,
     return float(v[up].max()), float(v[low].min())
 
 
-def kkt_violation(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> float:
-    """Maximal-violating-pair gap m - M for a candidate dual solution.
-
-    Non-positive (or below tolerance) means the KKT conditions hold. Returns
-    0.0 when either index set is empty.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    Q = K * np.outer(y, y)
-    m, M = _violating_bounds(Q @ alpha - 1.0, y, alpha, C)
-    return m - M
-
-
 def _smo_solve(Q, y, C, tol, max_iter, tiebreak):
     """Run SMO on the dual to convergence or the iteration cap.
 

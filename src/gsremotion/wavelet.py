@@ -104,33 +104,6 @@ def daubechies_filter_bank(order: int = DEFAULT_ORDER) -> FilterBank:
     return bank
 
 
-def validate_filter_bank(bank: FilterBank) -> None:
-    """Check the quadrature-mirror invariants; raises ValueError on failure."""
-    lo, hi = bank.lowpass_decomp, bank.highpass_decomp
-    length = bank.length
-    problems = []
-    if length % 2 != 0:
-        problems.append(f"filter length {length} is odd")
-    if abs(lo.sum() - np.sqrt(2.0)) > 1e-12:
-        problems.append(f"lowpass sum {lo.sum()!r} != sqrt(2)")
-    if abs(hi.sum()) > 1e-12:
-        problems.append(f"highpass sum {hi.sum()!r} != 0")
-    for k in range(length // 2):
-        expect = 1.0 if k == 0 else 0.0
-        got = float(np.dot(lo[2 * k:], lo[:length - 2 * k]))
-        if abs(got - expect) > 1e-10:
-            problems.append(f"lowpass shift-{2 * k} autocorrelation {got!r} != {expect}")
-    alt = np.array([(-1.0) ** n * lo[length - 1 - n] for n in range(length)])
-    if np.max(np.abs(alt - hi)) > 1e-12:
-        problems.append("highpass is not the alternating flip of the lowpass")
-    if np.max(np.abs(bank.lowpass_recon - lo[::-1])) > 1e-12:
-        problems.append("lowpass_recon is not time-reversed lowpass_decomp")
-    if np.max(np.abs(bank.highpass_recon - hi[::-1])) > 1e-12:
-        problems.append("highpass_recon is not time-reversed highpass_decomp")
-    if problems:
-        raise ValueError("invalid filter bank: " + "; ".join(problems))
-
-
 def _symmetric_extend(x: np.ndarray, pad: int) -> np.ndarray:
     """Half-sample symmetric extension: reflect without repeating the edge twice."""
     if pad > x.size:

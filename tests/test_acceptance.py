@@ -14,6 +14,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from conftest import XOR_X, XOR_Y, exhaustive_qp, make_blobs
+from reference_checks import kkt_violation, validate_filter_bank
 
 from gsremotion import cli
 from gsremotion.evaluate import kfold_cross_validate
@@ -29,7 +30,6 @@ from gsremotion.selection import covariance_matrix, select_features
 from gsremotion.svm import (
     TrainConfig,
     decision_values,
-    kkt_violation,
     load_model,
     save_model,
     train_binary,
@@ -40,7 +40,6 @@ from gsremotion.wavelet import (
     denoise,
     dwt_decompose,
     dwt_reconstruct,
-    validate_filter_bank,
 )
 
 

@@ -8,12 +8,23 @@ library tests and the acceptance suite.
 
 import json
 import os
+import sys
+import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gsremotion import cli
-from gsremotion.dataset import LABEL_ORDER, load_dataset
+from gsremotion.dataset import (
+    CSV_HEADER,
+    LABEL_ORDER,
+    Dataset,
+    EmotionLabel,
+    GsrRecord,
+    load_dataset,
+    save_dataset,
+)
 from gsremotion.features import read_feature_csv, write_feature_csv
 from gsremotion.selection import read_selection_indices
 from gsremotion.svm import load_model
@@ -123,6 +134,21 @@ class TestFeatures:
         out = tmp_path / "features.csv"
         assert cli.main(["features", "--manifest", manifest, "--out", str(out)]) == 0
         assert "20 x 30 feature rows" in capsys.readouterr().out
+
+    def test_overflowing_record_prints_one_error_line(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        huge = GsrRecord("huge", "S01", EmotionLabel.FEAR, 16.0, 1e200 * rng.uniform(1, 2, 128))
+        manifest = save_dataset(Dataset(records=[huge]), str(tmp_path / "corpus"))
+        with warnings.catch_warnings():
+            # print each warning on stderr, as a plain interpreter run does
+            warnings.simplefilter("default")
+            warnings.showwarning = lambda *a, **kw: sys.stderr.write(
+                warnings.formatwarning(*a[:4]))
+            rc = cli.main(["features", "--manifest", manifest,
+                           "--out", str(tmp_path / "features.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: feature vector for 'huge' has non-finite values\n")
 
 
 class TestSelect:
@@ -540,6 +566,13 @@ class TestMalformedInputFiles:
                        "--out", str(tmp_path / "out")])
         self.assert_names(capsys, rc, broken, "feature columns must be f01..f30")
 
+    def test_one_row_table_names_its_file(self, features_csv, tmp_path, capsys):
+        broken = tmp_path / "features.csv"
+        broken.write_text("\n".join(features_csv.read_text().splitlines()[:3]) + "\n")
+        rc = cli.main(["select", "--features", str(broken), "--k", "5",
+                       "--out", str(tmp_path / "selection.json")])
+        self.assert_names(capsys, rc, broken, "selection needs at least 2 rows, got 1")
+
     def test_manifest_lists_a_record_twice(self, corpus_dir, tmp_path, capsys):
         first = (corpus_dir / "manifest.txt").read_text().splitlines()[0]
         manifest = tmp_path / "manifest.txt"
@@ -551,10 +584,40 @@ class TestMalformedInputFiles:
     def test_short_record_names_its_file(self, corpus_dir, tmp_path, capsys):
         name = (corpus_dir / "manifest.txt").read_text().splitlines()[0]
         lines = (corpus_dir / name).read_text().splitlines()
-        header = lines.index("t_seconds,conductance_us")
+        header = lines.index(CSV_HEADER)
         record = tmp_path / name
         record.write_text("\n".join(lines[:header + 26]) + "\n")
         (tmp_path / "manifest.txt").write_text(name + "\n")
         rc = cli.main(["features", "--manifest", str(tmp_path / "manifest.txt"),
                        "--out", str(tmp_path / "features.csv")])
         self.assert_names(capsys, rc, record, "has 25 samples, need at least 64")
+
+    @pytest.mark.parametrize("command", ["features", "cv"])
+    def test_empty_manifest_names_its_file(self, tmp_path, capsys, command):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("# nothing yet\n")
+        rc = cli.main([command, "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+        self.assert_names(capsys, rc, manifest, "manifest lists no records")
+
+    @pytest.mark.parametrize("kind", ["old_format", "blank_line", "two_fields"])
+    def test_record_body_refused(self, corpus_dir, tmp_path, capsys, kind):
+        name = (corpus_dir / "manifest.txt").read_text().splitlines()[0]
+        lines = (corpus_dir / name).read_text().splitlines()
+        header = lines.index(CSV_HEADER)
+        body = lines[header + 1:]
+        if kind == "old_format":  # the two-column layout with a t_seconds column
+            lines[header:] = ["t_seconds,conductance_us"] + [
+                f"{i / 16.0!r},{value}" for i, value in enumerate(body)]
+            message = "expected header 'conductance_us' after metadata"
+        elif kind == "blank_line":
+            lines.insert(header + 4, "")
+            message = "line 9: bad conductance value ''"
+        else:
+            lines[header + 4] = f"{body[3]},{body[3]}"
+            message = f"line 9: bad conductance value '{body[3]},{body[3]}'"
+        record = tmp_path / name
+        record.write_text("\n".join(lines) + "\n")
+        (tmp_path / "manifest.txt").write_text(name + "\n")
+        rc = cli.main(["features", "--manifest", str(tmp_path / "manifest.txt"),
+                       "--out", str(tmp_path / "features.csv")])
+        self.assert_names(capsys, rc, record, message)

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from gsremotion.dataset import (
+    CSV_HEADER,
     LABEL_ORDER,
     Dataset,
     EmotionLabel,
@@ -149,7 +150,7 @@ class TestRecordCsv:
         rec = make_record(n=64)
         path = tmp_path / "rec.csv"
         save_record(rec, str(path))
-        path.write_text(path.read_text().replace("t_seconds,conductance_us", "a,b"))
+        path.write_text(path.read_text().replace(CSV_HEADER, "a,b"))
         with pytest.raises(ValueError, match="expected header"):
             load_record(str(path))
 
@@ -180,11 +181,12 @@ class TestManifest:
         back = load_dataset(manifest)
         assert len(back) == 2
 
-    def test_empty_manifest_loads_empty_dataset(self, tmp_path):
+    def test_empty_manifest_is_rejected(self, tmp_path):
         manifest = tmp_path / "manifest.txt"
         manifest.write_text("# nothing yet\n")
-        ds = load_dataset(str(manifest))
-        assert len(ds) == 0
+        with pytest.raises(ValueError) as exc:
+            load_dataset(str(manifest))
+        assert str(exc.value) == f"{manifest}: manifest lists no records"
 
 
 class TestStratifiedSplit:

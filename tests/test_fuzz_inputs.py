@@ -1,11 +1,14 @@
 """Property tests for the six input files the command line reads.
 
-Each test takes a valid file, breaks it with a mutation that the format
+Most tests take a valid file, break it with a mutation that the format
 never accepts (truncation, a junk line, a missing key, a value of the wrong
-type, a table narrower than the catalog), runs the command that reads it
-through cli.main, and checks the error contract: exit code 1 or 2, one
-`error:` or `io error:` line on stderr and nothing else, and for a
-validation error the broken file named once, right after `error:`.
+type, a table narrower than the catalog, a record in the old two-column
+layout), run the command that reads it through cli.main, and check the
+error contract: exit code 1 or 2, one `error:` or `io error:` line on
+stderr and nothing else, and for a validation error the broken file named
+once, right after `error:`. A few apply a mutation that can leave the file
+valid (manifest lines dropped, a feature table cut at a row boundary) and
+accept either a consistent result or that same error contract.
 Examples are derandomized and bounded so the suite stays deterministic and
 fast.
 """
@@ -22,7 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsremotion import cli
-from gsremotion.dataset import LABEL_ORDER
+from gsremotion.dataset import CSV_HEADER, LABEL_ORDER
+from gsremotion.features import read_feature_csv
+from gsremotion.selection import read_selection_indices
 
 FUZZ = settings(max_examples=30, derandomize=True, database=None, deadline=None)
 
@@ -56,20 +61,34 @@ def inputs(tmp_path_factory):
             "model": model, "config": config}
 
 
-def run_broken(argv, broken):
-    """Run the CLI and check the error contract for the broken file."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+def run(argv):
+    """Run the CLI; returns the exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
-    lines = err.getvalue().splitlines()
-    assert rc in (1, 2), (rc, err.getvalue())
-    assert len(lines) == 1, err.getvalue()
+    return rc, err.getvalue()
+
+
+def assert_error(rc, err, broken):
+    """Check the error contract for the broken file; returns the error line."""
+    lines = err.splitlines()
+    assert rc in (1, 2), (rc, err)
+    assert len(lines) == 1, err
     if rc == 1:
         assert lines[0].startswith(f"error: {broken}: "), lines[0]
         assert lines[0].count(str(broken)) == 1, lines[0]
     else:
         assert lines[0].startswith("io error: "), lines[0]
     return lines[0]
+
+
+def run_broken(argv, broken):
+    return assert_error(*run(argv), broken)
+
+
+def write(path, lines):
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def splice(lines, index, line):
@@ -140,26 +159,53 @@ class TestManifest:
         else:
             assert line.startswith("io error: ")
 
+    @FUZZ
+    @given(data=st.data())
+    def test_manifest_with_lines_dropped(self, inputs, data):
+        corpus = inputs["manifest"].parent
+        names = inputs["manifest"].read_text().splitlines()
+        keep = data.draw(st.lists(st.booleans(), min_size=len(names), max_size=len(names)))
+        kept = [name for name, k in zip(names, keep) if k]
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = os.path.join(tmp, "manifest.txt")
+            write(manifest, [os.path.join(corpus, name) for name in kept])
+            out = os.path.join(tmp, "features.csv")
+            rc, err = run(["features", "--manifest", manifest, "--out", out])
+            if not kept:
+                assert "manifest lists no records" in assert_error(rc, err, manifest)
+                return
+            assert (rc, err) == (0, "")
+            assert read_feature_csv(out).record_ids == [name[:-len(".csv")] for name in kept]
+
 
 @st.composite
 def record_mutation(draw, text):
     lines = text.splitlines()
-    header = lines.index("t_seconds,conductance_us")
-    kind = draw(st.sampled_from(["truncate", "bad_value", "extra_field", "bad_label",
-                                 "drop_metadata"]))
+    header = lines.index(CSV_HEADER)
+    kind = draw(st.sampled_from(["truncate", "bad_value", "two_fields", "blank_line",
+                                 "bad_label", "drop_metadata", "old_format"]))
     if kind == "truncate":
         # stop before the 64th sample is complete: never enough samples
         end = len("\n".join(lines[:header + 64]))
         return text[:draw(st.integers(0, end - 1))]
+    row = draw(st.integers(header + 1, len(lines) - 1))
     if kind == "drop_metadata":
         del lines[draw(st.integers(0, header - 1))]
     elif kind == "bad_label":
         label = draw(junk.filter(lambda s: s.strip().lower() not in LABEL_NAMES))
         lines = [f"# label: {label}" if ln.startswith("# label:") else ln for ln in lines]
+    elif kind == "old_format":
+        # the two-column layout, with t_seconds in front of every sample
+        rate = float(next(ln for ln in lines if ln.startswith("# sample_rate_hz:"))
+                     .split(":")[1])
+        lines[header:] = ["t_seconds,conductance_us"] + [
+            f"{i / rate!r},{value}" for i, value in enumerate(lines[header + 1:])]
+    elif kind == "bad_value":
+        lines[row] = draw(junk)
+    elif kind == "two_fields":
+        lines[row] = f"{lines[row]},{lines[row]}"
     else:
-        row = draw(st.integers(header + 1, len(lines) - 1))
-        t = lines[row].split(",")[0]
-        lines[row] = f"{t},{draw(junk)}" if kind == "bad_value" else f"{lines[row]},{t}"
+        lines.insert(row, "")
     return "\n".join(lines) + "\n"
 
 
@@ -216,6 +262,21 @@ class TestFeatureCsv:
                 fh.write(text)
             run_broken(["select", "--features", broken, "--k", "5",
                         "--out", os.path.join(tmp, "sel.json")], broken)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_feature_table_cut_at_a_row(self, inputs, data):
+        lines = inputs["features"].read_text().splitlines()
+        n_rows = data.draw(st.integers(0, len(lines) - 2))
+        with tempfile.TemporaryDirectory() as tmp:
+            table = os.path.join(tmp, "features.csv")
+            write(table, lines[:2 + n_rows])  # version line, header, rows
+            out = os.path.join(tmp, "sel.json")
+            rc, err = run(["select", "--features", table, "--k", "5", "--out", out])
+            if rc == 0:
+                assert len(read_selection_indices(out)) == 5
+            else:
+                assert_error(rc, err, table)
 
 
 # every element is rejected: not an int, a boolean, a non-integral float,

@@ -12,8 +12,9 @@ from gsremotion.wavelet import (
     dwt_decompose,
     dwt_reconstruct,
     soft_threshold,
-    validate_filter_bank,
 )
+
+from reference_checks import validate_filter_bank
 
 
 class TestFilterBank:

@@ -8,6 +8,7 @@ win over the file, which wins over built-in defaults.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -17,6 +18,7 @@ from .dataset import (
     load_dataset,
     save_dataset,
     stratified_split_indices,
+    validate_test_fraction,
     write_json,
 )
 from .evaluate import (
@@ -29,7 +31,12 @@ from .evaluate import (
     sampled_label_rates,
     per_label_rates,
 )
-from .features import extract_dataset_features, read_feature_csv, write_feature_csv
+from .features import (
+    N_FEATURES,
+    extract_dataset_features,
+    read_feature_csv,
+    write_feature_csv,
+)
 from .kernels import KernelSpec
 from .pipeline import (
     PipelineConfig,
@@ -39,22 +46,53 @@ from .pipeline import (
     predict_rows,
     subset_rows,
 )
-from .preprocess import preprocess_dataset
+from .preprocess import preprocess_dataset, validate_norm_mode
 from .selection import (
     SelectionResult,
     read_selection_indices,
     select_features,
     validate_catalog_indices,
+    validate_k,
     write_selection_json,
 )
 from .svm import load_model, save_model
 from .synth import SynthConfig, generate_dataset
 
-# every key some subcommand reads from a config file; anything else is a typo
-_CONFIG_KEYS = frozenset({
-    "c", "degree", "eta", "features_list", "folds", "k", "kernel", "norm", "r",
-    "seed", "test_fraction", "counts", "duration_s", "sample_rate_hz", "noise_std",
-})
+def _check_counts(counts: list) -> None:
+    if len(counts) != len(LABEL_ORDER):
+        raise ValueError(
+            f"counts needs {len(LABEL_ORDER)} values "
+            f"({', '.join(l.value for l in LABEL_ORDER)}), got {len(counts)}"
+        )
+    SynthConfig(per_label_counts=dict(zip(LABEL_ORDER, counts)))
+
+
+def _check_folds(folds: int) -> None:
+    if folds < 2:
+        raise ValueError(f"folds must be >= 2, got {folds}")
+
+
+# Every key some subcommand reads from a config file (anything else is a
+# typo), with the rule a value from the file must meet on its own. A flag
+# value meets the same rule later, where the stage uses it; duration_s and
+# sample_rate_hz are checked together when cmd_synth builds its SynthConfig.
+_CONFIG_KEYS = {
+    "c": lambda c: PipelineConfig(c=c),
+    "degree": lambda degree: KernelSpec(degree=degree),
+    "eta": lambda eta: KernelSpec(eta=eta),
+    "features_list": validate_catalog_indices,
+    "folds": _check_folds,
+    "k": lambda k: validate_k(k, N_FEATURES),
+    "kernel": lambda kind: KernelSpec(kind=kind),
+    "norm": validate_norm_mode,
+    "r": lambda r: KernelSpec(r=r),
+    "seed": None,
+    "test_fraction": validate_test_fraction,
+    "counts": _check_counts,
+    "duration_s": None,
+    "sample_rate_hz": None,
+    "noise_std": lambda std: SynthConfig(noise_std_us=std),
+}
 
 
 def read_config_file(path: str) -> dict:
@@ -79,15 +117,23 @@ def read_config_file(path: str) -> dict:
 
 
 def _resolve(args, cfg: dict, key: str, cast, default=None):
-    """flag > config file > default; casts only the config-file string."""
+    """flag > config file > default; casts and checks only the config-file string,
+    so a bad value from the file names the file and the key."""
     value = getattr(args, key, None)
     if value is not None or key not in cfg:
         return default if value is None else value
     with file_errors(args.config):
         try:
-            return cast(cfg[key])
+            value = cast(cfg[key])
         except ValueError:
             raise ValueError(f"config key {key}: cannot parse {cfg[key]!r}")
+        check = _CONFIG_KEYS[key]
+        if check is not None:
+            try:
+                check(value)
+            except ValueError as exc:
+                raise ValueError(f"config key {key}: {exc}")
+    return value
 
 
 def _given(**values) -> dict:
@@ -140,6 +186,15 @@ def _explicit_features(args, cfg: dict):
     return None
 
 
+def _split(args, matrix, test_fraction: float, seed: int):
+    """Stratified (train, test) rows of the --features table. An out-of-range
+    fraction is reported as given; a label with too few rows to split is the
+    table's fault and names it."""
+    validate_test_fraction(test_fraction)
+    with file_errors(args.features):
+        return stratified_split_indices(matrix.labels, test_fraction, seed)
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w") as fh:
         fh.write(text)
@@ -160,18 +215,15 @@ def _warn_unconverged(machines, where: str = "") -> None:
 def cmd_synth(args) -> int:
     cfg = _load_cfg(args)
     counts = _resolve(args, cfg, "counts", _parse_int_list)
-    if counts is not None and len(counts) != len(LABEL_ORDER):
-        raise ValueError(
-            f"counts needs {len(LABEL_ORDER)} values "
-            f"({', '.join(l.value for l in LABEL_ORDER)}), got {len(counts)}"
-        )
-    config = SynthConfig(**_given(
+    values = _given(
         per_label_counts=None if counts is None else dict(zip(LABEL_ORDER, counts)),
         duration_s=_resolve(args, cfg, "duration_s", float),
         sample_rate_hz=_resolve(args, cfg, "sample_rate_hz", float),
         noise_std_us=_resolve(args, cfg, "noise_std", float),
-        seed=_resolve(args, cfg, "seed", int),
-    ))
+    )
+    # only the file sets these, so a fault in their combination is the file's
+    with file_errors(args.config) if values else contextlib.nullcontext():
+        config = SynthConfig(**values, **_given(seed=_resolve(args, cfg, "seed", int)))
     manifest = os.path.join(args.out, "manifest.txt")
     _check_out(manifest, args.force)
     dataset = generate_dataset(config)
@@ -232,9 +284,7 @@ def cmd_train(args) -> int:
         if not args.test_out:
             raise ValueError("--test-fraction requires --test-out for the held-out rows")
         _check_out(args.test_out, args.force)
-        train_rows, test_rows = stratified_split_indices(
-            matrix.labels, test_fraction, config.seed
-        )
+        train_rows, test_rows = _split(args, matrix, test_fraction, config.seed)
         test_matrix = subset_rows(matrix, test_rows)
         matrix = subset_rows(matrix, train_rows)
         write_feature_csv(test_matrix, args.test_out)
@@ -336,6 +386,7 @@ def cmd_report(args) -> int:
     config = _pipeline_config(args, cfg, explicit_features=explicit)
     test_fraction = _resolve(args, cfg, "test_fraction", float, 0.3)
     matrix = read_feature_csv(args.features)
+    _split(args, matrix, test_fraction, config.seed)  # comparison_report splits alike
     report = comparison_report(matrix, config, test_fraction, config.seed)
     write_json(json_path, report)
     for variant, machine in report.unconverged:

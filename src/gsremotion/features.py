@@ -5,6 +5,11 @@ and its second difference (8 each, same order within every block). Spectral
 features come from the magnitude-squared rfft of the mean-removed signal,
 P_k = |Y_k|^2 / N over strictly positive frequencies, with a fixed band of
 interest at 0.08-0.2 Hz.
+
+Extraction runs over a (rows x samples) block of equal-length signals with
+one sample rate, and a single signal is a block of one row; a dataset is
+extracted a block at a time. Each value is bit-identical to the one the
+per-signal computation gives.
 """
 
 import csv
@@ -86,86 +91,93 @@ class FeatureMatrix:
 
 
 def difference(signal: np.ndarray, order: int) -> np.ndarray:
-    """order-th forward difference; output is len(signal) - order long."""
+    """order-th forward difference along the last axis; output is order samples shorter."""
     x = np.asarray(signal, dtype=np.float64)
     if order < 1:
         raise ValueError(f"difference order must be >= 1, got {order}")
-    if x.size <= order:
-        raise ValueError(f"signal length {x.size} too short for order-{order} difference")
-    return np.diff(x, n=order)
+    if x.shape[-1] <= order:
+        raise ValueError(f"signal length {x.shape[-1]} too short for order-{order} difference")
+    return np.diff(x, n=order, axis=-1)
 
 
-def _lower_median(x: np.ndarray) -> float:
-    """Median as the lower middle order statistic (no averaging for even n)."""
-    k = (x.size - 1) // 2
-    return float(np.partition(x, k)[k])
+def _lower_median(x: np.ndarray) -> np.ndarray:
+    """Per-row median as the lower middle order statistic (no averaging for even n)."""
+    k = (x.shape[-1] - 1) // 2
+    return np.partition(x, k, axis=-1)[:, k]
 
 
 def _stat_block(x: np.ndarray) -> list:
-    lo = float(x.min())
-    hi = float(x.max())
+    lo = x.min(axis=1)
+    hi = x.max(axis=1)
     return [
-        float(x.mean()),
+        x.mean(axis=1),
         _lower_median(x),
-        float(x.std()),
+        x.std(axis=1),
         lo,
         hi,
         hi - lo,
-        float(np.abs(x).mean()),
-        float(np.sqrt(np.mean(x * x))),
+        np.abs(x).mean(axis=1),
+        np.sqrt(np.mean(x * x, axis=1)),
     ]
 
 
 def _spectral_block(x: np.ndarray, sample_rate_hz: float) -> list:
-    n = x.size
-    spectrum = np.fft.rfft(x - x.mean())
-    powers = (np.abs(spectrum[1:]) ** 2) / n
+    n = x.shape[1]
+    spectrum = np.fft.rfft(x - x.mean(axis=1, keepdims=True), axis=1)
+    powers = (np.abs(spectrum[:, 1:]) ** 2) / n
     freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate_hz)[1:]
-    total = float(powers.sum())
+    total = powers.sum(axis=1)
     in_band = (freqs >= BAND_LOW_HZ) & (freqs <= BAND_HIGH_HZ)
-    band = float(powers[in_band].sum())
-    if total > 0.0:
-        ratio = band / total
-        centroid = float((freqs * powers).sum()) / total
-        spread = float(np.sqrt(((freqs - centroid) ** 2 * powers).sum() / total))
-        peak = float(freqs[int(np.argmax(powers))])
-    else:
-        ratio = centroid = spread = peak = 0.0
-    return [total, band, ratio, centroid, spread, peak]
+    # a masked selection is not C-contiguous, and its row sums would run in
+    # another order than the one-signal sum
+    band = np.ascontiguousarray(powers[:, in_band]).sum(axis=1)
+    has_power = total > 0.0
+    safe_total = np.where(has_power, total, 1.0)
+    centroid = (freqs * powers).sum(axis=1) / safe_total
+    spread = np.sqrt(((freqs - centroid[:, None]) ** 2 * powers).sum(axis=1) / safe_total)
+    peak = freqs[np.argmax(powers, axis=1)]
+    # a row without power has no spectral shape: ratio, centroid, spread and peak are 0
+    shape = [np.where(has_power, v, 0.0) for v in (band / safe_total, centroid, spread, peak)]
+    return [total, band] + shape
 
 
 def extract_features(signal: np.ndarray, sample_rate_hz: float) -> np.ndarray:
-    """Compute the full 30-value catalog for one signal."""
+    """The 30-value catalog of one signal, or one catalog row per row of a
+    (rows x samples) block of equal-length signals; one signal runs as a
+    block of one row."""
     x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"signal must be 1-D, got shape {x.shape}")
-    if x.size < MIN_FEATURE_SAMPLES:
+    if x.ndim not in (1, 2):
+        raise ValueError(f"signal must be 1-D or a 2-D block, got shape {x.shape}")
+    block = np.atleast_2d(x)
+    if block.shape[1] < MIN_FEATURE_SAMPLES:
         raise ValueError(
-            f"feature extraction needs at least {MIN_FEATURE_SAMPLES} samples, got {x.size}"
+            f"feature extraction needs at least {MIN_FEATURE_SAMPLES} samples, "
+            f"got {block.shape[1]}"
         )
     if not sample_rate_hz > 0:
         raise ValueError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
-    if not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(block)):
         raise ValueError("signal contains non-finite values")
-    d1 = difference(x, 1)
-    d2 = difference(x, 2)
-    values = (
-        _stat_block(x) + _stat_block(d1) + _stat_block(d2)
-        + _spectral_block(x, sample_rate_hz)
+    columns = (
+        _stat_block(block) + _stat_block(difference(block, 1))
+        + _stat_block(difference(block, 2)) + _spectral_block(block, sample_rate_hz)
     )
-    return np.array(values)
+    values = np.stack(columns, axis=1)
+    return values[0] if x.ndim == 1 else values
 
 
 def extract_dataset_features(dataset: Dataset) -> FeatureMatrix:
-    """One catalog row per record, in dataset order.
+    """One catalog row per record, in dataset order, extracted a block at a time.
 
     A record whose features overflow (samples near 1e200) is rejected by id.
     """
     records = dataset.records
     if not records:
         raise ValueError("cannot extract features from zero records")
+    values = np.empty((len(records), N_FEATURES))
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below, by record id
-        values = np.array([extract_features(rec.samples, rec.sample_rate_hz) for rec in records])
+        for rows, block, rate in dataset.signal_blocks():
+            values[rows] = extract_features(block, rate)
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
         record_id = records[int(bad.argmax())].record_id

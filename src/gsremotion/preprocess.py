@@ -63,27 +63,30 @@ def validate_norm_mode(mode: str) -> str:
 def preprocess_dataset(dataset: Dataset, norm_mode: str = "signal") -> Dataset:
     """Denoise every record; apply per-subject calm normalization if requested.
 
+    Records are denoised a block of equal-length records at a time and come
+    back in dataset order.
+
     With norm_mode "signal" or "both", each subject's range comes from their
     first calm record (dataset order), fitted after denoising. Subjects
     without a calm record are an error in those modes.
     """
     validate_norm_mode(norm_mode)
-    denoised = [rec.with_samples(denoise(rec.samples)) for rec in dataset.records]
-    if norm_mode == "feature":
-        return Dataset(records=denoised)
-
-    baselines = {}
-    for rec in denoised:
-        if rec.label is EmotionLabel.CALM and rec.subject_id not in baselines:
-            baselines[rec.subject_id] = fit_calm_baseline(rec.samples)
-    missing = sorted({r.subject_id for r in denoised} - set(baselines))
-    if missing:
-        raise ValueError(
-            "signal normalization needs a calm record per subject; "
-            "missing for: " + ", ".join(missing)
-        )
-    out = [
-        rec.with_samples(normalize_signal(rec.samples, baselines[rec.subject_id]))
-        for rec in denoised
-    ]
-    return Dataset(records=out)
+    records = dataset.records
+    samples = [None] * len(records)
+    for rows, block, _ in dataset.signal_blocks():
+        for i, row in zip(rows, denoise(block)):
+            samples[i] = row
+    if norm_mode != "feature":
+        baselines = {}
+        for rec, row in zip(records, samples):
+            if rec.label is EmotionLabel.CALM and rec.subject_id not in baselines:
+                baselines[rec.subject_id] = fit_calm_baseline(row)
+        missing = sorted({r.subject_id for r in records} - set(baselines))
+        if missing:
+            raise ValueError(
+                "signal normalization needs a calm record per subject; "
+                "missing for: " + ", ".join(missing)
+            )
+        samples = [normalize_signal(row, baselines[rec.subject_id])
+                   for rec, row in zip(records, samples)]
+    return Dataset(records=[rec.with_samples(row) for rec, row in zip(records, samples)])

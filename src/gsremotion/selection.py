@@ -105,6 +105,13 @@ class SelectionResult:
                 raise ValueError("scores must be finite")
 
 
+def validate_k(k: int, n_features: int) -> int:
+    """The number of features to keep, 1..n_features."""
+    if not 1 <= k <= n_features:
+        raise ValueError(f"k must be in 1..{n_features}, got {k}")
+    return k
+
+
 def select_features(matrix: FeatureMatrix, k: int) -> SelectionResult:
     """Reduce a feature table to its k least mutually redundant columns.
 
@@ -114,8 +121,7 @@ def select_features(matrix: FeatureMatrix, k: int) -> SelectionResult:
     the larger catalog index.
     """
     n_feat = matrix.n_features
-    if not 1 <= k <= n_feat:
-        raise ValueError(f"k must be in 1..{n_feat}, got {k}")
+    validate_k(k, n_feat)
     if matrix.n_rows < 2:
         raise ValueError(f"selection needs at least 2 rows, got {matrix.n_rows}")
     X = matrix.values

@@ -7,6 +7,11 @@ scaling filter is (1+z)^p times the product of those linear factors,
 normalized to sum sqrt(2). Decomposition uses symmetric half-sample
 extension and keeps ceil((n + L - 1) / 2) coefficients per branch, so
 arbitrary (including odd) lengths round-trip exactly.
+
+The transform steps run along axis 1 of a (rows x samples) block of
+equal-length signals, and a single signal is a block of one row, so a
+corpus is denoised a block at a time with the same code. Every output is
+bit-identical to the per-signal np.convolve formulation.
 """
 
 from dataclasses import dataclass
@@ -105,30 +110,63 @@ def daubechies_filter_bank(order: int = DEFAULT_ORDER) -> FilterBank:
 
 
 def _symmetric_extend(x: np.ndarray, pad: int) -> np.ndarray:
-    """Half-sample symmetric extension: reflect without repeating the edge twice."""
-    if pad > x.size:
-        raise ValueError(f"cannot extend length-{x.size} signal by {pad} samples")
-    return np.concatenate([x[:pad][::-1], x, x[-pad:][::-1]])
+    """Half-sample symmetric extension along axis 1: reflect without repeating the edge twice."""
+    if pad > x.shape[1]:
+        raise ValueError(f"cannot extend length-{x.shape[1]} signal by {pad} samples")
+    return np.concatenate([x[:, :pad][:, ::-1], x, x[:, -pad:][:, ::-1]], axis=1)
 
 
 def _analysis_step(x: np.ndarray, bank: FilterBank):
-    pad = bank.length - 1
-    ext = _symmetric_extend(x, pad)
-    approx = np.convolve(ext, bank.lowpass_decomp, mode="valid")[0::2]
-    detail = np.convolve(ext, bank.highpass_decomp, mode="valid")[0::2]
-    return approx, detail
+    """One level over a (rows x n) block: approximation and detail rows.
+
+    Each coefficient sums its tap products in ascending tap order, the order
+    np.convolve(ext, h, "valid")[0::2] sums them, so the bits are the same.
+    """
+    length = bank.length
+    ext = _symmetric_extend(x, length - 1)
+    span = ext.shape[1] - length + 1
+    out = []
+    for h in (bank.lowpass_decomp, bank.highpass_decomp):
+        taps = h[::-1]
+        acc = ext[:, 0:span:2] * taps[0]
+        for t in range(1, length):
+            acc += ext[:, t:t + span:2] * taps[t]
+        out.append(acc)
+    return out
+
+
+def _upsample_filter(coef: np.ndarray, f: np.ndarray, out_len: int) -> np.ndarray:
+    """Zero-stuff each row of coef, convolve with f and keep [L-1 : L-1+out_len].
+
+    Output L-1+s meets the taps of the parity of s only, so it is summed over
+    those, in ascending tap order like np.convolve; the zero-stuffed products
+    it skips add nothing. When out_len is odd, np.convolve computes the last
+    output as a partial overlap with a BLAS dot product, which rounds
+    differently (fused multiply-add); np.vecdot makes that call for every row.
+    """
+    length = f.size
+    half = length // 2
+    taps = np.ascontiguousarray(f[::-1])
+    n = out_len // 2
+    y = np.empty((coef.shape[0], out_len))
+    for parity in (0, 1):
+        acc = coef[:, parity:parity + n] * taps[parity]
+        for u in range(1, half):
+            acc += coef[:, parity + u:parity + u + n] * taps[2 * u + parity]
+        y[:, parity:2 * n:2] = acc
+    if out_len % 2:
+        stuffed = np.zeros((coef.shape[0], length - 1))
+        stuffed[:, 0::2] = coef[:, -half:]
+        y[:, -1] = np.vecdot(stuffed, taps[:length - 1])
+    return y
 
 
 def _synthesis_step(approx: np.ndarray, detail: np.ndarray, out_len: int,
                     bank: FilterBank) -> np.ndarray:
-    up_a = np.zeros(2 * approx.size - 1)
-    up_a[0::2] = approx
-    up_d = np.zeros(2 * detail.size - 1)
-    up_d[0::2] = detail
-    y = (np.convolve(up_a, bank.lowpass_recon, mode="full")
-         + np.convolve(up_d, bank.highpass_recon, mode="full"))
-    start = bank.length - 1
-    return y[start:start + out_len]
+    """One inverse level over (rows x m) coefficient blocks."""
+    y = _upsample_filter(approx, bank.lowpass_recon, out_len)
+    y += _upsample_filter(detail, bank.highpass_recon, out_len)
+    return y
 
 
 def coefficient_lengths(n: int, levels: int, order: int = DEFAULT_ORDER) -> list:
@@ -140,29 +178,42 @@ def coefficient_lengths(n: int, levels: int, order: int = DEFAULT_ORDER) -> list
     return out
 
 
+def _decompose(x: np.ndarray, levels: int, bank: FilterBank):
+    """Approximation block and per-level detail blocks (finest first) of a
+    (rows x n) block; refuses one that cannot take `levels` analysis steps."""
+    if levels < 1:
+        raise ValueError(f"levels must be >= 1, got {levels}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("signal contains non-finite values")
+    min_len = max(2 ** levels, bank.length - 1)
+    if x.shape[1] < min_len:
+        raise ValueError(
+            f"signal length {x.shape[1]} too short for {levels} levels "
+            f"(need at least {min_len})"
+        )
+    details = []
+    for _ in range(levels):
+        x, det = _analysis_step(x, bank)
+        details.append(det)
+    return x, details
+
+
+def _reconstruct(approx: np.ndarray, details: list, lengths: list,
+                 bank: FilterBank) -> np.ndarray:
+    """Invert _decompose, given the coefficient_lengths of the original length."""
+    for lev in range(len(details), 0, -1):
+        approx = _synthesis_step(approx, details[lev - 1], lengths[lev - 1], bank)
+    return approx
+
+
 def dwt_decompose(signal: np.ndarray, levels: int = DEFAULT_LEVELS,
                   order: int = DEFAULT_ORDER) -> WaveletDecomposition:
     """Multi-level analysis. Requires len(signal) >= max(2**levels, 2*order - 1)."""
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"signal must be 1-D, got shape {x.shape}")
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("signal contains non-finite values")
-    bank = daubechies_filter_bank(order)
-    min_len = max(2 ** levels, bank.length - 1)
-    if x.size < min_len:
-        raise ValueError(
-            f"signal length {x.size} too short for {levels} levels "
-            f"(need at least {min_len})"
-        )
-    details = []
-    cur = x
-    for _ in range(levels):
-        cur, det = _analysis_step(cur, bank)
-        details.append(det)
-    return WaveletDecomposition(approximation=cur, details=details,
+    approx, details = _decompose(x[None, :], levels, daubechies_filter_bank(order))
+    return WaveletDecomposition(approximation=approx[0], details=[d[0] for d in details],
                                 original_length=x.size)
 
 
@@ -184,16 +235,17 @@ def dwt_reconstruct(decomp: WaveletDecomposition, order: int = DEFAULT_ORDER) ->
                 f"detail level {lev} length {det.size} inconsistent "
                 f"(expected {lengths[lev]})"
             )
-    cur = np.asarray(decomp.approximation, dtype=np.float64)
-    for lev in range(levels, 0, -1):
-        det = np.asarray(decomp.details[lev - 1], dtype=np.float64)
-        cur = _synthesis_step(cur, det, lengths[lev - 1], bank)
-    return cur
+    details = [np.asarray(d, dtype=np.float64)[None, :] for d in decomp.details]
+    approx = np.asarray(decomp.approximation, dtype=np.float64)[None, :]
+    return _reconstruct(approx, details, lengths, bank)[0]
 
 
-def soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:
-    """Shrink toward zero: sign(v) * max(|v| - threshold, 0)."""
-    if threshold < 0:
+def soft_threshold(values: np.ndarray, threshold) -> np.ndarray:
+    """Shrink toward zero: sign(v) * max(|v| - threshold, 0).
+
+    threshold is one number, or one per row as a (rows x 1) column.
+    """
+    if np.any(np.asarray(threshold) < 0):
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     v = np.asarray(values, dtype=np.float64)
     return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
@@ -202,15 +254,23 @@ def soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:
 def denoise(signal: np.ndarray) -> np.ndarray:
     """Wavelet shrinkage with the universal threshold, DEFAULT_LEVELS of db(DEFAULT_ORDER).
 
-    Noise scale comes from the finest detail band as median(|d1|) / 0.6745,
-    the threshold is sigma * sqrt(2 ln N) with N the signal length, and all
+    signal is one signal or a (rows x samples) block of equal-length signals,
+    each denoised on its own; one signal runs as a block of one row. Noise
+    scale comes from the finest detail band as median(|d1|) / 0.6745, the
+    threshold is sigma * sqrt(2 ln N) with N the signal length, and all
     detail levels are soft-thresholded before reconstruction.
     """
     x = np.asarray(signal, dtype=np.float64)
-    if x.size < 64:
-        raise ValueError(f"denoise needs at least 64 samples, got {x.size}")
-    decomp = dwt_decompose(x)
-    sigma = float(np.median(np.abs(decomp.details[0]))) / MAD_SCALE
-    threshold = sigma * np.sqrt(2.0 * np.log(x.size))
-    decomp.details = [soft_threshold(d, threshold) for d in decomp.details]
-    return dwt_reconstruct(decomp)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"signal must be 1-D or a 2-D block, got shape {x.shape}")
+    block = np.atleast_2d(x)
+    n = block.shape[1]
+    if n < 64:
+        raise ValueError(f"denoise needs at least 64 samples, got {n}")
+    bank = daubechies_filter_bank(DEFAULT_ORDER)
+    approx, details = _decompose(block, DEFAULT_LEVELS, bank)
+    sigma = np.median(np.abs(details[0]), axis=1, keepdims=True) / MAD_SCALE
+    threshold = sigma * np.sqrt(2.0 * np.log(n))
+    details = [soft_threshold(d, threshold) for d in details]
+    lengths = coefficient_lengths(n, DEFAULT_LEVELS, DEFAULT_ORDER)
+    return _reconstruct(approx, details, lengths, bank).reshape(x.shape)

@@ -430,6 +430,38 @@ class TestConfigFile:
             capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command,text,message", [
+        ("train", "kernel = bogus\n", "config key kernel: unknown kernel kind 'bogus'"),
+        ("train", "k = 99\n", "config key k: k must be in 1..30, got 99"),
+        ("train", "eta = -1\n", "config key eta: eta must be positive"),
+        ("report", "test_fraction = 1.5\n",
+         "config key test_fraction: test_fraction must be in (0, 1), got 1.5"),
+        ("select", "features_list = 0,3\n",
+         "config key features_list: catalog index 0 out of range"),
+        ("cv", "folds = 1\n", "config key folds: folds must be >= 2, got 1"),
+        ("synth", "counts = 3,3,3\n", "config key counts: counts needs 5 values"),
+        ("synth", "noise_std = -1\n", "config key noise_std: noise_std_us cannot be negative"),
+        ("synth", "duration_s = 2\n", "duration 2.0s at 16.0Hz yields fewer than 64 samples"),
+    ])
+    def test_out_of_range_value_names_file_and_key(self, manifest, features_csv, tmp_path,
+                                                   capsys, command, text, message):
+        cfg = write_config(tmp_path / "bad.cfg", text)
+        inputs = {"synth": [], "cv": ["--manifest", manifest]}
+        rc = cli.main([command, *inputs.get(command, ["--features", str(features_csv)]),
+                       "--out", str(tmp_path / "out"), "--config", cfg])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1, err
+        assert message in err
+
+    def test_out_of_range_flag_is_reported_as_given(self, features_csv, tmp_path, capsys):
+        cfg = write_config(tmp_path / "train.cfg", "k = 5\n")
+        rc = cli.main(["train", "--features", str(features_csv), "--kernel", "bogus",
+                       "--out", str(tmp_path / "model.json"), "--config", cfg])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: unknown kernel kind 'bogus'")
+
+
 class TestExitCodes:
     def test_missing_manifest_is_io_error(self, tmp_path, capsys):
         rc = cli.main(["features", "--manifest", str(tmp_path / "missing.txt"),
@@ -572,6 +604,30 @@ class TestMalformedInputFiles:
         rc = cli.main(["select", "--features", str(broken), "--k", "5",
                        "--out", str(tmp_path / "selection.json")])
         self.assert_names(capsys, rc, broken, "selection needs at least 2 rows, got 1")
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--test-fraction", "0.3", "--test-out", "test.csv"],
+        ["report"],
+    ])
+    def test_table_too_small_to_split_names_its_file(self, features_csv, tmp_path, capsys,
+                                                     command):
+        lines = features_csv.read_text().splitlines()
+        firsts = {}
+        for line in lines[2:]:
+            firsts.setdefault(line.split(",")[1], line)
+        broken = tmp_path / "features.csv"
+        broken.write_text("\n".join(lines[:2] + list(firsts.values())) + "\n")
+        args = [str(tmp_path / a) if a == "test.csv" else a for a in command[1:]]
+        rc = cli.main([command[0], "--features", str(broken), *args,
+                       "--out", str(tmp_path / "out")])
+        self.assert_names(capsys, rc, broken, "has 1 record(s), need at least 2 to split")
+
+    def test_out_of_range_test_fraction_flag_names_no_file(self, features_csv, tmp_path,
+                                                          capsys):
+        rc = cli.main(["report", "--features", str(features_csv), "--test-fraction", "1.5",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: test_fraction must be in (0, 1), got 1.5\n"
 
     def test_manifest_lists_a_record_twice(self, corpus_dir, tmp_path, capsys):
         first = (corpus_dir / "manifest.txt").read_text().splitlines()[0]

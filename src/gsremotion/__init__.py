@@ -42,12 +42,7 @@ from .pipeline import (
     fit_from_features,
     predict_rows,
 )
-from .preprocess import (
-    NormalizationParams,
-    fit_calm_baseline,
-    normalize_signal,
-    preprocess_dataset,
-)
+from .preprocess import preprocess_dataset
 from .selection import (
     CovarianceMatrix,
     SelectionResult,

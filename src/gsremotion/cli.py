@@ -186,6 +186,16 @@ def _explicit_features(args, cfg: dict):
     return None
 
 
+def _read_labeled(path: str):
+    """The feature table at path, every row of which must carry a label."""
+    matrix = read_feature_csv(path)
+    with file_errors(path):
+        if None in matrix.labels:
+            unlabeled = matrix.record_ids[matrix.labels.index(None)]
+            raise ValueError(f"row {unlabeled!r} has no label")
+    return matrix
+
+
 def _split(args, matrix, test_fraction: float, seed: int):
     """Stratified (train, test) rows of the --features table. An out-of-range
     fraction is reported as given; a label with too few rows to split is the
@@ -276,7 +286,7 @@ def cmd_select(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     _check_out(args.out, args.force)
-    matrix = read_feature_csv(args.features)
+    matrix = _read_labeled(args.features)
     explicit = _explicit_features(args, cfg)
     config = _pipeline_config(args, cfg, explicit_features=explicit)
     test_fraction = _resolve(args, cfg, "test_fraction", float)
@@ -322,9 +332,7 @@ def cmd_eval(args) -> int:
     text_path = _check_out(args.out + ".txt", args.force)
     seed = _resolve(args, cfg, "seed", int, PipelineConfig.seed)
     model = load_model(args.model)
-    matrix = read_feature_csv(args.features)
-    if any(lab is None for lab in matrix.labels):
-        raise ValueError("eval needs labeled feature rows")
+    matrix = _read_labeled(args.features)
     predicted = predict_rows(model, matrix.values)
     cm = ConfusionMatrix.from_predictions(matrix.labels, predicted,
                                           model.label_order)
@@ -357,6 +365,7 @@ def cmd_cv(args) -> int:
     explicit = _explicit_features(args, cfg)
     config = _pipeline_config(args, cfg, explicit_features=explicit)
     folds = _resolve(args, cfg, "folds", int, 5)
+    _check_folds(folds)
     dataset = load_dataset(args.manifest)
     report = kfold_cross_validate(dataset, folds, config, config.seed)
     write_json(json_path, report.to_dict())
@@ -385,7 +394,7 @@ def cmd_report(args) -> int:
     explicit = _explicit_features(args, cfg)
     config = _pipeline_config(args, cfg, explicit_features=explicit)
     test_fraction = _resolve(args, cfg, "test_fraction", float, 0.3)
-    matrix = read_feature_csv(args.features)
+    matrix = _read_labeled(args.features)
     _split(args, matrix, test_fraction, config.seed)  # comparison_report splits alike
     report = comparison_report(matrix, config, test_fraction, config.seed)
     write_json(json_path, report)

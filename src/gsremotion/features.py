@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, file_errors, parse_label
+from .dataset import MIN_SAMPLES, Dataset, file_errors, parse_label
 
 CATALOG_VERSION = 1
 
@@ -42,8 +42,6 @@ FEATURE_NAMES = tuple(
 
 N_FEATURES = len(FEATURE_NAMES)  # 30
 
-MIN_FEATURE_SAMPLES = 64
-
 
 @dataclass
 class FeatureMatrix:
@@ -52,7 +50,6 @@ class FeatureMatrix:
     values: np.ndarray
     record_ids: list
     labels: list
-    catalog_version: int = CATALOG_VERSION
 
     def __post_init__(self):
         self.values = np.array(self.values, dtype=np.float64)
@@ -86,7 +83,6 @@ class FeatureMatrix:
             values=self.values[:, cols],
             record_ids=list(self.record_ids),
             labels=list(self.labels),
-            catalog_version=self.catalog_version,
         )
 
 
@@ -149,9 +145,9 @@ def extract_features(signal: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     if x.ndim not in (1, 2):
         raise ValueError(f"signal must be 1-D or a 2-D block, got shape {x.shape}")
     block = np.atleast_2d(x)
-    if block.shape[1] < MIN_FEATURE_SAMPLES:
+    if block.shape[1] < MIN_SAMPLES:
         raise ValueError(
-            f"feature extraction needs at least {MIN_FEATURE_SAMPLES} samples, "
+            f"feature extraction needs at least {MIN_SAMPLES} samples, "
             f"got {block.shape[1]}"
         )
     if not sample_rate_hz > 0:
@@ -240,7 +236,6 @@ def apply_feature_normalization(matrix: FeatureMatrix,
         values=norm.scale(matrix.values),
         record_ids=list(matrix.record_ids),
         labels=list(matrix.labels),
-        catalog_version=matrix.catalog_version,
     )
 
 
@@ -253,7 +248,7 @@ def write_feature_csv(matrix: FeatureMatrix, path: str) -> None:
     """Write a feature table; floats use shortest round-trip repr."""
     names = column_ids(matrix.n_features)
     with open(path, "w", newline="") as fh:
-        fh.write(f"# catalog_version: {matrix.catalog_version}\n")
+        fh.write(f"# catalog_version: {CATALOG_VERSION}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["record_id", "label"] + names)
         for i in range(matrix.n_rows):
@@ -295,5 +290,4 @@ def read_feature_csv(path: str) -> FeatureMatrix:
                 raise ValueError(f"line {lineno}: bad feature value")
         if not rows:
             raise ValueError("no feature rows")
-        return FeatureMatrix(values=np.array(rows), record_ids=ids, labels=labels,
-                             catalog_version=version)
+        return FeatureMatrix(values=np.array(rows), record_ids=ids, labels=labels)

@@ -103,7 +103,6 @@ def subset_rows(matrix: FeatureMatrix, rows) -> FeatureMatrix:
         values=matrix.values[rows],
         record_ids=[matrix.record_ids[i] for i in rows],
         labels=[matrix.labels[i] for i in rows],
-        catalog_version=matrix.catalog_version,
     )
 
 

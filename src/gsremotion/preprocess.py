@@ -7,51 +7,12 @@ expressed relative to the same resting baseline. Feature-level normalization
 module only knows which mode is in effect.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import Dataset, EmotionLabel
 from .wavelet import denoise
 
 NORM_MODES = ("signal", "feature", "both")
-
-
-@dataclass(frozen=True)
-class NormalizationParams:
-    """Affine range parameters from a baseline signal."""
-
-    x_min: float
-    x_max: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.x_min) or not np.isfinite(self.x_max):
-            raise ValueError("normalization bounds must be finite")
-        if not self.x_max > self.x_min:
-            raise ValueError(
-                f"x_max ({self.x_max}) must exceed x_min ({self.x_min}); "
-                "constant baseline cannot define a range"
-            )
-
-    @property
-    def span(self) -> float:
-        return self.x_max - self.x_min
-
-
-def fit_calm_baseline(signal: np.ndarray) -> NormalizationParams:
-    """Extract min/max range from a calm-state signal."""
-    x = np.asarray(signal, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("baseline signal is empty")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("baseline signal contains non-finite values")
-    return NormalizationParams(x_min=float(x.min()), x_max=float(x.max()))
-
-
-def normalize_signal(signal: np.ndarray, params: NormalizationParams) -> np.ndarray:
-    """Map signal through (x - x_min) / (x_max - x_min); values may leave [0, 1]."""
-    x = np.asarray(signal, dtype=np.float64)
-    return (x - params.x_min) / params.span
 
 
 def validate_norm_mode(mode: str) -> str:
@@ -64,29 +25,44 @@ def preprocess_dataset(dataset: Dataset, norm_mode: str = "signal") -> Dataset:
     """Denoise every record; apply per-subject calm normalization if requested.
 
     Records are denoised a block of equal-length records at a time and come
-    back in dataset order.
+    back in dataset order. A record whose denoised signal overflows
+    (samples near 1e308) is rejected by id.
 
-    With norm_mode "signal" or "both", each subject's range comes from their
-    first calm record (dataset order), fitted after denoising. Subjects
-    without a calm record are an error in those modes.
+    With norm_mode "signal" or "both", each subject's (min, span) comes from
+    their first calm record (dataset order), taken after denoising, and
+    every record of the subject maps through (x - min) / span; values may
+    leave [0, 1]. A subject without a calm record, or whose calm record is
+    constant after denoising, is an error in those modes.
     """
     validate_norm_mode(norm_mode)
     records = dataset.records
     samples = [None] * len(records)
-    for rows, block, _ in dataset.signal_blocks():
-        for i, row in zip(rows, denoise(block)):
-            samples[i] = row
+    overflowed = []
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below, by record id
+        for rows, block, _ in dataset.signal_blocks():
+            out = denoise(block)
+            overflowed += [rows[j] for j in np.flatnonzero(~np.isfinite(out).all(axis=1))]
+            for i, row in zip(rows, out):
+                samples[i] = row
+    if overflowed:
+        record_id = records[min(overflowed)].record_id
+        raise ValueError(f"record {record_id!r} has non-finite values after denoising")
     if norm_mode != "feature":
-        baselines = {}
+        ranges = {}
         for rec, row in zip(records, samples):
-            if rec.label is EmotionLabel.CALM and rec.subject_id not in baselines:
-                baselines[rec.subject_id] = fit_calm_baseline(row)
-        missing = sorted({r.subject_id for r in records} - set(baselines))
+            if rec.label is EmotionLabel.CALM and rec.subject_id not in ranges:
+                low, high = row.min(), row.max()
+                if not high > low:
+                    raise ValueError(f"calm record {rec.record_id!r} is constant after "
+                                     "denoising and cannot set a range")
+                ranges[rec.subject_id] = (low, high - low)
+        missing = sorted({r.subject_id for r in records} - set(ranges))
         if missing:
             raise ValueError(
                 "signal normalization needs a calm record per subject; "
                 "missing for: " + ", ".join(missing)
             )
-        samples = [normalize_signal(row, baselines[rec.subject_id])
-                   for rec, row in zip(records, samples)]
+        for i, rec in enumerate(records):
+            low, span = ranges[rec.subject_id]
+            samples[i] = (samples[i] - low) / span
     return Dataset(records=[rec.with_samples(row) for rec, row in zip(records, samples)])

@@ -271,7 +271,6 @@ class MulticlassSvmModel:
     feature_indices: tuple
     normalization: FeatureNormalization | None = None
     config: TrainConfig = field(default_factory=TrainConfig)
-    catalog_version: int = CATALOG_VERSION
 
     def __post_init__(self):
         self.label_order = tuple(self.label_order)
@@ -283,11 +282,6 @@ class MulticlassSvmModel:
             raise ValueError(
                 f"{len(self.machines)} machines for {len(self.label_order)} labels "
                 f"(expected {expected})"
-            )
-        if self.catalog_version != CATALOG_VERSION:
-            raise ValueError(
-                f"catalog_version {self.catalog_version} unsupported "
-                f"(expected {CATALOG_VERSION})"
             )
         if not all(1 <= i <= len(FEATURE_NAMES) for i in self.feature_indices):
             raise ValueError(
@@ -337,7 +331,6 @@ def train_multiclass(matrix: FeatureMatrix, config: TrainConfig,
         feature_indices=feature_indices,
         normalization=normalization,
         config=config,
-        catalog_version=matrix.catalog_version,
     )
 
 
@@ -430,7 +423,7 @@ def save_model(model: MulticlassSvmModel, path: str) -> None:
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": "one_vs_one_svm",
-        "catalog_version": model.catalog_version,
+        "catalog_version": CATALOG_VERSION,
         "label_order": [lab.value for lab in model.label_order],
         "feature_indices": list(model.feature_indices),
         "normalization": norm,
@@ -462,6 +455,10 @@ def load_model(path: str) -> MulticlassSvmModel:
             )
         if payload.get("kind") != "one_vs_one_svm":
             raise ValueError("not a one_vs_one_svm model file")
+        catalog = int(payload["catalog_version"])
+        if catalog != CATALOG_VERSION:
+            raise ValueError(
+                f"catalog_version {catalog} unsupported (expected {CATALOG_VERSION})")
         machines = []
         for m in payload["machines"]:
             n_features = int(m["n_features"])
@@ -498,5 +495,4 @@ def load_model(path: str) -> MulticlassSvmModel:
             feature_indices=tuple(int(i) for i in payload["feature_indices"]),
             normalization=norm,
             config=config,
-            catalog_version=int(payload["catalog_version"]),
         )

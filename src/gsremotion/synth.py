@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LABEL_ORDER, Dataset, EmotionLabel, GsrRecord
+from .dataset import LABEL_ORDER, MIN_SAMPLES, Dataset, EmotionLabel, GsrRecord
 
 POSITIVITY_FLOOR_US = 1e-3
 
@@ -130,10 +130,12 @@ class SynthConfig:
             raise ValueError("at least one label needs a positive count")
         if self.sample_rate_hz <= 0:
             raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        if self.duration_s * self.sample_rate_hz < 64:
+        if not 0 < self.duration_s < np.inf:
+            raise ValueError(f"duration_s must be positive and finite, got {self.duration_s}")
+        if self.n_samples < MIN_SAMPLES:
             raise ValueError(
                 f"duration {self.duration_s}s at {self.sample_rate_hz}Hz yields fewer "
-                "than 64 samples"
+                f"than {MIN_SAMPLES} samples"
             )
         if self.noise_std_us < 0:
             raise ValueError(f"noise_std_us cannot be negative, got {self.noise_std_us}")

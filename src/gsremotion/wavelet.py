@@ -19,6 +19,8 @@ from math import comb
 
 import numpy as np
 
+from .dataset import MIN_SAMPLES
+
 DEFAULT_ORDER = 5
 DEFAULT_LEVELS = 5
 
@@ -45,7 +47,8 @@ class FilterBank:
 
 @dataclass
 class WaveletDecomposition:
-    """Multi-level DWT output: one approximation plus per-level details.
+    """Multi-level DWT output: one approximation plus per-level details,
+    each 1-D for one signal or (rows x m) for a block.
 
     details[0] is the finest level (level 1); details[-1] matches the
     approximation band. original_length is needed to undo the expansive
@@ -169,75 +172,65 @@ def _synthesis_step(approx: np.ndarray, detail: np.ndarray, out_len: int,
     return y
 
 
-def coefficient_lengths(n: int, levels: int, order: int = DEFAULT_ORDER) -> list:
+def coefficient_lengths(n: int, levels: int) -> list:
     """Per-level branch lengths: lengths[0] = n, lengths[k] = ceil((prev + L - 1)/2)."""
-    length = 2 * order
     out = [n]
     for _ in range(levels):
-        out.append((out[-1] + length - 1 + 1) // 2)
+        out.append((out[-1] + 2 * DEFAULT_ORDER) // 2)
     return out
 
 
-def _decompose(x: np.ndarray, levels: int, bank: FilterBank):
-    """Approximation block and per-level detail blocks (finest first) of a
-    (rows x n) block; refuses one that cannot take `levels` analysis steps."""
+def _block(signal) -> np.ndarray:
+    """One signal as a block of one row, or a (rows x samples) block as is."""
+    x = np.asarray(signal, dtype=np.float64)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"signal must be 1-D or a 2-D block, got shape {x.shape}")
+    return np.atleast_2d(x)
+
+
+def dwt_decompose(signal: np.ndarray, levels: int = DEFAULT_LEVELS) -> WaveletDecomposition:
+    """Multi-level analysis of one signal, or of each row of a (rows x samples)
+    block into (rows x m) coefficients. Requires at least
+    max(2**levels, 2*DEFAULT_ORDER - 1) samples."""
+    x = _block(signal)
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite values")
+    bank = daubechies_filter_bank(DEFAULT_ORDER)
+    n = x.shape[1]
     min_len = max(2 ** levels, bank.length - 1)
-    if x.shape[1] < min_len:
+    if n < min_len:
         raise ValueError(
-            f"signal length {x.shape[1]} too short for {levels} levels "
-            f"(need at least {min_len})"
+            f"signal length {n} too short for {levels} levels (need at least {min_len})"
         )
     details = []
     for _ in range(levels):
         x, det = _analysis_step(x, bank)
         details.append(det)
-    return x, details
+    if np.ndim(signal) == 1:
+        x, details = x[0], [d[0] for d in details]
+    return WaveletDecomposition(approximation=x, details=details, original_length=n)
 
 
-def _reconstruct(approx: np.ndarray, details: list, lengths: list,
-                 bank: FilterBank) -> np.ndarray:
-    """Invert _decompose, given the coefficient_lengths of the original length."""
-    for lev in range(len(details), 0, -1):
-        approx = _synthesis_step(approx, details[lev - 1], lengths[lev - 1], bank)
-    return approx
-
-
-def dwt_decompose(signal: np.ndarray, levels: int = DEFAULT_LEVELS,
-                  order: int = DEFAULT_ORDER) -> WaveletDecomposition:
-    """Multi-level analysis. Requires len(signal) >= max(2**levels, 2*order - 1)."""
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"signal must be 1-D, got shape {x.shape}")
-    approx, details = _decompose(x[None, :], levels, daubechies_filter_bank(order))
-    return WaveletDecomposition(approximation=approx[0], details=[d[0] for d in details],
-                                original_length=x.size)
-
-
-def dwt_reconstruct(decomp: WaveletDecomposition, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Invert dwt_decompose; validates coefficient lengths against the recurrence."""
-    levels = decomp.levels
-    if levels < 1:
+def dwt_reconstruct(decomp: WaveletDecomposition) -> np.ndarray:
+    """Invert dwt_decompose; validates coefficient shapes against the recurrence."""
+    if decomp.levels < 1:
         raise ValueError("decomposition has no detail levels")
-    bank = daubechies_filter_bank(order)
-    lengths = coefficient_lengths(decomp.original_length, levels, order)
-    if decomp.approximation.size != lengths[levels]:
-        raise ValueError(
-            f"approximation length {decomp.approximation.size} inconsistent with "
-            f"original length {decomp.original_length} (expected {lengths[levels]})"
-        )
-    for lev, det in enumerate(decomp.details, start=1):
-        if det.size != lengths[lev]:
-            raise ValueError(
-                f"detail level {lev} length {det.size} inconsistent "
-                f"(expected {lengths[lev]})"
-            )
-    details = [np.asarray(d, dtype=np.float64)[None, :] for d in decomp.details]
-    approx = np.asarray(decomp.approximation, dtype=np.float64)[None, :]
-    return _reconstruct(approx, details, lengths, bank)[0]
+    lengths = coefficient_lengths(decomp.original_length, decomp.levels)
+    y = _block(decomp.approximation)
+    if y.shape[1] != lengths[-1]:
+        raise ValueError(f"approximation length {y.shape[1]} inconsistent with original "
+                         f"length {decomp.original_length} (expected {lengths[-1]})")
+    details = [_block(d) for d in decomp.details]
+    for lev, det in enumerate(details, start=1):
+        if det.shape != (y.shape[0], lengths[lev]):
+            raise ValueError(f"detail level {lev} shape {det.shape} inconsistent "
+                             f"(expected {(y.shape[0], lengths[lev])})")
+    bank = daubechies_filter_bank(DEFAULT_ORDER)
+    for det, out_len in zip(details[::-1], lengths[-2::-1]):
+        y = _synthesis_step(y, det, out_len, bank)
+    return y[0] if np.ndim(decomp.approximation) == 1 else y
 
 
 def soft_threshold(values: np.ndarray, threshold) -> np.ndarray:
@@ -260,17 +253,12 @@ def denoise(signal: np.ndarray) -> np.ndarray:
     threshold is sigma * sqrt(2 ln N) with N the signal length, and all
     detail levels are soft-thresholded before reconstruction.
     """
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim not in (1, 2):
-        raise ValueError(f"signal must be 1-D or a 2-D block, got shape {x.shape}")
-    block = np.atleast_2d(x)
+    block = _block(signal)
     n = block.shape[1]
-    if n < 64:
-        raise ValueError(f"denoise needs at least 64 samples, got {n}")
-    bank = daubechies_filter_bank(DEFAULT_ORDER)
-    approx, details = _decompose(block, DEFAULT_LEVELS, bank)
-    sigma = np.median(np.abs(details[0]), axis=1, keepdims=True) / MAD_SCALE
+    if n < MIN_SAMPLES:
+        raise ValueError(f"denoise needs at least {MIN_SAMPLES} samples, got {n}")
+    decomp = dwt_decompose(block)
+    sigma = np.median(np.abs(decomp.details[0]), axis=1, keepdims=True) / MAD_SCALE
     threshold = sigma * np.sqrt(2.0 * np.log(n))
-    details = [soft_threshold(d, threshold) for d in details]
-    lengths = coefficient_lengths(n, DEFAULT_LEVELS, DEFAULT_ORDER)
-    return _reconstruct(approx, details, lengths, bank).reshape(x.shape)
+    decomp.details = [soft_threshold(d, threshold) for d in decomp.details]
+    return dwt_reconstruct(decomp).reshape(np.shape(signal))

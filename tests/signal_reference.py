@@ -10,7 +10,8 @@ sizes.
 
 import numpy as np
 
-from gsremotion.features import BAND_HIGH_HZ, BAND_LOW_HZ, MIN_FEATURE_SAMPLES
+from gsremotion.dataset import MIN_SAMPLES
+from gsremotion.features import BAND_HIGH_HZ, BAND_LOW_HZ
 from gsremotion.wavelet import (
     DEFAULT_LEVELS,
     DEFAULT_ORDER,
@@ -49,9 +50,8 @@ def _synthesis_step(approx: np.ndarray, detail: np.ndarray, out_len: int,
     return y[start:start + out_len]
 
 
-def dwt_decompose(signal: np.ndarray, levels: int = DEFAULT_LEVELS,
-                  order: int = DEFAULT_ORDER) -> WaveletDecomposition:
-    """Multi-level analysis. Requires len(signal) >= max(2**levels, 2*order - 1)."""
+def dwt_decompose(signal: np.ndarray, levels: int = DEFAULT_LEVELS) -> WaveletDecomposition:
+    """Multi-level analysis. Requires len(signal) >= max(2**levels, 2*DEFAULT_ORDER - 1)."""
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"signal must be 1-D, got shape {x.shape}")
@@ -59,7 +59,7 @@ def dwt_decompose(signal: np.ndarray, levels: int = DEFAULT_LEVELS,
         raise ValueError(f"levels must be >= 1, got {levels}")
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite values")
-    bank = daubechies_filter_bank(order)
+    bank = daubechies_filter_bank(DEFAULT_ORDER)
     min_len = max(2 ** levels, bank.length - 1)
     if x.size < min_len:
         raise ValueError(
@@ -75,13 +75,13 @@ def dwt_decompose(signal: np.ndarray, levels: int = DEFAULT_LEVELS,
                                 original_length=x.size)
 
 
-def dwt_reconstruct(decomp: WaveletDecomposition, order: int = DEFAULT_ORDER) -> np.ndarray:
+def dwt_reconstruct(decomp: WaveletDecomposition) -> np.ndarray:
     """Invert dwt_decompose; validates coefficient lengths against the recurrence."""
     levels = decomp.levels
     if levels < 1:
         raise ValueError("decomposition has no detail levels")
-    bank = daubechies_filter_bank(order)
-    lengths = coefficient_lengths(decomp.original_length, levels, order)
+    bank = daubechies_filter_bank(DEFAULT_ORDER)
+    lengths = coefficient_lengths(decomp.original_length, levels)
     if decomp.approximation.size != lengths[levels]:
         raise ValueError(
             f"approximation length {decomp.approximation.size} inconsistent with "
@@ -179,9 +179,9 @@ def extract_features(signal: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"signal must be 1-D, got shape {x.shape}")
-    if x.size < MIN_FEATURE_SAMPLES:
+    if x.size < MIN_SAMPLES:
         raise ValueError(
-            f"feature extraction needs at least {MIN_FEATURE_SAMPLES} samples, got {x.size}"
+            f"feature extraction needs at least {MIN_SAMPLES} samples, got {x.size}"
         )
     if not sample_rate_hz > 0:
         raise ValueError(f"sample_rate_hz must be positive, got {sample_rate_hz}")

@@ -37,6 +37,15 @@ def write_config(path, text):
     return str(path)
 
 
+def main_printing_warnings(argv) -> int:
+    """cli.main with each warning printed on stderr, as a plain interpreter run does."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda *a, **kw: sys.stderr.write(
+            warnings.formatwarning(*a[:4]))
+        return cli.main(argv)
+
+
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
     """Four records per label, 16 s at the default rate, via the synth command."""
@@ -123,6 +132,20 @@ class TestPreprocess:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["preprocess", "cv"])
+    def test_overflowing_record_prints_one_error_line(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(0)
+        calm = GsrRecord("c1", "S01", EmotionLabel.CALM, 16.0, 3.0 + rng.uniform(0, 1, 128))
+        # valid samples whose wavelet sums overflow to inf and then nan
+        huge = GsrRecord("f1", "S01", EmotionLabel.FEAR, 16.0,
+                         np.resize([1.5e308, -1.5e308], 128))
+        manifest = save_dataset(Dataset(records=[calm, huge]), str(tmp_path / "corpus"))
+        rc = main_printing_warnings([command, "--manifest", manifest,
+                                     "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: record 'f1' has non-finite values after denoising\n")
+
 
 class TestFeatures:
     def test_table_shape(self, features_csv):
@@ -139,13 +162,8 @@ class TestFeatures:
         rng = np.random.default_rng(0)
         huge = GsrRecord("huge", "S01", EmotionLabel.FEAR, 16.0, 1e200 * rng.uniform(1, 2, 128))
         manifest = save_dataset(Dataset(records=[huge]), str(tmp_path / "corpus"))
-        with warnings.catch_warnings():
-            # print each warning on stderr, as a plain interpreter run does
-            warnings.simplefilter("default")
-            warnings.showwarning = lambda *a, **kw: sys.stderr.write(
-                warnings.formatwarning(*a[:4]))
-            rc = cli.main(["features", "--manifest", manifest,
-                           "--out", str(tmp_path / "features.csv")])
+        rc = main_printing_warnings(["features", "--manifest", manifest,
+                                     "--out", str(tmp_path / "features.csv")])
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: feature vector for 'huge' has non-finite values\n")
@@ -311,6 +329,12 @@ class TestCv:
         assert "fold 1" in text
         assert "held-out accesses during fit: 0" in text
 
+    def test_one_fold_flag_is_named_folds(self, manifest, tmp_path, capsys):
+        rc = cli.main(["cv", "--manifest", manifest, "--folds", "1",
+                       "--out", str(tmp_path / "cv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: folds must be >= 2, got 1\n"
+
 
 class TestNonConvergence:
     """A machine stopped by max_passes is named on stderr; files are unchanged."""
@@ -442,6 +466,7 @@ class TestConfigFile:
         ("synth", "counts = 3,3,3\n", "config key counts: counts needs 5 values"),
         ("synth", "noise_std = -1\n", "config key noise_std: noise_std_us cannot be negative"),
         ("synth", "duration_s = 2\n", "duration 2.0s at 16.0Hz yields fewer than 64 samples"),
+        ("synth", "duration_s = inf\n", "duration_s must be positive and finite, got inf"),
     ])
     def test_out_of_range_value_names_file_and_key(self, manifest, features_csv, tmp_path,
                                                    capsys, command, text, message):
@@ -621,6 +646,20 @@ class TestMalformedInputFiles:
         rc = cli.main([command[0], "--features", str(broken), *args,
                        "--out", str(tmp_path / "out")])
         self.assert_names(capsys, rc, broken, "has 1 record(s), need at least 2 to split")
+
+    @pytest.mark.parametrize("command", ["train", "eval", "report"])
+    def test_unlabeled_row_names_its_table(self, features_csv, model_path, tmp_path,
+                                           capsys, command):
+        lines = features_csv.read_text().splitlines()
+        fields = lines[4].split(",")
+        fields[1] = ""
+        lines[4] = ",".join(fields)
+        broken = tmp_path / "features.csv"
+        broken.write_text("\n".join(lines) + "\n")
+        model = ["--model", str(model_path)] if command == "eval" else []
+        rc = cli.main([command, "--features", str(broken), *model,
+                       "--out", str(tmp_path / "out")])
+        self.assert_names(capsys, rc, broken, f"row {fields[0]!r} has no label")
 
     def test_out_of_range_test_fraction_flag_names_no_file(self, features_csv, tmp_path,
                                                           capsys):

@@ -222,7 +222,6 @@ class TestFeatureCsv:
         assert_array_equal(back.values, m.values)
         assert back.record_ids == m.record_ids
         assert back.labels == m.labels
-        assert back.catalog_version == CATALOG_VERSION
 
     def test_header_layout(self, small_corpus, tmp_path):
         path = tmp_path / "features.csv"

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from gsremotion.dataset import LABEL_ORDER, EmotionLabel
-from gsremotion.features import N_FEATURES, FeatureMatrix
+from gsremotion.features import CATALOG_VERSION, N_FEATURES, FeatureMatrix
 from gsremotion.kernels import KernelSpec
 from gsremotion.pipeline import PipelineConfig, fit_from_features, predict_rows
 from gsremotion.svm import (
@@ -198,7 +198,8 @@ class TestSerialization:
         loaded = load_model(path)
         assert loaded.label_order == fitted.model.label_order
         assert loaded.feature_indices == fitted.model.feature_indices
-        assert loaded.catalog_version == fitted.model.catalog_version
+        with open(path) as fh:
+            assert json.load(fh)["catalog_version"] == CATALOG_VERSION
         assert loaded.config.c == fitted.model.config.c
         assert loaded.config.kernel == fitted.model.config.kernel
         for a, b in zip(loaded.machines, fitted.model.machines):

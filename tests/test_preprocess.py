@@ -1,16 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
+from gsremotion import preprocess
 from gsremotion.dataset import Dataset, EmotionLabel, GsrRecord
-from gsremotion.preprocess import (
-    NORM_MODES,
-    NormalizationParams,
-    fit_calm_baseline,
-    normalize_signal,
-    preprocess_dataset,
-    validate_norm_mode,
-)
+from gsremotion.preprocess import NORM_MODES, preprocess_dataset, validate_norm_mode
 from gsremotion.wavelet import denoise
 
 
@@ -19,51 +15,68 @@ def record(record_id, subject, label, seed=0, n=128):
     return GsrRecord(record_id, subject, label, 16.0, 3.0 + rng.uniform(0, 1, n))
 
 
+def overflowing(record_id, subject, label):
+    """A valid record whose wavelet sums overflow: samples alternate +-1.5e308."""
+    return GsrRecord(record_id, subject, label, 16.0, np.resize([1.5e308, -1.5e308], 128))
+
+
+@pytest.fixture
+def identity_denoise(monkeypatch):
+    """Normalize the samples as given, so the expected values are exact by hand."""
+    monkeypatch.setattr(preprocess, "denoise", lambda block: block)
+
+
+def normalized(calm, other):
+    """(calm, other) after "signal" preprocessing of one subject's two records."""
+    ds = Dataset(records=[
+        GsrRecord("c1", "S01", EmotionLabel.CALM, 16.0, np.resize(calm, 64)),
+        GsrRecord("f1", "S01", EmotionLabel.FEAR, 16.0, np.resize(other, 64)),
+    ])
+    c1, f1 = preprocess_dataset(ds, "signal")
+    return c1.samples, f1.samples
+
+
 class TestNormalizationParams:
-    def test_fit_takes_min_and_max(self):
-        params = fit_calm_baseline(np.array([2.0, 5.0, 3.0]))
-        assert params.x_min == 2.0
-        assert params.x_max == 5.0
-        assert params.span == 3.0
+    """Each subject's (min, span) comes from its first calm record, denoised."""
+
+    def test_fit_takes_min_and_max(self, identity_denoise):
+        calm, _ = normalized([2.0, 5.0, 3.0], [2.0])
+        assert_array_equal(calm, np.resize([0.0, 1.0, 1.0 / 3.0], 64))
 
     def test_constant_baseline_rejected(self):
-        with pytest.raises(ValueError, match="x_max"):
-            fit_calm_baseline(np.array([4.0, 4.0, 4.0]))
+        ds = Dataset(records=[GsrRecord("c1", "S01", EmotionLabel.CALM, 16.0, np.zeros(128))])
+        assert_array_equal(preprocess_dataset(ds, "feature").records[0].samples, 0.0)
+        with pytest.raises(ValueError, match="calm record 'c1' is constant after denoising"):
+            preprocess_dataset(ds, "signal")
 
-    def test_non_finite_baseline_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            fit_calm_baseline(np.array([1.0, np.nan, 2.0]))
-
-    def test_empty_baseline_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            fit_calm_baseline(np.array([]))
-
-    def test_inverted_bounds_rejected(self):
-        with pytest.raises(ValueError, match="exceed"):
-            NormalizationParams(x_min=5.0, x_max=2.0)
+    @pytest.mark.parametrize("mode", NORM_MODES)
+    def test_non_finite_baseline_rejected(self, mode):
+        ds = Dataset(records=[
+            record("c0", "S01", EmotionLabel.CALM, seed=1),
+            overflowing("c1", "S02", EmotionLabel.CALM),
+            overflowing("f1", "S02", EmotionLabel.FEAR),
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow must not warn on its way
+            with pytest.raises(ValueError, match="record 'c1' has non-finite values"):
+                preprocess_dataset(ds, mode)
 
 
 class TestNormalizeSignal:
-    def test_maps_range_to_unit_interval(self):
-        params = NormalizationParams(x_min=2.0, x_max=5.0)
-        out = normalize_signal(np.array([2.0, 5.0, 3.5]), params)
-        assert_allclose(out, [0.0, 1.0, 0.5])
+    """Every record of the subject maps through (x - min) / span."""
 
-    def test_values_outside_range_are_not_clipped(self):
-        params = NormalizationParams(x_min=2.0, x_max=5.0)
-        out = normalize_signal(np.array([6.5, 0.5]), params)
-        assert_allclose(out, [1.5, -0.5])
+    def test_maps_range_to_unit_interval(self, identity_denoise):
+        _, out = normalized([2.0, 5.0, 3.0], [2.0, 5.0, 3.5])
+        assert_array_equal(out, np.resize([0.0, 1.0, 0.5], 64))
 
-    def test_is_affine(self):
-        params = NormalizationParams(x_min=2.0, x_max=5.0)
-        rng = np.random.default_rng(1)
-        x = rng.uniform(0, 10, 50)
-        y = rng.uniform(0, 10, 50)
-        gx = normalize_signal(x, params)
-        gy = normalize_signal(y, params)
-        # affine maps commute with convex combinations
-        assert_allclose(normalize_signal(0.3 * x + 0.7 * y, params),
-                        0.3 * gx + 0.7 * gy, rtol=1e-12)
+    def test_values_outside_range_are_not_clipped(self, identity_denoise):
+        _, out = normalized([2.0, 5.0, 3.0], [6.5, 0.5])
+        assert_array_equal(out, np.resize([1.5, -0.5], 64))
+
+    def test_is_affine(self, identity_denoise):
+        x = np.random.default_rng(1).uniform(0, 10, 64)
+        _, out = normalized([2.0, 5.0, 3.0], x)
+        assert_array_equal(out, (x - 2.0) / 3.0)
 
 
 def test_preprocess_record_denoises_and_keeps_metadata():

@@ -156,6 +156,19 @@ class TestSynthConfigValidation:
         with pytest.raises(ValueError, match="fewer"):
             SynthConfig(duration_s=2.0, sample_rate_hz=16.0)
 
+    def test_too_short_counts_the_rounded_samples(self):
+        # 3.975 s at 16 Hz rounds to 64 samples, the minimum a record may hold
+        config = SynthConfig(per_label_counts={EmotionLabel.CALM: 1},
+                             duration_s=3.975, sample_rate_hz=16.0)
+        assert generate_dataset(config).records[0].samples.size == 64
+        with pytest.raises(ValueError, match="fewer than 64"):
+            SynthConfig(duration_s=3.9, sample_rate_hz=16.0)
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), 0.0])
+    def test_duration_must_be_positive_and_finite(self, duration):
+        with pytest.raises(ValueError, match="duration_s must be positive and finite"):
+            SynthConfig(duration_s=duration)
+
     def test_negative_noise(self):
         with pytest.raises(ValueError, match="noise_std_us"):
             SynthConfig(noise_std_us=-0.1)

@@ -128,9 +128,20 @@ class TestDecomposeValidation:
         with pytest.raises(ValueError, match="levels"):
             dwt_decompose(np.ones(128), levels=0)
 
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError, match="1-D"):
-            dwt_decompose(np.ones((4, 64)))
+    def test_block_decomposes_row_by_row(self):
+        block = np.random.default_rng(6).standard_normal((4, 97))
+        dec = dwt_decompose(block, levels=3)
+        assert dec.original_length == 97
+        for r, row in enumerate(block):
+            one = dwt_decompose(row, levels=3)
+            assert_array_equal(dec.approximation[r], one.approximation)
+            for got, want in zip(dec.details, one.details):
+                assert_array_equal(got[r], want)
+            assert_array_equal(dwt_reconstruct(dec)[r], dwt_reconstruct(one))
+
+    def test_rejects_3d(self):
+        with pytest.raises(ValueError, match="1-D or a 2-D block"):
+            dwt_decompose(np.ones((2, 4, 64)))
 
     def test_rejects_nan(self):
         x = np.ones(128)

@@ -44,8 +44,8 @@ from .pipeline import (
 )
 from .preprocess import preprocess_dataset
 from .selection import (
-    CovarianceMatrix,
     SelectionResult,
+    correlation_matrix,
     covariance_matrix,
     select_features,
 )

@@ -269,13 +269,11 @@ def cmd_select(args) -> int:
     matrix = read_feature_csv(args.features)
     explicit = _explicit_features(args, cfg)
     if explicit is not None:
-        result = SelectionResult(selected_indices=tuple(explicit), k=len(explicit))
+        result = SelectionResult(selected_indices=explicit)
     else:
-        k = _resolve(args, cfg, "k", int, PipelineConfig.selection_k)
-        with file_errors(args.features):  # a one-row table is the file's fault
-            if matrix.n_rows < 2:
-                raise ValueError(f"selection needs at least 2 rows, got {matrix.n_rows}")
-        result = select_features(matrix, k)
+        k = validate_k(_resolve(args, cfg, "k", int, PipelineConfig.selection_k), N_FEATURES)
+        with file_errors(args.features):  # too few rows or varying columns: the table's fault
+            result = select_features(matrix, k)
     write_selection_json(result, args.out)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)

@@ -239,18 +239,20 @@ def apply_feature_normalization(matrix: FeatureMatrix,
     )
 
 
-def column_ids(n_features: int) -> list:
-    """Header ids f01..fNN; the id->name mapping is pinned by catalog_version."""
-    return [f"f{i:02d}" for i in range(1, n_features + 1)]
+def column_ids() -> list:
+    """Header ids f01..f30; the id->name mapping is pinned by catalog_version."""
+    return [f"f{i:02d}" for i in range(1, N_FEATURES + 1)]
 
 
 def write_feature_csv(matrix: FeatureMatrix, path: str) -> None:
-    """Write a feature table; floats use shortest round-trip repr."""
-    names = column_ids(matrix.n_features)
+    """Write a full-catalog feature table; floats use shortest round-trip repr."""
+    if matrix.n_features != N_FEATURES:
+        raise ValueError(f"a feature table has {N_FEATURES} catalog columns, "
+                         f"got {matrix.n_features}")
     with open(path, "w", newline="") as fh:
         fh.write(f"# catalog_version: {CATALOG_VERSION}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["record_id", "label"] + names)
+        writer.writerow(["record_id", "label"] + column_ids())
         for i in range(matrix.n_rows):
             lab = matrix.labels[i]
             row = [matrix.record_ids[i], lab.value if lab is not None else ""]
@@ -274,7 +276,7 @@ def read_feature_csv(path: str) -> FeatureMatrix:
         header = next(reader, None)
         if header is None or header[:2] != ["record_id", "label"]:
             raise ValueError("header must start with record_id,label")
-        if header[2:] != column_ids(N_FEATURES):
+        if header[2:] != column_ids():
             raise ValueError(f"feature columns must be f01..f{N_FEATURES:02d}")
         ids, labels, rows = [], [], []
         for lineno, row in enumerate(reader, start=3):

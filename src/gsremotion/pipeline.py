@@ -55,7 +55,6 @@ class FitResult:
 
     model: MulticlassSvmModel
     selection: SelectionResult | None
-    normalization: object = None
 
 
 def prepare_dataset(dataset: Dataset, config: PipelineConfig) -> Dataset:
@@ -81,7 +80,7 @@ def fit_from_features(matrix: FeatureMatrix, config: PipelineConfig) -> FitResul
         restricted, config.train_config(),
         feature_indices=indices, normalization=norm,
     )
-    return FitResult(model=model, selection=selection, normalization=norm)
+    return FitResult(model=model, selection=selection)
 
 
 # Labels for raw catalog rows; normalization and restriction happen inside.

@@ -32,7 +32,8 @@ def preprocess_dataset(dataset: Dataset, norm_mode: str = "signal") -> Dataset:
     their first calm record (dataset order), taken after denoising, and
     every record of the subject maps through (x - min) / span; values may
     leave [0, 1]. A subject without a calm record, or whose calm record is
-    constant after denoising, is an error in those modes.
+    constant in its file or after denoising, is an error in those modes, as
+    is a calm range so small that a record of the subject maps to inf.
     """
     validate_norm_mode(norm_mode)
     records = dataset.records
@@ -52,17 +53,22 @@ def preprocess_dataset(dataset: Dataset, norm_mode: str = "signal") -> Dataset:
         for rec, row in zip(records, samples):
             if rec.label is EmotionLabel.CALM and rec.subject_id not in ranges:
                 low, high = row.min(), row.max()
-                if not high > low:
+                # denoising leaves a ~1e-15 wobble on a record flat in its file
+                if not (high > low and rec.samples.max() > rec.samples.min()):
                     raise ValueError(f"calm record {rec.record_id!r} is constant after "
                                      "denoising and cannot set a range")
-                ranges[rec.subject_id] = (low, high - low)
+                ranges[rec.subject_id] = (rec.record_id, low, high - low)
         missing = sorted({r.subject_id for r in records} - set(ranges))
         if missing:
             raise ValueError(
                 "signal normalization needs a calm record per subject; "
                 "missing for: " + ", ".join(missing)
             )
-        for i, rec in enumerate(records):
-            low, span = ranges[rec.subject_id]
-            samples[i] = (samples[i] - low) / span
+        with np.errstate(over="ignore"):  # a range too small to divide by is refused below
+            for i, rec in enumerate(records):
+                calm_id, low, span = ranges[rec.subject_id]
+                samples[i] = (samples[i] - low) / span
+                if not np.isfinite(samples[i]).all():
+                    raise ValueError(f"calm record {calm_id!r} has a range too small to "
+                                     f"normalize record {rec.record_id!r}")
     return Dataset(records=[rec.with_samples(row) for rec, row in zip(records, samples)])

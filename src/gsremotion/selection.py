@@ -15,52 +15,24 @@ from .dataset import file_errors, write_json
 from .features import CATALOG_VERSION, FEATURE_NAMES, FeatureMatrix
 
 
-def _as_array(data) -> np.ndarray:
-    values = data.values if isinstance(data, FeatureMatrix) else np.asarray(data, dtype=np.float64)
-    return np.asarray(values, dtype=np.float64)
-
-
-@dataclass
-class CovarianceMatrix:
-    """Symmetric feature-by-feature covariance or correlation matrix."""
-
-    values: np.ndarray
-    kind: str = "covariance"
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.kind not in ("covariance", "correlation"):
-            raise ValueError(f"kind must be covariance or correlation, got {self.kind!r}")
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("matrix has non-finite entries")
-        if np.max(np.abs(self.values - self.values.T)) > 1e-12:
-            raise ValueError("matrix is not symmetric")
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
-def covariance_matrix(data, kind: str = "covariance") -> CovarianceMatrix:
-    """Column-wise covariance (or correlation) of a feature table.
-
-    Correlation entries involving a constant column are set to 0 off the
-    diagonal and 1 on it, so downstream consumers see a valid matrix.
-    """
-    X = _as_array(data)
+def covariance_matrix(X) -> np.ndarray:
+    """Population covariance of the columns of a (rows x columns) table, symmetrized."""
+    X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D table, got shape {X.shape}")
     if X.shape[0] < 2:
         raise ValueError(f"need at least 2 rows, got {X.shape[0]}")
+    if not np.isfinite(X).all():
+        raise ValueError("table has non-finite values")
     centered = X - X.mean(axis=0)
     cov = centered.T @ centered / X.shape[0]
-    cov = (cov + cov.T) / 2.0
-    if kind == "covariance":
-        return CovarianceMatrix(values=cov, kind="covariance")
-    if kind != "correlation":
-        raise ValueError(f"kind must be covariance or correlation, got {kind!r}")
+    return (cov + cov.T) / 2.0
+
+
+def correlation_matrix(X) -> np.ndarray:
+    """Column correlation of a table; a constant column correlates 0 with
+    the others and 1 with itself."""
+    cov = covariance_matrix(X)
     std = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     constant = std == 0.0
     denom = np.outer(std, std)
@@ -69,8 +41,7 @@ def covariance_matrix(data, kind: str = "covariance") -> CovarianceMatrix:
     corr[constant, :] = 0.0
     corr[:, constant] = 0.0
     np.fill_diagonal(corr, 1.0)
-    corr = (corr + corr.T) / 2.0
-    return CovarianceMatrix(values=corr, kind="correlation")
+    return (corr + corr.T) / 2.0
 
 
 @dataclass
@@ -84,7 +55,6 @@ class SelectionResult:
     """
 
     selected_indices: tuple
-    k: int
     drop_order: list = field(default_factory=list)
     constant_indices: tuple = ()
     scores: np.ndarray = None
@@ -93,16 +63,16 @@ class SelectionResult:
 
     def __post_init__(self):
         self.selected_indices = tuple(int(i) for i in self.selected_indices)
-        if len(self.selected_indices) != self.k:
-            raise ValueError(
-                f"{len(self.selected_indices)} selected indices but k={self.k}"
-            )
         if sorted(set(self.selected_indices)) != list(self.selected_indices):
             raise ValueError("selected_indices must be unique and ascending")
         if self.scores is not None:
             self.scores = np.asarray(self.scores, dtype=np.float64)
             if not np.all(np.isfinite(self.scores)):
                 raise ValueError("scores must be finite")
+
+    @property
+    def k(self) -> int:
+        return len(self.selected_indices)
 
 
 def validate_k(k: int, n_features: int) -> int:
@@ -126,58 +96,46 @@ def select_features(matrix: FeatureMatrix, k: int) -> SelectionResult:
         raise ValueError(f"selection needs at least 2 rows, got {matrix.n_rows}")
     X = matrix.values
     std = X.std(axis=0)
-    constant = [c for c in range(n_feat) if std[c] == 0.0]
+    constant = np.flatnonzero(std == 0.0)
     warnings = [
         f"feature {c + 1} ({FEATURE_NAMES[c] if c < len(FEATURE_NAMES) else '?'}) "
         "is constant and was excluded"
         for c in constant
     ]
-    remaining = [c for c in range(n_feat) if std[c] != 0.0]
-    if len(remaining) < k:
+    rest = np.flatnonzero(std != 0.0)
+    if len(rest) < k:
         raise ValueError(
-            f"only {len(remaining)} non-constant features available, cannot select {k}"
+            f"only {len(rest)} non-constant features available, cannot select {k}"
         )
-    corr = covariance_matrix(matrix, kind="correlation").values
+    corr = correlation_matrix(X)
     abs_corr = np.abs(corr)
-    drop_order = [c + 1 for c in constant]
+    drop_order = [int(c) + 1 for c in constant]
 
-    while len(remaining) > k:
-        best = (-1.0, -1, -1)
-        for a_pos in range(len(remaining) - 1):
-            i = remaining[a_pos]
-            for j in remaining[a_pos + 1:]:
-                if abs_corr[i, j] > best[0]:
-                    best = (abs_corr[i, j], i, j)
-        _, i, j = best
-        rest = np.array(remaining)
+    while len(rest) > k:
+        # the first largest entry above the diagonal, in row-major order
+        block = abs_corr[np.ix_(rest, rest)]
+        block[np.tril_indices(len(rest))] = -1.0
+        a, b = divmod(int(np.argmax(block)), len(rest))
+        i, j = rest[a], rest[b]
 
         def mean_to_rest(c):
             others = rest[rest != c]
             return float(abs_corr[c, others].mean())
 
-        mi, mj = mean_to_rest(i), mean_to_rest(j)
-        if mi > mj:
-            drop = i
-        elif mj > mi:
-            drop = j
-        else:
-            drop = max(i, j)
-        remaining.remove(drop)
-        drop_order.append(drop + 1)
+        drop = i if mean_to_rest(i) > mean_to_rest(j) else j  # a tie drops j, the larger
+        rest = rest[rest != drop]
+        drop_order.append(int(drop) + 1)
 
-    selected = sorted(remaining)
     scores = np.zeros(n_feat)
-    sel_arr = np.array(selected)
     for c in range(n_feat):
         if std[c] == 0.0:
             continue
-        others = sel_arr[sel_arr != c]
+        others = rest[rest != c]
         scores[c] = float(abs_corr[c, others].mean()) if others.size else 0.0
     return SelectionResult(
-        selected_indices=tuple(c + 1 for c in selected),
-        k=k,
+        selected_indices=tuple(int(c) + 1 for c in rest),
         drop_order=drop_order,
-        constant_indices=tuple(c + 1 for c in constant),
+        constant_indices=tuple(int(c) + 1 for c in constant),
         scores=scores,
         warnings=warnings,
         correlation=corr,

@@ -8,6 +8,7 @@ library tests and the acceptance suite.
 
 import json
 import os
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -25,7 +26,7 @@ from gsremotion.dataset import (
     load_dataset,
     save_dataset,
 )
-from gsremotion.features import read_feature_csv, write_feature_csv
+from gsremotion.features import read_feature_csv
 from gsremotion.selection import read_selection_indices
 from gsremotion.svm import load_model
 
@@ -147,6 +148,17 @@ class TestPreprocess:
             "error: record 'f1' has non-finite values after denoising\n")
 
 
+    def test_tiny_calm_range_names_the_calm_record(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        calm = GsrRecord("c1", "S01", EmotionLabel.CALM, 16.0, 1e-310 * rng.uniform(1, 2, 960))
+        fear = GsrRecord("f1", "S01", EmotionLabel.FEAR, 16.0, 3.0 + rng.uniform(0, 1, 960))
+        manifest = save_dataset(Dataset(records=[calm, fear]), str(tmp_path / "corpus"))
+        rc = main_printing_warnings(["preprocess", "--manifest", manifest,
+                                     "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: calm record 'c1' has a range too small to normalize record 'f1'\n")
+
 class TestFeatures:
     def test_table_shape(self, features_csv):
         matrix = read_feature_csv(str(features_csv))
@@ -200,6 +212,24 @@ class TestSelect:
         assert rc == 1
         assert "comma-separated integers" in capsys.readouterr().err
 
+
+    def test_too_few_varying_columns_names_the_table(self, features_csv, tmp_path, capsys):
+        lines = features_csv.read_text().splitlines()
+        flat = tmp_path / "flat.csv"
+        flat.write_text("\n".join(lines[:2] + [
+            ",".join(line.split(",")[:2] + ["1.0"] * 20 + line.split(",")[22:])
+            for line in lines[2:]]) + "\n")
+        rc = cli.main(["select", "--features", str(flat), "--out", str(tmp_path / "s.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {re.escape(str(flat))}: only \\d+ non-constant "
+                            "features available, cannot select 15\n", err)
+
+    def test_bad_k_flag_names_no_file(self, features_csv, tmp_path, capsys):
+        rc = cli.main(["select", "--features", str(features_csv),
+                       "--out", str(tmp_path / "s.json"), "--k", "31"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: k must be in 1..30, got 31\n"
 
 class TestTrain:
     def test_model_round_trip(self, model_path):
@@ -525,10 +555,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_restricted_table_is_validation_error(self, model_path, features_csv,
                                                   tmp_path, capsys, command):
-        model = load_model(str(model_path))
+        # k catalog columns under the header f01..fk, as a restricted matrix would give
+        k = len(load_model(str(model_path)).feature_indices)
+        lines = features_csv.read_text().splitlines()
+        header = ["record_id", "label"] + [f"f{i:02d}" for i in range(1, k + 1)]
+        body = [",".join(line.split(",")[:k + 2]) for line in lines[2:]]
         restricted = tmp_path / "restricted.csv"
-        write_feature_csv(read_feature_csv(str(features_csv)).restrict(model.feature_indices),
-                          str(restricted))
+        restricted.write_text("\n".join([lines[0], ",".join(header), *body]) + "\n")
         rc = cli.main([command, "--model", str(model_path), "--features", str(restricted),
                        "--out", str(tmp_path / "out")])
         assert rc == 1

@@ -29,8 +29,9 @@ def test_catalog_is_30_features():
 
 
 def test_column_ids_are_zero_padded():
-    assert column_ids(3) == ["f01", "f02", "f03"]
-    assert column_ids(30)[-1] == "f30"
+    assert column_ids()[:3] == ["f01", "f02", "f03"]
+    assert column_ids()[-1] == "f30"
+    assert len(column_ids()) == N_FEATURES
 
 
 class TestDifference:
@@ -228,7 +229,13 @@ class TestFeatureCsv:
         write_feature_csv(self.matrix(small_corpus), str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == f"# catalog_version: {CATALOG_VERSION}"
-        assert lines[1] == "record_id,label," + ",".join(column_ids(30))
+        assert lines[1] == "record_id,label," + ",".join(column_ids())
+
+    def test_writer_refuses_restricted_table(self, small_corpus, tmp_path):
+        path = tmp_path / "f.csv"
+        with pytest.raises(ValueError, match="30 catalog columns, got 3"):
+            write_feature_csv(self.matrix(small_corpus).restrict([2, 4, 9]), str(path))
+        assert not path.exists()
 
     def test_unlabeled_rows_round_trip(self, tmp_path):
         m = FeatureMatrix(values=np.random.default_rng(0).normal(size=(2, 30)),
@@ -281,7 +288,7 @@ class TestFeatureCsv:
 
     def test_no_rows(self, tmp_path):
         path = tmp_path / "f.csv"
-        header = "record_id,label," + ",".join(column_ids(30))
+        header = "record_id,label," + ",".join(column_ids())
         path.write_text(f"# catalog_version: {CATALOG_VERSION}\n{header}\n")
         with pytest.raises(ValueError, match="no feature rows"):
             read_feature_csv(str(path))

@@ -65,7 +65,7 @@ class TestFitFromFeatures:
         assert fitted.selection is not None
         assert fitted.selection.k == 15
         assert fitted.model.feature_indices == fitted.selection.selected_indices
-        assert fitted.normalization is None
+        assert fitted.model.normalization is None
 
     def test_explicit_features_skip_selection(self, small_features):
         config = PipelineConfig(explicit_features=[1, 5, 9, 25], seed=42)
@@ -77,8 +77,7 @@ class TestFitFromFeatures:
     def test_feature_norm_modes_fit_a_scaler(self, small_features, mode):
         config = PipelineConfig(norm_mode=mode, seed=42)
         fitted = fit_from_features(small_features, config)
-        assert fitted.normalization is not None
-        assert fitted.model.normalization is fitted.normalization
+        assert fitted.model.normalization is not None
         # prediction accepts raw rows and applies the stored scaling
         predicted = predict_rows(fitted.model, small_features.values)
         assert len(predicted) == small_features.n_rows

@@ -49,6 +49,13 @@ class TestNormalizationParams:
         with pytest.raises(ValueError, match="calm record 'c1' is constant after denoising"):
             preprocess_dataset(ds, "signal")
 
+    def test_flat_calm_record_rejected(self):
+        # denoising leaves a ~1e-15 wobble on it, which would scale f1 by ~1e14
+        ds = Dataset(records=[GsrRecord("c1", "S01", EmotionLabel.CALM, 16.0, np.full(960, 3.0)),
+                              record("f1", "S01", EmotionLabel.FEAR, n=960)])
+        with pytest.raises(ValueError, match="calm record 'c1' is constant after denoising"):
+            preprocess_dataset(ds, "signal")
+
     def test_non_finite_baseline_rejected(self):
         ds = Dataset(records=[
             record("c0", "S01", EmotionLabel.CALM, seed=1),

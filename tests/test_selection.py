@@ -6,14 +6,15 @@ from numpy.testing import assert_allclose
 
 from gsremotion.features import FEATURE_NAMES, FeatureMatrix
 from gsremotion.selection import (
-    CovarianceMatrix,
     SelectionResult,
+    correlation_matrix,
     covariance_matrix,
     read_selection_indices,
     select_features,
     validate_catalog_indices,
     write_selection_json,
 )
+from selection_reference import select_features as reference_select_features
 
 
 def table(values):
@@ -28,7 +29,8 @@ def table(values):
 
 def pair(x, y, kind="covariance"):
     """The off-diagonal entry of the 2x2 matrix: the (co)variance of x and y."""
-    return covariance_matrix(np.column_stack([x, y]), kind=kind).values[0, 1]
+    matrix = covariance_matrix if kind == "covariance" else correlation_matrix
+    return matrix(np.column_stack([x, y]))[0, 1]
 
 
 class TestCovariance:
@@ -83,7 +85,7 @@ class TestCovarianceMatrix:
     def test_matches_pairwise_loop(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(40, 6))
-        got = covariance_matrix(X).values
+        got = covariance_matrix(X)
         for i in range(6):
             for j in range(6):
                 direct = np.mean((X[:, i] - X[:, i].mean()) * (X[:, j] - X[:, j].mean()))
@@ -94,20 +96,20 @@ class TestCovarianceMatrix:
         rng = np.random.default_rng(9)
         a = rng.normal(size=50)
         X = np.column_stack([a, a, rng.normal(size=50)])
-        corr = covariance_matrix(X, kind="correlation").values
+        corr = correlation_matrix(X)
         assert_allclose(np.diag(corr), 1.0)
         assert corr[0, 1] == pytest.approx(1.0)
 
     def test_independent_columns_nearly_uncorrelated(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(10_000, 4))
-        corr = covariance_matrix(X, kind="correlation").values
+        corr = correlation_matrix(X)
         off = corr[~np.eye(4, dtype=bool)]
         assert np.max(np.abs(off)) < 0.05
 
     def test_constant_column_correlation_zeroed(self):
         X = np.column_stack([np.ones(20), np.arange(20.0)])
-        corr = covariance_matrix(X, kind="correlation").values
+        corr = correlation_matrix(X)
         assert corr[0, 1] == 0.0 and corr[1, 0] == 0.0
         assert corr[0, 0] == 1.0
 
@@ -115,18 +117,6 @@ class TestCovarianceMatrix:
         with pytest.raises(ValueError, match="at least 2 rows"):
             covariance_matrix(np.ones((1, 3)))
 
-    def test_bad_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            covariance_matrix(np.ones((3, 2)), kind="precision")
-
-    def test_validation_rejects_asymmetric(self):
-        m = np.array([[1.0, 0.5], [0.2, 1.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            CovarianceMatrix(values=m)
-
-    def test_validation_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            CovarianceMatrix(values=np.ones((2, 3)))
 
 
 class TestPerLabelCovariance:
@@ -135,8 +125,8 @@ class TestPerLabelCovariance:
         assert len(set(labels)) == 5
         for lab in set(labels):
             cov = covariance_matrix(default_features.values[labels == lab])
-            assert cov.dim == 30
-            assert np.linalg.eigvalsh(cov.values).min() >= -1e-8
+            assert cov.shape[0] == 30
+            assert np.linalg.eigvalsh(cov).min() >= -1e-8
 
 
 class TestSelectFeatures:
@@ -214,14 +204,35 @@ class TestSelectFeatures:
         assert np.all(result.scores <= 1.0)
 
 
-class TestSelectionResultValidation:
-    def test_count_must_match_k(self):
-        with pytest.raises(ValueError, match="k=3"):
-            SelectionResult(selected_indices=(1, 2), k=3)
+class TestReferenceParity:
+    """One argmax per step picks the pair the pairwise scan loop picked."""
 
+    @staticmethod
+    def assert_same(X, k):
+        got = select_features(table(X), k)
+        selected, drop_order, scores = reference_select_features(X, k)
+        assert list(got.selected_indices) == selected
+        assert got.drop_order == drop_order
+        assert got.scores.tobytes() == scores.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 5, 15, 29, 30])
+    def test_default_corpus(self, default_features, k):
+        self.assert_same(default_features.values, k)
+
+    def test_tie_heavy_integer_tables(self):
+        # values 0..2 over 2-11 rows: many tied correlations and constant columns
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            X = rng.integers(0, 3, size=(rng.integers(2, 12), 30)).astype(np.float64)
+            varying = int(np.count_nonzero(X.std(axis=0)))
+            for k in {1, varying // 2, varying} - {0}:
+                self.assert_same(X, k)
+
+
+class TestSelectionResultValidation:
     def test_must_be_ascending(self):
         with pytest.raises(ValueError, match="ascending"):
-            SelectionResult(selected_indices=(2, 1), k=2)
+            SelectionResult(selected_indices=(2, 1))
 
 
 class TestSelectionJson:

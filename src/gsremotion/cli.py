@@ -22,6 +22,7 @@ from .dataset import (
     write_json,
 )
 from .evaluate import (
+    SAMPLED_PER_LABEL,
     ConfusionMatrix,
     accuracy,
     format_confusion,
@@ -273,7 +274,7 @@ def cmd_select(args) -> int:
     else:
         k = validate_k(_resolve(args, cfg, "k", int, PipelineConfig.selection_k), N_FEATURES)
         with file_errors(args.features):  # too few rows or varying columns: the table's fault
-            result = select_features(matrix, k)
+            result = select_features(matrix.values, k)
     write_selection_json(result, args.out)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -344,8 +345,8 @@ def cmd_eval(args) -> int:
         "per_label_rate": {lab.value: rate for lab, rate in rates.items()},
         "confusion": cm.counts.tolist(),
         "sampled_rates": {
-            "note": "3 records per label; coarse fixed-denominator view, "
-                    "not a statistic",
+            "note": f"{SAMPLED_PER_LABEL} records per label; coarse "
+                    "fixed-denominator view, not a statistic",
             "seed": seed,
             "rates": {lab.value: entry for lab, entry in sample.items()},
         },

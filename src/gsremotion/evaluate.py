@@ -12,6 +12,9 @@ import numpy as np
 
 from .dataset import LABEL_ORDER, Dataset
 
+# Rows drawn per label for the sampled rates of `eval`.
+SAMPLED_PER_LABEL = 3
+
 
 @dataclass
 class ConfusionMatrix:
@@ -241,11 +244,11 @@ def format_rates(cm: ConfusionMatrix) -> str:
     return "\n".join(lines)
 
 
-def sampled_label_rates(truth, predicted, seed: int, per_label: int = 3) -> dict:
+def sampled_label_rates(truth, predicted, seed: int) -> dict:
     """Per-label percent rates over a tiny fixed-size sample of the rows.
 
-    Draws per_label rows of each label (seeded; fewer when fewer exist) and
-    scores just those. With 3 rows per label the percentages land on the
+    Draws SAMPLED_PER_LABEL rows of each label (seeded; fewer when fewer exist)
+    and scores just those. With 3 rows per label the percentages land on the
     0/33.33/66.67/100 grid; a coarse fixed-denominator view, not a statistic.
     """
     truth = list(truth)
@@ -258,7 +261,7 @@ def sampled_label_rates(truth, predicted, seed: int, per_label: int = 3) -> dict
         rows = [i for i, t in enumerate(truth) if t == lab]
         if not rows:
             continue
-        take = min(per_label, len(rows))
+        take = min(SAMPLED_PER_LABEL, len(rows))
         picked = rng.choice(len(rows), size=take, replace=False)
         correct = sum(1 for j in picked if predicted[rows[j]] == lab)
         out[lab] = {"n": take, "percent": 100.0 * correct / take}
@@ -267,7 +270,7 @@ def sampled_label_rates(truth, predicted, seed: int, per_label: int = 3) -> dict
 
 def format_sampled_rates(rates: dict) -> str:
     """Render a sampled_label_rates mapping; explicitly labeled non-statistical."""
-    lines = ["per-label rates on a 3-record sample (coarse view, "
+    lines = [f"per-label rates on a {SAMPLED_PER_LABEL}-record sample (coarse view, "
              "not a statistic)"]
     lines.append(f"{'label':<12}{'n':>6}{'rate(%)':>10}")
     for lab, entry in rates.items():

@@ -13,7 +13,7 @@ per-signal computation gives.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,18 +72,6 @@ class FeatureMatrix:
     @property
     def n_features(self) -> int:
         return self.values.shape[1]
-
-    def restrict(self, catalog_indices) -> "FeatureMatrix":
-        """Column subset by 1-based catalog indices (order preserved)."""
-        cols = [int(i) - 1 for i in catalog_indices]
-        for c in cols:
-            if not 0 <= c < self.n_features:
-                raise ValueError(f"catalog index {c + 1} out of range 1..{self.n_features}")
-        return FeatureMatrix(
-            values=self.values[:, cols],
-            record_ids=list(self.record_ids),
-            labels=list(self.labels),
-        )
 
 
 def difference(signal: np.ndarray, order: int) -> np.ndarray:
@@ -186,21 +174,17 @@ def extract_dataset_features(dataset: Dataset) -> FeatureMatrix:
 class FeatureNormalization:
     """Column-wise min/max scaling fitted on a training matrix.
 
-    Degenerate (constant) columns are flagged and map to 0 on apply so they
-    carry no information instead of dividing by zero.
+    A degenerate (constant) column, max == min, maps to 0 so it carries no
+    information instead of dividing by zero.
     """
 
     mins: np.ndarray
     maxs: np.ndarray
-    degenerate: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.mins = np.asarray(self.mins, dtype=np.float64)
         self.maxs = np.asarray(self.maxs, dtype=np.float64)
-        if self.degenerate is None:
-            self.degenerate = self.maxs <= self.mins
-        self.degenerate = np.asarray(self.degenerate, dtype=bool)
-        if not (self.mins.shape == self.maxs.shape == self.degenerate.shape):
+        if self.mins.shape != self.maxs.shape:
             raise ValueError("normalization arrays must share one shape")
         if np.any(self.maxs < self.mins):
             raise ValueError("per-column max must be >= min")
@@ -208,6 +192,10 @@ class FeatureNormalization:
     @property
     def n_features(self) -> int:
         return self.mins.size
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        return self.maxs == self.mins
 
     def scale(self, values: np.ndarray) -> np.ndarray:
         """Scale a 2-D block of raw rows to [0, 1] per column (0 if degenerate)."""
@@ -217,9 +205,10 @@ class FeatureNormalization:
                 f"rows have shape {values.shape}, normalization expects "
                 f"{self.n_features} columns"
             )
-        span = np.where(self.degenerate, 1.0, self.maxs - self.mins)
+        degenerate = self.degenerate
+        span = np.where(degenerate, 1.0, self.maxs - self.mins)
         scaled = (values - self.mins) / span
-        scaled[:, self.degenerate] = 0.0
+        scaled[:, degenerate] = 0.0
         return scaled
 
 
@@ -227,15 +216,6 @@ def fit_feature_normalization(matrix: FeatureMatrix) -> FeatureNormalization:
     return FeatureNormalization(
         mins=matrix.values.min(axis=0),
         maxs=matrix.values.max(axis=0),
-    )
-
-
-def apply_feature_normalization(matrix: FeatureMatrix,
-                                norm: FeatureNormalization) -> FeatureMatrix:
-    return FeatureMatrix(
-        values=norm.scale(matrix.values),
-        record_ids=list(matrix.record_ids),
-        labels=list(matrix.labels),
     )
 
 

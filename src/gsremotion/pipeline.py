@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 from .dataset import Dataset, stratified_split_indices
 from .evaluate import ConfusionMatrix, accuracy
-from .features import FeatureMatrix, apply_feature_normalization, fit_feature_normalization
+from .features import FeatureMatrix, fit_feature_normalization
 from .kernels import KernelSpec
 from .preprocess import preprocess_dataset, validate_norm_mode
 from .selection import SelectionResult, select_features, validate_catalog_indices
@@ -63,23 +63,22 @@ def prepare_dataset(dataset: Dataset, config: PipelineConfig) -> Dataset:
 
 
 def fit_from_features(matrix: FeatureMatrix, config: PipelineConfig) -> FitResult:
-    """Fit normalization, selection and all pairwise machines on one table."""
+    """Fit normalization, selection and all pairwise machines on one table.
+
+    Selection sees the rows as scaled by the normalization; training gets
+    the full catalog rows and prepares them as prediction does.
+    """
     norm = None
-    working = matrix
     if config.norm_mode in ("feature", "both"):
         norm = fit_feature_normalization(matrix)
-        working = apply_feature_normalization(matrix, norm)
     if config.explicit_features is not None:
-        indices = list(config.explicit_features)
+        indices = config.explicit_features
         selection = None
     else:
-        selection = select_features(working, config.selection_k)
-        indices = list(selection.selected_indices)
-    restricted = working.restrict(indices)
-    model = train_multiclass(
-        restricted, config.train_config(),
-        feature_indices=indices, normalization=norm,
-    )
+        scaled = matrix.values if norm is None else norm.scale(matrix.values)
+        selection = select_features(scaled, config.selection_k)
+        indices = selection.selected_indices
+    model = train_multiclass(matrix, config.train_config(), indices, norm)
     return FitResult(model=model, selection=selection)
 
 

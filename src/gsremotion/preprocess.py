@@ -21,7 +21,7 @@ def validate_norm_mode(mode: str) -> str:
     return mode
 
 
-def preprocess_dataset(dataset: Dataset, norm_mode: str = "signal") -> Dataset:
+def preprocess_dataset(dataset: Dataset, norm_mode: str) -> Dataset:
     """Denoise every record; apply per-subject calm normalization if requested.
 
     Records are denoised a block of equal-length records at a time and come

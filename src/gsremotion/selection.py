@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import file_errors, write_json
-from .features import CATALOG_VERSION, FEATURE_NAMES, FeatureMatrix
+from .features import CATALOG_VERSION, FEATURE_NAMES
 
 
 def covariance_matrix(X) -> np.ndarray:
@@ -24,8 +24,11 @@ def covariance_matrix(X) -> np.ndarray:
         raise ValueError(f"need at least 2 rows, got {X.shape[0]}")
     if not np.isfinite(X).all():
         raise ValueError("table has non-finite values")
-    centered = X - X.mean(axis=0)
-    cov = centered.T @ centered / X.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        centered = X - X.mean(axis=0)
+        cov = centered.T @ centered / X.shape[0]
+    if not np.isfinite(cov).all():
+        raise ValueError("table values are too large: their covariance overflows")
     return (cov + cov.T) / 2.0
 
 
@@ -82,19 +85,22 @@ def validate_k(k: int, n_features: int) -> int:
     return k
 
 
-def select_features(matrix: FeatureMatrix, k: int) -> SelectionResult:
-    """Reduce a feature table to its k least mutually redundant columns.
+def select_features(X, k: int) -> SelectionResult:
+    """Reduce a (rows x columns) table to its k least mutually redundant columns.
 
-    Labels are ignored. Deterministic: pair ties take the first pair in
-    (i, j), i < j scan order; within a pair the member with the larger mean
-    absolute correlation to the remaining features is dropped, ties dropping
-    the larger catalog index.
+    Deterministic: pair ties take the first pair in (i, j), i < j scan
+    order; within a pair the member with the larger mean absolute
+    correlation to the remaining features is dropped, ties dropping the
+    larger catalog index.
     """
-    n_feat = matrix.n_features
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-D table, got shape {X.shape}")
+    n_feat = X.shape[1]
     validate_k(k, n_feat)
-    if matrix.n_rows < 2:
-        raise ValueError(f"selection needs at least 2 rows, got {matrix.n_rows}")
-    X = matrix.values
+    if X.shape[0] < 2:
+        raise ValueError(f"selection needs at least 2 rows, got {X.shape[0]}")
+    corr = correlation_matrix(X)  # first: it refuses a table too large to square
     std = X.std(axis=0)
     constant = np.flatnonzero(std == 0.0)
     warnings = [
@@ -107,7 +113,6 @@ def select_features(matrix: FeatureMatrix, k: int) -> SelectionResult:
         raise ValueError(
             f"only {len(rest)} non-constant features available, cannot select {k}"
         )
-    corr = correlation_matrix(X)
     abs_corr = np.abs(corr)
     drop_order = [int(c) + 1 for c in constant]
 
@@ -165,16 +170,18 @@ def read_selection_indices(path: str) -> list:
     """Load selected catalog indices from a selection JSON file."""
     with file_errors(path, "selection file"), open(path) as fh:
         indices = json.load(fh).get("selected_indices")
-        if not isinstance(indices, list) or not indices:
-            raise ValueError("missing or empty selected_indices")
+        if not isinstance(indices, list):
+            raise ValueError("selected_indices is missing or not a list")
         return validate_catalog_indices(indices)
 
 
 def validate_catalog_indices(indices) -> list:
-    """Check a 1-based catalog index list: ints in range, unique, ascending.
+    """Check a 1-based catalog index list: non-empty, ints in range, unique, ascending.
 
     Booleans are refused although True == 1: JSON `true` is not an index.
     """
+    if len(indices) == 0:
+        raise ValueError("catalog index list is empty")
     out = []
     for i in indices:
         if isinstance(i, (bool, np.bool_)):

@@ -14,12 +14,14 @@ choosing the pair and updating the selection scores.
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .dataset import LABEL_ORDER, file_errors, parse_label, write_json
-from .features import CATALOG_VERSION, FEATURE_NAMES, FeatureMatrix, FeatureNormalization
+from .features import CATALOG_VERSION, N_FEATURES, FeatureMatrix, FeatureNormalization
 from .kernels import KernelSpec, gram
+from .selection import validate_catalog_indices
 
 MODEL_FORMAT_VERSION = 1
 
@@ -222,7 +224,11 @@ def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig,
         raise ValueError("both classes must be present")
 
     spec = config.kernel.resolved(X.shape[1])
-    Q = gram(spec, X)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        Q = gram(spec, X)
+    if not np.isfinite(Q).all():
+        raise ValueError("kernel matrix overflows: feature values or kernel "
+                         "parameters are too large")
     Q *= np.outer(y, y)
     tiebreak = np.random.default_rng(config.seed).random(y.size)
     alpha, G, iterations, converged, trace = _smo_solve(
@@ -275,37 +281,39 @@ class MulticlassSvmModel:
     def __post_init__(self):
         self.label_order = tuple(self.label_order)
         self.feature_indices = tuple(int(i) for i in self.feature_indices)
-        if len(self.label_order) < 2:
-            raise ValueError("multiclass model needs at least 2 labels")
-        expected = len(self.label_order) * (len(self.label_order) - 1) // 2
-        if len(self.machines) != expected:
-            raise ValueError(
-                f"{len(self.machines)} machines for {len(self.label_order)} labels "
-                f"(expected {expected})"
-            )
-        if not all(1 <= i <= len(FEATURE_NAMES) for i in self.feature_indices):
+        if not all(1 <= i <= N_FEATURES for i in self.feature_indices):
             raise ValueError(
                 f"feature indices {self.feature_indices} outside catalog "
-                f"columns 1..{len(FEATURE_NAMES)}"
+                f"columns 1..{N_FEATURES}"
             )
+        if len(self.label_order) < 2 or self.label_order != tuple(
+                lab for lab in LABEL_ORDER if lab in self.label_order):
+            raise ValueError("multiclass model needs at least 2 labels, once each, in label order")
+        if [m.label_pair for m in self.machines] != list(combinations(self.label_order, 2)):
+            raise ValueError(f"{len(self.machines)} machines for {len(self.label_order)} labels: "
+                             "need one per label pair, in label order")
+        widths = {m.support_vectors.shape[1] for m in self.machines}
+        if widths != {len(self.feature_indices)}:
+            raise ValueError(f"machines are {sorted(widths)} features wide, "
+                             f"the model has {len(self.feature_indices)}")
+        if self.normalization is not None and self.normalization.n_features != N_FEATURES:
+            raise ValueError(f"normalization has {self.normalization.n_features} columns, "
+                             f"expected {N_FEATURES}")
 
 
 def train_multiclass(matrix: FeatureMatrix, config: TrainConfig,
                      feature_indices=None,
                      normalization: FeatureNormalization | None = None) -> MulticlassSvmModel:
-    """Train all pairwise machines on an already restricted/normalized table.
+    """Train all pairwise machines on a table of full catalog rows.
 
-    matrix columns must correspond to feature_indices (defaults to the
-    identity 1..n_features). normalization is carried as metadata so
-    prediction can reproduce the training-time scaling from raw rows.
+    The rows go through _prepare_rows, as at prediction: scaled by
+    normalization (if any), then cut to feature_indices (default: all
+    catalog columns).
     """
     if feature_indices is None:
-        feature_indices = tuple(range(1, matrix.n_features + 1))
-    feature_indices = tuple(int(i) for i in feature_indices)
-    if len(feature_indices) != matrix.n_features:
-        raise ValueError(
-            f"{len(feature_indices)} feature indices for {matrix.n_features} columns"
-        )
+        feature_indices = range(1, N_FEATURES + 1)
+    feature_indices = tuple(validate_catalog_indices(feature_indices))
+    values = _prepare_rows(normalization, feature_indices, matrix.values)
     labels = matrix.labels
     if any(lab is None for lab in labels):
         raise ValueError("training rows must all carry labels")
@@ -315,16 +323,12 @@ def train_multiclass(matrix: FeatureMatrix, config: TrainConfig,
 
     machines = []
     lab_arr = np.array([present.index(lab) for lab in labels])
-    for a in range(len(present)):
-        for b in range(a + 1, len(present)):
-            rows = np.flatnonzero((lab_arr == a) | (lab_arr == b))
-            y = np.where(lab_arr[rows] == a, 1.0, -1.0)
-            machines.append(
-                train_binary(
-                    matrix.values[rows], y, config,
-                    label_pair=(present[a], present[b]),
-                )
-            )
+    for a, b in combinations(range(len(present)), 2):
+        rows = np.flatnonzero((lab_arr == a) | (lab_arr == b))
+        y = np.where(lab_arr[rows] == a, 1.0, -1.0)
+        machines.append(
+            train_binary(values[rows], y, config, label_pair=(present[a], present[b]))
+        )
     return MulticlassSvmModel(
         machines=machines,
         label_order=tuple(present),
@@ -334,29 +338,31 @@ def train_multiclass(matrix: FeatureMatrix, config: TrainConfig,
     )
 
 
-def _prepare_rows(model: MulticlassSvmModel, values: np.ndarray) -> np.ndarray:
-    """Normalize (if fitted) then restrict full catalog rows to model columns."""
+def _prepare_rows(normalization: FeatureNormalization | None, feature_indices,
+                  values: np.ndarray) -> np.ndarray:
+    """A model's rows from full catalog rows: checked, scaled by the
+    normalization (if any), then cut to the feature_indices columns."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"expected 2-D rows, got shape {values.shape}")
-    if values.shape[1] != len(FEATURE_NAMES):
+    if values.shape[1] != N_FEATURES:
         raise ValueError(
             f"rows have {values.shape[1]} columns, the model needs full catalog "
-            f"rows of {len(FEATURE_NAMES)} columns"
+            f"rows of {N_FEATURES} columns"
         )
     if not np.all(np.isfinite(values)):
         raise ValueError("rows contain non-finite values")
-    if model.normalization is not None:
-        values = model.normalization.scale(values)
-    return values[:, [i - 1 for i in model.feature_indices]]
+    if normalization is not None:
+        values = normalization.scale(values)
+    return values[:, [i - 1 for i in feature_indices]]
 
 
 def predict_batch(model: MulticlassSvmModel, values: np.ndarray) -> list:
     """Predict a label per full catalog row; one row is a (1, 30) batch."""
-    rows = _prepare_rows(model, values)
+    rows = _prepare_rows(model.normalization, model.feature_indices, values)
     order = model.label_order
-    pairs = np.array([[order.index(m.label_pair[0]), order.index(m.label_pair[1])]
-                      for m in model.machines])
+    # the model's machines are its label pairs in order
+    pairs = np.array(list(combinations(range(len(order)), 2)))
     f = np.column_stack([decision_values(m, rows) for m in model.machines])
     winners = np.where(f > 0, pairs[:, 0], pairs[:, 1])
     # add.at sums each row's strengths in machine order, so tie-breaks see the
@@ -479,8 +485,9 @@ def load_model(path: str) -> MulticlassSvmModel:
             norm = FeatureNormalization(
                 mins=np.array([float.fromhex(v) for v in np_payload["mins"]]),
                 maxs=np.array([float.fromhex(v) for v in np_payload["maxs"]]),
-                degenerate=np.array(np_payload["degenerate"], dtype=bool),
             )
+            if np_payload["degenerate"] != norm.degenerate.tolist():
+                raise ValueError("normalization degenerate flags disagree with its mins/maxs")
         cfg_payload = payload["config"]
         config = TrainConfig(
             c=float.fromhex(cfg_payload["c"]),

@@ -117,7 +117,7 @@ def test_04_covariance_matches_direct_sums(announce):
 
 
 def test_05_selection_reduces_redundancy_invariantly(default_features, announce):
-    result = select_features(default_features, 15)
+    result = select_features(default_features.values, 15)
     corr = np.abs(result.correlation)
     off_all = ~np.eye(corr.shape[0], dtype=bool)
     picked = [i - 1 for i in result.selected_indices]
@@ -132,7 +132,7 @@ def test_05_selection_reduces_redundancy_invariantly(default_features, announce)
         record_ids=[default_features.record_ids[i] for i in perm],
         labels=[default_features.labels[i] for i in perm],
     )
-    assert select_features(shuffled, 15).selected_indices == result.selected_indices
+    assert select_features(shuffled.values, 15).selected_indices == result.selected_indices
 
     scales = rng.uniform(0.1, 10.0, size=default_features.n_features)
     rescaled = FeatureMatrix(
@@ -140,7 +140,7 @@ def test_05_selection_reduces_redundancy_invariantly(default_features, announce)
         record_ids=list(default_features.record_ids),
         labels=list(default_features.labels),
     )
-    assert select_features(rescaled, 15).selected_indices == result.selected_indices
+    assert select_features(rescaled.values, 15).selected_indices == result.selected_indices
     announce(5)
 
 

@@ -3,7 +3,8 @@
 perfbench/run.py calls library functions by name and perfbench/tracing.py
 wraps others by (module, attribute); a name that goes missing would only
 show when the benchmark runs. These checks parse run.py, load the TARGETS
-of tracing.py, and run the README's library example.
+of tracing.py, run the README's library example, and check the attributes
+both scripts read off the objects the library returns.
 """
 
 import ast
@@ -11,8 +12,15 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import os
 import re
+
+import numpy as np
+
+from gsremotion.evaluate import ConfusionMatrix, kfold_cross_validate
+from gsremotion.features import extract_dataset_features
+from gsremotion.pipeline import PipelineConfig, evaluate_model, fit_from_features, prepare_dataset
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -87,3 +95,29 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
     assert out.getvalue().startswith("[<EmotionLabel.")
+
+
+def test_returned_objects_carry_what_perfbench_reads(small_corpus):
+    config = PipelineConfig(seed=42)
+    matrix = extract_dataset_features(prepare_dataset(small_corpus, config))
+    assert matrix.n_rows == len(small_corpus.records)
+
+    fitted = fit_from_features(matrix, config)
+    width = len(fitted.model.feature_indices)
+    assert width == config.selection_k
+    for m in fitted.model.machines:
+        assert float(m.bias).hex() == m.bias.hex()
+        assert isinstance(m.iterations, int) and m.iterations >= 1
+        assert isinstance(m.converged, bool)
+        assert m.support_vectors.shape == (m.n_support, width)
+    assert np.vstack([m.support_vectors for m in fitted.model.machines]).shape[1] == width
+
+    cm = evaluate_model(fitted.model, matrix)
+    assert isinstance(cm, ConfusionMatrix)
+    assert cm.counts.sum() == matrix.n_rows
+
+    report = kfold_cross_validate(small_corpus, 4, config, 42)
+    payload = report.to_dict()
+    json.dumps(payload)
+    assert payload["mean_accuracy"] == report.mean_accuracy
+    assert payload["heldout_accesses_during_fit"] == report.heldout_accesses == 0

@@ -47,6 +47,20 @@ def main_printing_warnings(argv) -> int:
         return cli.main(argv)
 
 
+def huge_column_table(features_csv, tmp_path):
+    """The feature table with column f02 multiplied by 1e300: finite, but its
+    squares overflow."""
+    lines = features_csv.read_text().splitlines()
+    rows = []
+    for line in lines[2:]:
+        fields = line.split(",")
+        fields[3] = repr(float(fields[3]) * 1e300)
+        rows.append(",".join(fields))
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join(lines[:2] + rows) + "\n")
+    return path
+
+
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
     """Four records per label, 16 s at the default rate, via the synth command."""
@@ -231,6 +245,27 @@ class TestSelect:
         assert rc == 1
         assert capsys.readouterr().err == "error: k must be in 1..30, got 31\n"
 
+    def test_too_large_values_name_the_table(self, features_csv, tmp_path, capsys):
+        huge = huge_column_table(features_csv, tmp_path)
+        out = tmp_path / "s.json"
+        rc = main_printing_warnings(["select", "--features", str(huge), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {huge}: table values are too large: their covariance overflows\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["select", "train", "cv", "report"])
+    @pytest.mark.parametrize("listed", [",", ""])
+    def test_empty_feature_list_rejected(self, manifest, features_csv, tmp_path, capsys,
+                                         command, listed):
+        source = ["--manifest", manifest] if command == "cv" else ["--features",
+                                                                   str(features_csv)]
+        rc = cli.main([command, *source, "--features-list", listed,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: catalog index list is empty\n"
+        assert os.listdir(tmp_path) == []
+
 class TestTrain:
     def test_model_round_trip(self, model_path):
         model = load_model(str(model_path))
@@ -276,6 +311,23 @@ class TestTrain:
                        "--out", str(tmp_path / "model.json"), "--eta", "0"])
         assert rc == 1
         assert "eta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        ([], "table values are too large: their covariance overflows"),
+        (["--features-list", "1,2,3"],
+         "kernel matrix overflows: feature values or kernel parameters are too large"),
+    ], ids=["selection", "kernel"])
+    def test_too_large_values_stop_before_the_solver(self, features_csv, tmp_path, capsys,
+                                                     monkeypatch, flags, message):
+        monkeypatch.setattr("gsremotion.svm._smo_solve",
+                            lambda *args: pytest.fail("the solver started"))
+        huge = huge_column_table(features_csv, tmp_path)
+        out = tmp_path / "model.json"
+        rc = main_printing_warnings(["train", "--features", str(huge), *flags,
+                                     "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestPredict:
@@ -492,6 +544,7 @@ class TestConfigFile:
          "config key test_fraction: test_fraction must be in (0, 1), got 1.5"),
         ("select", "features_list = 0,3\n",
          "config key features_list: catalog index 0 out of range"),
+        ("train", "features_list = ,\n", "config key features_list: catalog index list is empty"),
         ("cv", "folds = 1\n", "config key folds: folds must be >= 2, got 1"),
         ("synth", "counts = 3,3,3\n", "config key counts: counts needs 5 values"),
         ("synth", "noise_std = -1\n", "config key noise_std: noise_std_us cannot be negative"),
@@ -567,6 +620,18 @@ class TestExitCodes:
         assert rc == 1
         assert f"{restricted}: feature columns must be f01..f30" in capsys.readouterr().err
 
+    def test_inconsistent_model_names_its_file(self, model_path, features_csv,
+                                               tmp_path, capsys):
+        payload = json.loads(model_path.read_text())
+        payload["feature_indices"].pop()
+        broken = tmp_path / "model.json"
+        broken.write_text(json.dumps(payload))
+        rc = cli.main(["eval", "--model", str(broken), "--features", str(features_csv),
+                       "--out", str(tmp_path / "scores")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {broken}: machines are [15] features wide, the model has 14\n")
+
     def test_unparsable_flag_is_validation_error(self, features_csv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["train", "--features", str(features_csv),
@@ -618,6 +683,12 @@ class TestMalformedInputFiles:
         rc = self.train_with(features_csv, selection, tmp_path)
         self.assert_names(capsys, rc, selection,
                           "selection file has a value of the wrong type")
+
+    def test_empty_selection_names_its_file(self, features_csv, tmp_path, capsys):
+        selection = tmp_path / "selection.json"
+        selection.write_text(json.dumps({"selected_indices": []}))
+        rc = self.train_with(features_csv, selection, tmp_path)
+        self.assert_names(capsys, rc, selection, "catalog index list is empty")
 
     def test_selection_is_not_json(self, features_csv, tmp_path, capsys):
         selection = tmp_path / "selection.json"

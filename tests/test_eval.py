@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from gsremotion import evaluate
 from gsremotion.dataset import LABEL_ORDER, EmotionLabel
 from gsremotion.evaluate import (
     ConfusionMatrix,
@@ -255,6 +256,13 @@ class TestSampledRates:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="truths"):
             sampled_label_rates([A], [A, C], seed=0)
+
+    def test_sample_size_is_one_constant(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "SAMPLED_PER_LABEL", 2)
+        truth, predicted = self.build({lab: 3 for lab in LABEL_ORDER})
+        rates = sampled_label_rates(truth, predicted, seed=0)
+        assert all(entry["n"] == 2 for entry in rates.values())
+        assert "on a 2-record sample" in format_sampled_rates(rates)
 
     def test_format_says_not_a_statistic(self):
         truth, predicted = self.build({lab: 3 for lab in LABEL_ORDER})

@@ -9,7 +9,6 @@ from gsremotion.features import (
     N_FEATURES,
     FeatureMatrix,
     FeatureNormalization,
-    apply_feature_normalization,
     column_ids,
     difference,
     extract_dataset_features,
@@ -165,16 +164,6 @@ class TestFeatureMatrix:
         with pytest.raises(ValueError):
             m.values[0, 0] = 99.0
 
-    def test_restrict_uses_catalog_indices(self):
-        m = self.matrix()
-        out = m.restrict([3, 1])
-        assert_array_equal(out.values, m.values[:, [2, 0]])
-        assert out.record_ids == m.record_ids
-
-    def test_restrict_out_of_range(self):
-        with pytest.raises(ValueError, match="catalog index"):
-            self.matrix().restrict([5])
-
     def test_metadata_mismatch(self):
         with pytest.raises(ValueError, match="metadata"):
             FeatureMatrix(values=np.ones((2, 4)), record_ids=["a"], labels=[None, None])
@@ -186,8 +175,7 @@ class TestFeatureNormalization:
                           record_ids=list("abc"), labels=[None] * 3)
         norm = fit_feature_normalization(m)
         assert norm.mins[0] == 2.0 and norm.maxs[0] == 6.0
-        out = apply_feature_normalization(m, norm)
-        assert_allclose(out.values[:, 0], [0.0, 0.5, 1.0])
+        assert_allclose(norm.scale(m.values)[:, 0], [0.0, 0.5, 1.0])
         assert norm.scale(np.array([[7.0]]))[0, 0] == pytest.approx(1.25)
 
     def test_degenerate_column_maps_to_zero(self):
@@ -195,8 +183,7 @@ class TestFeatureNormalization:
                           record_ids=list("ab"), labels=[None] * 2)
         norm = fit_feature_normalization(m)
         assert list(norm.degenerate) == [False, True]
-        out = apply_feature_normalization(m, norm)
-        assert_array_equal(out.values[:, 1], [0.0, 0.0])
+        assert_array_equal(norm.scale(m.values)[:, 1], [0.0, 0.0])
         assert norm.scale(np.array([[3.0, 9.0]]))[0, 1] == 0.0
 
     def test_width_mismatch(self):
@@ -204,7 +191,7 @@ class TestFeatureNormalization:
                           labels=[None] * 2)
         norm = FeatureNormalization(mins=np.zeros(2), maxs=np.ones(2))
         with pytest.raises(ValueError, match="columns"):
-            apply_feature_normalization(m, norm)
+            norm.scale(m.values)
 
     def test_inverted_bounds(self):
         with pytest.raises(ValueError, match="max"):
@@ -234,7 +221,10 @@ class TestFeatureCsv:
     def test_writer_refuses_restricted_table(self, small_corpus, tmp_path):
         path = tmp_path / "f.csv"
         with pytest.raises(ValueError, match="30 catalog columns, got 3"):
-            write_feature_csv(self.matrix(small_corpus).restrict([2, 4, 9]), str(path))
+            m = self.matrix(small_corpus)
+            restricted = FeatureMatrix(values=m.values[:, [1, 3, 8]],
+                                       record_ids=m.record_ids, labels=m.labels)
+            write_feature_csv(restricted, str(path))
         assert not path.exists()
 
     def test_unlabeled_rows_round_trip(self, tmp_path):

@@ -7,7 +7,12 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from gsremotion.dataset import LABEL_ORDER, EmotionLabel
-from gsremotion.features import CATALOG_VERSION, N_FEATURES, FeatureMatrix
+from gsremotion.features import (
+    CATALOG_VERSION,
+    N_FEATURES,
+    FeatureMatrix,
+    fit_feature_normalization,
+)
 from gsremotion.kernels import KernelSpec
 from gsremotion.pipeline import PipelineConfig, fit_from_features, predict_rows
 from gsremotion.svm import (
@@ -175,6 +180,20 @@ class TestPrepareRows:
         with pytest.raises(ValueError, match=f"rows have {k} columns.* {N_FEATURES} columns"):
             predict_batch(fitted.model, small_features.values[:, cols])
 
+    def test_training_prepares_rows_as_prediction(self, small_features):
+        norm = fit_feature_normalization(small_features)
+        model = train_multiclass(small_features, TrainConfig(), (2, 4, 9), norm)
+        prepared = norm.scale(small_features.values)[:, [1, 3, 8]]
+        for m in model.machines:
+            assert all((prepared == sv).all(axis=1).any() for sv in m.support_vectors)
+
+    def test_training_refuses_restricted_rows(self, small_features):
+        restricted = FeatureMatrix(values=small_features.values[:, [1, 3, 8]],
+                                   record_ids=small_features.record_ids,
+                                   labels=small_features.labels)
+        with pytest.raises(ValueError, match=f"rows have 3 columns.* {N_FEATURES} columns"):
+            train_multiclass(restricted, TrainConfig(), (2, 4, 9))
+
     def test_incompatible_width_rejected(self, fitted):
         with pytest.raises(ValueError, match="columns"):
             predict_batch(fitted.model, np.ones((2, 3)))
@@ -307,3 +326,57 @@ class TestSerialization:
         path.write_text(path.read_text()[: path.stat().st_size // 2])
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_model(str(path))
+
+
+def drop_last_feature(payload):
+    payload["feature_indices"].pop()
+
+
+def drop_last_label(payload):
+    payload["label_order"] = payload["label_order"][:4]
+    payload["machines"] = payload["machines"][:6]
+
+
+def repeat_a_label(payload):
+    payload["machines"][0]["labels"] = ["calm", "calm"]
+
+
+def flip_a_degenerate_flag(payload):
+    flags = payload["normalization"]["degenerate"]
+    flags[0] = not flags[0]
+
+
+def narrow_the_normalization(payload):
+    for key in ("mins", "maxs", "degenerate"):
+        payload["normalization"][key].pop()
+
+
+class TestInconsistentModelFile:
+    """A model file whose parts disagree is refused by name when loaded."""
+
+    @pytest.fixture(scope="class")
+    def scaled(self, small_features):
+        return fit_from_features(small_features,
+                                 PipelineConfig(norm_mode="feature", seed=42)).model
+
+    @pytest.mark.parametrize("edit, message", [
+        (drop_last_feature, "features wide, the model has 14"),
+        (drop_last_label, "6 machines for 4 labels: need one per label pair"),
+        (repeat_a_label, "need one per label pair"),
+        (flip_a_degenerate_flag, "degenerate flags disagree with its mins/maxs"),
+        (narrow_the_normalization, "normalization has 29 columns, expected 30"),
+    ], ids=lambda v: getattr(v, "__name__", ""))
+    def test_refused_with_the_file_named(self, scaled, tmp_path, edit, message):
+        path = tmp_path / "model.json"
+        save_model(scaled, str(path))
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+            load_model(str(path))
+
+    def test_machines_out_of_pair_order_rejected(self, fitted):
+        model = fitted.model
+        with pytest.raises(ValueError, match="need one per label pair"):
+            MulticlassSvmModel(machines=model.machines[::-1], label_order=model.label_order,
+                               feature_indices=model.feature_indices)

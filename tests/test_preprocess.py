@@ -159,3 +159,7 @@ class TestPreprocessDataset:
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="norm mode"):
             preprocess_dataset(self.dataset(), "minmax")
+
+    def test_mode_is_required(self):
+        with pytest.raises(TypeError, match="norm_mode"):
+            preprocess_dataset(self.dataset())

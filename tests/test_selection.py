@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gsremotion.features import FEATURE_NAMES, FeatureMatrix
+from gsremotion.features import FEATURE_NAMES
 from gsremotion.selection import (
     SelectionResult,
     correlation_matrix,
@@ -15,16 +15,6 @@ from gsremotion.selection import (
     write_selection_json,
 )
 from selection_reference import select_features as reference_select_features
-
-
-def table(values):
-    values = np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
-    return FeatureMatrix(
-        values=values,
-        record_ids=[f"r{i}" for i in range(n)],
-        labels=[None] * n,
-    )
 
 
 def pair(x, y, kind="covariance"):
@@ -134,20 +124,18 @@ class TestSelectFeatures:
         rng = np.random.default_rng(12)
         a = rng.normal(size=60)
         b = rng.normal(size=60)
-        m = table(np.column_stack([a, b, a]))
-        result = select_features(m, 2)
+        result = select_features(np.column_stack([a, b, a]), 2)
         assert result.selected_indices == (1, 2)
         assert result.drop_order == [3]
 
     def test_k_equal_to_width_keeps_everything(self):
         rng = np.random.default_rng(13)
-        m = table(rng.normal(size=(20, 5)))
-        result = select_features(m, 5)
+        result = select_features(rng.normal(size=(20, 5)), 5)
         assert result.selected_indices == (1, 2, 3, 4, 5)
         assert result.drop_order == []
 
     def test_selected_set_is_less_correlated(self, default_features):
-        result = select_features(default_features, 15)
+        result = select_features(default_features.values, 15)
         corr = np.abs(result.correlation)
         sel = [i - 1 for i in result.selected_indices]
 
@@ -159,24 +147,24 @@ class TestSelectFeatures:
         assert mean_off_diag(sel) < mean_off_diag(list(range(30)))
 
     def test_row_order_invariance(self, default_features):
-        result = select_features(default_features, 15)
+        result = select_features(default_features.values, 15)
         rng = np.random.default_rng(0)
         perm = rng.permutation(default_features.n_rows)
-        shuffled = table(default_features.values[perm])
+        shuffled = default_features.values[perm]
         assert select_features(shuffled, 15).selected_indices == result.selected_indices
 
     def test_positive_rescale_invariance(self, default_features):
-        result = select_features(default_features, 15)
+        result = select_features(default_features.values, 15)
         scaled = default_features.values.copy()
         scaled[:, 4] *= 250.0
         scaled[:, 20] *= 1e-3
-        assert select_features(table(scaled), 15).selected_indices == result.selected_indices
+        assert select_features(scaled, 15).selected_indices == result.selected_indices
 
     def test_constant_column_warns_and_drops_first(self):
         rng = np.random.default_rng(14)
         X = rng.normal(size=(30, 4))
         X[:, 2] = 7.0
-        result = select_features(table(X), 3)
+        result = select_features(X, 3)
         assert result.constant_indices == (3,)
         assert result.drop_order[0] == 3
         assert 3 not in result.selected_indices
@@ -187,19 +175,19 @@ class TestSelectFeatures:
         X = np.random.default_rng(15).normal(size=(10, 3))
         X[:, 1] = 0.0
         with pytest.raises(ValueError, match="non-constant"):
-            select_features(table(X), 3)
+            select_features(X, 3)
 
     @pytest.mark.parametrize("k", [0, 31])
     def test_k_out_of_range(self, default_features, k):
         with pytest.raises(ValueError, match="k must be"):
-            select_features(default_features, k)
+            select_features(default_features.values, k)
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError, match="2 rows"):
-            select_features(table(np.ones((1, 3))), 1)
+            select_features(np.ones((1, 3)), 1)
 
     def test_scores_cover_unit_interval(self, default_features):
-        result = select_features(default_features, 15)
+        result = select_features(default_features.values, 15)
         assert np.all(result.scores >= 0.0)
         assert np.all(result.scores <= 1.0)
 
@@ -209,7 +197,7 @@ class TestReferenceParity:
 
     @staticmethod
     def assert_same(X, k):
-        got = select_features(table(X), k)
+        got = select_features(X, k)
         selected, drop_order, scores = reference_select_features(X, k)
         assert list(got.selected_indices) == selected
         assert got.drop_order == drop_order
@@ -237,7 +225,7 @@ class TestSelectionResultValidation:
 
 class TestSelectionJson:
     def test_round_trip(self, default_features, tmp_path):
-        result = select_features(default_features, 15)
+        result = select_features(default_features.values, 15)
         path = str(tmp_path / "selection.json")
         write_selection_json(result, path)
         assert read_selection_indices(path) == list(result.selected_indices)
@@ -287,3 +275,7 @@ class TestValidateCatalogIndices:
     def test_unsorted(self):
         with pytest.raises(ValueError, match="ascending"):
             validate_catalog_indices([5, 2])
+
+    def test_empty_list_refused(self):
+        with pytest.raises(ValueError, match="catalog index list is empty"):
+            validate_catalog_indices([])

@@ -313,7 +313,8 @@ def cmd_predict(args) -> int:
     _check_out(args.out, args.force)
     model = load_model(args.model)
     matrix = read_feature_csv(args.features)
-    predicted = predict_rows(model, matrix.values)
+    with file_errors(args.features):
+        predicted = predict_rows(model, matrix.values)
     lines = ["record_id,label,predicted"]
     for i in range(matrix.n_rows):
         true = matrix.labels[i]
@@ -332,7 +333,8 @@ def cmd_eval(args) -> int:
     seed = _resolve(args, cfg, "seed", int, PipelineConfig.seed)
     model = load_model(args.model)
     matrix = _read_labeled(args.features)
-    predicted = predict_rows(model, matrix.values)
+    with file_errors(args.features):
+        predicted = predict_rows(model, matrix.values)
     cm = ConfusionMatrix.from_predictions(matrix.labels, predicted,
                                           model.label_order)
     acc = accuracy(cm)

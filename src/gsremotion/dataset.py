@@ -59,15 +59,9 @@ class EmotionLabel(Enum):
     CALM = "calm"
 
 
-# Canonical label ordering used for stratification, pairwise machine layout
-# and report rows.
-LABEL_ORDER = (
-    EmotionLabel.HAPPINESS,
-    EmotionLabel.GRIEF,
-    EmotionLabel.FEAR,
-    EmotionLabel.ANGER,
-    EmotionLabel.CALM,
-)
+# Canonical label ordering, the declaration order, used for stratification,
+# pairwise machine layout and report rows.
+LABEL_ORDER = tuple(EmotionLabel)
 
 
 def parse_label(text: str) -> EmotionLabel:
@@ -257,6 +251,20 @@ def validate_test_fraction(test_fraction: float) -> float:
     return test_fraction
 
 
+def shuffled_label_groups(labels, seed: int) -> dict:
+    """Row indices grouped by label, in order of first appearance, each group
+    shuffled; one default_rng(seed) shuffles the groups in LABEL_ORDER."""
+    groups = {}
+    for i, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(i)
+    rng = np.random.default_rng(seed)
+    for lab in LABEL_ORDER:
+        if lab in groups:
+            rows = groups[lab]
+            groups[lab] = [rows[j] for j in rng.permutation(len(rows))]
+    return groups
+
+
 def stratified_split_indices(labels, test_fraction: float, seed: int):
     """Split row indices into (train, test) stratified by label.
 
@@ -268,26 +276,15 @@ def stratified_split_indices(labels, test_fraction: float, seed: int):
     labels = list(labels)
     if not labels:
         raise ValueError("cannot split zero rows")
-    by_label = {}
-    for i, lab in enumerate(labels):
-        by_label.setdefault(lab, []).append(i)
-    for lab, rows in by_label.items():
-        if len(rows) < 2:
-            raise ValueError(
-                f"label {lab.value!r} has {len(rows)} record(s), need at least 2 to split"
-            )
-    rng = np.random.default_rng(seed)
+    groups = shuffled_label_groups(labels, seed)
     test_idx = set()
-    for lab in LABEL_ORDER:
-        rows = by_label.get(lab)
-        if rows is None:
-            continue
+    for lab, rows in groups.items():
         n = len(rows)
+        if n < 2:
+            raise ValueError(f"label {lab.value!r} has {n} record(s), need at least 2 to split")
         # floor(x + 0.5) rounds half up; round() would round half to even
-        n_test = int(np.floor(test_fraction * n + 0.5))
-        n_test = min(max(n_test, 0), n - 1)
-        order = rng.permutation(n)
-        test_idx.update(rows[j] for j in order[:n_test])
+        n_test = min(int(np.floor(test_fraction * n + 0.5)), n - 1)
+        test_idx.update(rows[:n_test])
     train = [i for i in range(len(labels)) if i not in test_idx]
     test = [i for i in range(len(labels)) if i in test_idx]
     return train, test

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LABEL_ORDER, Dataset
+from .dataset import LABEL_ORDER, Dataset, shuffled_label_groups
 
 # Rows drawn per label for the sampled rates of `eval`.
 SAMPLED_PER_LABEL = 3
@@ -115,24 +115,15 @@ def stratified_kfold_indices(labels, k: int, seed: int) -> list:
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    by_label = {}
-    for i, lab in enumerate(labels):
-        by_label.setdefault(lab, []).append(i)
-    for lab, rows in by_label.items():
+    folds = [[] for _ in range(k)]
+    for lab, rows in shuffled_label_groups(labels, seed).items():
         if len(rows) < k:
             raise ValueError(
                 f"label {getattr(lab, 'value', lab)!r} has {len(rows)} rows, "
                 f"cannot stratify into {k} folds"
             )
-    rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(k)]
-    for lab in LABEL_ORDER:
-        rows = by_label.get(lab)
-        if rows is None:
-            continue
-        order = rng.permutation(len(rows))
-        for pos, j in enumerate(order):
-            folds[pos % k].append(rows[j])
+        for pos, i in enumerate(rows):
+            folds[pos % k].append(i)
     return [sorted(f) for f in folds]
 
 

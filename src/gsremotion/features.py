@@ -186,8 +186,15 @@ class FeatureNormalization:
         self.maxs = np.asarray(self.maxs, dtype=np.float64)
         if self.mins.shape != self.maxs.shape:
             raise ValueError("normalization arrays must share one shape")
+        if not (np.isfinite(self.mins).all() and np.isfinite(self.maxs).all()):
+            raise ValueError("normalization mins and maxs must be finite")
         if np.any(self.maxs < self.mins):
             raise ValueError("per-column max must be >= min")
+        with np.errstate(over="ignore"):  # refused below, by column
+            wide = ~np.isfinite(self.maxs - self.mins)
+        if wide.any():
+            raise ValueError(f"column f{int(wide.argmax()) + 1:02d} spans more than "
+                             "the float range (max - min overflows)")
 
     @property
     def n_features(self) -> int:

@@ -6,47 +6,33 @@ feature normalization and selection are always fitted on training rows
 only.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .dataset import Dataset, stratified_split_indices
 from .evaluate import ConfusionMatrix, accuracy
 from .features import FeatureMatrix, fit_feature_normalization
-from .kernels import KernelSpec
 from .preprocess import preprocess_dataset, validate_norm_mode
 from .selection import SelectionResult, select_features, validate_catalog_indices
 from .svm import MulticlassSvmModel, TrainConfig, predict_batch, train_multiclass
 
 
 @dataclass
-class PipelineConfig:
-    """Every knob the pipeline exposes, with the defaults used throughout."""
+class PipelineConfig(TrainConfig):
+    """Every knob the pipeline exposes: the SVM's TrainConfig plus selection
+    and normalization, with the defaults used throughout."""
 
-    kernel: KernelSpec = field(default_factory=KernelSpec)
-    c: float = 1.0
-    tolerance: float = 1e-3
-    max_passes: int = 100_000
+    seed: int = 42
     selection_k: int = 15
     explicit_features: list | None = None
     norm_mode: str = "signal"
-    seed: int = 42
 
     def __post_init__(self):
+        super().__post_init__()
         validate_norm_mode(self.norm_mode)
         if not 1 <= self.selection_k:
             raise ValueError(f"selection_k must be >= 1, got {self.selection_k}")
         if self.explicit_features is not None:
             self.explicit_features = validate_catalog_indices(self.explicit_features)
-        # delegate the rest of the validation
-        self.train_config()
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            c=self.c,
-            kernel=self.kernel,
-            tolerance=self.tolerance,
-            max_passes=self.max_passes,
-            seed=self.seed,
-        )
 
 
 @dataclass
@@ -78,7 +64,7 @@ def fit_from_features(matrix: FeatureMatrix, config: PipelineConfig) -> FitResul
         scaled = matrix.values if norm is None else norm.scale(matrix.values)
         selection = select_features(scaled, config.selection_k)
         indices = selection.selected_indices
-    model = train_multiclass(matrix, config.train_config(), indices, norm)
+    model = train_multiclass(matrix, config, indices, norm)
     return FitResult(model=model, selection=selection)
 
 

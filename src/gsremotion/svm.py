@@ -13,6 +13,7 @@ choosing the pair and updating the selection scores.
 """
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -69,11 +70,26 @@ class BinarySvmModel:
             raise ValueError(f"support_vectors must be 2-D, got {self.support_vectors.shape}")
         if self.dual_coef.shape != (self.support_vectors.shape[0],):
             raise ValueError("one dual coefficient per support vector required")
+        if not (np.isfinite(self.support_vectors).all() and np.isfinite(self.dual_coef).all()
+                and np.isfinite(self.bias)):
+            raise ValueError("support vectors, dual coefficients and bias must be finite")
         self.kernel.require_resolved()
 
     @property
     def n_support(self) -> int:
         return self.support_vectors.shape[0]
+
+
+@contextmanager
+def _kernel_overflow_refused():
+    """Kernel evaluation inside the block ends in a ValueError, not a numpy
+    warning, when a feature value or kernel parameter overflows it."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError("kernel matrix overflows: feature values or kernel "
+                         "parameters are too large") from None
 
 
 def _violating_bounds(G: np.ndarray, y: np.ndarray, alpha: np.ndarray,
@@ -224,11 +240,8 @@ def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig,
         raise ValueError("both classes must be present")
 
     spec = config.kernel.resolved(X.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    with _kernel_overflow_refused():
         Q = gram(spec, X)
-    if not np.isfinite(Q).all():
-        raise ValueError("kernel matrix overflows: feature values or kernel "
-                         "parameters are too large")
     Q *= np.outer(y, y)
     tiebreak = np.random.default_rng(config.seed).random(y.size)
     alpha, G, iterations, converged, trace = _smo_solve(
@@ -296,6 +309,8 @@ class MulticlassSvmModel:
         if widths != {len(self.feature_indices)}:
             raise ValueError(f"machines are {sorted(widths)} features wide, "
                              f"the model has {len(self.feature_indices)}")
+        if len({m.kernel for m in self.machines}) > 1:
+            raise ValueError("machines must all share one kernel")
         if self.normalization is not None and self.normalization.n_features != N_FEATURES:
             raise ValueError(f"normalization has {self.normalization.n_features} columns, "
                              f"expected {N_FEATURES}")
@@ -363,7 +378,8 @@ def predict_batch(model: MulticlassSvmModel, values: np.ndarray) -> list:
     order = model.label_order
     # the model's machines are its label pairs in order
     pairs = np.array(list(combinations(range(len(order)), 2)))
-    f = np.column_stack([decision_values(m, rows) for m in model.machines])
+    with _kernel_overflow_refused():
+        f = np.column_stack([decision_values(m, rows) for m in model.machines])
     winners = np.where(f > 0, pairs[:, 0], pairs[:, 1])
     # add.at sums each row's strengths in machine order, so tie-breaks see the
     # same floats as adding one machine at a time

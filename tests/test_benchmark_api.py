@@ -2,8 +2,9 @@
 
 perfbench/run.py calls library functions by name and perfbench/tracing.py
 wraps others by (module, attribute); a name that goes missing would only
-show when the benchmark runs. These checks parse run.py, load the TARGETS
-of tracing.py, run the README's library example, and check the attributes
+show when the benchmark runs. These checks parse run.py and test_run.py,
+load the TARGETS of tracing.py, import each workload's modules in a fresh
+interpreter, run the README's library example, and check the attributes
 both scripts read off the objects the library returns.
 """
 
@@ -15,8 +16,11 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 from gsremotion.evaluate import ConfusionMatrix, kfold_cross_validate
 from gsremotion.features import extract_dataset_features
@@ -24,6 +28,8 @@ from gsremotion.pipeline import PipelineConfig, evaluate_model, fit_from_feature
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
+with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+    WORKLOADS = [w["name"] for w in json.load(fh)["workloads"]]
 
 # the entry points the benchmark workloads drive; the scan below must find them
 BENCHMARK_CALLS = {
@@ -44,18 +50,26 @@ def load_tracing():
     return module
 
 
-def run_py_library_names() -> set:
-    """(module, attribute) for every library attribute perfbench/run.py reads.
+def perfbench_tree(name: str) -> ast.Module:
+    with open(os.path.join(PERFBENCH, name)) as fh:
+        return ast.parse(fh.read())
 
-    Module names come from its `from gsremotion import ...` and
-    `from gsremotion.<module> import ...` lines; `lib` is the package itself,
-    which the script imports by path.
+
+def perfbench_library_names(name: str) -> set:
+    """(module, attribute) for every library attribute a perfbench script reads.
+
+    Module names come from its `import gsremotion`, `from gsremotion import ...`
+    and `from gsremotion.<module> import ...` lines; `lib` is the package
+    itself, which run.py imports by path.
     """
-    with open(os.path.join(PERFBENCH, "run.py")) as fh:
-        tree = ast.parse(fh.read())
+    tree = perfbench_tree(name)
     aliases = {"lib": "gsremotion"}
     names = set()
     for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("gsremotion"):
+                    aliases[alias.asname or alias.name] = alias.name
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gsremotion"):
             for alias in node.names:
                 if node.module == "gsremotion":
@@ -81,9 +95,37 @@ def test_traced_targets_resolve():
 
 
 def test_benchmark_calls_resolve():
-    names = run_py_library_names()
+    names = perfbench_library_names("run.py")
     assert BENCHMARK_CALLS <= names
     assert unresolved(names) == []
+
+
+def test_benchmark_tests_read_only_resolvable_names():
+    names = perfbench_library_names("test_run.py")
+    assert ("gsremotion", "denoise") in names
+    assert unresolved(names) == []
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_imports_load_every_traced_module(workload):
+    """Tracer.install looks each target up in sys.modules, so the package and
+    the workload's own `from gsremotion import ...` lines, run in a fresh
+    interpreter, must load every traced module."""
+    function = "run_" + workload.replace("-", "_")
+    body = next(node for node in perfbench_tree("run.py").body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    lines = ["import gsremotion"] + [
+        ast.unparse(node) for node in ast.walk(body)
+        if isinstance(node, ast.ImportFrom) and node.module == "gsremotion"]
+    assert len(lines) > 1
+    code = "\n".join(lines + [
+        "import sys",
+        "print(sorted(m for m in sys.modules if m.startswith('gsremotion')))"])
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert {module for module, _ in load_tracing().TARGETS} <= loaded
 
 
 def test_readme_library_example_runs():

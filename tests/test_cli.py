@@ -316,7 +316,9 @@ class TestTrain:
         ([], "table values are too large: their covariance overflows"),
         (["--features-list", "1,2,3"],
          "kernel matrix overflows: feature values or kernel parameters are too large"),
-    ], ids=["selection", "kernel"])
+        (["--features-list", "1,2,3", "--kernel", "sigmoid"],
+         "kernel matrix overflows: feature values or kernel parameters are too large"),
+    ], ids=["selection", "kernel", "sigmoid"])
     def test_too_large_values_stop_before_the_solver(self, features_csv, tmp_path, capsys,
                                                      monkeypatch, flags, message):
         monkeypatch.setattr("gsremotion.svm._smo_solve",
@@ -328,6 +330,24 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+    def test_span_beyond_the_float_range_names_the_column(self, features_csv, tmp_path,
+                                                          capsys):
+        lines = features_csv.read_text().splitlines()
+        rows = []
+        for k, line in enumerate(lines[2:]):
+            fields = line.split(",")
+            fields[3] = repr(1e308 if k % 2 else -1e308)
+            rows.append(",".join(fields))
+        wide = tmp_path / "wide.csv"
+        wide.write_text("\n".join(lines[:2] + rows) + "\n")
+        rc = main_printing_warnings(["train", "--features", str(wide), "--norm", "feature",
+                                     "--features-list", "1,2,3",
+                                     "--out", str(tmp_path / "model.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: column f02 spans more than the float range (max - min overflows)\n")
 
 
 class TestPredict:
@@ -343,6 +363,22 @@ class TestPredict:
             assert record_id
             assert true in LABEL_NAMES
             assert predicted in LABEL_NAMES
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_overflowing_kernel_names_the_table(self, features_csv, tmp_path, capsys,
+                                                command):
+        model = tmp_path / "model.json"
+        assert cli.main(["train", "--features", str(features_csv),
+                         "--features-list", "2,4,9", "--out", str(model)]) == 0
+        huge = huge_column_table(features_csv, tmp_path)
+        capsys.readouterr()
+        rc = main_printing_warnings([command, "--model", str(model), "--features", str(huge),
+                                     "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {huge}: kernel matrix overflows: feature values or kernel "
+            "parameters are too large\n")
+        assert sorted(os.listdir(tmp_path)) == ["huge.csv", "model.json"]
 
 
 @pytest.fixture(scope="module")

@@ -197,6 +197,17 @@ class TestFeatureNormalization:
         with pytest.raises(ValueError, match="max"):
             FeatureNormalization(mins=np.ones(2), maxs=np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bounds_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            FeatureNormalization(mins=np.array([0.0, bad]), maxs=np.ones(2))
+
+    def test_span_beyond_the_float_range_names_the_column(self):
+        m = FeatureMatrix(values=np.array([[0.0, -1e308, 1.0], [1.0, 1e308, 1.0]]),
+                          record_ids=list("ab"), labels=[None] * 2)
+        with pytest.raises(ValueError, match="column f02 spans more than the float range"):
+            fit_feature_normalization(m)
+
 
 class TestFeatureCsv:
     def matrix(self, small_corpus):

@@ -205,6 +205,11 @@ class TestPrepareRows:
         with pytest.raises(ValueError, match="non-finite"):
             predict_batch(fitted.model, rows)
 
+    def test_overflowing_kernel_rejected(self, fitted, small_features):
+        rows = small_features.values[:2] * 1e300
+        with pytest.raises(ValueError, match="kernel matrix overflows"):
+            predict_batch(fitted.model, rows)
+
     def test_1d_rows_rejected(self, fitted):
         with pytest.raises(ValueError, match="2-D"):
             predict_batch(fitted.model, np.ones(30))
@@ -351,6 +356,27 @@ def narrow_the_normalization(payload):
         payload["normalization"][key].pop()
 
 
+def mix_the_kernels(payload):
+    payload["machines"][3]["kernel"].update(kind="linear", eta=None)
+    payload["machines"][4]["kernel"]["eta"] = float(100).hex()
+
+
+def nan_bias(payload):
+    payload["machines"][0]["bias"] = "nan"
+
+
+def inf_support_value(payload):
+    payload["machines"][0]["support_vectors"][0][0] = "inf"
+
+
+def minus_inf_dual_coef(payload):
+    payload["machines"][0]["dual_coef"][0] = "-inf"
+
+
+def nan_normalization_min(payload):
+    payload["normalization"]["mins"][0] = "nan"
+
+
 class TestInconsistentModelFile:
     """A model file whose parts disagree is refused by name when loaded."""
 
@@ -365,6 +391,11 @@ class TestInconsistentModelFile:
         (repeat_a_label, "need one per label pair"),
         (flip_a_degenerate_flag, "degenerate flags disagree with its mins/maxs"),
         (narrow_the_normalization, "normalization has 29 columns, expected 30"),
+        (mix_the_kernels, "machines must all share one kernel"),
+        (nan_bias, "bias must be finite"),
+        (inf_support_value, "bias must be finite"),
+        (minus_inf_dual_coef, "bias must be finite"),
+        (nan_normalization_min, "mins and maxs must be finite"),
     ], ids=lambda v: getattr(v, "__name__", ""))
     def test_refused_with_the_file_named(self, scaled, tmp_path, edit, message):
         path = tmp_path / "model.json"

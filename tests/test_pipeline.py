@@ -14,6 +14,7 @@ from gsremotion.pipeline import (
     subset_rows,
 )
 from gsremotion.preprocess import preprocess_dataset
+from gsremotion.svm import TrainConfig
 
 
 class TestPipelineConfig:
@@ -28,11 +29,11 @@ class TestPipelineConfig:
 
     def test_train_config_mapping(self):
         config = PipelineConfig(c=2.5, tolerance=1e-4, max_passes=500, seed=9)
-        tc = config.train_config()
-        assert tc.c == 2.5
-        assert tc.tolerance == 1e-4
-        assert tc.max_passes == 500
-        assert tc.seed == 9
+        assert isinstance(config, TrainConfig)
+        assert config.c == 2.5
+        assert config.tolerance == 1e-4
+        assert config.max_passes == 500
+        assert config.seed == 9
 
     def test_selection_k_must_be_positive(self):
         with pytest.raises(ValueError, match="selection_k"):

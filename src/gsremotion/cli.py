@@ -12,6 +12,8 @@ import contextlib
 import os
 import sys
 
+import numpy as np
+
 from .dataset import (
     LABEL_ORDER,
     file_errors,
@@ -38,7 +40,7 @@ from .features import (
     read_feature_csv,
     write_feature_csv,
 )
-from .kernels import KernelSpec
+from .kernels import KERNEL_KINDS, KernelSpec
 from .pipeline import (
     PipelineConfig,
     comparison_report,
@@ -47,7 +49,7 @@ from .pipeline import (
     predict_rows,
     subset_rows,
 )
-from .preprocess import preprocess_dataset, validate_norm_mode
+from .preprocess import NORM_MODES, preprocess_dataset, validate_norm_mode
 from .selection import (
     SelectionResult,
     read_selection_indices,
@@ -58,6 +60,14 @@ from .selection import (
 )
 from .svm import load_model, save_model
 from .synth import SynthConfig, generate_dataset
+
+
+def _int_list(text: str) -> list:
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ValueError(f"expected comma-separated integers, got {text!r}")
+
 
 def _check_counts(counts: list) -> None:
     if len(counts) != len(LABEL_ORDER):
@@ -73,26 +83,43 @@ def _check_folds(folds: int) -> None:
         raise ValueError(f"folds must be >= 2, got {folds}")
 
 
-# Every key some subcommand reads from a config file (anything else is a
-# typo), with the rule a value from the file must meet on its own. A flag
-# value meets the same rule later, where the stage uses it; duration_s and
+DEFAULT_FOLDS = 5
+REPORT_TEST_FRACTION = 0.3
+
+# Every option key some subcommand reads, as its flag --key (dashes for
+# underscores) and as a config-file key (any other key in a file is a typo):
+# the parser of its text, the rule a value from the file must meet on its own,
+# and the flag's help (None: only a config file sets the key). A flag value
+# meets the same rule later, where the stage uses it; duration_s and
 # sample_rate_hz are checked together when cmd_synth builds its SynthConfig.
-_CONFIG_KEYS = {
-    "c": lambda c: PipelineConfig(c=c),
-    "degree": lambda degree: KernelSpec(degree=degree),
-    "eta": lambda eta: KernelSpec(eta=eta),
-    "features_list": validate_catalog_indices,
-    "folds": _check_folds,
-    "k": lambda k: validate_k(k, N_FEATURES),
-    "kernel": lambda kind: KernelSpec(kind=kind),
-    "norm": validate_norm_mode,
-    "r": lambda r: KernelSpec(r=r),
-    "seed": None,
-    "test_fraction": validate_test_fraction,
-    "counts": _check_counts,
-    "duration_s": None,
-    "sample_rate_hz": None,
-    "noise_std": lambda std: SynthConfig(noise_std_us=std),
+_OPTIONS = {
+    "c": (float, lambda c: PipelineConfig(c=c),
+          f"box constraint (default {PipelineConfig.c})"),
+    "degree": (int, lambda degree: KernelSpec(degree=degree),
+               f"polynomial degree (default {KernelSpec.degree})"),
+    "eta": (float, lambda eta: KernelSpec(eta=eta),
+            "kernel scale (default: one over the number of model features)"),
+    "features_list": (_int_list, validate_catalog_indices,
+                      "explicit catalog indices, e.g. 3,5,7"),
+    "folds": (int, _check_folds, f"fold count (default {DEFAULT_FOLDS})"),
+    "k": (int, lambda k: validate_k(k, N_FEATURES),
+          f"number of features to select (default {PipelineConfig.selection_k})"),
+    "kernel": (str, lambda kind: KernelSpec(kind=kind),
+               f"{' | '.join(KERNEL_KINDS)} (default {KernelSpec.kind})"),
+    "norm": (str, validate_norm_mode,
+             f"{' | '.join(NORM_MODES)} (default {PipelineConfig.norm_mode})"),
+    "r": (float, lambda r: KernelSpec(r=r),
+          f"kernel additive constant (default {KernelSpec.r})"),
+    # the rule default_rng applies; a lambda, so importing cli loads no numpy.random
+    "seed": (int, lambda seed: np.random.SeedSequence(seed),
+             f"random seed (default {PipelineConfig.seed})"),
+    "test_fraction": (float, validate_test_fraction,
+                      "share of rows held out by a stratified split (train: none unless "
+                      f"given; report: default {REPORT_TEST_FRACTION})"),
+    "counts": (_int_list, _check_counts, None),
+    "duration_s": (float, None, None),
+    "sample_rate_hz": (float, None, None),
+    "noise_std": (float, lambda std: SynthConfig(noise_std_us=std), None),
 }
 
 
@@ -111,24 +138,27 @@ def read_config_file(path: str) -> dict:
             value = value.strip().strip("'\"")
             if not key:
                 raise ValueError(f"line {lineno}: empty key")
-            if key not in _CONFIG_KEYS:
+            if key not in _OPTIONS:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
             cfg[key] = value
     return cfg
 
 
-def _resolve(args, cfg: dict, key: str, cast, default=None):
-    """flag > config file > default; casts and checks only the config-file string,
-    so a bad value from the file names the file and the key."""
+def _resolve(args, key: str, default=None):
+    """flag > config file > default, either text through the key's parser (a
+    number flag arrives parsed by argparse, and parsing it again keeps it).
+    Only the file's value is checked here, so a bad one names the file and the key."""
+    parse, check, _ = _OPTIONS[key]
     value = getattr(args, key, None)
-    if value is not None or key not in cfg:
-        return default if value is None else value
+    if value is not None:
+        return parse(value)
+    if key not in args.cfg:
+        return default
     with file_errors(args.config):
         try:
-            value = cast(cfg[key])
+            value = parse(args.cfg[key])
         except ValueError:
-            raise ValueError(f"config key {key}: cannot parse {cfg[key]!r}")
-        check = _CONFIG_KEYS[key]
+            raise ValueError(f"config key {key}: cannot parse {args.cfg[key]!r}")
         if check is not None:
             try:
                 check(value)
@@ -142,49 +172,36 @@ def _given(**values) -> dict:
     return {name: value for name, value in values.items() if value is not None}
 
 
-def _parse_int_list(text: str) -> list:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}")
-
-
 def _check_out(path: str, force: bool) -> str:
     if os.path.exists(path) and not force:
         raise ValueError(f"{path} exists; pass --force to overwrite")
     return path
 
 
-def _load_cfg(args) -> dict:
-    return read_config_file(args.config) if args.config else {}
-
-
-def _pipeline_config(args, cfg: dict, explicit_features=None) -> PipelineConfig:
-    kernel = KernelSpec(**_given(
-        kind=_resolve(args, cfg, "kernel", str),
-        eta=_resolve(args, cfg, "eta", float),
-        r=_resolve(args, cfg, "r", float),
-        degree=_resolve(args, cfg, "degree", int),
-    ))
-    return PipelineConfig(kernel=kernel, explicit_features=explicit_features, **_given(
-        c=_resolve(args, cfg, "c", float),
-        selection_k=_resolve(args, cfg, "k", int),
-        norm_mode=_resolve(args, cfg, "norm", str),
-        seed=_resolve(args, cfg, "seed", int),
-    ))
-
-
-def _explicit_features(args, cfg: dict):
+def _explicit_features(args):
     """Explicit catalog indices from --features-list or a selection file."""
-    listed = _resolve(args, cfg, "features_list", _parse_int_list)
-    if isinstance(listed, str):
-        listed = _parse_int_list(listed)
+    listed = _resolve(args, "features_list")
     if listed is not None:
         return validate_catalog_indices(listed)
-    selection_path = getattr(args, "selection", None)
-    if selection_path:
-        return read_selection_indices(selection_path)
+    if getattr(args, "selection", None):
+        return read_selection_indices(args.selection)
     return None
+
+
+def _pipeline_config(args) -> PipelineConfig:
+    explicit = _explicit_features(args)
+    kernel = KernelSpec(**_given(
+        kind=_resolve(args, "kernel"),
+        eta=_resolve(args, "eta"),
+        r=_resolve(args, "r"),
+        degree=_resolve(args, "degree"),
+    ))
+    return PipelineConfig(kernel=kernel, explicit_features=explicit, **_given(
+        c=_resolve(args, "c"),
+        selection_k=_resolve(args, "k"),
+        norm_mode=_resolve(args, "norm"),
+        seed=_resolve(args, "seed"),
+    ))
 
 
 def _read_labeled(path: str):
@@ -199,9 +216,10 @@ def _read_labeled(path: str):
 
 def _split(args, matrix, test_fraction: float, seed: int):
     """Stratified (train, test) rows of the --features table. An out-of-range
-    fraction is reported as given; a label with too few rows to split is the
-    table's fault and names it."""
+    fraction or seed is reported as given; a label with too few rows to split
+    is the table's fault and names it."""
     validate_test_fraction(test_fraction)
+    np.random.SeedSequence(seed)
     with file_errors(args.features):
         return stratified_split_indices(matrix.labels, test_fraction, seed)
 
@@ -224,17 +242,16 @@ def _warn_unconverged(machines, where: str = "") -> None:
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_cfg(args)
-    counts = _resolve(args, cfg, "counts", _parse_int_list)
+    counts = _resolve(args, "counts")
     values = _given(
         per_label_counts=None if counts is None else dict(zip(LABEL_ORDER, counts)),
-        duration_s=_resolve(args, cfg, "duration_s", float),
-        sample_rate_hz=_resolve(args, cfg, "sample_rate_hz", float),
-        noise_std_us=_resolve(args, cfg, "noise_std", float),
+        duration_s=_resolve(args, "duration_s"),
+        sample_rate_hz=_resolve(args, "sample_rate_hz"),
+        noise_std_us=_resolve(args, "noise_std"),
     )
     # only the file sets these, so a fault in their combination is the file's
     with file_errors(args.config) if values else contextlib.nullcontext():
-        config = SynthConfig(**values, **_given(seed=_resolve(args, cfg, "seed", int)))
+        config = SynthConfig(**values, **_given(seed=_resolve(args, "seed")))
     manifest = os.path.join(args.out, "manifest.txt")
     _check_out(manifest, args.force)
     dataset = generate_dataset(config)
@@ -244,8 +261,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    cfg = _load_cfg(args)
-    norm = _resolve(args, cfg, "norm", str, PipelineConfig.norm_mode)
+    norm = _resolve(args, "norm", PipelineConfig.norm_mode)
     manifest = os.path.join(args.out, "manifest.txt")
     _check_out(manifest, args.force)
     dataset = load_dataset(args.manifest)
@@ -265,14 +281,13 @@ def cmd_features(args) -> int:
 
 
 def cmd_select(args) -> int:
-    cfg = _load_cfg(args)
     _check_out(args.out, args.force)
     matrix = read_feature_csv(args.features)
-    explicit = _explicit_features(args, cfg)
+    explicit = _explicit_features(args)
     if explicit is not None:
         result = SelectionResult(selected_indices=explicit)
     else:
-        k = validate_k(_resolve(args, cfg, "k", int, PipelineConfig.selection_k), N_FEATURES)
+        k = validate_k(_resolve(args, "k", PipelineConfig.selection_k), N_FEATURES)
         with file_errors(args.features):  # too few rows or varying columns: the table's fault
             result = select_features(matrix.values, k)
     write_selection_json(result, args.out)
@@ -283,12 +298,10 @@ def cmd_select(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_cfg(args)
     _check_out(args.out, args.force)
     matrix = _read_labeled(args.features)
-    explicit = _explicit_features(args, cfg)
-    config = _pipeline_config(args, cfg, explicit_features=explicit)
-    test_fraction = _resolve(args, cfg, "test_fraction", float)
+    config = _pipeline_config(args)
+    test_fraction = _resolve(args, "test_fraction")
     if test_fraction is not None:
         if not args.test_out:
             raise ValueError("--test-fraction requires --test-out for the held-out rows")
@@ -327,10 +340,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_cfg(args)
     json_path = _check_out(args.out + ".json", args.force)
     text_path = _check_out(args.out + ".txt", args.force)
-    seed = _resolve(args, cfg, "seed", int, PipelineConfig.seed)
+    seed = _resolve(args, "seed", PipelineConfig.seed)
     model = load_model(args.model)
     matrix = _read_labeled(args.features)
     with file_errors(args.features):
@@ -360,12 +372,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    cfg = _load_cfg(args)
     json_path = _check_out(args.out + ".json", args.force)
     text_path = _check_out(args.out + ".txt", args.force)
-    explicit = _explicit_features(args, cfg)
-    config = _pipeline_config(args, cfg, explicit_features=explicit)
-    folds = _resolve(args, cfg, "folds", int, 5)
+    config = _pipeline_config(args)
+    folds = _resolve(args, "folds", DEFAULT_FOLDS)
     _check_folds(folds)
     dataset = load_dataset(args.manifest)
     report = kfold_cross_validate(dataset, folds, config, config.seed)
@@ -389,12 +399,10 @@ def cmd_cv(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cfg = _load_cfg(args)
     json_path = _check_out(args.out + ".json", args.force)
     text_path = _check_out(args.out + ".txt", args.force)
-    explicit = _explicit_features(args, cfg)
-    config = _pipeline_config(args, cfg, explicit_features=explicit)
-    test_fraction = _resolve(args, cfg, "test_fraction", float, 0.3)
+    config = _pipeline_config(args)
+    test_fraction = _resolve(args, "test_fraction", REPORT_TEST_FRACTION)
     matrix = _read_labeled(args.features)
     _split(args, matrix, test_fraction, config.seed)  # comparison_report splits alike
     report = comparison_report(matrix, config, test_fraction, config.seed)
@@ -410,35 +418,15 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_common(sub, *, seed=False):
+def _add_options(sub, *keys):
+    """Each key's flag, then --config and --force. argparse parses a number
+    flag, so `--c abc` is a usage error; a list flag stays text for _resolve."""
+    for key in keys:
+        parse, _, help_text = _OPTIONS[key]
+        sub.add_argument("--" + key.replace("_", "-"), help=help_text,
+                         type=parse if isinstance(parse, type) else None)
     sub.add_argument("--config", help="key = value defaults file")
     sub.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    if seed:
-        sub.add_argument("--seed", type=int, default=None)
-
-
-def _add_model_flags(sub):
-    sub.add_argument("--kernel", default=None,
-                     help="linear | poly | rbf | sigmoid (default rbf)")
-    sub.add_argument("--c", type=float, default=None, help="box constraint (default 1.0)")
-    sub.add_argument("--eta", type=float, default=None,
-                     help="kernel scale (default 1/n_features)")
-    sub.add_argument("--degree", type=int, default=None,
-                     help="polynomial degree (default 3)")
-    sub.add_argument("--r", type=float, default=None,
-                     help="kernel additive constant (default 0)")
-    sub.add_argument("--norm", default=None,
-                     help="signal | feature | both (default signal)")
-
-
-def _add_selection_flags(sub, with_file=False):
-    sub.add_argument("--k", type=int, default=None,
-                     help="number of features to select (default 15)")
-    sub.add_argument("--features-list", dest="features_list", default=None,
-                     help="explicit catalog indices, e.g. 3,5,7")
-    if with_file:
-        sub.add_argument("--selection", default=None,
-                         help="selection JSON from the select stage")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -449,93 +437,60 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_INPUT_HELP = {
+    "manifest": "manifest.txt of a record directory",
+    "features": "feature CSV",
+    "model": "model JSON from the train stage",
+}
+_PREFIX = "output prefix (writes <prefix>.json and <prefix>.txt)"
+_MODEL_KEYS = ("k", "features_list", "kernel", "c", "eta", "degree", "r", "norm", "seed")
+
+# name, stage, help, required inputs, help for --out, option keys
+_COMMANDS = (
+    ("synth", cmd_synth, "generate a synthetic labeled corpus", (), "output directory",
+     ("seed",)),
+    ("preprocess", cmd_preprocess, "denoise and normalize records", ("manifest",),
+     "output directory", ("norm",)),
+    ("features", cmd_features, "extract the feature table", ("manifest",),
+     "output CSV path", ()),
+    ("select", cmd_select, "pick the least redundant features", ("features",),
+     "output JSON path", ("k", "features_list")),
+    ("train", cmd_train, "train the one-vs-one SVM model", ("features",),
+     "output model JSON", ("test_fraction", *_MODEL_KEYS)),
+    ("predict", cmd_predict, "label feature rows with a model", ("model", "features"),
+     "output CSV path", ()),
+    ("eval", cmd_eval, "score a model on labeled rows", ("model", "features"), _PREFIX,
+     ("seed",)),
+    ("cv", cmd_cv, "stratified k-fold cross-validation", ("manifest",), _PREFIX,
+     ("folds", *_MODEL_KEYS)),
+    ("report", cmd_report, "selected-k vs all-features comparison", ("features",), _PREFIX,
+     ("test_fraction", *_MODEL_KEYS)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="gsremotion",
         description="GSR emotion classification pipeline",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("synth", help="generate a synthetic labeled corpus")
-    p.add_argument("--out", required=True, help="output directory")
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_synth)
-
-    p = commands.add_parser("preprocess", help="denoise and normalize records")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--norm", default=None, help="signal | feature | both")
-    _add_common(p)
-    p.set_defaults(func=cmd_preprocess)
-
-    p = commands.add_parser("features", help="extract the feature table")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True, help="output CSV path")
-    _add_common(p)
-    p.set_defaults(func=cmd_features)
-
-    p = commands.add_parser("select", help="pick the least redundant features")
-    p.add_argument("--features", required=True, help="feature CSV")
-    p.add_argument("--out", required=True, help="output JSON path")
-    _add_selection_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_select)
-
-    p = commands.add_parser("train", help="train the one-vs-one SVM model")
-    p.add_argument("--features", required=True, help="feature CSV")
-    p.add_argument("--out", required=True, help="output model JSON")
-    p.add_argument("--test-fraction", dest="test_fraction", type=float, default=None,
-                   help="hold out a stratified test split before training")
-    p.add_argument("--test-out", dest="test_out", default=None,
-                   help="where to write the held-out rows")
-    _add_selection_flags(p, with_file=True)
-    _add_model_flags(p)
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_train)
-
-    p = commands.add_parser("predict", help="label feature rows with a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--out", required=True, help="output CSV path")
-    _add_common(p)
-    p.set_defaults(func=cmd_predict)
-
-    p = commands.add_parser("eval", help="score a model on labeled rows")
-    p.add_argument("--model", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--out", required=True,
-                   help="output prefix (writes <prefix>.json and <prefix>.txt)")
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = commands.add_parser("cv", help="stratified k-fold cross-validation")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--folds", type=int, default=None, help="fold count (default 5)")
-    p.add_argument("--out", required=True,
-                   help="output prefix (writes <prefix>.json and <prefix>.txt)")
-    _add_selection_flags(p)
-    _add_model_flags(p)
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_cv)
-
-    p = commands.add_parser("report", help="selected-k vs all-features comparison")
-    p.add_argument("--features", required=True, help="feature CSV")
-    p.add_argument("--test-fraction", dest="test_fraction", type=float, default=None,
-                   help="stratified test fraction (default 0.3)")
-    p.add_argument("--out", required=True,
-                   help="output prefix (writes <prefix>.json and <prefix>.txt)")
-    _add_selection_flags(p)
-    _add_model_flags(p)
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_report)
-
+    for name, func, about, inputs, out_help, keys in _COMMANDS:
+        p = commands.add_parser(name, help=about)
+        for flag in inputs:
+            p.add_argument(f"--{flag}", required=True, help=_INPUT_HELP[flag])
+        p.add_argument("--out", required=True, help=out_help)
+        if name == "train":
+            p.add_argument("--test-out", help="where to write the held-out rows")
+            p.add_argument("--selection", help="selection JSON from the select stage")
+        _add_options(p, *keys)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        args.cfg = read_config_file(args.config) if args.config else {}
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

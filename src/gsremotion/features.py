@@ -204,17 +204,20 @@ class FeatureNormalization:
     def degenerate(self) -> np.ndarray:
         return self.maxs == self.mins
 
-    def scale(self, values: np.ndarray) -> np.ndarray:
-        """Scale a 2-D block of raw rows to [0, 1] per column (0 if degenerate)."""
+    def scale(self, values: np.ndarray, columns=slice(None)) -> np.ndarray:
+        """Scale a 2-D block of raw rows to [0, 1] per column (0 if degenerate);
+        its columns are the normalization's columns at the 0-based positions
+        given (default: all)."""
+        mins, maxs = self.mins[columns], self.maxs[columns]
         values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] != self.n_features:
+        if values.ndim != 2 or values.shape[1] != mins.size:
             raise ValueError(
                 f"rows have shape {values.shape}, normalization expects "
-                f"{self.n_features} columns"
+                f"{mins.size} columns"
             )
-        degenerate = self.degenerate
-        span = np.where(degenerate, 1.0, self.maxs - self.mins)
-        scaled = (values - self.mins) / span
+        degenerate = maxs == mins
+        span = np.where(degenerate, 1.0, maxs - mins)
+        scaled = (values - mins) / span
         scaled[:, degenerate] = 0.0
         return scaled
 

@@ -281,8 +281,8 @@ class MulticlassSvmModel:
     """One-vs-one ensemble over the labels seen at training time.
 
     feature_indices are 1-based catalog columns the machines were trained
-    on; normalization, when present, applies to the full catalog row before
-    the column restriction.
+    on; normalization, when present, holds the min and max of every catalog
+    column, and each used column is scaled by its own.
     """
 
     machines: list
@@ -321,9 +321,9 @@ def train_multiclass(matrix: FeatureMatrix, config: TrainConfig,
                      normalization: FeatureNormalization | None = None) -> MulticlassSvmModel:
     """Train all pairwise machines on a table of full catalog rows.
 
-    The rows go through _prepare_rows, as at prediction: scaled by
-    normalization (if any), then cut to feature_indices (default: all
-    catalog columns).
+    The rows go through _prepare_rows, as at prediction: cut to
+    feature_indices (default: all catalog columns), then scaled by
+    normalization (if any).
     """
     if feature_indices is None:
         feature_indices = range(1, N_FEATURES + 1)
@@ -355,8 +355,8 @@ def train_multiclass(matrix: FeatureMatrix, config: TrainConfig,
 
 def _prepare_rows(normalization: FeatureNormalization | None, feature_indices,
                   values: np.ndarray) -> np.ndarray:
-    """A model's rows from full catalog rows: checked, scaled by the
-    normalization (if any), then cut to the feature_indices columns."""
+    """A model's rows from full catalog rows: checked, cut to the
+    feature_indices columns, then scaled by the normalization (if any)."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"expected 2-D rows, got shape {values.shape}")
@@ -367,18 +367,18 @@ def _prepare_rows(normalization: FeatureNormalization | None, feature_indices,
         )
     if not np.all(np.isfinite(values)):
         raise ValueError("rows contain non-finite values")
-    if normalization is not None:
-        values = normalization.scale(values)
-    return values[:, [i - 1 for i in feature_indices]]
+    columns = np.subtract(feature_indices, 1)
+    rows = values[:, columns]
+    return rows if normalization is None else normalization.scale(rows, columns)
 
 
 def predict_batch(model: MulticlassSvmModel, values: np.ndarray) -> list:
     """Predict a label per full catalog row; one row is a (1, 30) batch."""
-    rows = _prepare_rows(model.normalization, model.feature_indices, values)
     order = model.label_order
     # the model's machines are its label pairs in order
     pairs = np.array(list(combinations(range(len(order)), 2)))
-    with _kernel_overflow_refused():
+    with _kernel_overflow_refused():  # a used column may overflow its scaling too
+        rows = _prepare_rows(model.normalization, model.feature_indices, values)
         f = np.column_stack([decision_values(m, rows) for m in model.machines])
     winners = np.where(f > 0, pairs[:, 0], pairs[:, 1])
     # add.at sums each row's strengths in machine order, so tie-breaks see the

@@ -6,6 +6,8 @@ The corpus here is deliberately tiny; accuracy itself is covered by the
 library tests and the acceptance suite.
 """
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -27,8 +29,10 @@ from gsremotion.dataset import (
     save_dataset,
 )
 from gsremotion.features import read_feature_csv
+from gsremotion.pipeline import PipelineConfig
 from gsremotion.selection import read_selection_indices
 from gsremotion.svm import load_model
+from gsremotion.synth import SynthConfig
 
 LABEL_NAMES = {lab.value for lab in LABEL_ORDER}
 
@@ -58,6 +62,16 @@ def huge_column_table(features_csv, tmp_path):
         rows.append(",".join(fields))
     path = tmp_path / "huge.csv"
     path.write_text("\n".join(lines[:2] + rows) + "\n")
+    return path
+
+
+def table_with_value(features_csv, tmp_path, column, value):
+    """The feature table with catalog column `column` of its first row set to value."""
+    lines = features_csv.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[column + 1] = repr(value)
+    path = tmp_path / f"f{column:02d}.csv"
+    path.write_text("\n".join(lines[:2] + [",".join(fields)] + lines[3:]) + "\n")
     return path
 
 
@@ -380,6 +394,36 @@ class TestPredict:
             "parameters are too large\n")
         assert sorted(os.listdir(tmp_path)) == ["huge.csv", "model.json"]
 
+    def train_scaled(self, features_csv, tmp_path, listed):
+        model = tmp_path / "model.json"
+        assert cli.main(["train", "--features", str(features_csv), "--features-list", listed,
+                         "--norm", "feature", "--out", str(model)]) == 0
+        return str(model)
+
+    def test_unused_column_is_not_scaled(self, features_csv, tmp_path, capsys):
+        # f17 = 1e305 overflows (value - min) / span, but the model never reads f17
+        model = self.train_scaled(features_csv, tmp_path, "1,2,3")
+        table = table_with_value(features_csv, tmp_path, 17, 1e305)
+        capsys.readouterr()
+        for source, out in ((table, "with.csv"), (features_csv, "without.csv")):
+            assert main_printing_warnings(["predict", "--model", model, "--features",
+                                           str(source), "--out", str(tmp_path / out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "with.csv").read_text() == (tmp_path / "without.csv").read_text()
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_used_column_scaling_overflow_names_the_table(self, features_csv, tmp_path,
+                                                          capsys, command):
+        model = self.train_scaled(features_csv, tmp_path, "17,18")
+        table = table_with_value(features_csv, tmp_path, 17, 1e305)
+        capsys.readouterr()
+        rc = main_printing_warnings([command, "--model", model, "--features", str(table),
+                                     "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {table}: kernel matrix overflows: feature values or kernel "
+            "parameters are too large\n")
+
 
 @pytest.fixture(scope="module")
 def eval_prefix(model_path, features_csv, tmp_path_factory):
@@ -572,7 +616,8 @@ class TestConfigFile:
             capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("command,text,message", [
+    # one out-of-range value per config key, run by a subcommand that reads it
+    OUT_OF_RANGE = [
         ("train", "kernel = bogus\n", "config key kernel: unknown kernel kind 'bogus'"),
         ("train", "k = 99\n", "config key k: k must be in 1..30, got 99"),
         ("train", "eta = -1\n", "config key eta: eta must be positive"),
@@ -586,17 +631,46 @@ class TestConfigFile:
         ("synth", "noise_std = -1\n", "config key noise_std: noise_std_us cannot be negative"),
         ("synth", "duration_s = 2\n", "duration 2.0s at 16.0Hz yields fewer than 64 samples"),
         ("synth", "duration_s = inf\n", "duration_s must be positive and finite, got inf"),
-    ])
+        ("train", "c = 0\n", "config key c: c must be positive and finite, got 0.0"),
+        ("train", "degree = 0\n", "config key degree: degree must be an integer >= 1, got 0"),
+        ("train", "r = inf\n", "config key r: r must be finite, got inf"),
+        ("preprocess", "norm = bogus\n", "config key norm: norm mode must be one of"),
+        ("train", "seed = -1\n", "config key seed: expected non-negative integer"),
+        ("synth", "sample_rate_hz = 0\n", "sample_rate_hz must be positive, got 0.0"),
+    ]
+
+    def test_every_config_key_has_an_out_of_range_case(self):
+        assert {text.split("=")[0].strip() for _, text, _ in self.OUT_OF_RANGE} == \
+            set(cli._OPTIONS)
+
+    @pytest.mark.parametrize("command,text,message", OUT_OF_RANGE)
     def test_out_of_range_value_names_file_and_key(self, manifest, features_csv, tmp_path,
                                                    capsys, command, text, message):
         cfg = write_config(tmp_path / "bad.cfg", text)
-        inputs = {"synth": [], "cv": ["--manifest", manifest]}
+        inputs = {"synth": [], "cv": ["--manifest", manifest],
+                  "preprocess": ["--manifest", manifest]}
         rc = cli.main([command, *inputs.get(command, ["--features", str(features_csv)]),
                        "--out", str(tmp_path / "out"), "--config", cfg])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1, err
         assert message in err
+
+    @pytest.mark.parametrize("command", [name for name, *_ in cli._COMMANDS])
+    def test_every_command_reads_the_file(self, manifest, features_csv, model_path, tmp_path,
+                                          capsys, command):
+        table = ["--features", str(features_csv)]
+        inputs = {"synth": [], "preprocess": ["--manifest", manifest],
+                  "features": ["--manifest", manifest], "cv": ["--manifest", manifest],
+                  "predict": ["--model", str(model_path), *table],
+                  "eval": ["--model", str(model_path), *table]}.get(command, table)
+        argv = [command, *inputs, "--out", str(tmp_path / "out"), "--config"]
+        assert cli.main([*argv, str(tmp_path / "missing.cfg")]) == 2
+        assert capsys.readouterr().err.startswith("io error:")
+        typo = write_config(tmp_path / "typo.cfg", "kernal = linear\n")
+        assert cli.main([*argv, typo]) == 1
+        assert capsys.readouterr().err == f"error: {typo}: line 1: unknown key 'kernal'\n"
+        assert os.listdir(tmp_path) == ["typo.cfg"]
 
     def test_out_of_range_flag_is_reported_as_given(self, features_csv, tmp_path, capsys):
         cfg = write_config(tmp_path / "train.cfg", "k = 5\n")
@@ -688,6 +762,54 @@ class TestExitCodes:
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):
             cli.main(["bogus"])
+
+
+class TestHelp:
+    """Each subcommand's --help exits 0 and shows the defaults its stage uses."""
+
+    @pytest.fixture(scope="class")
+    def stage_defaults(self, manifest, features_csv, model_path, tmp_path_factory):
+        """({flag: value}, {(command, flag): value} where one subcommand's own
+        default is read elsewhere), taken from runs that leave the option unset."""
+        root = tmp_path_factory.mktemp("cli-defaults")
+        model = load_model(str(model_path))
+        kernel = model.config.kernel
+        assert cli.main(["report", "--features", str(features_csv),
+                         "--out", str(root / "cmp")]) == 0
+        assert cli.main(["eval", "--model", str(model_path), "--features", str(features_csv),
+                         "--out", str(root / "scores")]) == 0
+        assert cli.main(["select", "--features", str(features_csv),
+                         "--out", str(root / "s.json")]) == 0
+        # four records per label cannot fill the default fold count, which the error names
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert cli.main(["cv", "--manifest", manifest, "--out", str(root / "cv")]) == 1
+        folds = re.search(r"into (\d+) folds", err.getvalue()).group(1)
+        shared = {"c": model.config.c, "kernel": kernel.kind, "degree": kernel.degree,
+                  "r": kernel.r, "seed": model.config.seed, "k": len(model.feature_indices),
+                  "norm": PipelineConfig().norm_mode, "folds": folds,
+                  "test-fraction": json.loads((root / "cmp.json").read_text())["test_fraction"]}
+        sampled = json.loads((root / "scores.json").read_text())["sampled_rates"]
+        return shared, {
+            ("synth", "seed"): SynthConfig().seed,
+            ("eval", "seed"): sampled["seed"],
+            ("select", "k"): json.loads((root / "s.json").read_text())["k"],
+        }
+
+    @pytest.mark.parametrize("command", [name for name, *_ in cli._COMMANDS])
+    def test_shown_defaults_are_the_stage_defaults(self, stage_defaults, capsys, command):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        options = " ".join(capsys.readouterr().out.split()).split("options:")[1]
+        shown = {}
+        for entry in re.split(r" --(?=[a-z])", options)[1:]:
+            found = re.search(r"\(.*default ([^ );]+)", entry)
+            if found:
+                shown[entry.split()[0]] = found.group(1)
+        shared, own = stage_defaults
+        for flag, value in shown.items():
+            assert value == str(own.get((command, flag), shared.get(flag))), flag
 
 
 class TestMalformedInputFiles:
@@ -807,6 +929,14 @@ class TestMalformedInputFiles:
                        "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err == "error: test_fraction must be in (0, 1), got 1.5\n"
+
+    @pytest.mark.parametrize("command", ["train", "report"])
+    def test_negative_seed_flag_names_no_file(self, features_csv, tmp_path, capsys, command):
+        held_out = ["--test-out", str(tmp_path / "test.csv")] if command == "train" else []
+        rc = cli.main([command, "--features", str(features_csv), "--seed", "-1",
+                       "--test-fraction", "0.5", *held_out, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: expected non-negative integer\n"
 
     def test_manifest_lists_a_record_twice(self, corpus_dir, tmp_path, capsys):
         first = (corpus_dir / "manifest.txt").read_text().splitlines()[0]

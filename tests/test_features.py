@@ -186,6 +186,14 @@ class TestFeatureNormalization:
         assert_array_equal(norm.scale(m.values)[:, 1], [0.0, 0.0])
         assert norm.scale(np.array([[3.0, 9.0]]))[0, 1] == 0.0
 
+    def test_columns_scale_bit_for_bit_as_the_full_row(self, default_features):
+        X = default_features.values
+        norm = fit_feature_normalization(default_features)
+        columns = np.array([0, 4, 16, 29])  # f30 is constant on this corpus
+        assert_array_equal(norm.scale(X[:, columns], columns), norm.scale(X)[:, columns])
+        with pytest.raises(ValueError, match="expects 4 columns"):
+            norm.scale(X, columns)
+
     def test_width_mismatch(self):
         m = FeatureMatrix(values=np.ones((2, 3)), record_ids=list("ab"),
                           labels=[None] * 2)

@@ -110,7 +110,7 @@ def config_mutation(draw, text):
         line = draw(st.text(alphabet=LETTERS + string.digits + " ", min_size=1)
                     .filter(str.strip))
     elif kind == "unknown_key":
-        key = draw(junk.filter(lambda k: k.replace("-", "_") not in cli._CONFIG_KEYS))
+        key = draw(junk.filter(lambda k: k.replace("-", "_") not in cli._OPTIONS))
         line = f"{key} = {draw(junk)}"
     elif kind == "empty_key":
         line = f" = {draw(junk)}"

@@ -26,6 +26,7 @@ from .dataset import (
 from .evaluate import (
     SAMPLED_PER_LABEL,
     ConfusionMatrix,
+    TooFewRowsError,
     accuracy,
     format_confusion,
     format_sampled_rates,
@@ -378,7 +379,10 @@ def cmd_cv(args) -> int:
     folds = _resolve(args, "folds", DEFAULT_FOLDS)
     _check_folds(folds)
     dataset = load_dataset(args.manifest)
-    report = kfold_cross_validate(dataset, folds, config, config.seed)
+    try:
+        report = kfold_cross_validate(dataset, folds, config, config.seed)
+    except TooFewRowsError as exc:  # a corpus too small for the folds is the manifest's fault
+        raise ValueError(f"{args.manifest}: {exc}") from None
     write_json(json_path, report.to_dict())
     for fold, machine in report.unconverged:
         _warn_unconverged([machine], f"fold {fold}: ")

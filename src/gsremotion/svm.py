@@ -24,7 +24,7 @@ from .features import CATALOG_VERSION, N_FEATURES, FeatureMatrix, FeatureNormali
 from .kernels import KernelSpec, gram
 from .selection import validate_catalog_indices
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # Floor for non-positive curvature along the working-set direction.
 _TAU = 1e-12
@@ -293,12 +293,7 @@ class MulticlassSvmModel:
 
     def __post_init__(self):
         self.label_order = tuple(self.label_order)
-        self.feature_indices = tuple(int(i) for i in self.feature_indices)
-        if not all(1 <= i <= N_FEATURES for i in self.feature_indices):
-            raise ValueError(
-                f"feature indices {self.feature_indices} outside catalog "
-                f"columns 1..{N_FEATURES}"
-            )
+        self.feature_indices = tuple(validate_catalog_indices(self.feature_indices))
         if len(self.label_order) < 2 or self.label_order != tuple(
                 lab for lab in LABEL_ORDER if lab in self.label_order):
             raise ValueError("multiclass model needs at least 2 labels, once each, in label order")
@@ -309,8 +304,6 @@ class MulticlassSvmModel:
         if widths != {len(self.feature_indices)}:
             raise ValueError(f"machines are {sorted(widths)} features wide, "
                              f"the model has {len(self.feature_indices)}")
-        if len({m.kernel for m in self.machines}) > 1:
-            raise ValueError("machines must all share one kernel")
         if self.normalization is not None and self.normalization.n_features != N_FEATURES:
             raise ValueError(f"normalization has {self.normalization.n_features} columns, "
                              f"expected {N_FEATURES}")
@@ -402,45 +395,25 @@ def _hex_list(values) -> list:
     return [_hex(v) for v in np.asarray(values, dtype=np.float64).ravel()]
 
 
-def _kernel_payload(spec: KernelSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "eta": None if spec.eta is None else _hex(spec.eta),
-        "r": _hex(spec.r),
-        "degree": spec.degree,
-    }
-
-
-def _kernel_from_payload(payload: dict) -> KernelSpec:
-    return KernelSpec(
-        kind=payload["kind"],
-        eta=None if payload["eta"] is None else float.fromhex(payload["eta"]),
-        r=float.fromhex(payload["r"]),
-        degree=int(payload["degree"]),
-    )
-
-
 def save_model(model: MulticlassSvmModel, path: str) -> None:
-    """Serialize to JSON; floats are hex strings so loading is bit-exact."""
-    machines = []
-    for m in model.machines:
-        machines.append({
-            "labels": [m.label_pair[0].value, m.label_pair[1].value],
-            "kernel": _kernel_payload(m.kernel),
-            "bias": _hex(m.bias),
-            "dual_coef": _hex_list(m.dual_coef),
-            "support_vectors": [_hex_list(row) for row in m.support_vectors],
-            "n_features": int(m.support_vectors.shape[1]),
-            "iterations": m.iterations,
-            "converged": m.converged,
-            "final_violation": _hex(m.final_violation),
-        })
+    """Serialize to JSON; floats are hex strings so loading is bit-exact.
+    Each fact is stored once: see load_model for what it derives."""
+    spec = model.config.kernel
+    if any(m.kernel != spec.resolved(len(model.feature_indices)) for m in model.machines):
+        raise ValueError("machines must all use config.kernel, resolved to the model's width")
+    machines = [{
+        "bias": _hex(m.bias),
+        "dual_coef": _hex_list(m.dual_coef),
+        "support_vectors": [_hex_list(row) for row in m.support_vectors],
+        "iterations": m.iterations,
+        "converged": m.converged,
+        "final_violation": _hex(m.final_violation),
+    } for m in model.machines]
     norm = None
     if model.normalization is not None:
         norm = {
             "mins": _hex_list(model.normalization.mins),
             "maxs": _hex_list(model.normalization.maxs),
-            "degenerate": [bool(b) for b in model.normalization.degenerate],
         }
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -454,7 +427,8 @@ def save_model(model: MulticlassSvmModel, path: str) -> None:
             "tolerance": _hex(model.config.tolerance),
             "max_passes": model.config.max_passes,
             "seed": model.config.seed,
-            "kernel": _kernel_payload(model.config.kernel),
+            "kernel": {"kind": spec.kind, "r": _hex(spec.r), "degree": spec.degree,
+                       "eta": None if spec.eta is None else _hex(spec.eta)},
         },
         "machines": machines,
     }
@@ -464,8 +438,10 @@ def save_model(model: MulticlassSvmModel, path: str) -> None:
 def load_model(path: str) -> MulticlassSvmModel:
     """Load a model saved by save_model; errors on foreign or truncated files.
 
-    Every malformed file, a missing key or a value of the wrong type
-    included, ends in a ValueError that names the file.
+    Machine i's label pair is the i-th pair of label_order, and its kernel is
+    config.kernel resolved to the model's width, the number of feature_indices.
+    Every malformed file, a missing key or a value of the wrong type included,
+    ends in a ValueError that names the file.
     """
     with file_errors(path, "model file"), open(path) as fh:
         payload = json.load(fh)
@@ -481,41 +457,51 @@ def load_model(path: str) -> MulticlassSvmModel:
         if catalog != CATALOG_VERSION:
             raise ValueError(
                 f"catalog_version {catalog} unsupported (expected {CATALOG_VERSION})")
+        cfg, spec = payload["config"], payload["config"]["kernel"]
+        config = TrainConfig(
+            c=float.fromhex(cfg["c"]),
+            kernel=KernelSpec(kind=spec["kind"], r=float.fromhex(spec["r"]),
+                              degree=int(spec["degree"]),
+                              eta=None if spec["eta"] is None else float.fromhex(spec["eta"])),
+            tolerance=float.fromhex(cfg["tolerance"]),
+            max_passes=int(cfg["max_passes"]),
+            seed=int(cfg["seed"]),
+        )
+        label_order = tuple(parse_label(v) for v in payload["label_order"])
+        feature_indices = tuple(validate_catalog_indices(payload["feature_indices"]))
+        width = len(feature_indices)
+        kernel = config.kernel.resolved(width)
+        pairs = list(combinations(label_order, 2))
+        if len(payload["machines"]) != len(pairs):
+            raise ValueError(f"{len(payload['machines'])} machines for {len(label_order)} "
+                             "labels: need one per label pair")
         machines = []
-        for m in payload["machines"]:
-            n_features = int(m["n_features"])
+        for m, pair in zip(payload["machines"], pairs):
             sv_rows = [[float.fromhex(v) for v in row] for row in m["support_vectors"]]
+            widths = {len(row) for row in sv_rows}
+            if widths - {width}:
+                raise ValueError(f"machines are {sorted(widths)} features wide, "
+                                 f"the model has {width}")
             machines.append(BinarySvmModel(
-                support_vectors=np.array(sv_rows, dtype=np.float64).reshape(-1, n_features),
+                support_vectors=np.array(sv_rows, dtype=np.float64).reshape(len(sv_rows), width),
                 dual_coef=np.array([float.fromhex(v) for v in m["dual_coef"]]),
                 bias=float.fromhex(m["bias"]),
-                kernel=_kernel_from_payload(m["kernel"]),
-                label_pair=(parse_label(m["labels"][0]), parse_label(m["labels"][1])),
+                kernel=kernel,
+                label_pair=pair,
                 iterations=int(m["iterations"]),
                 converged=bool(m["converged"]),
                 final_violation=float.fromhex(m["final_violation"]),
             ))
-        norm = None
-        if payload.get("normalization") is not None:
-            np_payload = payload["normalization"]
+        norm = payload["normalization"]
+        if norm is not None:
             norm = FeatureNormalization(
-                mins=np.array([float.fromhex(v) for v in np_payload["mins"]]),
-                maxs=np.array([float.fromhex(v) for v in np_payload["maxs"]]),
+                mins=np.array([float.fromhex(v) for v in norm["mins"]]),
+                maxs=np.array([float.fromhex(v) for v in norm["maxs"]]),
             )
-            if np_payload["degenerate"] != norm.degenerate.tolist():
-                raise ValueError("normalization degenerate flags disagree with its mins/maxs")
-        cfg_payload = payload["config"]
-        config = TrainConfig(
-            c=float.fromhex(cfg_payload["c"]),
-            kernel=_kernel_from_payload(cfg_payload["kernel"]),
-            tolerance=float.fromhex(cfg_payload["tolerance"]),
-            max_passes=int(cfg_payload["max_passes"]),
-            seed=int(cfg_payload["seed"]),
-        )
         return MulticlassSvmModel(
             machines=machines,
-            label_order=tuple(parse_label(v) for v in payload["label_order"]),
-            feature_indices=tuple(int(i) for i in payload["feature_indices"]),
+            label_order=label_order,
+            feature_indices=feature_indices,
             normalization=norm,
             config=config,
         )

@@ -111,3 +111,22 @@ XOR_Y = np.array([1.0, 1.0, -1.0, -1.0])
 @pytest.fixture(scope="session")
 def blobs():
     return make_blobs()
+
+
+def key_paths(node, prefix=()):
+    """Every key path in a JSON tree; a path ends at a dict key."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from key_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from key_paths(value, prefix + (i,))
+
+
+def delete_key(payload, key_path):
+    """Delete the key at the end of key_path from a JSON tree, in place."""
+    parent = payload
+    for step in key_path[:-1]:
+        parent = parent[step]
+    del parent[key_path[-1]]

@@ -957,6 +957,28 @@ class TestMalformedInputFiles:
                        "--out", str(tmp_path / "features.csv")])
         self.assert_names(capsys, rc, record, "has 25 samples, need at least 64")
 
+    def test_corpus_too_small_to_stratify_names_its_manifest(self, manifest, tmp_path,
+                                                            capsys):
+        rc = cli.main(["cv", "--manifest", manifest, "--out", str(tmp_path / "cv")])
+        self.assert_names(capsys, rc, manifest,
+                          "label 'happiness' has 4 rows, cannot stratify into 5 folds")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.update(format_version=1), "format_version 1 unsupported (expected 2)"),
+        (lambda p: p.pop("normalization"), "missing key 'normalization'"),
+        (lambda p: p["machines"].append(p["machines"][0]),
+         "11 machines for 5 labels: need one per label pair"),
+    ], ids=["v1", "no_normalization", "eleven_machines"])
+    def test_model_file_refused(self, model_path, features_csv, tmp_path, capsys,
+                                edit, message):
+        payload = json.loads(model_path.read_text())
+        edit(payload)
+        broken = tmp_path / "model.json"
+        broken.write_text(json.dumps(payload))
+        rc = cli.main(["predict", "--model", str(broken), "--features", str(features_csv),
+                       "--out", str(tmp_path / "predictions.csv")])
+        self.assert_names(capsys, rc, broken, message)
+
     @pytest.mark.parametrize("command", ["features", "cv"])
     def test_empty_manifest_names_its_file(self, tmp_path, capsys, command):
         manifest = tmp_path / "manifest.txt"

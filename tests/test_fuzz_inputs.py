@@ -29,6 +29,8 @@ from gsremotion.dataset import CSV_HEADER, LABEL_ORDER
 from gsremotion.features import read_feature_csv
 from gsremotion.selection import read_selection_indices
 
+from conftest import delete_key, key_paths
+
 FUZZ = settings(max_examples=30, derandomize=True, database=None, deadline=None)
 
 LETTERS = string.ascii_letters
@@ -319,17 +321,6 @@ class TestSelectionJson:
                         "--out", os.path.join(tmp, "model.json")], broken)
 
 
-def key_paths(node, prefix=()):
-    """Every key path in a JSON tree; a path ends at a dict key."""
-    if isinstance(node, dict):
-        for key, value in node.items():
-            yield prefix + (key,)
-            yield from key_paths(value, prefix + (key,))
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            yield from key_paths(value, prefix + (i,))
-
-
 @st.composite
 def model_mutation(draw, text):
     kind = draw(st.sampled_from(["truncate", "drop_key", "not_an_object"]))
@@ -339,13 +330,7 @@ def model_mutation(draw, text):
         return json.dumps(draw(st.one_of(st.none(), st.integers(), st.text(),
                                           st.lists(st.integers(), max_size=3))))
     payload = json.loads(text)
-    # normalization is optional (null when the model was fitted without it)
-    paths = [p for p in key_paths(payload) if p != ("normalization",)]
-    path = draw(st.sampled_from(paths))
-    parent = payload
-    for step in path[:-1]:
-        parent = parent[step]
-    del parent[path[-1]]
+    delete_key(payload, draw(st.sampled_from(list(key_paths(payload)))))
     return json.dumps(payload)
 
 

@@ -16,6 +16,7 @@ from gsremotion.features import (
 from gsremotion.kernels import KernelSpec
 from gsremotion.pipeline import PipelineConfig, fit_from_features, predict_rows
 from gsremotion.svm import (
+    MODEL_FORMAT_VERSION,
     BinarySvmModel,
     MulticlassSvmModel,
     TrainConfig,
@@ -27,12 +28,19 @@ from gsremotion.svm import (
     train_multiclass,
 )
 
+from conftest import delete_key, key_paths
+
 H, G, C = EmotionLabel.HAPPINESS, EmotionLabel.GRIEF, EmotionLabel.CALM
 
 
 @pytest.fixture(scope="module")
 def fitted(small_features):
     return fit_from_features(small_features, PipelineConfig(seed=42))
+
+
+@pytest.fixture(scope="module")
+def both_model(small_features):
+    return fit_from_features(small_features, PipelineConfig(norm_mode="both", seed=42)).model
 
 
 def vote_model(labels=(H, G, C)):
@@ -256,10 +264,57 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(fitted.model, str(path))
         payload = json.loads(path.read_text())
-        payload["format_version"] = 2
+        payload["format_version"] = 3
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="format_version"):
             load_model(str(path))
+
+    def test_v1_layout_rejected(self, both_model, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(both_model, str(path))
+        payload = json.loads(path.read_text())
+        payload["format_version"] = 1
+        kernel = dict(payload["config"]["kernel"], eta=float(1 / 15).hex())
+        for m, (a, b) in zip(payload["machines"], combinations(LABEL_ORDER, 2)):
+            m.update(labels=[a.value, b.value], kernel=kernel, n_features=15)
+        norm = payload["normalization"]
+        norm["degenerate"] = [lo == hi for lo, hi in zip(norm["mins"], norm["maxs"])]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: model format_version 1 "
+                                             r"unsupported \(expected 2\)"):
+            load_model(str(path))
+
+    def test_saved_file_stores_each_fact_once(self, both_model, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(both_model, str(path))
+        payload = json.loads(path.read_text())
+        assert payload["format_version"] == MODEL_FORMAT_VERSION == 2
+        for m in payload["machines"]:
+            assert set(m) == {"bias", "dual_coef", "support_vectors", "iterations",
+                              "converged", "final_violation"}
+        assert set(payload["normalization"]) == {"mins", "maxs"}
+
+    @pytest.mark.parametrize("norm_mode", ["signal", "both"])
+    def test_machines_derive_kernel_and_label_pair(self, small_features, tmp_path, norm_mode):
+        model = fit_from_features(small_features,
+                                  PipelineConfig(norm_mode=norm_mode, seed=42)).model
+        path = str(tmp_path / "model.json")
+        save_model(model, path)
+        loaded = load_model(path)
+        kernel = loaded.config.kernel.resolved(len(loaded.feature_indices))
+        assert kernel.eta == 1 / len(loaded.feature_indices)
+        for m, pair in zip(loaded.machines, combinations(loaded.label_order, 2),
+                           strict=True):
+            assert m.kernel == kernel
+            assert m.label_pair == pair
+
+    def test_model_with_mismatched_kernel_not_saved(self, fitted, tmp_path):
+        model = MulticlassSvmModel(machines=fitted.model.machines,
+                                   label_order=fitted.model.label_order,
+                                   feature_indices=fitted.model.feature_indices,
+                                   config=TrainConfig(kernel=KernelSpec(kind="linear")))
+        with pytest.raises(ValueError, match="config.kernel"):
+            save_model(model, str(tmp_path / "model.json"))
 
     def test_foreign_kind_rejected(self, fitted, tmp_path):
         path = tmp_path / "model.json"
@@ -281,13 +336,26 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(fitted.model, str(path))
         payload = json.loads(path.read_text())
-        parent = payload
-        for step in key_path[:-1]:
-            parent = parent[step]
-        del parent[key_path[-1]]
+        delete_key(payload, key_path)
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*missing key '{key_path[-1]}'"):
             load_model(str(path))
+
+    def test_every_missing_key_rejected(self, both_model, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(both_model, str(path))
+        text = path.read_text()
+        paths = list(key_paths(json.loads(text)))
+        assert len(paths) == 8 + 5 + 4 + 2 + 10 * 6  # top, config, kernel, norm, machines
+        for key_path in paths:
+            payload = json.loads(text)
+            delete_key(payload, key_path)
+            path.write_text(json.dumps(payload))
+            message = {("format_version",): "format_version None unsupported",
+                       ("kind",): "not a one_vs_one_svm model file"}.get(
+                key_path, f"missing key {key_path[-1]!r}")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+                load_model(str(path))
 
     @pytest.mark.parametrize("key_path, value", [
         (("machines",), None),
@@ -313,7 +381,7 @@ class TestSerialization:
             load_model(str(path))
 
     @pytest.mark.parametrize("field, value, message", [
-        ("feature_indices", [1, 31], "outside catalog"),
+        ("feature_indices", [1, 31], "out of range 1..30"),
         ("catalog_version", 2, "catalog_version 2"),
     ])
     def test_out_of_catalog_model_rejected(self, fitted, tmp_path, field, value, message):
@@ -339,26 +407,15 @@ def drop_last_feature(payload):
 
 def drop_last_label(payload):
     payload["label_order"] = payload["label_order"][:4]
-    payload["machines"] = payload["machines"][:6]
 
 
-def repeat_a_label(payload):
-    payload["machines"][0]["labels"] = ["calm", "calm"]
-
-
-def flip_a_degenerate_flag(payload):
-    flags = payload["normalization"]["degenerate"]
-    flags[0] = not flags[0]
+def add_a_machine(payload):
+    payload["machines"].append(payload["machines"][0])
 
 
 def narrow_the_normalization(payload):
-    for key in ("mins", "maxs", "degenerate"):
+    for key in ("mins", "maxs"):
         payload["normalization"][key].pop()
-
-
-def mix_the_kernels(payload):
-    payload["machines"][3]["kernel"].update(kind="linear", eta=None)
-    payload["machines"][4]["kernel"]["eta"] = float(100).hex()
 
 
 def nan_bias(payload):
@@ -387,11 +444,9 @@ class TestInconsistentModelFile:
 
     @pytest.mark.parametrize("edit, message", [
         (drop_last_feature, "features wide, the model has 14"),
-        (drop_last_label, "6 machines for 4 labels: need one per label pair"),
-        (repeat_a_label, "need one per label pair"),
-        (flip_a_degenerate_flag, "degenerate flags disagree with its mins/maxs"),
+        (drop_last_label, "10 machines for 4 labels: need one per label pair"),
+        (add_a_machine, "11 machines for 5 labels: need one per label pair"),
         (narrow_the_normalization, "normalization has 29 columns, expected 30"),
-        (mix_the_kernels, "machines must all share one kernel"),
         (nan_bias, "bias must be finite"),
         (inf_support_value, "bias must be finite"),
         (minus_inf_dual_coef, "bias must be finite"),

@@ -55,7 +55,7 @@ class KernelSpec:
 
 
 def gram(spec: KernelSpec, X, Z=None) -> np.ndarray:
-    """Kernel matrix K[i, j] = K(X[i], Z[j]); Z defaults to X."""
+    """Kernel matrix K[i, j] = K(X[i], Z[j]); Z defaults to X; built in place."""
     Xa = np.asarray(X, dtype=np.float64)
     Za = Xa if Z is None else np.asarray(Z, dtype=np.float64)
     if Xa.ndim != 2 or Za.ndim != 2 or Xa.shape[1] != Za.shape[1]:
@@ -64,10 +64,18 @@ def gram(spec: KernelSpec, X, Z=None) -> np.ndarray:
     inner = Xa @ Za.T
     if spec.kind == "linear":
         return inner
-    if spec.kind == "polynomial":
-        return (spec.eta * inner + spec.r) ** spec.degree
     if spec.kind == "rbf":
-        sq = (Xa * Xa).sum(axis=1)[:, None] + (Za * Za).sum(axis=1)[None, :] - 2.0 * inner
+        norms_x = (Xa * Xa).sum(axis=1)
+        norms_z = norms_x if Z is None else (Za * Za).sum(axis=1)
+        sq = np.add(norms_x[:, None], norms_z[None, :])
+        inner *= 2.0
+        sq -= inner  # |x|^2 + |z|^2 - 2<x, z>
         np.clip(sq, 0.0, None, out=sq)
-        return np.exp(-spec.eta * sq)
-    return np.tanh(spec.eta * inner + spec.r)
+        sq *= -spec.eta
+        return np.exp(sq, out=sq)
+    inner *= spec.eta
+    inner += spec.r
+    if spec.kind == "polynomial":
+        inner **= spec.degree  # in place, through the same fast paths as ** (square for 2)
+        return inner
+    return np.tanh(inner, out=inner)

@@ -103,11 +103,11 @@ def _violating_bounds(G: np.ndarray, y: np.ndarray, alpha: np.ndarray,
     return float(v[up].max()), float(v[low].min())
 
 
-def _smo_solve(Q, y, C, tol, max_iter, tiebreak):
+def _smo_solve(K, y, C, tol, max_iter, tiebreak):
     """Run SMO on the dual to convergence or the iteration cap.
 
     Args:
-        Q: (n, n) matrix K[i,j] * y[i] * y[j].
+        K: (n, n) kernel matrix; the dual's Q is K[i,j] * y[i] * y[j].
         y: (n,) labels in {-1.0, +1.0}.
         C: box constraint, > 0.
         tol: KKT violation threshold (stop when m - M <= tol).
@@ -124,10 +124,10 @@ def _smo_solve(Q, y, C, tol, max_iter, tiebreak):
     p = np.argsort(-tiebreak, kind="stable")
     yp = y[p]
     ys = yp.tolist()
-    # Track v = -y*G. Row i of R = Q * -y moves v exactly as Q[i] moves G,
-    # since a sign flip commutes with rounding.
-    R = Q[np.ix_(p, p)]
-    R *= -yp
+    # Track v = -y*G. R = K * -y[:, None] equals Q * -y exactly (factors of +-1
+    # are exact), so R[i] moves v as Q[i] moves G: a sign flip commutes with rounding.
+    R = K[np.ix_(p, p)]
+    R *= -yp[:, None]
     diag = (R.diagonal() * -yp).tolist()
     v = yp.copy()  # G = -1 at alpha = 0
     alpha = [0.0] * n
@@ -138,12 +138,12 @@ def _smo_solve(Q, y, C, tol, max_iter, tiebreak):
     objective = 0.0
     trace = [0.0]
     converged = False
-    iterations = 0
+    vi, vj, step = np.empty((3, n))  # each step's temporaries, allocated once
 
     for _ in range(max_iter):
-        vi = v + up_pen
+        np.add(v, up_pen, out=vi)
         i = int(vi.argmax())
-        vj = v + low_pen
+        np.add(v, low_pen, out=vj)
         j = int(vj.argmin())
         if vi.item(i) - vj.item(j) <= tol:
             converged = True
@@ -166,18 +166,16 @@ def _smo_solve(Q, y, C, tol, max_iter, tiebreak):
                 if aj < 0.0:
                     aj = 0.0
                     ai = diff
-            else:
-                if ai < 0.0:
-                    ai = 0.0
-                    aj = -diff
+            elif ai < 0.0:
+                ai = 0.0
+                aj = -diff
             if diff > 0.0:
                 if ai > C:
                     ai = C
                     aj = C - diff
-            else:
-                if aj > C:
-                    aj = C
-                    ai = C + diff
+            elif aj > C:
+                aj = C
+                ai = C + diff
         else:
             quad = diag[i] + diag[j] - 2.0 * Qij
             if quad <= 0.0:
@@ -190,25 +188,24 @@ def _smo_solve(Q, y, C, tol, max_iter, tiebreak):
                 if ai > C:
                     ai = C
                     aj = total - C
-            else:
-                if aj < 0.0:
-                    aj = 0.0
-                    ai = total
+            elif aj < 0.0:
+                aj = 0.0
+                ai = total
             if total > C:
                 if aj > C:
                     aj = C
                     ai = total - C
-            else:
-                if ai < 0.0:
-                    ai = 0.0
-                    aj = total
+            elif ai < 0.0:
+                ai = 0.0
+                aj = total
 
         alpha[i] = ai
         alpha[j] = aj
         dai = ai - old_i
         daj = aj - old_j
-        v += dai * R[i] + daj * R[j]
-        iterations += 1
+        np.multiply(R[i], dai, out=step)
+        step += np.multiply(R[j], daj, out=vi)  # vi is not read again this step
+        v += step
         objective -= dai * Gi + daj * Gj + 0.5 * (
             dai * dai * diag[i] + 2.0 * dai * daj * Qij + daj * daj * diag[j])
         trace.append(objective)
@@ -216,11 +213,8 @@ def _smo_solve(Q, y, C, tol, max_iter, tiebreak):
             up_pen[t] = 0.0 if (a < C if ys[t] > 0 else a > 0.0) else -np.inf
             low_pen[t] = 0.0 if (a < C if ys[t] < 0 else a > 0.0) else np.inf
 
-    alpha_out = np.empty(n)
-    alpha_out[p] = alpha
-    G = np.empty(n)
-    G[p] = v * -yp
-    return alpha_out, G, iterations, converged, np.array(trace)
+    back = np.argsort(p)  # the inverse permutation
+    return np.array(alpha)[back], (v * -yp)[back], len(trace) - 1, converged, np.array(trace)
 
 
 def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig,
@@ -241,12 +235,10 @@ def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig,
 
     spec = config.kernel.resolved(X.shape[1])
     with _kernel_overflow_refused():
-        Q = gram(spec, X)
-    Q *= np.outer(y, y)
+        K = gram(spec, X)
     tiebreak = np.random.default_rng(config.seed).random(y.size)
     alpha, G, iterations, converged, trace = _smo_solve(
-        Q, y, config.c, config.tolerance, config.max_passes, tiebreak
-    )
+        K, y, config.c, config.tolerance, config.max_passes, tiebreak)
 
     m, M = _violating_bounds(G, y, alpha, config.c)
     free = (alpha > 0) & (alpha < config.c)

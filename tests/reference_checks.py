@@ -1,4 +1,4 @@
-"""Checks that only the tests use: one kernel pair, a KKT gap, filter-bank invariants.
+"""Checks that only the tests use: kernel values and matrices, a KKT gap, filter-bank invariants.
 
 Each is an independent restatement of something the library computes in
 bulk (gram matrices, the solver's stopping rule, the Daubechies bank), so
@@ -27,6 +27,24 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
         diff = xv - yv
         return float(np.exp(-spec.eta * (diff @ diff)))
     return float(np.tanh(spec.eta * (xv @ yv) + spec.r))
+
+
+def gram_reference(spec: KernelSpec, X, Z=None) -> np.ndarray:
+    """Kernel matrix from the out-of-place textbook expressions, one
+    temporary per operation; kernels.gram must match it bit for bit."""
+    Xa = np.asarray(X, dtype=np.float64)
+    Za = Xa if Z is None else np.asarray(Z, dtype=np.float64)
+    spec.require_resolved()
+    inner = Xa @ Za.T
+    if spec.kind == "linear":
+        return inner
+    if spec.kind == "polynomial":
+        return (spec.eta * inner + spec.r) ** spec.degree
+    if spec.kind == "rbf":
+        sq = (Xa * Xa).sum(axis=1)[:, None] + (Za * Za).sum(axis=1)[None, :] - 2.0 * inner
+        np.clip(sq, 0.0, None, out=sq)
+        return np.exp(-spec.eta * sq)
+    return np.tanh(spec.eta * inner + spec.r)
 
 
 def kkt_violation(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> float:

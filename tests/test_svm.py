@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -5,13 +7,14 @@ from numpy.testing import assert_allclose, assert_array_equal
 from gsremotion.kernels import KernelSpec, canonical_kind, gram
 from gsremotion.svm import (
     TrainConfig,
+    _kernel_overflow_refused,
     _smo_solve,
     decision_values,
     train_binary,
 )
 
 from conftest import XOR_X, XOR_Y
-from reference_checks import kernel_eval, kkt_violation
+from reference_checks import gram_reference, kernel_eval, kkt_violation
 from smo_reference import smo_solve as reference_smo_solve
 
 
@@ -126,6 +129,44 @@ class TestGram:
     def test_incompatible_shapes(self):
         with pytest.raises(ValueError, match="incompatible"):
             gram(KernelSpec(kind="linear"), np.ones((3, 2)), np.ones((3, 4)))
+
+
+BIT_IDENTITY_SPECS = [
+    KernelSpec(kind="linear"),
+    KernelSpec(kind="rbf", eta=0.4),
+    KernelSpec(kind="sigmoid", eta=0.1, r=-0.5),
+    *(KernelSpec(kind="polynomial", eta=0.5, r=1.0, degree=d) for d in (1, 2, 3, 4)),
+]
+
+
+class TestGramBitIdentity:
+    """gram works in place; it must give the out-of-place expressions' bits."""
+
+    @pytest.mark.parametrize("with_z", [False, True], ids=["z-none", "z-given"])
+    @pytest.mark.parametrize("spec", BIT_IDENTITY_SPECS,
+                             ids=lambda s: f"{s.kind}-{s.degree}")
+    def test_matches_out_of_place_reference(self, spec, with_z):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(40, 6)) * 3.0
+        Z = rng.normal(size=(25, 6)) if with_z else None
+        K, ref = gram(spec, X, Z), gram_reference(spec, X, Z)
+        assert_array_equal(K, ref)
+        assert_array_equal(np.signbit(K), np.signbit(ref))  # signed zeros too
+
+    def test_rbf_underflow_to_zero(self):
+        X = np.array([[0.0, 0.0], [40.0, 0.0], [0.0, 1.0]])
+        spec = KernelSpec(kind="rbf", eta=1.0)
+        K = gram(spec, X)
+        assert K[0, 1] == 0.0 and K[0, 2] > 0.0
+        assert_array_equal(K, gram_reference(spec, X))
+
+    @pytest.mark.parametrize("spec", BIT_IDENTITY_SPECS[:4], ids=lambda s: s.kind)
+    def test_overflow_is_refused_as_before(self, spec):
+        X = np.array([[1e200, 1.0], [2.0, 3.0]])
+        for kernel_matrix in (gram, gram_reference):
+            with pytest.raises(ValueError, match="kernel matrix overflows"):
+                with _kernel_overflow_refused():
+                    kernel_matrix(spec, X)
 
 
 class TestTrainConfigValidation:
@@ -300,7 +341,7 @@ def duplicated_problem(kind, seed, n=40):
     spec = {"linear": KernelSpec(kind="linear"),
             "rbf": KernelSpec(kind="rbf", eta=0.5),
             "poly": KernelSpec(kind="polynomial", eta=0.3, r=1.0, degree=3)}[kind]
-    return gram(spec, X) * np.outer(y, y), y, rng.random(n)
+    return gram(spec, X), y, rng.random(n)
 
 
 class TestReferenceParity:
@@ -311,9 +352,9 @@ class TestReferenceParity:
     @pytest.mark.parametrize("kind", ["linear", "rbf", "poly"])
     def test_matches_reference(self, kind, c, max_iter):
         for seed in range(3):
-            Q, y, tiebreak = duplicated_problem(kind, seed)
-            ref = reference_smo_solve(Q, y, c, 1e-3, max_iter, tiebreak)
-            new = _smo_solve(Q.copy(), y, c, 1e-3, max_iter, tiebreak)
+            K, y, tiebreak = duplicated_problem(kind, seed)
+            ref = reference_smo_solve(K * np.outer(y, y), y, c, 1e-3, max_iter, tiebreak)
+            new = _smo_solve(K, y, c, 1e-3, max_iter, tiebreak)
             assert_array_equal(new[0], ref[0])
             assert_array_equal(new[1], ref[1])
             assert new[2] == ref[2]
@@ -321,11 +362,32 @@ class TestReferenceParity:
             assert_allclose(new[4], ref[4], rtol=1e-9, atol=1e-9)
 
     def test_solver_leaves_its_inputs_alone(self):
-        Q, y, tiebreak = duplicated_problem("rbf", 0)
-        copies = Q.copy(), y.copy(), tiebreak.copy()
-        _smo_solve(Q, y, 1.0, 1e-3, 100, tiebreak)
-        for before, after in zip(copies, (Q, y, tiebreak)):
+        K, y, tiebreak = duplicated_problem("rbf", 0)
+        copies = K.copy(), y.copy(), tiebreak.copy()
+        _smo_solve(K, y, 1.0, 1e-3, 100, tiebreak)
+        for before, after in zip(copies, (K, y, tiebreak)):
             assert_array_equal(before, after)
+
+
+class TestMemoryBudget:
+    """A machine holds its kernel matrix plus the solver's permuted copy of
+    it; one more n x n temporary would break the budget."""
+
+    N = 600
+
+    @pytest.mark.parametrize("kind", ["linear", "polynomial", "rbf", "sigmoid"])
+    def test_train_binary_peak_allocation(self, kind):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(self.N, 15))
+        y = np.where(rng.random(self.N) < 0.5, -1.0, 1.0)
+        config = TrainConfig(kernel=KernelSpec(kind=kind), max_passes=1)
+        tracemalloc.start()
+        try:
+            train_binary(X, y, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * self.N ** 2 * 8, f"peak {peak / (self.N ** 2 * 8):.2f} n^2 floats"
 
 
 def test_kkt_violation_empty_index_sets():

@@ -2,14 +2,15 @@
 
 Binary machines solve the standard dual
     min 0.5 a'Qa - e'a,  0 <= a_i <= C,  y'a = 0,  Q_ij = y_i y_j K(x_i, x_j)
-with maximal-violating-pair working-set selection. The multiclass model
-holds one machine per unordered label pair and predicts by majority vote,
-breaking vote ties by the summed |decision value| of the machines that voted
-for each tied label, then by label order.
+with second-order working-set selection. The multiclass model holds one
+machine per unordered label pair and predicts by majority vote, breaking
+vote ties by the summed |decision value| of the machines that voted for each
+tied label, then by label order.
 
-The solver is LIBSVM's WSS1 loop (Keerthi et al., Neural Computation 2001;
-Chang & Lin, ACM TIST 2011) written to touch whole arrays only where it must:
-choosing the pair and updating the selection scores.
+The solver is LIBSVM's WSS2 loop (Fan, Chen & Lin, "Working Set Selection
+Using Second Order Information for Training SVM", JMLR 2005; Chang & Lin,
+ACM TIST 2011) written to touch whole arrays only where it must: choosing
+the pair and updating the selection scores. It only reads the kernel matrix.
 """
 
 import json
@@ -103,16 +104,17 @@ def _violating_bounds(G: np.ndarray, y: np.ndarray, alpha: np.ndarray,
     return float(v[up].max()), float(v[low].min())
 
 
-def _smo_solve(K, y, C, tol, max_iter, tiebreak):
+def _smo_solve(K, y, C, tol, max_iter):
     """Run SMO on the dual to convergence or the iteration cap.
 
     Args:
-        K: (n, n) kernel matrix; the dual's Q is K[i,j] * y[i] * y[j].
+        K: (n, n) kernel matrix, read only; the dual's Q is K[i,j] * y[i] * y[j].
+            Rows come in tie-break order: among exactly tied selection
+            scores the lowest index wins.
         y: (n,) labels in {-1.0, +1.0}.
         C: box constraint, > 0.
         tol: KKT violation threshold (stop when m - M <= tol).
         max_iter: cap on pair updates.
-        tiebreak: (n,) floats; the larger wins among exactly tied candidates.
 
     Returns:
         (alpha, G, iterations, converged, trace) where G = Q @ alpha - e and
@@ -120,21 +122,17 @@ def _smo_solve(K, y, C, tol, max_iter, tiebreak):
     """
     C = float(C)
     n = y.size
-    # In descending tiebreak order the first argmax/argmin hit is the winner.
-    p = np.argsort(-tiebreak, kind="stable")
-    yp = y[p]
-    ys = yp.tolist()
-    # Track v = -y*G. R = K * -y[:, None] equals Q * -y exactly (factors of +-1
-    # are exact), so R[i] moves v as Q[i] moves G: a sign flip commutes with rounding.
-    R = K[np.ix_(p, p)]
-    R *= -yp[:, None]
-    diag = (R.diagonal() * -yp).tolist()
-    v = yp.copy()  # G = -1 at alpha = 0
+    ys = y.tolist()
+    # Track v = -y*G. Q[i] * -y equals K[i] * -y[i] exactly (factors of +-1
+    # are exact), so K[i] * (-y[i]*da) moves v as Q[i] * da moves G.
+    kdiag = K.diagonal().copy()
+    diag = kdiag.tolist()
+    v = y.copy()  # G = -1 at alpha = 0
     alpha = [0.0] * n
     # 0 inside I_up (I_low), -inf (+inf) outside: an empty set gives m = -inf
     # (M = +inf), which ends the loop like a closed gap.
-    up_pen = np.where(yp > 0, 0.0, -np.inf)
-    low_pen = np.where(yp < 0, 0.0, np.inf)
+    up_pen = np.where(y > 0, 0.0, -np.inf)
+    low_pen = np.where(y < 0, 0.0, np.inf)
     objective = 0.0
     trace = [0.0]
     converged = False
@@ -143,15 +141,28 @@ def _smo_solve(K, y, C, tol, max_iter, tiebreak):
     for _ in range(max_iter):
         np.add(v, up_pen, out=vi)
         i = int(vi.argmax())
+        m = vi.item(i)
         np.add(v, low_pen, out=vj)
-        j = int(vj.argmin())
-        if vi.item(i) - vj.item(j) <= tol:
+        if m - vj.item(vj.argmin()) <= tol:
             converged = True
             break
+        # j maximises b^2 / a over I_low, where b = m - v_t > 0 and
+        # a = K_ii + K_tt - 2 K_it (at least tau): vj becomes
+        # min(v - m, 0)^2 / a, which is 0 outside I_low and where v_t >= m.
+        Ki = K[i]
+        np.multiply(Ki, -2.0, out=step)
+        step += kdiag
+        step += diag[i]
+        np.maximum(step, _TAU, out=step)
+        vj -= m
+        np.minimum(vj, 0.0, out=vj)
+        vj *= vj
+        vj /= step
+        j = int(vj.argmax())
 
         yi, yj = ys[i], ys[j]
         Gi, Gj = -yi * v.item(i), -yj * v.item(j)
-        Qij = -yj * R.item(i, j)
+        Qij = yi * yj * K.item(i, j)
         old_i = ai = alpha[i]
         old_j = aj = alpha[j]
         if yi != yj:
@@ -203,8 +214,8 @@ def _smo_solve(K, y, C, tol, max_iter, tiebreak):
         alpha[j] = aj
         dai = ai - old_i
         daj = aj - old_j
-        np.multiply(R[i], dai, out=step)
-        step += np.multiply(R[j], daj, out=vi)  # vi is not read again this step
+        np.multiply(Ki, -yi * dai, out=step)
+        step += np.multiply(K[j], -yj * daj, out=vi)  # vi is not read again this step
         v += step
         objective -= dai * Gi + daj * Gj + 0.5 * (
             dai * dai * diag[i] + 2.0 * dai * daj * Qij + daj * daj * diag[j])
@@ -213,8 +224,7 @@ def _smo_solve(K, y, C, tol, max_iter, tiebreak):
             up_pen[t] = 0.0 if (a < C if ys[t] > 0 else a > 0.0) else -np.inf
             low_pen[t] = 0.0 if (a < C if ys[t] < 0 else a > 0.0) else np.inf
 
-    back = np.argsort(p)  # the inverse permutation
-    return np.array(alpha)[back], (v * -yp)[back], len(trace) - 1, converged, np.array(trace)
+    return np.array(alpha), v * -y, len(trace) - 1, converged, np.array(trace)
 
 
 def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig,
@@ -234,11 +244,16 @@ def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig,
         raise ValueError("both classes must be present")
 
     spec = config.kernel.resolved(X.shape[1])
-    with _kernel_overflow_refused():
-        K = gram(spec, X)
+    # Rows go to the solver in descending tiebreak order, so its first
+    # argmax hit is the tie winner; argsort(p) maps the result back.
     tiebreak = np.random.default_rng(config.seed).random(y.size)
+    p = np.argsort(-tiebreak, kind="stable")
+    with _kernel_overflow_refused():
+        K = gram(spec, X[p])
     alpha, G, iterations, converged, trace = _smo_solve(
-        K, y, config.c, config.tolerance, config.max_passes, tiebreak)
+        K, y[p], config.c, config.tolerance, config.max_passes)
+    back = np.argsort(p)
+    alpha, G = alpha[back], G[back]
 
     m, M = _violating_bounds(G, y, alpha, config.c)
     free = (alpha > 0) & (alpha < config.c)

@@ -1,13 +1,17 @@
 """Reference SMO solver: the straightforward numpy loop, kept for parity tests.
 
 Minimizes f(a) = 0.5 a'Qa - e'a subject to 0 <= a <= C, y'a = 0 using
-maximal-violating-pair selection. Exact ties in the selection score are
-broken by a caller-supplied tiebreak array so runs are reproducible.
+second-order working-set selection (WSS2: Fan, Chen & Lin, JMLR 2005): i is
+the maximal violator in I_up, and j maximizes b^2 / a over the t in I_low
+with b = m - v_t > 0, where v = -y*G, m = v_i and a = K_ii + K_tt - 2 K_it
+(floored at TAU). Exact ties in a selection score are broken by a
+caller-supplied tiebreak array so runs are reproducible.
 
 It recomputes the index sets, the selection scores and the objective from
 whole arrays on every step. gsremotion.svm._smo_solve does the same float
-operations on the working pair only, so the two must return identical
-alpha and G vectors; the objective trace may differ in the last ulps.
+operations on the working pair only, with its rows given in descending
+tiebreak order, so the two must return identical alpha and G vectors; the
+objective trace may differ in the last ulps.
 """
 
 import numpy as np
@@ -48,12 +52,15 @@ def smo_solve(Q, y, C, tol, max_iter, tiebreak):
         vi = np.where(up, v, -np.inf)
         m = vi.max()
         i = int(np.where(vi == m, tiebreak, -np.inf).argmax())
-        vj = np.where(low, v, np.inf)
-        M = vj.min()
-        j = int(np.where(vj == M, tiebreak, -np.inf).argmax())
+        M = np.where(low, v, np.inf).min()
         if m - M <= tol:
             converged = True
             break
+        # Q[i] * (-2 y_i y) is exactly -2 K[i], and diag(Q) is diag(K)
+        a = np.maximum(Q[i] * (-2.0 * y[i] * y) + np.diag(Q) + Q[i, i], TAU)
+        b = m - v
+        score = np.where(low & (b > 0.0), b * b / a, -np.inf)
+        j = int(np.where(score == score.max(), tiebreak, -np.inf).argmax())
 
         old_i = alpha[i]
         old_j = alpha[j]

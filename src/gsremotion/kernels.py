@@ -3,6 +3,11 @@
 eta is the scale parameter (gamma); left unset it resolves to 1/d at
 training time, with d the trained feature dimensionality. r is the additive
 constant for the polynomial and sigmoid forms.
+
+Every kernel value is finished by finish_block from an inner product <x, z>
+(and, for rbf, the squared norms of x and z): gram finishes a whole matrix
+with it, and svm.train_binary finishes single rows and the diagonal of its
+product, so each cell has the same bits whichever block it is finished in.
 """
 
 from dataclasses import dataclass, replace
@@ -54,6 +59,31 @@ class KernelSpec:
             raise ValueError(f"{self.kind} kernel used before eta was resolved")
 
 
+def finish_block(spec: KernelSpec, inner: np.ndarray, norms_x=None, norms_z=None) -> np.ndarray:
+    """Turn a block of inner products <x, z> into kernel values, in place.
+
+    The block is a whole matrix (norms_x[:, None] against norms_z), one row t
+    (norms_x[t] against norms_z) or the diagonal (norms_x against norms_x);
+    the norms are squared and only rbf reads them. Every cell goes through the
+    same float operations whatever the block, so a row or diagonal finished
+    here has the bits of the same cells of a whole matrix.
+    """
+    if spec.kind == "linear":
+        return inner
+    if spec.kind == "rbf":
+        inner *= -2.0
+        inner += np.add(norms_x, norms_z)  # |x|^2 + |z|^2 - 2<x, z>
+        np.maximum(inner, 0.0, out=inner)  # what np.clip(inner, 0.0, None) calls
+        inner *= -spec.eta
+        return np.exp(inner, out=inner)
+    inner *= spec.eta
+    inner += spec.r
+    if spec.kind == "polynomial":
+        inner **= spec.degree  # in place, through the same fast paths as ** (square for 2)
+        return inner
+    return np.tanh(inner, out=inner)
+
+
 def gram(spec: KernelSpec, X, Z=None) -> np.ndarray:
     """Kernel matrix K[i, j] = K(X[i], Z[j]); Z defaults to X; built in place."""
     Xa = np.asarray(X, dtype=np.float64)
@@ -62,20 +92,8 @@ def gram(spec: KernelSpec, X, Z=None) -> np.ndarray:
         raise ValueError(f"incompatible shapes {Xa.shape} and {Za.shape}")
     spec.require_resolved()
     inner = Xa @ Za.T
-    if spec.kind == "linear":
-        return inner
-    if spec.kind == "rbf":
-        norms_x = (Xa * Xa).sum(axis=1)
-        norms_z = norms_x if Z is None else (Za * Za).sum(axis=1)
-        sq = np.add(norms_x[:, None], norms_z[None, :])
-        inner *= 2.0
-        sq -= inner  # |x|^2 + |z|^2 - 2<x, z>
-        np.clip(sq, 0.0, None, out=sq)
-        sq *= -spec.eta
-        return np.exp(sq, out=sq)
-    inner *= spec.eta
-    inner += spec.r
-    if spec.kind == "polynomial":
-        inner **= spec.degree  # in place, through the same fast paths as ** (square for 2)
-        return inner
-    return np.tanh(inner, out=inner)
+    if spec.kind != "rbf":
+        return finish_block(spec, inner)
+    norms_x = (Xa * Xa).sum(axis=1)
+    norms_z = norms_x if Z is None else (Za * Za).sum(axis=1)
+    return finish_block(spec, inner, norms_x[:, None], norms_z)

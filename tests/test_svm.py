@@ -1,10 +1,13 @@
 import tracemalloc
+import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from gsremotion.kernels import KernelSpec, canonical_kind, gram
+from gsremotion import svm
+from gsremotion.kernels import KernelSpec, canonical_kind, finish_block, gram
 from gsremotion.pipeline import PipelineConfig, fit_from_features
 from gsremotion.svm import (
     TrainConfig,
@@ -168,6 +171,83 @@ class TestGramBitIdentity:
             with pytest.raises(ValueError, match="kernel matrix overflows"):
                 with _kernel_overflow_refused():
                     kernel_matrix(spec, X)
+
+
+def assert_bits_equal(a, b):
+    assert_array_equal(a, b)
+    assert_array_equal(np.signbit(a), np.signbit(b))  # signed zeros too
+
+
+class TestFinishedBlocks:
+    """train_binary finishes single rows and the diagonal of X @ X.T with
+    finish_block; they must carry the bits of the same cells of gram."""
+
+    @staticmethod
+    def table():
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(40, 6)) * 3.0
+        X[5] *= 1e-110  # cubes and tanh of its products underflow to signed zeros
+        X[6] *= -1e-170
+        X[7] = 0.0
+        return X
+
+    SPECS = [*BIT_IDENTITY_SPECS, KernelSpec(kind="polynomial", eta=0.5, r=0.0, degree=3)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.degree}-r{s.r:g}")
+    def test_rows_and_diagonal_match_gram(self, spec):
+        X = self.table()
+        K = gram(spec, X)
+        inner = X @ X.T
+        norms = (X * X).sum(axis=1)
+        assert_bits_equal(finish_block(spec, inner.diagonal().copy(), norms, norms),
+                          K.diagonal())
+        for t in range(X.shape[0]):
+            assert_bits_equal(finish_block(spec, inner[t], norms[t], norms), K[t])
+        assert_bits_equal(inner, K)  # every row finished in place is the whole gram
+
+    def test_table_holds_signed_zeros(self):
+        K = gram(self.SPECS[-1], self.table())
+        assert (K == 0.0).any() and np.signbit(K[K == 0.0]).any()
+
+
+def overflow_table(norm, kind, eta):
+    """Eight rows whose squared norms all equal norm, two classes."""
+    X = np.zeros((8, 2))
+    X[:4, 0] = X[4:, 1] = np.sqrt(norm)
+    X[1::2] *= -1.0
+    y = np.array([1.0, -1.0] * 4)
+    return X, y, TrainConfig(kernel=KernelSpec(kind=kind, eta=eta))
+
+
+class TestOverflowBound:
+    """train_binary finishes rows while the solver runs, so it refuses up
+    front every table with a kernel cell that could overflow, by one bound on
+    the largest squared norm N: 8 N max(eta, 1) for rbf, 2 eta N + |r| for
+    sigmoid."""
+
+    MAX = np.finfo(np.float64).max
+
+    @pytest.mark.parametrize("kind, norm, eta", [
+        ("rbf", MAX / 7.9, 0.5), ("sigmoid", MAX / 1.9, 1.0),
+    ], ids=["rbf", "sigmoid"])
+    def test_bound_beyond_the_float_range_is_refused_before_the_solver(
+            self, monkeypatch, kind, norm, eta):
+        monkeypatch.setattr("gsremotion.svm._smo_solve",
+                            lambda *args: pytest.fail("the solver started"))
+        X, y, config = overflow_table(norm, kind, eta)
+        assert np.isfinite((X * X).sum(axis=1)).all() and np.isfinite(gram(config.kernel, X)).all()
+        with pytest.raises(ValueError, match="kernel matrix overflows"):
+            train_binary(X, y, config)
+
+    @pytest.mark.parametrize("kind, norm, eta", [
+        ("rbf", MAX / 8.1, 0.5), ("rbf", MAX / 8.1 / 3.0, 3.0), ("sigmoid", MAX / 2.1, 1.0),
+    ], ids=["rbf", "rbf-wide-eta", "sigmoid"])
+    def test_values_just_under_the_bound_train_without_warnings(self, kind, norm, eta):
+        X, y, config = overflow_table(norm, kind, eta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train_binary(X, y, config)
+        assert model.converged
 
 
 class TestTrainConfigValidation:
@@ -345,6 +425,11 @@ def duplicated_problem(kind, seed, n=40):
     return gram(spec, X), y, rng.random(n)
 
 
+def full_matrix_source(K):
+    """_smo_solve's row source and diagonal for a finished kernel matrix."""
+    return K.__getitem__, K.diagonal().copy()
+
+
 class TestReferenceParity:
     """The lean solver, given its rows in descending tiebreak order, must
     reproduce the whole-array reference bit for bit."""
@@ -357,7 +442,7 @@ class TestReferenceParity:
             K, y, tiebreak = duplicated_problem(kind, seed)
             ref = reference_smo_solve(K * np.outer(y, y), y, c, 1e-3, max_iter, tiebreak)
             p = np.argsort(-tiebreak, kind="stable")
-            new = _smo_solve(K[np.ix_(p, p)], y[p], c, 1e-3, max_iter)
+            new = _smo_solve(*full_matrix_source(K[np.ix_(p, p)]), y[p], c, 1e-3, max_iter)
             back = np.argsort(p)
             assert_array_equal(new[0][back], ref[0])
             assert_array_equal(new[1][back], ref[1])
@@ -368,33 +453,87 @@ class TestReferenceParity:
     def test_solver_leaves_its_inputs_alone(self):
         K, y, _ = duplicated_problem("rbf", 0)
         copies = K.copy(), y.copy()
-        _smo_solve(K, y, 1.0, 1e-3, 100)
+        _smo_solve(*full_matrix_source(K), y, 1.0, 1e-3, 100)
         for before, after in zip(copies, (K, y)):
             assert_array_equal(before, after)
 
 
+class TestRowsOnDemand:
+    """train_binary hands the solver rows finished on first read; the solve
+    must be the one on the whole finished matrix, bit for bit."""
+
+    @pytest.mark.parametrize("max_passes", [1, 50, TrainConfig.max_passes])
+    @pytest.mark.parametrize("n", [37, 600])
+    @pytest.mark.parametrize("kind", ["linear", "polynomial", "rbf", "sigmoid"])
+    def test_train_binary_matches_a_full_matrix_solve(self, monkeypatch, kind, n, max_passes):
+        rng = np.random.default_rng(n)
+        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        X = rng.normal(size=(n, 8)) + 0.5 * y[:, None]
+        config = TrainConfig(kernel=KernelSpec(kind=kind), max_passes=max_passes, seed=3)
+        solves = []
+
+        def recorded(row, kdiag, *args):
+            solves.append(_smo_solve(row, kdiag, *args))
+            return solves[-1]
+
+        monkeypatch.setattr(svm, "_smo_solve", recorded)
+        train_binary(X, y, config)
+        p = np.argsort(-np.random.default_rng(config.seed).random(n), kind="stable")
+        K = gram(config.kernel.resolved(X.shape[1]), X[p])
+        full = _smo_solve(*full_matrix_source(K), y[p], config.c, config.tolerance, max_passes)
+        (lazy,) = solves
+        for got, want in zip(lazy, full):
+            assert_bits_equal(got, want)  # alpha, G, iterations, converged, trace
+
+    def test_default_fit_finishes_few_kernel_cells(self, default_features, monkeypatch):
+        """The default fit reads about 30% of its kernel rows; finishing
+        every row, as an eager gram does, would be 100%."""
+        finished = []
+
+        def counted(spec, inner, *norms):
+            finished.append(inner.size)
+            return finish_block(spec, inner, *norms)
+
+        monkeypatch.setattr(svm, "finish_block", counted)
+        fit_from_features(default_features, PipelineConfig(seed=42))
+        per_label = [default_features.labels.count(lab) for lab in set(default_features.labels)]
+        cells = sum((a + b) ** 2 for a, b in combinations(per_label, 2))
+        assert sum(finished) <= 0.4 * cells
+
+
 class TestMemoryBudget:
-    """A machine holds its kernel matrix and the solver only reads it; the
-    rbf gram needs one n x n temporary on top. One more n x n array would
-    break the budget."""
+    """A machine holds its matrix of inner products, finished into kernel
+    rows in place as the solver reads them, and its solver keeps one
+    curvature vector per distinct first index. After one step a second
+    n x n array would break the budget; converged, the kept vectors may not
+    pass 1.1 n^2."""
 
     N = 600
+    KINDS = ["linear", "polynomial", "rbf", "sigmoid"]
 
-    @pytest.mark.parametrize("kind, budget", [
-        ("linear", 1.2), ("polynomial", 1.2), ("rbf", 2.2), ("sigmoid", 1.2),
-    ], ids=["linear", "polynomial", "rbf", "sigmoid"])
-    def test_train_binary_peak_allocation(self, kind, budget):
+    def peak(self, kind, max_passes):
+        """train_binary's tracemalloc peak in n^2 floats."""
         rng = np.random.default_rng(12)
         X = rng.normal(size=(self.N, 15))
         y = np.where(rng.random(self.N) < 0.5, -1.0, 1.0)
-        config = TrainConfig(kernel=KernelSpec(kind=kind), max_passes=1)
+        config = TrainConfig(kernel=KernelSpec(kind=kind), max_passes=max_passes)
         tracemalloc.start()
         try:
             train_binary(X, y, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= budget * self.N ** 2 * 8, f"peak {peak / (self.N ** 2 * 8):.2f} n^2 floats"
+        return peak / (self.N ** 2 * 8)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_train_binary_peak_allocation(self, kind):
+        peak = self.peak(kind, max_passes=1)
+        assert peak <= 1.2, f"peak {peak:.2f} n^2 floats"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_converged_train_binary_peak_allocation(self, kind):
+        peak = self.peak(kind, max_passes=TrainConfig.max_passes)
+        assert peak <= 2.1, f"peak {peak:.2f} n^2 floats"
 
 
 class TestIterationCount:

@@ -6,8 +6,11 @@ constant for the polynomial and sigmoid forms.
 
 Every kernel value is finished by finish_block from an inner product <x, z>
 (and, for rbf, the squared norms of x and z): gram finishes a whole matrix
-with it, and svm.train_binary finishes single rows and the diagonal of its
-product, so each cell has the same bits whichever block it is finished in.
+with it, and svm.train_binary finishes single rows, each from its own
+matrix-vector product, and the diagonal from the squared norms. The float
+operations after the product are the same for every block, but a training
+row's inner products come from another BLAS call than gram's and may differ
+from gram's in the last bits.
 """
 
 from dataclasses import dataclass, replace
@@ -65,8 +68,9 @@ def finish_block(spec: KernelSpec, inner: np.ndarray, norms_x=None, norms_z=None
     The block is a whole matrix (norms_x[:, None] against norms_z), one row t
     (norms_x[t] against norms_z) or the diagonal (norms_x against norms_x);
     the norms are squared and only rbf reads them. Every cell goes through the
-    same float operations whatever the block, so a row or diagonal finished
-    here has the bits of the same cells of a whole matrix.
+    same float operations whatever the block, so a row or diagonal of one
+    product, finished here, has the bits of the same cells of that product
+    finished whole (not of another product's, such as gram's).
     """
     if spec.kind == "linear":
         return inner

@@ -12,11 +12,12 @@ Using Second Order Information for Training SVM", JMLR 2005; Chang & Lin,
 ACM TIST 2011) written to touch whole arrays only where it must: choosing
 the pair and updating the selection scores. Like LIBSVM (Chang & Lin,
 section 4.1) it computes kernel rows on demand and keeps what it reuses:
-train_binary hands it the kernel diagonal and a row source over the
-product X @ X.T, which finishes a row into kernel values in place the
-first time the solver reads it, and the solver keeps the curvature vector
-of each first index it picks. A solve reads only the rows of the indices
-it picks, about an eighth of them in a cross-validation of the 8x corpus.
+train_binary hands it the kernel diagonal and a row source that computes
+row t the first time the solver reads it, as one matrix-vector product
+x_t @ X.T finished into kernel values, and the solver keeps the curvature
+vector of each first index it picks. A solve reads only the rows of the
+indices it picks, about an eighth of them in a cross-validation of the 8x
+corpus, and no n x n array is ever formed.
 """
 
 import json
@@ -248,7 +249,7 @@ def _kernel_bound(spec: KernelSpec, norms: np.ndarray) -> float:
 
     It is computed in numpy scalars, N first, so under
     _kernel_overflow_refused a bound that overflows raises: train_binary
-    refuses such a table before the solver starts and finishes its rows.
+    refuses such a table before the solver starts and computes its rows.
     With N = max |x|^2 over the rows, Cauchy-Schwarz gives
     |<x, z>| <= |x| |z| <= N. The rounded norms and products stay within a
     few ulps of the exact ones, and a factor of 2 covers that:
@@ -259,7 +260,7 @@ def _kernel_bound(spec: KernelSpec, norms: np.ndarray) -> float:
         bounds the cell.
       sigmoid: the tanh argument is bounded by 2 eta N + |r|, and tanh
         itself by 1.
-      linear: the product itself, already computed, is the cell.
+      linear: the cell is the inner product itself, so N bounds it.
     """
     N = norms.max()
     if spec.kind == "linear":
@@ -293,20 +294,21 @@ def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig,
     p = np.argsort(-tiebreak, kind="stable")
     Xp = X[p]
     with _kernel_overflow_refused():
-        # inner becomes K row by row: row t is finished in place when the
-        # solver first reads it, from gram's product and norms, so every
-        # row it reads has gram's bits and the rows it never reads stay raw.
-        inner = Xp @ Xp.T
+        # The diagonal comes from the squared norms, so an rbf K_tt is
+        # exactly 1; the bound covers every row the solver computes later.
         norms = (Xp * Xp).sum(axis=1)
-        kdiag = finish_block(spec, inner.diagonal().copy(), norms, norms)
+        kdiag = finish_block(spec, norms.copy(), norms, norms)
         _kernel_bound(spec, norms)  # raises where a cell could overflow
-    finished = bytearray(y.size)
+    # Row t is one matrix-vector product, finished and kept when the solver
+    # first reads it; rows it never reads are never computed. Each product
+    # sums in a fixed order, so the bits do not depend on BLAS threads.
+    XpT = np.ascontiguousarray(Xp.T)
+    rows = [None] * y.size
 
     def row(t):
-        Kt = inner[t]
-        if not finished[t]:
-            finish_block(spec, Kt, norms[t], norms)
-            finished[t] = 1
+        Kt = rows[t]
+        if Kt is None:
+            Kt = rows[t] = finish_block(spec, Xp[t] @ XpT, norms[t], norms)
         return Kt
 
     alpha, G, iterations, converged, trace = _smo_solve(

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from itertools import combinations
@@ -179,8 +182,11 @@ def assert_bits_equal(a, b):
 
 
 class TestFinishedBlocks:
-    """train_binary finishes single rows and the diagonal of X @ X.T with
-    finish_block; they must carry the bits of the same cells of gram."""
+    """finish_block gives a cell the same bits whatever block it sits in:
+    single rows and the diagonal of X @ X.T, finished alone, must carry the
+    bits of the same cells of gram. (train_binary finishes rows of its own
+    matrix-vector products, whose inner products may differ from gram's in
+    the last bits; TestRowsOnDemand pins those.)"""
 
     @staticmethod
     def table():
@@ -459,8 +465,10 @@ class TestReferenceParity:
 
 
 class TestRowsOnDemand:
-    """train_binary hands the solver rows finished on first read; the solve
-    must be the one on the whole finished matrix, bit for bit."""
+    """train_binary hands the solver each row as one product Xp[t] @ Xp.T,
+    finished on first read, and a diagonal finished from the squared norms;
+    the solve must be the one on the same rows all finished up front, bit
+    for bit."""
 
     @pytest.mark.parametrize("max_passes", [1, 50, TrainConfig.max_passes])
     @pytest.mark.parametrize("n", [37, 600])
@@ -479,8 +487,13 @@ class TestRowsOnDemand:
         monkeypatch.setattr(svm, "_smo_solve", recorded)
         train_binary(X, y, config)
         p = np.argsort(-np.random.default_rng(config.seed).random(n), kind="stable")
-        K = gram(config.kernel.resolved(X.shape[1]), X[p])
-        full = _smo_solve(*full_matrix_source(K), y[p], config.c, config.tolerance, max_passes)
+        spec = config.kernel.resolved(X.shape[1])
+        Xp = X[p]
+        XpT = np.ascontiguousarray(Xp.T)
+        norms = (Xp * Xp).sum(axis=1)
+        K = np.stack([finish_block(spec, Xp[t] @ XpT, norms[t], norms) for t in range(n)])
+        kdiag = finish_block(spec, norms.copy(), norms, norms)
+        full = _smo_solve(K.__getitem__, kdiag, y[p], config.c, config.tolerance, max_passes)
         (lazy,) = solves
         for got, want in zip(lazy, full):
             assert_bits_equal(got, want)  # alpha, G, iterations, converged, trace
@@ -502,11 +515,11 @@ class TestRowsOnDemand:
 
 
 class TestMemoryBudget:
-    """A machine holds its matrix of inner products, finished into kernel
-    rows in place as the solver reads them, and its solver keeps one
-    curvature vector per distinct first index. After one step a second
-    n x n array would break the budget; converged, the kept vectors may not
-    pass 1.1 n^2."""
+    """A machine holds only the kernel rows its solver has read, each
+    computed on first read, and its solver keeps one curvature vector per
+    distinct first index. After one step an n x n array of any kind, such as
+    the product X @ X.T, would break the budget; converged, the kept rows and
+    vectors together may not pass 2.1 n^2."""
 
     N = 600
     KINDS = ["linear", "polynomial", "rbf", "sigmoid"]
@@ -528,12 +541,46 @@ class TestMemoryBudget:
     @pytest.mark.parametrize("kind", KINDS)
     def test_train_binary_peak_allocation(self, kind):
         peak = self.peak(kind, max_passes=1)
-        assert peak <= 1.2, f"peak {peak:.2f} n^2 floats"
+        assert peak <= 0.25, f"peak {peak:.2f} n^2 floats"
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_converged_train_binary_peak_allocation(self, kind):
         peak = self.peak(kind, max_passes=TrainConfig.max_passes)
         assert peak <= 2.1, f"peak {peak:.2f} n^2 floats"
+
+
+THREADS_CHILD = """
+import hashlib
+import numpy as np
+from gsremotion.kernels import KernelSpec
+from gsremotion.svm import TrainConfig, train_binary
+rng = np.random.default_rng(0)
+y = np.where(rng.random(658) < 0.5, -1.0, 1.0)
+X = rng.normal(size=(658, 15)) + 0.3 * y[:, None]
+fits = hashlib.sha256()
+for kind in ("linear", "rbf"):
+    m = train_binary(X, y, TrainConfig(kernel=KernelSpec(kind=kind)))
+    fits.update(m.dual_coef.tobytes() + np.float64(m.bias).tobytes() + str(m.iterations).encode())
+print(fits.hexdigest(), hashlib.sha256((X @ X.T).tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one core runs one BLAS thread")
+def test_training_bits_do_not_depend_on_blas_threads():
+    """Each kernel row is its own matrix-vector product, so a machine's bits
+    are the same on 1 and 2 OpenBLAS threads; the n x n product X @ X.T of
+    the same table is not, which shows that the threaded path ran."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    fits, products = set(), set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", THREADS_CHILD], capture_output=True,
+                              text=True, env=env, check=True, timeout=120)
+        fit, product = proc.stdout.split()
+        fits.add(fit)
+        products.add(product)
+    assert len(products) == 2, "X @ X.T has the same bits on 1 and 2 threads"
+    assert len(fits) == 1
 
 
 class TestIterationCount:

@@ -96,10 +96,8 @@ REPORT_TEST_FRACTION = 0.3
 _OPTIONS = {
     "c": (float, lambda c: PipelineConfig(c=c),
           f"box constraint (default {PipelineConfig.c})"),
-    "degree": (int, lambda degree: KernelSpec(degree=degree),
-               f"polynomial degree (default {KernelSpec.degree})"),
     "eta": (float, lambda eta: KernelSpec(eta=eta),
-            "kernel scale (default: one over the number of model features)"),
+            "rbf kernel scale (default: one over the number of model features)"),
     "features_list": (_int_list, validate_catalog_indices,
                       "explicit catalog indices, e.g. 3,5,7"),
     "folds": (int, _check_folds, f"fold count (default {DEFAULT_FOLDS})"),
@@ -109,8 +107,6 @@ _OPTIONS = {
                f"{' | '.join(KERNEL_KINDS)} (default {KernelSpec.kind})"),
     "norm": (str, validate_norm_mode,
              f"{' | '.join(NORM_MODES)} (default {PipelineConfig.norm_mode})"),
-    "r": (float, lambda r: KernelSpec(r=r),
-          f"kernel additive constant (default {KernelSpec.r})"),
     # the rule default_rng applies; a lambda, so importing cli loads no numpy.random
     "seed": (int, lambda seed: np.random.SeedSequence(seed),
              f"random seed (default {PipelineConfig.seed})"),
@@ -194,8 +190,6 @@ def _pipeline_config(args) -> PipelineConfig:
     kernel = KernelSpec(**_given(
         kind=_resolve(args, "kernel"),
         eta=_resolve(args, "eta"),
-        r=_resolve(args, "r"),
-        degree=_resolve(args, "degree"),
     ))
     return PipelineConfig(kernel=kernel, explicit_features=explicit, **_given(
         c=_resolve(args, "c"),
@@ -447,7 +441,7 @@ _INPUT_HELP = {
     "model": "model JSON from the train stage",
 }
 _PREFIX = "output prefix (writes <prefix>.json and <prefix>.txt)"
-_MODEL_KEYS = ("k", "features_list", "kernel", "c", "eta", "degree", "r", "norm", "seed")
+_MODEL_KEYS = ("k", "features_list", "kernel", "c", "eta", "norm", "seed")
 
 # name, stage, help, required inputs, help for --out, option keys
 _COMMANDS = (

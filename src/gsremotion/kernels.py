@@ -1,8 +1,8 @@
-"""Kernel functions for the SVM: linear, polynomial, rbf, sigmoid.
+"""Kernel functions for the SVM: linear and rbf.
 
-eta is the scale parameter (gamma); left unset it resolves to 1/d at
-training time, with d the trained feature dimensionality. r is the additive
-constant for the polynomial and sigmoid forms.
+eta is the rbf scale parameter (gamma); left unset it resolves to 1/d at
+training time, with d the trained feature dimensionality. The linear kernel
+has no parameter and refuses an eta.
 
 Every kernel value is finished by finish_block from an inner product <x, z>
 (and, for rbf, the squared norms of x and z): gram finishes a whole matrix
@@ -17,13 +17,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
-
-_ALIASES = {"poly": "polynomial"}
+KERNEL_KINDS = ("linear", "rbf")
 
 
 def canonical_kind(kind: str) -> str:
-    k = _ALIASES.get(kind.strip().lower(), kind.strip().lower())
+    k = kind.strip().lower()
     if k not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind {kind!r} (expected one of {KERNEL_KINDS})")
     return k
@@ -31,23 +29,18 @@ def canonical_kind(kind: str) -> str:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus parameters; eta=None means resolve to 1/d at fit."""
+    """Kernel family plus its scale; eta=None means resolve to 1/d at fit."""
 
     kind: str = "rbf"
     eta: float | None = None
-    r: float = 0.0
-    degree: int = 3
 
     def __post_init__(self):
         object.__setattr__(self, "kind", canonical_kind(self.kind))
         if self.eta is not None:
+            if self.kind == "linear":
+                raise ValueError(f"eta {self.eta} given, but the linear kernel takes no eta")
             if not np.isfinite(self.eta) or self.eta <= 0:
                 raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        if not np.isfinite(self.r):
-            raise ValueError(f"r must be finite, got {self.r}")
-        if int(self.degree) != self.degree or self.degree < 1:
-            raise ValueError(f"degree must be an integer >= 1, got {self.degree}")
-        object.__setattr__(self, "degree", int(self.degree))
 
     def resolved(self, n_features: int) -> "KernelSpec":
         """Fill an unset eta with 1/n_features."""
@@ -74,18 +67,11 @@ def finish_block(spec: KernelSpec, inner: np.ndarray, norms_x=None, norms_z=None
     """
     if spec.kind == "linear":
         return inner
-    if spec.kind == "rbf":
-        inner *= -2.0
-        inner += np.add(norms_x, norms_z)  # |x|^2 + |z|^2 - 2<x, z>
-        np.maximum(inner, 0.0, out=inner)  # what np.clip(inner, 0.0, None) calls
-        inner *= -spec.eta
-        return np.exp(inner, out=inner)
-    inner *= spec.eta
-    inner += spec.r
-    if spec.kind == "polynomial":
-        inner **= spec.degree  # in place, through the same fast paths as ** (square for 2)
-        return inner
-    return np.tanh(inner, out=inner)
+    inner *= -2.0
+    inner += np.add(norms_x, norms_z)  # |x|^2 + |z|^2 - 2<x, z>
+    np.maximum(inner, 0.0, out=inner)  # what np.clip(inner, 0.0, None) calls
+    inner *= -spec.eta
+    return np.exp(inner, out=inner)
 
 
 def gram(spec: KernelSpec, X, Z=None) -> np.ndarray:

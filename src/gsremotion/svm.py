@@ -2,7 +2,8 @@
 
 Binary machines solve the standard dual
     min 0.5 a'Qa - e'a,  0 <= a_i <= C,  y'a = 0,  Q_ij = y_i y_j K(x_i, x_j)
-with second-order working-set selection. The multiclass model holds one
+with second-order working-set selection, K being the linear or the rbf
+kernel of gsremotion.kernels. The multiclass model holds one
 machine per unordered label pair and predicts by majority vote, breaking
 vote ties by the summed |decision value| of the machines that voted for each
 tied label, then by label order.
@@ -32,7 +33,7 @@ from .features import CATALOG_VERSION, N_FEATURES, FeatureMatrix, FeatureNormali
 from .kernels import KernelSpec, finish_block, gram
 from .selection import validate_catalog_indices
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 # Floor for non-positive curvature along the working-set direction.
 _TAU = 1e-12
@@ -256,19 +257,12 @@ def _kernel_bound(spec: KernelSpec, norms: np.ndarray) -> float:
       rbf: |x|^2 + |z|^2 - 2 <x, z> is at most 4N, and eta times it at most
         4 eta N, so 8 N max(eta, 1) covers both; exp of a value <= 0 cannot
         overflow.
-      polynomial: |eta <x, z> + r| <= 2 eta N + |r|, so its degree-th power
-        bounds the cell.
-      sigmoid: the tanh argument is bounded by 2 eta N + |r|, and tanh
-        itself by 1.
       linear: the cell is the inner product itself, so N bounds it.
     """
     N = norms.max()
     if spec.kind == "linear":
         return N
-    if spec.kind == "rbf":
-        return N * 8.0 * max(spec.eta, 1.0)
-    base = N * spec.eta * 2.0 + abs(spec.r)
-    return base ** spec.degree if spec.kind == "polynomial" else base
+    return N * 8.0 * max(spec.eta, 1.0)
 
 
 def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig,
@@ -495,8 +489,7 @@ def save_model(model: MulticlassSvmModel, path: str) -> None:
             "tolerance": _hex(model.config.tolerance),
             "max_passes": model.config.max_passes,
             "seed": model.config.seed,
-            "kernel": {"kind": spec.kind, "r": _hex(spec.r), "degree": spec.degree,
-                       "eta": None if spec.eta is None else _hex(spec.eta)},
+            "kernel": {"kind": spec.kind, "eta": None if spec.eta is None else _hex(spec.eta)},
         },
         "machines": machines,
     }
@@ -528,8 +521,7 @@ def load_model(path: str) -> MulticlassSvmModel:
         cfg, spec = payload["config"], payload["config"]["kernel"]
         config = TrainConfig(
             c=float.fromhex(cfg["c"]),
-            kernel=KernelSpec(kind=spec["kind"], r=float.fromhex(spec["r"]),
-                              degree=int(spec["degree"]),
+            kernel=KernelSpec(kind=spec["kind"],
                               eta=None if spec["eta"] is None else float.fromhex(spec["eta"])),
             tolerance=float.fromhex(cfg["tolerance"]),
             max_passes=int(cfg["max_passes"]),

@@ -21,12 +21,8 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
     spec.require_resolved()
     if spec.kind == "linear":
         return float(xv @ yv)
-    if spec.kind == "polynomial":
-        return float((spec.eta * (xv @ yv) + spec.r) ** spec.degree)
-    if spec.kind == "rbf":
-        diff = xv - yv
-        return float(np.exp(-spec.eta * (diff @ diff)))
-    return float(np.tanh(spec.eta * (xv @ yv) + spec.r))
+    diff = xv - yv
+    return float(np.exp(-spec.eta * (diff @ diff)))
 
 
 def gram_reference(spec: KernelSpec, X, Z=None) -> np.ndarray:
@@ -38,13 +34,9 @@ def gram_reference(spec: KernelSpec, X, Z=None) -> np.ndarray:
     inner = Xa @ Za.T
     if spec.kind == "linear":
         return inner
-    if spec.kind == "polynomial":
-        return (spec.eta * inner + spec.r) ** spec.degree
-    if spec.kind == "rbf":
-        sq = (Xa * Xa).sum(axis=1)[:, None] + (Za * Za).sum(axis=1)[None, :] - 2.0 * inner
-        np.clip(sq, 0.0, None, out=sq)
-        return np.exp(-spec.eta * sq)
-    return np.tanh(spec.eta * inner + spec.r)
+    sq = (Xa * Xa).sum(axis=1)[:, None] + (Za * Za).sum(axis=1)[None, :] - 2.0 * inner
+    np.clip(sq, 0.0, None, out=sq)
+    return np.exp(-spec.eta * sq)
 
 
 def kkt_violation(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> float:

@@ -29,7 +29,9 @@ from gsremotion.dataset import (
     save_dataset,
 )
 from gsremotion.features import read_feature_csv
+from gsremotion.kernels import KERNEL_KINDS
 from gsremotion.pipeline import PipelineConfig
+from gsremotion.preprocess import NORM_MODES
 from gsremotion.selection import read_selection_indices
 from gsremotion.svm import load_model
 from gsremotion.synth import SynthConfig
@@ -315,24 +317,33 @@ class TestTrain:
         assert all(labels.count(name) == 2 for name in LABEL_NAMES)
 
     def test_rejects_unknown_kernel(self, features_csv, tmp_path, capsys):
-        rc = cli.main(["train", "--features", str(features_csv),
-                       "--out", str(tmp_path / "model.json"), "--kernel", "bogus"])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        for kind in ("bogus", "sigmoid", "poly"):
+            rc = cli.main(["train", "--features", str(features_csv),
+                           "--out", str(tmp_path / "model.json"), "--kernel", kind])
+            assert rc == 1
+            assert capsys.readouterr().err == (
+                f"error: unknown kernel kind {kind!r} (expected one of ('linear', 'rbf'))\n")
+        assert not (tmp_path / "model.json").exists()
 
     def test_rejects_zero_eta(self, features_csv, tmp_path, capsys):
         rc = cli.main(["train", "--features", str(features_csv),
                        "--out", str(tmp_path / "model.json"), "--eta", "0"])
         assert rc == 1
         assert "eta" in capsys.readouterr().err
+        rc = cli.main(["train", "--features", str(features_csv), "--kernel", "linear",
+                       "--eta", "5", "--out", str(tmp_path / "model.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: eta 5.0 given, but the linear kernel takes no eta\n")
+        assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize("flags, message", [
         ([], "table values are too large: their covariance overflows"),
         (["--features-list", "1,2,3"],
          "kernel matrix overflows: feature values or kernel parameters are too large"),
-        (["--features-list", "1,2,3", "--kernel", "sigmoid"],
+        (["--features-list", "1,2,3", "--kernel", "linear"],
          "kernel matrix overflows: feature values or kernel parameters are too large"),
-    ], ids=["selection", "kernel", "sigmoid"])
+    ], ids=["selection", "kernel", "linear"])
     def test_too_large_values_stop_before_the_solver(self, features_csv, tmp_path, capsys,
                                                      monkeypatch, flags, message):
         monkeypatch.setattr("gsremotion.svm._smo_solve",
@@ -632,8 +643,6 @@ class TestConfigFile:
         ("synth", "duration_s = 2\n", "duration 2.0s at 16.0Hz yields fewer than 64 samples"),
         ("synth", "duration_s = inf\n", "duration_s must be positive and finite, got inf"),
         ("train", "c = 0\n", "config key c: c must be positive and finite, got 0.0"),
-        ("train", "degree = 0\n", "config key degree: degree must be an integer >= 1, got 0"),
-        ("train", "r = inf\n", "config key r: r must be finite, got inf"),
         ("preprocess", "norm = bogus\n", "config key norm: norm mode must be one of"),
         ("train", "seed = -1\n", "config key seed: expected non-negative integer"),
         ("synth", "sample_rate_hz = 0\n", "sample_rate_hz must be positive, got 0.0"),
@@ -748,6 +757,13 @@ class TestExitCodes:
                       "--out", str(tmp_path / "model.json"), "--c", "abc"])
         assert exc.value.code == 1
         assert "argument --c: invalid float value: 'abc'" in capsys.readouterr().err
+        for flag in ("--r", "--degree"):  # the polynomial and sigmoid knobs are gone
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["train", "--features", str(features_csv),
+                          "--out", str(tmp_path / "model.json"), flag, "3"])
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage: ") and f"unrecognized arguments: {flag} 3" in err
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -784,8 +800,8 @@ class TestHelp:
         with contextlib.redirect_stderr(io.StringIO()) as err:
             assert cli.main(["cv", "--manifest", manifest, "--out", str(root / "cv")]) == 1
         folds = re.search(r"into (\d+) folds", err.getvalue()).group(1)
-        shared = {"c": model.config.c, "kernel": kernel.kind, "degree": kernel.degree,
-                  "r": kernel.r, "seed": model.config.seed, "k": len(model.feature_indices),
+        shared = {"c": model.config.c, "kernel": kernel.kind,
+                  "seed": model.config.seed, "k": len(model.feature_indices),
                   "norm": PipelineConfig().norm_mode, "folds": folds,
                   "test-fraction": json.loads((root / "cmp.json").read_text())["test_fraction"]}
         sampled = json.loads((root / "scores.json").read_text())["sampled_rates"]
@@ -810,6 +826,21 @@ class TestHelp:
         shared, own = stage_defaults
         for flag, value in shown.items():
             assert value == str(own.get((command, flag), shared.get(flag))), flag
+
+
+class TestReadme:
+    def test_model_flags_sentence_matches_the_parser(self):
+        """The README sentence on model hyperparameters names exactly the
+        model flags, the kernel kinds and the norm modes the CLI accepts."""
+        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+        with open(readme) as fh:
+            text = " ".join(fh.read().split())
+        sentence = re.search(r"Model hyperparameters are flags on (.*?)\.(?: |$)", text).group(1)
+        assert set(re.findall(r"`--([a-z-]+)", sentence)) == {
+            key.replace("_", "-") for key in cli._MODEL_KEYS}
+        assert re.search(r"--kernel \{(.*?)\}", sentence).group(1).split(",") == \
+            list(KERNEL_KINDS)
+        assert re.search(r"--norm \{(.*?)\}", sentence).group(1).split(",") == list(NORM_MODES)
 
 
 class TestMalformedInputFiles:
@@ -964,11 +995,19 @@ class TestMalformedInputFiles:
                           "label 'happiness' has 4 rows, cannot stratify into 5 folds")
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda p: p.update(format_version=1), "format_version 1 unsupported (expected 2)"),
+        (lambda p: p.update(format_version=1), "format_version 1 unsupported (expected 3)"),
+        (lambda p: (p.update(format_version=2), p["config"]["kernel"].update(r="0x0.0p+0",
+                                                                             degree=3)),
+         "format_version 2 unsupported (expected 3)"),
+        (lambda p: p["config"]["kernel"].update(kind="sigmoid"),
+         "unknown kernel kind 'sigmoid' (expected one of ('linear', 'rbf'))"),
+        (lambda p: p["config"]["kernel"].update(kind="linear", eta=(0.5).hex()),
+         "eta 0.5 given, but the linear kernel takes no eta"),
         (lambda p: p.pop("normalization"), "missing key 'normalization'"),
         (lambda p: p["machines"].append(p["machines"][0]),
          "11 machines for 5 labels: need one per label pair"),
-    ], ids=["v1", "no_normalization", "eleven_machines"])
+    ], ids=["v1", "v2", "deleted_kind", "linear_eta", "no_normalization",
+            "eleven_machines"])
     def test_model_file_refused(self, model_path, features_csv, tmp_path, capsys,
                                 edit, message):
         payload = json.loads(model_path.read_text())

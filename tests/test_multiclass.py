@@ -264,7 +264,7 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(fitted.model, str(path))
         payload = json.loads(path.read_text())
-        payload["format_version"] = 3
+        payload["format_version"] = 4
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="format_version"):
             load_model(str(path))
@@ -281,14 +281,15 @@ class TestSerialization:
         norm["degenerate"] = [lo == hi for lo, hi in zip(norm["mins"], norm["maxs"])]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: model format_version 1 "
-                                             r"unsupported \(expected 2\)"):
+                                             r"unsupported \(expected 3\)"):
             load_model(str(path))
 
     def test_saved_file_stores_each_fact_once(self, both_model, tmp_path):
         path = tmp_path / "model.json"
         save_model(both_model, str(path))
         payload = json.loads(path.read_text())
-        assert payload["format_version"] == MODEL_FORMAT_VERSION == 2
+        assert payload["format_version"] == MODEL_FORMAT_VERSION == 3
+        assert set(payload["config"]["kernel"]) == {"kind", "eta"}
         for m in payload["machines"]:
             assert set(m) == {"bias", "dual_coef", "support_vectors", "iterations",
                               "converged", "final_violation"}
@@ -346,7 +347,7 @@ class TestSerialization:
         save_model(both_model, str(path))
         text = path.read_text()
         paths = list(key_paths(json.loads(text)))
-        assert len(paths) == 8 + 5 + 4 + 2 + 10 * 6  # top, config, kernel, norm, machines
+        assert len(paths) == 8 + 5 + 2 + 2 + 10 * 6  # top, config, kernel, norm, machines
         for key_path in paths:
             payload = json.loads(text)
             delete_key(payload, key_path)

@@ -2,8 +2,9 @@
 
 Selection is unsupervised backward elimination: repeatedly find the most
 correlated remaining pair and drop the member that is on average more
-correlated with everything else still in play. Constant columns are removed
-up front since their correlation is undefined.
+correlated with everything else still in play. Constant columns, whose max
+equals their min (the rule FeatureNormalization uses), are removed up front
+since their correlation is undefined.
 """
 
 import json
@@ -33,11 +34,11 @@ def covariance_matrix(X) -> np.ndarray:
 
 
 def correlation_matrix(X) -> np.ndarray:
-    """Column correlation of a table; a constant column correlates 0 with
-    the others and 1 with itself."""
-    cov = covariance_matrix(X)
+    """Column correlation of a table; a constant column (max == min)
+    correlates 0 with the others and 1 with itself."""
+    cov = covariance_matrix(X)  # first: it refuses a table whose span overflows
     std = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    constant = std == 0.0
+    constant = np.ptp(np.asarray(X, dtype=np.float64), axis=0) == 0
     denom = np.outer(std, std)
     denom[denom == 0.0] = 1.0
     corr = np.clip(cov / denom, -1.0, 1.0)
@@ -101,14 +102,14 @@ def select_features(X, k: int) -> SelectionResult:
     if X.shape[0] < 2:
         raise ValueError(f"selection needs at least 2 rows, got {X.shape[0]}")
     corr = correlation_matrix(X)  # first: it refuses a table too large to square
-    std = X.std(axis=0)
-    constant = np.flatnonzero(std == 0.0)
+    is_constant = np.ptp(X, axis=0) == 0
+    constant = np.flatnonzero(is_constant)
     warnings = [
         f"feature {c + 1} ({FEATURE_NAMES[c] if c < len(FEATURE_NAMES) else '?'}) "
         "is constant and was excluded"
         for c in constant
     ]
-    rest = np.flatnonzero(std != 0.0)
+    rest = np.flatnonzero(~is_constant)
     if len(rest) < k:
         raise ValueError(
             f"only {len(rest)} non-constant features available, cannot select {k}"
@@ -133,7 +134,7 @@ def select_features(X, k: int) -> SelectionResult:
 
     scores = np.zeros(n_feat)
     for c in range(n_feat):
-        if std[c] == 0.0:
+        if is_constant[c]:
             continue
         others = rest[rest != c]
         scores[c] = float(abs_corr[c, others].mean()) if others.size else 0.0

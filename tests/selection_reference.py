@@ -15,14 +15,15 @@ def select_features(X, k):
     """Backward elimination on a (rows x features) table.
 
     Returns (selected, drop_order, scores): selected and drop_order hold
-    1-based indices, constant columns first in drop_order; scores give each
-    column's mean absolute correlation to the selected set (0 if constant).
+    1-based indices, constant columns (max == min) first in drop_order;
+    scores give each column's mean absolute correlation to the selected set
+    (0 if constant).
     """
     X = np.asarray(X, dtype=np.float64)
     n_feat = X.shape[1]
-    std = X.std(axis=0)
-    constant = [c for c in range(n_feat) if std[c] == 0.0]
-    remaining = [c for c in range(n_feat) if std[c] != 0.0]
+    is_constant = np.ptp(X, axis=0) == 0
+    constant = [c for c in range(n_feat) if is_constant[c]]
+    remaining = [c for c in range(n_feat) if not is_constant[c]]
     abs_corr = np.abs(correlation_matrix(X))
     drop_order = [c + 1 for c in constant]
 
@@ -54,7 +55,7 @@ def select_features(X, k):
     scores = np.zeros(n_feat)
     sel_arr = np.array(selected)
     for c in range(n_feat):
-        if std[c] == 0.0:
+        if is_constant[c]:
             continue
         others = sel_arr[sel_arr != c]
         scores[c] = float(abs_corr[c, others].mean()) if others.size else 0.0

@@ -163,13 +163,15 @@ class TestSelectFeatures:
     def test_constant_column_warns_and_drops_first(self):
         rng = np.random.default_rng(14)
         X = rng.normal(size=(30, 4))
-        X[:, 2] = 7.0
-        result = select_features(X, 3)
-        assert result.constant_indices == (3,)
-        assert result.drop_order[0] == 3
-        assert 3 not in result.selected_indices
-        assert any("constant" in w for w in result.warnings)
-        assert result.scores[2] == 0.0
+        # 0.1 in every row has a nonzero float std (its mean is not exactly 0.1)
+        for value in (7.0, 0.1):
+            X[:, 2] = value
+            result = select_features(X, 3)
+            assert result.constant_indices == (3,)
+            assert result.drop_order[0] == 3
+            assert 3 not in result.selected_indices
+            assert any("constant" in w for w in result.warnings)
+            assert result.scores[2] == 0.0
 
     def test_k_larger_than_nonconstant_pool(self):
         X = np.random.default_rng(15).normal(size=(10, 3))
@@ -205,6 +207,10 @@ class TestReferenceParity:
 
     @pytest.mark.parametrize("k", [1, 5, 15, 29, 30])
     def test_default_corpus(self, default_features, k):
+        if k == 30:  # column 30 (peak_freq) is 1/60 Hz in every row
+            with pytest.raises(ValueError, match="only 29 non-constant features available"):
+                select_features(default_features.values, k)
+            return
         self.assert_same(default_features.values, k)
 
     def test_tie_heavy_integer_tables(self):

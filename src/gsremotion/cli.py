@@ -187,10 +187,11 @@ def _explicit_features(args):
 
 def _pipeline_config(args) -> PipelineConfig:
     explicit = _explicit_features(args)
-    kernel = KernelSpec(**_given(
-        kind=_resolve(args, "kernel"),
-        eta=_resolve(args, "eta"),
-    ))
+    kind, eta = _resolve(args, "kernel"), _resolve(args, "eta")
+    # each is checked alone, so a file that sets both is at fault for their pairing
+    from_file = all(getattr(args, key) is None and key in args.cfg for key in ("kernel", "eta"))
+    with file_errors(args.config) if from_file else contextlib.nullcontext():
+        kernel = KernelSpec(**_given(kind=kind, eta=eta))
     return PipelineConfig(kernel=kernel, explicit_features=explicit, **_given(
         c=_resolve(args, "c"),
         selection_k=_resolve(args, "k"),

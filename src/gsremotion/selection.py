@@ -36,7 +36,7 @@ def covariance_matrix(X) -> np.ndarray:
 def correlation_matrix(X) -> np.ndarray:
     """Column correlation of a table; a constant column (max == min)
     correlates 0 with the others and 1 with itself."""
-    cov = covariance_matrix(X)  # first: it refuses a table whose span overflows
+    cov = covariance_matrix(X)  # first: it checks the table and refuses one too large to square
     std = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     constant = np.ptp(np.asarray(X, dtype=np.float64), axis=0) == 0
     denom = np.outer(std, std)

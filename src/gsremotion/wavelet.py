@@ -234,14 +234,41 @@ def dwt_reconstruct(decomp: WaveletDecomposition) -> np.ndarray:
 
 
 def soft_threshold(values: np.ndarray, threshold) -> np.ndarray:
-    """Shrink toward zero: sign(v) * max(|v| - threshold, 0).
+    """Shrink toward zero: sign(v) * max(|v| - threshold, 0), in one buffer.
 
     threshold is one number, or one per row as a (rows x 1) column.
+    The sign comes from np.copysign, except at v = +-0, where np.sign gives
+    +0; so a zero keeps the +0 (or the NaN of a NaN threshold) that the
+    magnitude already holds. Every value that is not NaN has the bits of the
+    formula above.
     """
     if np.any(np.asarray(threshold) < 0):
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     v = np.asarray(values, dtype=np.float64)
-    return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
+    out = np.abs(v, out=np.empty(v.shape))
+    out -= threshold
+    np.maximum(out, 0.0, out=out)
+    return np.copysign(out, v, out=out, where=v != 0)
+
+
+def _median_abs(d: np.ndarray) -> np.ndarray:
+    """np.median(np.abs(d), axis=1, keepdims=True), bit for bit, from one in-place partition.
+
+    The upper middle order statistic is the partition's pivot; for an even
+    row length the lower one is the largest value left of it, and the two are
+    averaged as np.median averages them. A row holding NaN has median NaN.
+    """
+    a = np.abs(d)
+    n = a.shape[1]
+    k = n // 2
+    a.partition(k, axis=1)
+    mid = a[:, k:k + 1].copy()
+    if n % 2 == 0:
+        mid += a[:, :k].max(axis=1, keepdims=True)
+        mid /= 2
+    top = a.max(axis=1, keepdims=True)
+    np.copyto(mid, top, where=np.isnan(top))
+    return mid
 
 
 def denoise(signal: np.ndarray) -> np.ndarray:
@@ -258,7 +285,7 @@ def denoise(signal: np.ndarray) -> np.ndarray:
     if n < MIN_SAMPLES:
         raise ValueError(f"denoise needs at least {MIN_SAMPLES} samples, got {n}")
     decomp = dwt_decompose(block)
-    sigma = np.median(np.abs(decomp.details[0]), axis=1, keepdims=True) / MAD_SCALE
+    sigma = _median_abs(decomp.details[0]) / MAD_SCALE
     threshold = sigma * np.sqrt(2.0 * np.log(n))
     decomp.details = [soft_threshold(d, threshold) for d in decomp.details]
     return dwt_reconstruct(decomp).reshape(np.shape(signal))

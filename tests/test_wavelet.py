@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from gsremotion import wavelet
 from gsremotion.wavelet import (
     MAD_SCALE,
     FilterBank,
@@ -189,6 +190,86 @@ class TestSoftThreshold:
     def test_negative_threshold(self):
         with pytest.raises(ValueError, match="threshold"):
             soft_threshold(np.ones(4), -0.1)
+
+
+def same_bits_nan_as_nan(got, want):
+    """Bit for bit, the sign of zero included; a NaN only has to be a NaN.
+
+    numpy's own sign(v) * m gives a NaN the sign of one operand in its SIMD
+    body and of the other in its scalar tail, so no sign of NaN is pinned.
+    """
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def edge_rows(n):
+    """Rows of length n with signed zeros, ties, values under a threshold of
+    0.5, huge values, and rows holding inf or NaN."""
+    rng = np.random.default_rng(n)
+    rows = [
+        rng.standard_normal(n),
+        rng.choice([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 3.0, -3.0], n),
+        np.resize([-0.0, 0.0], n),
+        rng.choice([1e308, -1e308, 5e-324, -5e-324, 1.0], n),
+        np.where(rng.random(n) < 0.3, np.inf, rng.standard_normal(n)),
+        np.where(rng.random(n) < 0.3, -np.inf, rng.standard_normal(n)),
+        np.where(rng.random(n) < 0.2, np.nan, rng.standard_normal(n)),
+    ]
+    with np.errstate(invalid="ignore"):
+        rows.append(np.where(rng.random(n) < 0.5, np.inf - np.inf, -np.inf))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 33, 484, 485])
+class TestMedianAndThresholdBits:
+    """denoise's partition median and one-buffer threshold against the
+    np.median and np.sign formulas they replace."""
+
+    def test_median_matches_np_median(self, n):
+        d = edge_rows(n)
+        got = wavelet._median_abs(d)
+        want = np.median(np.abs(d), axis=1, keepdims=True)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, "per_row"])
+    def test_threshold_matches_sign_formula(self, n, threshold):
+        v = edge_rows(n)
+        if threshold == "per_row":
+            threshold = np.array([[0.0], [0.5], [0.25], [1e308], [np.inf], [0.0], [np.nan],
+                                  [2.0]])
+        with np.errstate(invalid="ignore"):
+            want = np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
+            got = soft_threshold(v, threshold)
+        same_bits_nan_as_nan(got, want)
+
+
+def test_threshold_signs_its_zeros_as_np_sign_does():
+    """sign(-0.0) is +0.0, so -0.0 shrinks to +0.0; a negative value under the
+    threshold shrinks to -0.0."""
+    for t in (0.0, 0.5):
+        out = soft_threshold(np.array([-0.25, -0.0, 0.0, 0.25]), t)
+        assert np.signbit(out).tolist() == [True, False, False, False]
+
+
+def test_denoise_matches_the_np_median_recipe_on_overflowing_rows():
+    rng = np.random.default_rng(9)
+    block = 3.0 + rng.standard_normal((4, 130))
+    block[1] = np.resize([1.5e308, -1.5e308], 130)
+    block[2, ::7] = 1.7e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = denoise(block)
+        dec = dwt_decompose(block)
+        sigma = np.median(np.abs(dec.details[0]), axis=1, keepdims=True) / MAD_SCALE
+        threshold = sigma * np.sqrt(2.0 * np.log(block.shape[1]))
+        dec.details = [np.sign(d) * np.maximum(np.abs(d) - threshold, 0.0)
+                       for d in dec.details]
+        want = dwt_reconstruct(dec)
+    assert np.isnan(want[1]).any() and np.isfinite(want[0]).all()
+    same_bits_nan_as_nan(got, want)
 
 
 class TestDenoise:

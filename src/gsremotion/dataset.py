@@ -23,7 +23,11 @@ MIN_SAMPLES = 64
 
 # Records a signal stage takes at once: enough rows to spread numpy's
 # per-call cost thin (128 rows are no faster), few enough that one block's
-# temporaries peak near 4 MB at 960 samples (twice that at 128 rows).
+# temporaries stay small: at 960 samples a block is 0.5 MB and denoise
+# peaks near 2.3 MB over it. Cross-validation streams its corpus through
+# denoise, normalization and feature extraction one block at a time
+# (preprocess.preprocess_blocks), so it holds one prepared block, not the
+# prepared corpus.
 _BLOCK_ROWS = 64
 
 CSV_HEADER = "conductance_us"
@@ -141,14 +145,17 @@ class Dataset:
     def __iter__(self):
         return iter(self.records)
 
-    def signal_blocks(self):
+    def signal_blocks(self, positions=None):
         """Yield (positions, samples, sample_rate_hz) for the records in blocks.
 
         A block holds up to _BLOCK_ROWS records of one length and one rate as a
-        (rows x samples) array; positions are their indices in dataset order.
+        (rows x samples) array; positions are their indices in the dataset.
+        positions, if given, names the records to block and their order;
+        by default every record, in dataset order.
         """
         groups = {}
-        for i, rec in enumerate(self.records):
+        for i in range(len(self.records)) if positions is None else positions:
+            rec = self.records[i]
             groups.setdefault((rec.samples.size, rec.sample_rate_hz), []).append(i)
         for (_, rate), positions in groups.items():
             for start in range(0, len(positions), _BLOCK_ROWS):

@@ -169,15 +169,17 @@ def kfold_cross_validate(dataset: Dataset, k: int, config, seed: int) -> CvRepor
     """Stratified k-fold CV of the full pipeline on a raw dataset.
 
     Record-level preprocessing and feature extraction run once up front
-    (they are row-local); per fold, feature normalization, selection and
-    training are fitted on the training rows only while the held-out rows
-    sit inside an armed HeldOutGuard.
+    (they are row-local): features are extracted from the preprocess_blocks
+    stream, so the prepared corpus is never held, only one block of it at a
+    time. Per fold, feature normalization, selection and training are fitted
+    on the training rows only while the held-out rows sit inside an armed
+    HeldOutGuard.
     """
     from . import pipeline  # local import: pipeline orchestrates this module's types
     from .features import extract_dataset_features
+    from .preprocess import preprocess_blocks
 
-    prepared = pipeline.prepare_dataset(dataset, config)
-    matrix = extract_dataset_features(prepared)
+    matrix = extract_dataset_features(dataset, preprocess_blocks(dataset, config.norm_mode))
     folds = stratified_kfold_indices(matrix.labels, k, seed)
 
     fold_accuracies = []

@@ -85,9 +85,12 @@ def difference(signal: np.ndarray, order: int) -> np.ndarray:
 
 
 def _lower_median(x: np.ndarray) -> np.ndarray:
-    """Per-row median as the lower middle order statistic (no averaging for even n)."""
+    """Per-row median as the lower middle order statistic (no averaging for even n).
+
+    A copy of the column, so the partitioned block is freed on return.
+    """
     k = (x.shape[-1] - 1) // 2
-    return np.partition(x, k, axis=-1)[:, k]
+    return np.partition(x, k, axis=-1)[:, k].copy()
 
 
 def _stat_block(x: np.ndarray) -> list:
@@ -150,18 +153,25 @@ def extract_features(signal: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     return values[0] if x.ndim == 1 else values
 
 
-def extract_dataset_features(dataset: Dataset) -> FeatureMatrix:
+def extract_dataset_features(dataset: Dataset, blocks=None) -> FeatureMatrix:
     """One catalog row per record, in dataset order, extracted a block at a time.
 
+    blocks yields (positions, samples, sample_rate_hz) and covers every
+    record once; by default it is dataset.signal_blocks(), and
+    cross-validation passes preprocess_blocks, so no prepared corpus is held.
     A record whose features overflow (samples near 1e200) is rejected by id.
     """
     records = dataset.records
     if not records:
         raise ValueError("cannot extract features from zero records")
     values = np.empty((len(records), N_FEATURES))
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected below, by record id
-        for rows, block, rate in dataset.signal_blocks():
+    covered = 0
+    for rows, block, rate in dataset.signal_blocks() if blocks is None else blocks:
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below, by record id
             values[rows] = extract_features(block, rate)
+        covered += len(rows)
+    if covered != len(records):
+        raise ValueError(f"feature blocks cover {covered} rows of {len(records)} records")
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
         record_id = records[int(bad.argmax())].record_id

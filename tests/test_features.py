@@ -137,6 +137,12 @@ def test_extract_dataset_features_rejects_zero_records():
         extract_dataset_features(Dataset())
 
 
+def test_extract_dataset_features_refuses_blocks_that_miss_a_record(small_corpus):
+    blocks = list(small_corpus.signal_blocks(range(1, len(small_corpus))))
+    with pytest.raises(ValueError, match="cover 19 rows of 20 records"):
+        extract_dataset_features(small_corpus, blocks)
+
+
 class TestFeatureVector:
     """One record's row of the feature table."""
 

@@ -56,8 +56,8 @@ def assert_same_table(got, want):
 
 
 def two_length_corpus():
-    """Records of 16 Hz x 256 and 8 Hz x 160 samples, interleaved, shared subjects;
-    some subjects' first calm record has the other length than most of theirs."""
+    """Records of 16 Hz x 256 and 8 Hz x 160 samples, interleaved; every subject
+    has records of both kinds, and its first calm record scales both."""
     counts = {lab: 4 for lab in EmotionLabel}
     short = generate_dataset(SynthConfig(per_label_counts=counts, duration_s=16.0, seed=7))
     slow = generate_dataset(SynthConfig(per_label_counts=counts, duration_s=20.0,

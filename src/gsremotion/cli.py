@@ -9,6 +9,7 @@ win over the file, which wins over built-in defaults.
 
 import argparse
 import contextlib
+import csv
 import os
 import sys
 
@@ -324,13 +325,11 @@ def cmd_predict(args) -> int:
     matrix = read_feature_csv(args.features)
     with file_errors(args.features):
         predicted = predict_rows(model, matrix.values)
-    lines = ["record_id,label,predicted"]
-    for i in range(matrix.n_rows):
-        true = matrix.labels[i]
-        lines.append(
-            f"{matrix.record_ids[i]},{true.value if true else ''},{predicted[i].value}"
-        )
-    _write_text(args.out, "\n".join(lines))
+    with open(args.out, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")  # quotes an id holding a comma
+        writer.writerow(["record_id", "label", "predicted"])
+        for rid, true, pred in zip(matrix.record_ids, matrix.labels, predicted):
+            writer.writerow([rid, true.value if true else "", pred.value])
     print(f"wrote {matrix.n_rows} predictions to {args.out}")
     return 0
 

@@ -90,6 +90,11 @@ class GsrRecord:
     def __post_init__(self):
         if not self.record_id:
             raise ValueError("record_id must be non-empty")
+        # the id names the record's file, and a manifest skips `#` lines
+        if (self.record_id in (".", "..") or self.record_id.startswith("#")
+                or "/" in self.record_id or "\\" in self.record_id):
+            raise ValueError(f"record_id {self.record_id!r} cannot name a record file: "
+                             "it holds '/' or '\\', is '.' or '..', or starts with '#'")
         if not self.subject_id:
             raise ValueError("subject_id must be non-empty")
         if not isinstance(self.label, EmotionLabel):
@@ -106,10 +111,6 @@ class GsrRecord:
             )
         if not np.all(np.isfinite(self.samples)):
             raise ValueError(f"record {self.record_id!r} contains non-finite samples")
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
 
     def with_samples(self, samples: np.ndarray) -> "GsrRecord":
         """Copy of this record carrying a new sample array."""

@@ -140,7 +140,6 @@ class CvReport:
     fold_accuracies: list
     confusion: ConfusionMatrix
     heldout_accesses: int
-    fold_confusions: list = field(default_factory=list)
     # (fold number, BinarySvmModel) for each machine stopped by max_passes
     unconverged: list = field(default_factory=list)
 
@@ -183,7 +182,6 @@ def kfold_cross_validate(dataset: Dataset, k: int, config, seed: int) -> CvRepor
     folds = stratified_kfold_indices(matrix.labels, k, seed)
 
     fold_accuracies = []
-    fold_confusions = []
     unconverged = []
     total_accesses = 0
     combined = None
@@ -202,7 +200,6 @@ def kfold_cross_validate(dataset: Dataset, k: int, config, seed: int) -> CvRepor
         cm = ConfusionMatrix.from_predictions(truth, predicted,
                                               fitted.model.label_order)
         fold_accuracies.append(accuracy(cm))
-        fold_confusions.append(cm)
         combined = cm if combined is None else combined.add(cm)
     return CvReport(
         k=k,
@@ -210,7 +207,6 @@ def kfold_cross_validate(dataset: Dataset, k: int, config, seed: int) -> CvRepor
         fold_accuracies=fold_accuracies,
         confusion=combined,
         heldout_accesses=total_accesses,
-        fold_confusions=fold_confusions,
         unconverged=unconverged,
     )
 

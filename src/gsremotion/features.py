@@ -74,16 +74,6 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def difference(signal: np.ndarray, order: int) -> np.ndarray:
-    """order-th forward difference along the last axis; output is order samples shorter."""
-    x = np.asarray(signal, dtype=np.float64)
-    if order < 1:
-        raise ValueError(f"difference order must be >= 1, got {order}")
-    if x.shape[-1] <= order:
-        raise ValueError(f"signal length {x.shape[-1]} too short for order-{order} difference")
-    return np.diff(x, n=order, axis=-1)
-
-
 def _lower_median(x: np.ndarray) -> np.ndarray:
     """Per-row median as the lower middle order statistic (no averaging for even n).
 
@@ -146,8 +136,8 @@ def extract_features(signal: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     if not np.all(np.isfinite(block)):
         raise ValueError("signal contains non-finite values")
     columns = (
-        _stat_block(block) + _stat_block(difference(block, 1))
-        + _stat_block(difference(block, 2)) + _spectral_block(block, sample_rate_hz)
+        _stat_block(block) + _stat_block(np.diff(block, n=1, axis=1))
+        + _stat_block(np.diff(block, n=2, axis=1)) + _spectral_block(block, sample_rate_hz)
     )
     values = np.stack(columns, axis=1)
     return values[0] if x.ndim == 1 else values
@@ -209,10 +199,6 @@ class FeatureNormalization:
     @property
     def n_features(self) -> int:
         return self.mins.size
-
-    @property
-    def degenerate(self) -> np.ndarray:
-        return self.maxs == self.mins
 
     def scale(self, values: np.ndarray, columns=slice(None)) -> np.ndarray:
         """Scale a 2-D block of raw rows to [0, 1] per column (0 if degenerate);

@@ -47,62 +47,39 @@ class LabelBands:
     n_events: tuple
     amplitude_us: tuple
     tonic_offset_us: tuple
-    drift_us_per_s: tuple
-    rise_s: tuple = (0.6, 0.9)
-    decay_s: tuple = (3.0, 6.0)
-
-    def __post_init__(self):
-        for name in ("n_events", "amplitude_us", "tonic_offset_us",
-                     "drift_us_per_s", "rise_s", "decay_s"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"{name}: lower bound {lo} exceeds upper bound {hi}")
-        if self.n_events[0] < 0:
-            raise ValueError("n_events cannot be negative")
-        if self.amplitude_us[0] < 0:
-            raise ValueError("amplitude_us cannot be negative")
-        if self.rise_s[0] <= 0 or self.decay_s[0] <= 0:
-            raise ValueError("rise_s and decay_s must be positive")
-        if self.decay_s[0] <= self.rise_s[1]:
-            raise ValueError("decay_s band must lie strictly above rise_s band")
 
 
 # Every label shares the same slow upward drift so the calm min-max range,
 # which later normalizes all of a subject's records, spans a stable ~1.9 uS
-# regardless of subject or seed. Emotions then differ by tonic offset, event
-# count and event amplitude. Amplitude and offset bands of neighboring labels
-# overlap on purpose: no single draw separates the classes, only the joint
-# statistics do. These values are tuned once against the classification
-# pipeline and frozen.
-_SHARED_DRIFT = (0.0318, 0.0322)
-_EVENT_RISE = (0.6, 0.9)
-_EVENT_DECAY = (4.2, 4.8)
+# regardless of subject or seed, and the same event rise and decay times.
+# Emotions then differ by tonic offset, event count and event amplitude.
+# Amplitude and offset bands of neighboring labels overlap on purpose: no
+# single draw separates the classes, only the joint statistics do. These
+# values are tuned once against the classification pipeline and frozen.
+DRIFT_US_PER_S = (0.0318, 0.0322)
+EVENT_RISE_S = (0.6, 0.9)
+EVENT_DECAY_S = (4.2, 4.8)
 
-DEFAULT_LABEL_BANDS = {
+LABEL_BANDS = {
     EmotionLabel.CALM: LabelBands(
         n_events=(1, 2), amplitude_us=(0.04, 0.06),
-        tonic_offset_us=(0.0, 0.0), drift_us_per_s=_SHARED_DRIFT,
-        rise_s=_EVENT_RISE, decay_s=_EVENT_DECAY,
+        tonic_offset_us=(0.0, 0.0),
     ),
     EmotionLabel.GRIEF: LabelBands(
         n_events=(4, 4), amplitude_us=(0.84, 0.94),
-        tonic_offset_us=(0.15, 0.40), drift_us_per_s=_SHARED_DRIFT,
-        rise_s=_EVENT_RISE, decay_s=_EVENT_DECAY,
+        tonic_offset_us=(0.15, 0.40),
     ),
     EmotionLabel.HAPPINESS: LabelBands(
         n_events=(7, 7), amplitude_us=(0.94, 1.06),
-        tonic_offset_us=(0.35, 0.65), drift_us_per_s=_SHARED_DRIFT,
-        rise_s=_EVENT_RISE, decay_s=_EVENT_DECAY,
+        tonic_offset_us=(0.35, 0.65),
     ),
     EmotionLabel.FEAR: LabelBands(
         n_events=(10, 10), amplitude_us=(1.02, 1.14),
-        tonic_offset_us=(0.60, 0.95), drift_us_per_s=_SHARED_DRIFT,
-        rise_s=_EVENT_RISE, decay_s=_EVENT_DECAY,
+        tonic_offset_us=(0.60, 0.95),
     ),
     EmotionLabel.ANGER: LabelBands(
         n_events=(14, 14), amplitude_us=(1.04, 1.16),
-        tonic_offset_us=(0.90, 1.30), drift_us_per_s=_SHARED_DRIFT,
-        rise_s=_EVENT_RISE, decay_s=_EVENT_DECAY,
+        tonic_offset_us=(0.90, 1.30),
     ),
 }
 
@@ -116,7 +93,6 @@ class SynthConfig:
     sample_rate_hz: float = 16.0
     seed: int = 42
     noise_std_us: float = 0.02
-    label_bands: dict | None = None
 
     def __post_init__(self):
         if not self.per_label_counts:
@@ -139,15 +115,6 @@ class SynthConfig:
             )
         if self.noise_std_us < 0:
             raise ValueError(f"noise_std_us cannot be negative, got {self.noise_std_us}")
-        if self.label_bands is not None:
-            for lab, bands in self.label_bands.items():
-                if not isinstance(lab, EmotionLabel) or not isinstance(bands, LabelBands):
-                    raise ValueError("label_bands must map EmotionLabel to LabelBands")
-
-    def bands_for(self, label: EmotionLabel) -> LabelBands:
-        if self.label_bands is not None and label in self.label_bands:
-            return self.label_bands[label]
-        return DEFAULT_LABEL_BANDS[label]
 
     @property
     def n_samples(self) -> int:
@@ -169,24 +136,17 @@ def _bump(t: np.ndarray, t0: float, amplitude: float, rise: float,
     return out
 
 
-def generate_record(label: EmotionLabel, seed, config: SynthConfig,
-                    subject_id: str = "S01",
-                    record_id: str | None = None,
-                    base_tonic_us: float | None = None) -> GsrRecord:
-    """One deterministic record for (label, seed, config).
-
-    base_tonic_us carries the subject's resting level when generating a
-    whole corpus; standalone calls draw it from SUBJECT_TONIC_US.
-    """
-    bands = config.bands_for(label)
+def generate_record(label: EmotionLabel, seed, config: SynthConfig, subject_id: str,
+                    record_id: str, base_tonic_us: float) -> GsrRecord:
+    """One deterministic record for (label, seed, config) on the subject's
+    resting level base_tonic_us."""
+    bands = LABEL_BANDS[label]
     rng = np.random.default_rng(seed)
     n = config.n_samples
     t = np.arange(n) / config.sample_rate_hz
 
-    if base_tonic_us is None:
-        base_tonic_us = float(rng.uniform(*SUBJECT_TONIC_US))
     tonic = base_tonic_us + rng.uniform(*bands.tonic_offset_us)
-    drift = rng.uniform(*bands.drift_us_per_s)
+    drift = rng.uniform(*DRIFT_US_PER_S)
     scale = config.duration_s / 60.0
     ev_lo = int(round(bands.n_events[0] * scale))
     ev_hi = int(round(bands.n_events[1] * scale))
@@ -195,20 +155,17 @@ def generate_record(label: EmotionLabel, seed, config: SynthConfig,
     # Events sit on a jittered grid rather than fully at random: even spacing
     # keeps per-record event energy stable, and capping the last slot keeps
     # every bump's tail inside the record.
-    latest = max(config.duration_s - 3.0 * bands.decay_s[1], config.duration_s * 0.5)
+    latest = max(config.duration_s - 3.0 * EVENT_DECAY_S[1], config.duration_s * 0.5)
     slot = (latest - 1.0) / n_events if n_events else 0.0
     for k in range(n_events):
         center = 1.0 + (k + 0.5) * slot
         t0 = center + rng.uniform(-0.3, 0.3) * slot
         amplitude = rng.uniform(*bands.amplitude_us)
-        rise = rng.uniform(*bands.rise_s)
-        decay = rng.uniform(*bands.decay_s)
+        rise = rng.uniform(*EVENT_RISE_S)
+        decay = rng.uniform(*EVENT_DECAY_S)
         signal = signal + _bump(t, t0, amplitude, rise, decay)
     signal = signal + rng.standard_normal(n) * config.noise_std_us
     signal = np.maximum(signal, POSITIVITY_FLOOR_US)
-
-    if record_id is None:
-        record_id = f"{subject_id}_{label.value}_000"
     return GsrRecord(
         record_id=record_id,
         subject_id=subject_id,

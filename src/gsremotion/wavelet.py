@@ -114,8 +114,6 @@ def daubechies_filter_bank(order: int = DEFAULT_ORDER) -> FilterBank:
 
 def _symmetric_extend(x: np.ndarray, pad: int) -> np.ndarray:
     """Half-sample symmetric extension along axis 1: reflect without repeating the edge twice."""
-    if pad > x.shape[1]:
-        raise ValueError(f"cannot extend length-{x.shape[1]} signal by {pad} samples")
     return np.concatenate([x[:, :pad][:, ::-1], x, x[:, -pad:][:, ::-1]], axis=1)
 
 
@@ -138,8 +136,8 @@ def _analysis_step(x: np.ndarray, bank: FilterBank):
     return out
 
 
-def _upsample_filter(coef: np.ndarray, f: np.ndarray, out_len: int) -> np.ndarray:
-    """Zero-stuff each row of coef, convolve with f and keep [L-1 : L-1+out_len].
+def _upsample_sums(coef: np.ndarray, f: np.ndarray, out_len: int):
+    """Yield (columns, sums) per parity, in one buffer, of coef upsampled through f.
 
     Output L-1+s meets the taps of the parity of s only, so it is summed over
     those, in ascending tap order like np.convolve; the zero-stuffed products
@@ -147,28 +145,30 @@ def _upsample_filter(coef: np.ndarray, f: np.ndarray, out_len: int) -> np.ndarra
     output as a partial overlap with a BLAS dot product, which rounds
     differently (fused multiply-add); np.vecdot makes that call for every row.
     """
-    length = f.size
-    half = length // 2
+    half = f.size // 2
     taps = np.ascontiguousarray(f[::-1])
     n = out_len // 2
-    y = np.empty((coef.shape[0], out_len))
+    acc = np.empty((coef.shape[0], n))
     for parity in (0, 1):
-        acc = coef[:, parity:parity + n] * taps[parity]
+        np.multiply(coef[:, parity:parity + n], taps[parity], out=acc)
         for u in range(1, half):
             acc += coef[:, parity + u:parity + u + n] * taps[2 * u + parity]
-        y[:, parity:2 * n:2] = acc
+        yield slice(parity, 2 * n, 2), acc
     if out_len % 2:
-        stuffed = np.zeros((coef.shape[0], length - 1))
+        stuffed = np.zeros((coef.shape[0], f.size - 1))
         stuffed[:, 0::2] = coef[:, -half:]
-        y[:, -1] = np.vecdot(stuffed, taps[:length - 1])
-    return y
+        yield -1, np.vecdot(stuffed, taps[:-1])
 
 
 def _synthesis_step(approx: np.ndarray, detail: np.ndarray, out_len: int,
                     bank: FilterBank) -> np.ndarray:
-    """One inverse level over (rows x m) coefficient blocks."""
-    y = _upsample_filter(approx, bank.lowpass_recon, out_len)
-    y += _upsample_filter(detail, bank.highpass_recon, out_len)
+    """One inverse level over (rows x m) blocks; highpass sums add in place."""
+    y = np.empty((approx.shape[0], out_len))
+    for columns, sums in _upsample_sums(approx, bank.lowpass_recon, out_len):
+        y[:, columns] = sums
+    del sums  # free the lowpass buffer before the highpass one is made
+    for columns, sums in _upsample_sums(detail, bank.highpass_recon, out_len):
+        y[:, columns] += sums
     return y
 
 

@@ -7,10 +7,12 @@ library tests and the acceptance suite.
 """
 
 import contextlib
+import csv
 import io
 import json
 import os
 import re
+import shutil
 import sys
 import warnings
 from dataclasses import replace
@@ -28,7 +30,7 @@ from gsremotion.dataset import (
     load_dataset,
     save_dataset,
 )
-from gsremotion.features import read_feature_csv
+from gsremotion.features import read_feature_csv, write_feature_csv
 from gsremotion.kernels import KERNEL_KINDS
 from gsremotion.pipeline import PipelineConfig
 from gsremotion.preprocess import NORM_MODES
@@ -388,6 +390,19 @@ class TestPredict:
             assert record_id
             assert true in LABEL_NAMES
             assert predicted in LABEL_NAMES
+
+    def test_id_holding_a_comma_stays_one_field(self, model_path, features_csv, tmp_path):
+        matrix = read_feature_csv(str(features_csv))
+        matrix.record_ids[0] = "S01,x"
+        table = tmp_path / "features.csv"
+        write_feature_csv(matrix, str(table))
+        out = tmp_path / "predictions.csv"
+        assert cli.main(["predict", "--model", str(model_path),
+                         "--features", str(table), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [3] * 21
+        assert rows[1][0] == "S01,x"
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_overflowing_kernel_names_the_table(self, features_csv, tmp_path, capsys,
@@ -1024,6 +1039,22 @@ class TestMalformedInputFiles:
         manifest.write_text("# nothing yet\n")
         rc = cli.main([command, "--manifest", str(manifest), "--out", str(tmp_path / "out")])
         self.assert_names(capsys, rc, manifest, "manifest lists no records")
+
+    @pytest.mark.parametrize("record_id", ["../escaped", "#hidden", "a/b", "a\\b", ".", ".."])
+    def test_record_id_that_cannot_name_a_file(self, corpus_dir, tmp_path, capsys,
+                                               record_id):
+        # `../escaped` would be saved outside --out, and the manifest reader
+        # would skip a `#hidden.csv` line, silently dropping the record
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        record = corpus / (corpus / "manifest.txt").read_text().splitlines()[0]
+        record.write_text(re.sub(r"(?m)^# record_id: .*$", lambda _: f"# record_id: {record_id}",
+                                 record.read_text()))
+        before = sorted(tmp_path.rglob("*"))
+        rc = cli.main(["preprocess", "--manifest", str(corpus / "manifest.txt"),
+                       "--out", str(tmp_path / "work" / "out")])
+        self.assert_names(capsys, rc, record, f"record_id {record_id!r} cannot name")
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("kind", ["old_format", "blank_line", "two_fields"])
     def test_record_body_refused(self, corpus_dir, tmp_path, capsys, kind):

@@ -194,7 +194,7 @@ class TestCrossValidation:
 
     def test_every_row_scored_once(self, small_corpus, report):
         assert report.confusion.total == len(small_corpus)
-        assert len(report.fold_confusions) == 2
+        assert len(report.fold_accuracies) == 2
 
     def test_mean_and_std_derive_from_folds(self, report):
         acc = np.asarray(report.fold_accuracies)

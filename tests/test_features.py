@@ -10,7 +10,6 @@ from gsremotion.features import (
     FeatureMatrix,
     FeatureNormalization,
     column_ids,
-    difference,
     extract_dataset_features,
     extract_features,
     fit_feature_normalization,
@@ -34,23 +33,28 @@ def test_column_ids_are_zero_padded():
 
 
 class TestDifference:
+    """The d1 and d2 blocks of the catalog: statistics of the first and
+    second forward differences, one and two samples shorter than the signal."""
+
+    # steps of 2 and 3 in turn: d1 is 2, 3, 2, 3, ... and d2 is 1, -1, 1, ...
+    STEPS = np.concatenate([[0.0], np.cumsum(np.tile([2.0, 3.0], 40))])
+
     def test_first_order(self):
-        assert_array_equal(difference([1.0, 3.0, 6.0], 1), [2.0, 3.0])
+        fv = extract_features(self.STEPS, RATE)
+        # mean, lower median, std, min, max, range, abs_mean, rms of 40 twos and 40 threes
+        assert_array_equal(fv[8:16], [2.5, 2.0, 0.5, 2.0, 3.0, 1.0, 2.5, np.sqrt(6.5)])
 
     def test_second_order(self):
-        assert_array_equal(difference([1.0, 3.0, 6.0], 2), [1.0])
+        fv = extract_features(self.STEPS, RATE)
+        # 40 ones and 39 minus ones
+        assert fv[16] == pytest.approx(1 / 79)
+        assert_array_equal(fv[19:23], [-1.0, 1.0, 2.0, 1.0])
+        assert fv[23] == 1.0
 
     def test_ramp_has_zero_second_difference(self):
-        x = 0.5 * np.arange(100)
-        assert_allclose(difference(x, 2), 0.0, atol=1e-12)
-
-    def test_order_below_one(self):
-        with pytest.raises(ValueError, match="order"):
-            difference([1.0, 2.0], 0)
-
-    def test_too_short(self):
-        with pytest.raises(ValueError, match="too short"):
-            difference([1.0, 2.0], 2)
+        fv = extract_features(0.5 * np.arange(100), RATE)
+        assert_array_equal(fv[8:16], [0.5, 0.5, 0.0, 0.5, 0.5, 0.0, 0.5, 0.5])
+        assert_array_equal(fv[16:24], 0.0)
 
 
 class TestExtract:
@@ -188,7 +192,7 @@ class TestFeatureNormalization:
         m = FeatureMatrix(values=np.array([[1.0, 5.0], [2.0, 5.0]]),
                           record_ids=list("ab"), labels=[None] * 2)
         norm = fit_feature_normalization(m)
-        assert list(norm.degenerate) == [False, True]
+        assert norm.mins[1] == norm.maxs[1] == 5.0
         assert_array_equal(norm.scale(m.values)[:, 1], [0.0, 0.0])
         assert norm.scale(np.array([[3.0, 9.0]]))[0, 1] == 0.0
 

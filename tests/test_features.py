@@ -56,6 +56,15 @@ class TestDifference:
         assert_array_equal(fv[8:16], [0.5, 0.5, 0.0, 0.5, 0.5, 0.0, 0.5, 0.5])
         assert_array_equal(fv[16:24], 0.0)
 
+    def test_too_short(self):
+        # 64 samples, the fewest accepted, leave 63 first and 62 second
+        # differences: 32 twos and 31 threes, then 31 ones and 31 minus ones
+        fv = extract_features(self.STEPS[:64], RATE)
+        assert fv[8] == pytest.approx(157 / 63)
+        assert fv[16] == 0.0
+        with pytest.raises(ValueError, match="at least 64"):
+            extract_features(self.STEPS[:63], RATE)
+
 
 class TestExtract:
     def test_constant_signal_degenerates(self):

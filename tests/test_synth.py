@@ -27,14 +27,25 @@ def quiet_table(monkeypatch):
     monkeypatch.setattr(synth, "DRIFT_US_PER_S", (0.03, 0.03))
 
 
-def test_label_table_invariants():
-    bands = [synth.DRIFT_US_PER_S, synth.EVENT_RISE_S, synth.EVENT_DECAY_S]
-    assert set(synth.LABEL_BANDS) == set(EmotionLabel)
-    for entry in synth.LABEL_BANDS.values():
-        bands += [entry.n_events, entry.amplitude_us, entry.tonic_offset_us]
-        assert entry.n_events[0] >= 0 and entry.amplitude_us[0] >= 0
-    assert all(lo <= hi for lo, hi in bands)
-    assert 0 < synth.EVENT_RISE_S[0] and synth.EVENT_RISE_S[1] < synth.EVENT_DECAY_S[0]
+class TestLabelBandsValidation:
+    """The frozen label table and its shared bands keep their invariants."""
+
+    def bands(self):
+        shared = [synth.DRIFT_US_PER_S, synth.EVENT_RISE_S, synth.EVENT_DECAY_S]
+        return shared + [band for entry in synth.LABEL_BANDS.values()
+                         for band in (entry.n_events, entry.amplitude_us,
+                                      entry.tonic_offset_us)]
+
+    def test_lower_bound_above_upper(self):
+        assert all(lo <= hi for lo, hi in self.bands())
+
+    def test_negative_event_count(self):
+        for entry in synth.LABEL_BANDS.values():
+            assert entry.n_events[0] >= 0 and entry.amplitude_us[0] >= 0
+
+    def test_decay_must_exceed_rise(self):
+        assert 0 < synth.EVENT_RISE_S[0]
+        assert synth.EVENT_RISE_S[1] < synth.EVENT_DECAY_S[0]
 
 
 def test_generate_record_is_deterministic():
@@ -165,6 +176,17 @@ class TestSynthConfigValidation:
     def test_negative_noise(self):
         with pytest.raises(ValueError, match="noise_std_us"):
             SynthConfig(noise_std_us=-0.1)
+
+    def test_label_bands_type_check(self):
+        # the table is frozen in the module: one LabelBands of 2-tuples per
+        # label, and no config field through which a caller replaces it
+        assert set(synth.LABEL_BANDS) == set(EmotionLabel)
+        for entry in synth.LABEL_BANDS.values():
+            assert isinstance(entry, LabelBands)
+            assert all(len(band) == 2 for band in
+                       (entry.n_events, entry.amplitude_us, entry.tonic_offset_us))
+        with pytest.raises(TypeError, match="label_bands"):
+            SynthConfig(label_bands={EmotionLabel.CALM: "not bands"})
 
     def test_n_samples(self):
         assert SynthConfig(duration_s=16.0, sample_rate_hz=16.0).n_samples == 256

@@ -221,21 +221,26 @@ def _split(args, matrix, test_fraction: float, seed: int):
         return stratified_split_indices(matrix.labels, test_fraction, seed)
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
+def _warn(lines) -> None:
+    """Print each line to stderr as a warning; the CLI warns nowhere else."""
+    for line in lines:
+        print(f"warning: {line}", file=sys.stderr)
 
 
-def _warn_unconverged(machines, where: str = "") -> None:
-    """One stderr line per machine that stopped at max_passes."""
-    for m in machines:
-        if not m.converged:
-            a, b = m.label_pair
-            print(f"warning: {where}machine {a.value}/{b.value} did not converge: "
-                  f"stopped after {m.iterations} iterations with KKT gap "
-                  f"{m.final_violation:.4g}", file=sys.stderr)
+def _writes_prefix(command):
+    """Run a command that returns (payload, warnings, text, summary) and write its
+    <prefix>.json and <prefix>.txt, both refused before the command runs."""
+    def stage(args) -> int:
+        json_path = _check_out(args.out + ".json", args.force)
+        text_path = _check_out(args.out + ".txt", args.force)
+        payload, warnings, text, summary = command(args)
+        write_json(json_path, payload)
+        _warn(warnings)
+        with open(text_path, "w") as fh:
+            fh.write(text + "\n")
+        print(f"{summary} -> {json_path}, {text_path}")
+        return 0
+    return stage
 
 
 def cmd_synth(args) -> int:
@@ -288,8 +293,7 @@ def cmd_select(args) -> int:
         with file_errors(args.features):  # too few rows or varying columns: the table's fault
             result = select_features(matrix.values, k)
     write_selection_json(result, args.out)
-    for warning in result.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    _warn(result.warnings)
     print(f"selected {result.k} features -> {args.out}")
     return 0
 
@@ -310,7 +314,7 @@ def cmd_train(args) -> int:
         print(f"held out {test_matrix.n_rows} rows -> {args.test_out}")
     fitted = fit_from_features(matrix, config)
     save_model(fitted.model, args.out)
-    _warn_unconverged(fitted.model.machines)
+    _warn(fitted.model.warnings())
     n_machines = len(fitted.model.machines)
     print(
         f"trained {n_machines} machines on {matrix.n_rows} rows "
@@ -334,20 +338,18 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    json_path = _check_out(args.out + ".json", args.force)
-    text_path = _check_out(args.out + ".txt", args.force)
+@_writes_prefix
+def cmd_eval(args):
     seed = _resolve(args, "seed", PipelineConfig.seed)
     model = load_model(args.model)
     matrix = _read_labeled(args.features)
-    with file_errors(args.features):
+    with file_errors(args.features):  # rows the model cannot score, or a label it never saw
         predicted = predict_rows(model, matrix.values)
-    cm = ConfusionMatrix.from_predictions(matrix.labels, predicted,
-                                          model.label_order)
+        cm = ConfusionMatrix.from_predictions(matrix.labels, predicted, model.label_order)
     acc = accuracy(cm)
     rates = per_label_rates(cm)
     sample = sampled_label_rates(matrix.labels, predicted, seed)
-    write_json(json_path, {
+    payload = {
         "accuracy": acc,
         "n_rows": cm.total,
         "label_order": [lab.value for lab in cm.label_order],
@@ -359,16 +361,14 @@ def cmd_eval(args) -> int:
             "seed": seed,
             "rates": {lab.value: entry for lab, entry in sample.items()},
         },
-    })
-    _write_text(text_path, format_confusion(cm) + "\n\n" + format_rates(cm)
-                + "\n\n" + format_sampled_rates(sample))
-    print(f"accuracy {acc:.4f} on {cm.total} rows -> {json_path}, {text_path}")
-    return 0
+    }
+    text = (format_confusion(cm) + "\n\n" + format_rates(cm)
+            + "\n\n" + format_sampled_rates(sample))
+    return payload, [], text, f"accuracy {acc:.4f} on {cm.total} rows"
 
 
-def cmd_cv(args) -> int:
-    json_path = _check_out(args.out + ".json", args.force)
-    text_path = _check_out(args.out + ".txt", args.force)
+@_writes_prefix
+def cmd_cv(args):
     config = _pipeline_config(args)
     folds = _resolve(args, "folds", DEFAULT_FOLDS)
     _check_folds(folds)
@@ -377,9 +377,6 @@ def cmd_cv(args) -> int:
         report = kfold_cross_validate(dataset, folds, config, config.seed)
     except TooFewRowsError as exc:  # a corpus too small for the folds is the manifest's fault
         raise ValueError(f"{args.manifest}: {exc}") from None
-    write_json(json_path, report.to_dict())
-    for fold, machine in report.unconverged:
-        _warn_unconverged([machine], f"fold {fold}: ")
     fold_lines = [
         f"fold {i + 1}: accuracy {a:.4f}"
         for i, a in enumerate(report.fold_accuracies)
@@ -388,32 +385,22 @@ def cmd_cv(args) -> int:
         f"\n\nmean {report.mean_accuracy:.4f}  std {report.std_accuracy:.4f}"
         f"\nheld-out accesses during fit: {report.heldout_accesses}\n\n"
     ) + format_confusion(report.confusion)
-    _write_text(text_path, text)
-    print(
+    return report.to_dict(), report.warnings, text, (
         f"cv mean accuracy {report.mean_accuracy:.4f} (std {report.std_accuracy:.4f}) "
-        f"over {folds} folds -> {json_path}, {text_path}"
-    )
-    return 0
+        f"over {folds} folds")
 
 
-def cmd_report(args) -> int:
-    json_path = _check_out(args.out + ".json", args.force)
-    text_path = _check_out(args.out + ".txt", args.force)
+@_writes_prefix
+def cmd_report(args):
     config = _pipeline_config(args)
     test_fraction = _resolve(args, "test_fraction", REPORT_TEST_FRACTION)
     matrix = _read_labeled(args.features)
     _split(args, matrix, test_fraction, config.seed)  # comparison_report splits alike
     report = comparison_report(matrix, config, test_fraction, config.seed)
-    write_json(json_path, report)
-    for variant, machine in report.unconverged:
-        _warn_unconverged([machine], f"{variant} model: ")
-    _write_text(text_path, format_comparison(report))
     acc = report["accuracy"]
-    print(
+    return report, report.warnings, format_comparison(report), (
         f"test accuracy: {acc['selected']['test']:.4f} with {report['k']} features, "
-        f"{acc['all_features']['test']:.4f} with all -> {json_path}, {text_path}"
-    )
-    return 0
+        f"{acc['all_features']['test']:.4f} with all")
 
 
 def _add_options(sub, *keys):

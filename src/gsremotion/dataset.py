@@ -77,6 +77,15 @@ def parse_label(text: str) -> EmotionLabel:
         raise ValueError(f"unknown emotion label {text!r} (expected one of: {names})")
 
 
+def _check_id(name: str, value: str) -> None:
+    """Refuse an id a record file cannot carry back: its reader strips each line."""
+    if not value:
+        raise ValueError(f"{name} must be non-empty")
+    if value != value.strip() or len(value.splitlines()) > 1:
+        raise ValueError(f"{name} {value!r} cannot be stored in a record file: "
+                         "it has leading or trailing whitespace or a line break")
+
+
 @dataclass
 class GsrRecord:
     """One conductance time series with identity and acquisition metadata."""
@@ -88,15 +97,13 @@ class GsrRecord:
     samples: np.ndarray
 
     def __post_init__(self):
-        if not self.record_id:
-            raise ValueError("record_id must be non-empty")
+        _check_id("record_id", self.record_id)
         # the id names the record's file, and a manifest skips `#` lines
         if (self.record_id in (".", "..") or self.record_id.startswith("#")
                 or "/" in self.record_id or "\\" in self.record_id):
             raise ValueError(f"record_id {self.record_id!r} cannot name a record file: "
                              "it holds '/' or '\\', is '.' or '..', or starts with '#'")
-        if not self.subject_id:
-            raise ValueError("subject_id must be non-empty")
+        _check_id("subject_id", self.subject_id)
         if not isinstance(self.label, EmotionLabel):
             raise ValueError(f"label must be an EmotionLabel, got {type(self.label).__name__}")
         if not self.sample_rate_hz > 0:

@@ -51,7 +51,9 @@ class ConfusionMatrix:
         counts = np.zeros((len(order), len(order)), dtype=np.int64)
         for t, p in zip(truth, predicted):
             if t not in pos or p not in pos:
-                raise ValueError(f"label {t if t not in pos else p} not in label order")
+                bad = t if t not in pos else p
+                raise ValueError(f"label {getattr(bad, 'value', bad)!r} not in label order "
+                                 f"({', '.join(lab.value for lab in order)})")
             counts[pos[t], pos[p]] += 1
         return cls(counts=counts, label_order=order)
 
@@ -140,8 +142,8 @@ class CvReport:
     fold_accuracies: list
     confusion: ConfusionMatrix
     heldout_accesses: int
-    # (fold number, BinarySvmModel) for each machine stopped by max_passes
-    unconverged: list = field(default_factory=list)
+    # each fold model's warnings, prefixed "fold <n>: "; not serialized
+    warnings: list = field(default_factory=list)
 
     @property
     def mean_accuracy(self) -> float:
@@ -182,7 +184,7 @@ def kfold_cross_validate(dataset: Dataset, k: int, config, seed: int) -> CvRepor
     folds = stratified_kfold_indices(matrix.labels, k, seed)
 
     fold_accuracies = []
-    unconverged = []
+    warnings = []
     total_accesses = 0
     combined = None
     for fold, test_rows in enumerate(folds, start=1):
@@ -194,7 +196,7 @@ def kfold_cross_validate(dataset: Dataset, k: int, config, seed: int) -> CvRepor
         fitted = pipeline.fit_from_features(train_matrix, config)
         total_accesses += guard.access_count
         guard.disarm()
-        unconverged += [(fold, m) for m in fitted.model.machines if not m.converged]
+        warnings += fitted.model.warnings(f"fold {fold}: ")
         predicted = pipeline.predict_rows(fitted.model, guard.values)
         truth = [matrix.labels[i] for i in test_rows]
         cm = ConfusionMatrix.from_predictions(truth, predicted,
@@ -207,7 +209,7 @@ def kfold_cross_validate(dataset: Dataset, k: int, config, seed: int) -> CvRepor
         fold_accuracies=fold_accuracies,
         confusion=combined,
         heldout_accesses=total_accesses,
-        unconverged=unconverged,
+        warnings=warnings,
     )
 
 

@@ -91,8 +91,8 @@ def subset_rows(matrix: FeatureMatrix, rows) -> FeatureMatrix:
 
 
 class ComparisonReport(dict):
-    """The comparison payload; `unconverged`, outside the dict, holds a
-    (variant, BinarySvmModel) pair for each machine stopped by max_passes."""
+    """The comparison payload; `warnings`, outside the dict, holds both
+    models' warnings, prefixed "selected-k model: " or "all-features model: "."""
 
 
 def comparison_report(matrix: FeatureMatrix, config: PipelineConfig,
@@ -128,9 +128,8 @@ def comparison_report(matrix: FeatureMatrix, config: PipelineConfig,
             "all_features": scores(fitted_all),
         },
     })
-    variants = (("selected-k", fitted_k), ("all-features", fitted_all))
-    report.unconverged = [(variant, m) for variant, fitted in variants
-                          for m in fitted.model.machines if not m.converged]
+    report.warnings = (fitted_k.model.warnings("selected-k model: ")
+                       + fitted_all.model.warnings("all-features model: "))
     return report
 
 

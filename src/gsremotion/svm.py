@@ -66,7 +66,6 @@ class BinarySvmModel:
     dual_coef: np.ndarray
     bias: float
     kernel: KernelSpec
-    label_pair: tuple | None = None
     iterations: int = 0
     converged: bool = True
     final_violation: float = 0.0
@@ -265,8 +264,7 @@ def _kernel_bound(spec: KernelSpec, norms: np.ndarray) -> float:
     return N * 8.0 * max(spec.eta, 1.0)
 
 
-def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig,
-                 label_pair: tuple | None = None) -> BinarySvmModel:
+def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig) -> BinarySvmModel:
     """Fit one two-class machine on rows X with labels y in {-1, +1}."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -320,7 +318,6 @@ def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig,
         dual_coef=(alpha * y)[support],
         bias=bias,
         kernel=spec,
-        label_pair=label_pair,
         iterations=int(iterations),
         converged=bool(converged),
         final_violation=m - M,
@@ -342,6 +339,7 @@ def decision_values(model: BinarySvmModel, X: np.ndarray) -> np.ndarray:
 class MulticlassSvmModel:
     """One-vs-one ensemble over the labels seen at training time.
 
+    Machine i decides the i-th pair of label_order (combinations order).
     feature_indices are 1-based catalog columns the machines were trained
     on; normalization, when present, holds the min and max of every catalog
     column, and each used column is scaled by its own.
@@ -359,9 +357,9 @@ class MulticlassSvmModel:
         if len(self.label_order) < 2 or self.label_order != tuple(
                 lab for lab in LABEL_ORDER if lab in self.label_order):
             raise ValueError("multiclass model needs at least 2 labels, once each, in label order")
-        if [m.label_pair for m in self.machines] != list(combinations(self.label_order, 2)):
+        if len(self.machines) != len(list(combinations(self.label_order, 2))):
             raise ValueError(f"{len(self.machines)} machines for {len(self.label_order)} labels: "
-                             "need one per label pair, in label order")
+                             "need one per label pair")
         widths = {m.support_vectors.shape[1] for m in self.machines}
         if widths != {len(self.feature_indices)}:
             raise ValueError(f"machines are {sorted(widths)} features wide, "
@@ -369,6 +367,13 @@ class MulticlassSvmModel:
         if self.normalization is not None and self.normalization.n_features != N_FEATURES:
             raise ValueError(f"normalization has {self.normalization.n_features} columns, "
                              f"expected {N_FEATURES}")
+
+    def warnings(self, prefix: str = "") -> list:
+        """A line after prefix for each machine that max_passes stopped short of tolerance."""
+        return [f"{prefix}machine {a.value}/{b.value} did not converge: stopped after "
+                f"{m.iterations} iterations with KKT gap {m.final_violation:.4g}"
+                for m, (a, b) in zip(self.machines, combinations(self.label_order, 2))
+                if not m.converged]
 
 
 def train_multiclass(matrix: FeatureMatrix, config: TrainConfig,
@@ -396,9 +401,7 @@ def train_multiclass(matrix: FeatureMatrix, config: TrainConfig,
     for a, b in combinations(range(len(present)), 2):
         rows = np.flatnonzero((lab_arr == a) | (lab_arr == b))
         y = np.where(lab_arr[rows] == a, 1.0, -1.0)
-        machines.append(
-            train_binary(values[rows], y, config, label_pair=(present[a], present[b]))
-        )
+        machines.append(train_binary(values[rows], y, config))
     return MulticlassSvmModel(
         machines=machines,
         label_order=tuple(present),
@@ -531,12 +534,8 @@ def load_model(path: str) -> MulticlassSvmModel:
         feature_indices = tuple(validate_catalog_indices(payload["feature_indices"]))
         width = len(feature_indices)
         kernel = config.kernel.resolved(width)
-        pairs = list(combinations(label_order, 2))
-        if len(payload["machines"]) != len(pairs):
-            raise ValueError(f"{len(payload['machines'])} machines for {len(label_order)} "
-                             "labels: need one per label pair")
         machines = []
-        for m, pair in zip(payload["machines"], pairs):
+        for m in payload["machines"]:
             sv_rows = [[float.fromhex(v) for v in row] for row in m["support_vectors"]]
             widths = {len(row) for row in sv_rows}
             if widths - {width}:
@@ -547,7 +546,6 @@ def load_model(path: str) -> MulticlassSvmModel:
                 dual_coef=np.array([float.fromhex(v) for v in m["dual_coef"]]),
                 bias=float.fromhex(m["bias"]),
                 kernel=kernel,
-                label_pair=pair,
                 iterations=int(m["iterations"]),
                 converged=bool(m["converged"]),
                 final_violation=float.fromhex(m["final_violation"]),

@@ -30,9 +30,10 @@ from gsremotion.dataset import (
     load_dataset,
     save_dataset,
 )
+from gsremotion.evaluate import kfold_cross_validate
 from gsremotion.features import read_feature_csv, write_feature_csv
 from gsremotion.kernels import KERNEL_KINDS
-from gsremotion.pipeline import PipelineConfig
+from gsremotion.pipeline import PipelineConfig, comparison_report, evaluate_model, subset_rows
 from gsremotion.preprocess import NORM_MODES
 from gsremotion.selection import read_selection_indices
 from gsremotion.svm import load_model
@@ -502,6 +503,22 @@ class TestEval:
                          "--seed", "5", "--force"]) == 0
         assert (json_path.read_bytes(), text_path.read_bytes()) == before
 
+    def test_label_the_model_never_saw_names_the_table(self, features_csv, tmp_path, capsys):
+        table = read_feature_csv(str(features_csv))
+        no_calm = tmp_path / "no_calm.csv"
+        write_feature_csv(subset_rows(table, [i for i, lab in enumerate(table.labels)
+                                              if lab is not EmotionLabel.CALM]), str(no_calm))
+        model = tmp_path / "model.json"
+        assert cli.main(["train", "--features", str(no_calm), "--out", str(model)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["eval", "--model", str(model), "--features", str(features_csv),
+                       "--out", str(tmp_path / "scores")])
+        message = "label 'calm' not in label order (happiness, grief, fear, anger)"
+        assert (rc, capsys.readouterr().err) == (1, f"error: {features_csv}: {message}\n")
+        assert not (tmp_path / "scores.json").exists()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate_model(load_model(str(model)), table)
+
 
 class TestCv:
     def test_report_files(self, manifest, tmp_path):
@@ -541,7 +558,9 @@ class TestNonConvergence:
         assert len(warnings) == 10
         assert "machine happiness/grief did not converge" in warnings[0]
         assert "after 2 iterations with KKT gap" in warnings[0]
-        assert not any(m.converged for m in load_model(str(out)).machines)
+        model = load_model(str(out))
+        assert not any(m.converged for m in model.machines)
+        assert warnings == [f"warning: {line}" for line in model.warnings()]
 
     def test_cv_warns_per_fold(self, manifest, tmp_path, capsys, two_passes):
         assert cli.main(["cv", "--manifest", manifest, "--folds", "2",
@@ -549,6 +568,9 @@ class TestNonConvergence:
         err = capsys.readouterr().err
         assert err.count("warning: fold 1: machine") == 10
         assert err.count("warning: fold 2: machine") == 10
+        report = kfold_cross_validate(load_dataset(manifest), 2,
+                                      replace(PipelineConfig(seed=3), max_passes=2), 3)
+        assert err.splitlines() == [f"warning: {line}" for line in report.warnings]
 
     def test_report_warns_per_model(self, features_csv, tmp_path, capsys, two_passes):
         assert cli.main(["report", "--features", str(features_csv), "--out",
@@ -556,6 +578,10 @@ class TestNonConvergence:
         err = capsys.readouterr().err
         assert err.count("warning: selected-k model: machine") == 10
         assert err.count("warning: all-features model: machine") == 10
+        report = comparison_report(read_feature_csv(str(features_csv)),
+                                   replace(PipelineConfig(selection_k=10), max_passes=2),
+                                   0.5, PipelineConfig.seed)
+        assert err.splitlines() == [f"warning: {line}" for line in report.warnings]
         assert set(json.loads((tmp_path / "cmp.json").read_text())) == {
             "test_fraction", "split_seed", "n_train", "n_test", "k", "selected_indices",
             "accuracy"}

@@ -88,6 +88,15 @@ class TestGsrRecord:
         with pytest.raises(ValueError, match=field):
             make_record(**kwargs)
 
+    @pytest.mark.parametrize("field", ["record_id", "subject_id"])
+    @pytest.mark.parametrize("value", [" s ", "s ", "c\n4", "c\r\n4", "c\r4", "c\x1c4",
+                                       "c\u20284"])
+    def test_rejects_ids_a_record_file_cannot_carry(self, field, value):
+        # the reader strips " s " to "s", merging two subjects, and a record id
+        # "c\n4" wrote a manifest listing a record file "c"
+        with pytest.raises(ValueError, match=f"^{field} .* cannot be stored in a record file"):
+            make_record(**{field: value})
+
     def test_with_samples_keeps_metadata(self):
         rec = make_record(label=EmotionLabel.FEAR)
         out = rec.with_samples(np.ones(64))
@@ -170,6 +179,13 @@ class TestManifest:
         assert [r.record_id for r in back] == [r.record_id for r in ds]
         for a, b in zip(back, ds):
             assert_array_equal(a.samples, b.samples)
+
+    def test_ids_come_back_unchanged(self, tmp_path):
+        records = [make_record(record_id=rid, subject_id=sid, seed=i) for i, (rid, sid) in
+                   enumerate([("a b", "s 1"), ("a:b", "s: 1"), ("a,b", "é"), ("s", "s")])]
+        back = load_dataset(save_dataset(Dataset(records=records), str(tmp_path)))
+        assert [(r.record_id, r.subject_id) for r in back] == [
+            (r.record_id, r.subject_id) for r in records]
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         recs = [make_record(f"r{i}", seed=i) for i in range(2)]

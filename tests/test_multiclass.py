@@ -20,6 +20,7 @@ from gsremotion.svm import (
     BinarySvmModel,
     MulticlassSvmModel,
     TrainConfig,
+    _prepare_rows,
     decision_values,
     load_model,
     predict_batch,
@@ -47,17 +48,34 @@ def vote_model(labels=(H, G, C)):
     """One-vs-one model whose k-th pairwise machine decides by catalog column k + 1.
 
     Each machine is linear with one unit support vector, so f(x) is exactly
-    that column's value. With the default labels, (H,G), (H,C) and (G,C)
-    read columns 1, 2 and 3.
+    that column's value. Machine k decides the k-th pair of labels, so with
+    the default labels (H,G), (H,C) and (G,C) read columns 1, 2 and 3.
     """
-    pairs = list(combinations(labels, 2))
+    n_pairs = len(labels) * (len(labels) - 1) // 2
     machines = [
-        BinarySvmModel(support_vectors=np.eye(len(pairs))[[k]], dual_coef=np.ones(1),
-                       bias=0.0, kernel=KernelSpec(kind="linear"), label_pair=pair)
-        for k, pair in enumerate(pairs)
+        BinarySvmModel(support_vectors=np.eye(n_pairs)[[k]], dual_coef=np.ones(1),
+                       bias=0.0, kernel=KernelSpec(kind="linear"))
+        for k in range(n_pairs)
     ]
     return MulticlassSvmModel(machines=machines, label_order=labels,
-                              feature_indices=range(1, len(pairs) + 1))
+                              feature_indices=range(1, n_pairs + 1))
+
+
+def pair_machines(model, matrix):
+    """Machine i of a model fitted on matrix, trained alone: on the rows of the
+    i-th pair of label_order, +1 for the pair's first label."""
+    rows = _prepare_rows(model.normalization, model.feature_indices, matrix.values)
+    labels = np.array([lab.value for lab in matrix.labels])
+    for a, b in combinations(model.label_order, 2):
+        pick = (labels == a.value) | (labels == b.value)
+        yield train_binary(rows[pick], np.where(labels[pick] == a.value, 1.0, -1.0),
+                           model.config)
+
+
+def assert_same_machine(a, b):
+    assert a.bias == b.bias
+    assert_array_equal(a.dual_coef, b.dual_coef)
+    assert_array_equal(a.support_vectors, b.support_vectors)
 
 
 def catalog_row(decisions):
@@ -68,14 +86,14 @@ def catalog_row(decisions):
 
 
 class TestComposition:
-    def test_five_labels_give_ten_machines(self, fitted):
+    def test_five_labels_give_ten_machines(self, fitted, small_features):
         model = fitted.model
         assert len(model.machines) == 10
         assert model.label_order == LABEL_ORDER
-        pairs = [m.label_pair for m in model.machines]
-        assert len(set(pairs)) == 10
-        for a, b in pairs:
-            assert LABEL_ORDER.index(a) < LABEL_ORDER.index(b)
+        # machine i is the machine of the i-th label pair, bit for bit
+        for m, alone in zip(model.machines, pair_machines(model, small_features),
+                            strict=True):
+            assert_same_machine(m, alone)
 
     def test_two_labels_reduce_to_one_binary_machine(self, small_features):
         rows = [i for i, lab in enumerate(small_features.labels)
@@ -122,7 +140,7 @@ class TestComposition:
             train_multiclass(sub, TrainConfig())
 
     def test_machine_count_is_validated(self):
-        with pytest.raises(ValueError, match="machines"):
+        with pytest.raises(ValueError, match="^0 machines for 3 labels: need one per label pair$"):
             MulticlassSvmModel(machines=[], label_order=(H, G, C),
                                feature_indices=(1,))
 
@@ -170,6 +188,20 @@ class TestVoting:
                 votes[lab], strengths[lab], -LABEL_ORDER.index(lab))))
         rows = np.stack([catalog_row(d) for d in decisions])
         assert predict_batch(vote_model(LABEL_ORDER), rows) == expected
+
+
+class TestWarnings:
+    def test_unconverged_machines_named_by_position(self):
+        model = vote_model()
+        for k, iterations, gap in ((0, 7, 0.5), (2, 9, 0.0123456)):
+            m = model.machines[k]
+            m.converged, m.iterations, m.final_violation = False, iterations, gap
+        assert model.warnings("fold 2: ") == [
+            "fold 2: machine happiness/grief did not converge: stopped after 7 "
+            "iterations with KKT gap 0.5",
+            "fold 2: machine grief/calm did not converge: stopped after 9 "
+            "iterations with KKT gap 0.01235",
+        ]
 
 
 class TestBatchPath:
@@ -235,11 +267,10 @@ class TestSerialization:
         assert loaded.config.c == fitted.model.config.c
         assert loaded.config.kernel == fitted.model.config.kernel
         for a, b in zip(loaded.machines, fitted.model.machines):
-            assert a.label_pair == b.label_pair
-            assert a.bias == b.bias
+            assert_same_machine(a, b)
             assert a.kernel == b.kernel
-            assert_array_equal(a.dual_coef, b.dual_coef)
-            assert_array_equal(a.support_vectors, b.support_vectors)
+            assert (a.iterations, a.converged, a.final_violation) == (
+                b.iterations, b.converged, b.final_violation)
 
     def test_loaded_model_predicts_identically(self, fitted, small_features, tmp_path):
         path = str(tmp_path / "model.json")
@@ -304,10 +335,11 @@ class TestSerialization:
         loaded = load_model(path)
         kernel = loaded.config.kernel.resolved(len(loaded.feature_indices))
         assert kernel.eta == 1 / len(loaded.feature_indices)
-        for m, pair in zip(loaded.machines, combinations(loaded.label_order, 2),
-                           strict=True):
+        # loaded machine i is the machine of the i-th label pair
+        for m, alone in zip(loaded.machines, pair_machines(loaded, small_features),
+                            strict=True):
             assert m.kernel == kernel
-            assert m.label_pair == pair
+            assert_same_machine(m, alone)
 
     def test_model_with_mismatched_kernel_not_saved(self, fitted, tmp_path):
         model = MulticlassSvmModel(machines=fitted.model.machines,
@@ -461,9 +493,3 @@ class TestInconsistentModelFile:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
             load_model(str(path))
-
-    def test_machines_out_of_pair_order_rejected(self, fitted):
-        model = fitted.model
-        with pytest.raises(ValueError, match="need one per label pair"):
-            MulticlassSvmModel(machines=model.machines[::-1], label_order=model.label_order,
-                               feature_indices=model.feature_indices)

@@ -1,0 +1,30 @@
+"""Guards for duties with one owner: the CLI prints every `warning:` line
+through `cli._warn`, and only `svm` words a machine that did not converge."""
+
+import ast
+from pathlib import Path
+
+import gsremotion
+from gsremotion import cli
+
+SRC = Path(gsremotion.__file__).parent
+
+
+def strings(node) -> list:
+    """Every string constant under node, the literal parts of f-strings included."""
+    return [n.value for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
+def test_cli_warns_only_through_its_helper():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    helpers = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_warn"]
+    assert len(helpers) == 1
+    inside = [s for s in strings(helpers[0]) if "warning:" in s]
+    assert inside
+    assert [s for s in strings(tree) if "warning:" in s] == inside
+
+
+def test_only_svm_words_non_convergence():
+    holders = sorted(p.name for p in SRC.glob("*.py") if "did not converge" in p.read_text())
+    assert holders == ["svm.py"]

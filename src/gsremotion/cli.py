@@ -90,9 +90,8 @@ REPORT_TEST_FRACTION = 0.3
 
 # Every option key some subcommand reads, as its flag --key (dashes for
 # underscores) and as a config-file key (any other key in a file is a typo):
-# the parser of its text, the rule a value from the file must meet on its own,
-# and the flag's help (None: only a config file sets the key). A flag value
-# meets the same rule later, where the stage uses it; duration_s and
+# the parser of its text, the rule its value must meet on its own, and the
+# flag's help (None: only a config file sets the key). duration_s and
 # sample_rate_hz are checked together when cmd_synth builds its SynthConfig.
 _OPTIONS = {
     "c": (float, lambda c: PipelineConfig(c=c),
@@ -138,18 +137,24 @@ def read_config_file(path: str) -> dict:
                 raise ValueError(f"line {lineno}: empty key")
             if key not in _OPTIONS:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
+            if key in cfg:
+                raise ValueError(f"line {lineno}: key {key!r} given twice")
             cfg[key] = value
     return cfg
 
 
 def _resolve(args, key: str, default=None):
     """flag > config file > default, either text through the key's parser (a
-    number flag arrives parsed by argparse, and parsing it again keeps it).
-    Only the file's value is checked here, so a bad one names the file and the key."""
+    number flag arrives parsed by argparse, and parsing it again keeps it) and
+    checked by the key's rule before any work starts; a bad value from the
+    file names the file and the key."""
     parse, check, _ = _OPTIONS[key]
     value = getattr(args, key, None)
     if value is not None:
-        return parse(value)
+        value = parse(value)
+        if check is not None:
+            check(value)
+        return value
     if key not in args.cfg:
         return default
     with file_errors(args.config):
@@ -180,7 +185,7 @@ def _explicit_features(args):
     """Explicit catalog indices from --features-list or a selection file."""
     listed = _resolve(args, "features_list")
     if listed is not None:
-        return validate_catalog_indices(listed)
+        return listed
     if getattr(args, "selection", None):
         return read_selection_indices(args.selection)
     return None
@@ -212,11 +217,8 @@ def _read_labeled(path: str):
 
 
 def _split(args, matrix, test_fraction: float, seed: int):
-    """Stratified (train, test) rows of the --features table. An out-of-range
-    fraction or seed is reported as given; a label with too few rows to split
-    is the table's fault and names it."""
-    validate_test_fraction(test_fraction)
-    np.random.SeedSequence(seed)
+    """Stratified (train, test) rows of the --features table; a label with too
+    few rows to split is the table's fault and names it."""
     with file_errors(args.features):
         return stratified_split_indices(matrix.labels, test_fraction, seed)
 
@@ -289,7 +291,7 @@ def cmd_select(args) -> int:
     if explicit is not None:
         result = SelectionResult(selected_indices=explicit)
     else:
-        k = validate_k(_resolve(args, "k", PipelineConfig.selection_k), N_FEATURES)
+        k = _resolve(args, "k", PipelineConfig.selection_k)
         with file_errors(args.features):  # too few rows or varying columns: the table's fault
             result = select_features(matrix.values, k)
     write_selection_json(result, args.out)
@@ -371,7 +373,6 @@ def cmd_eval(args):
 def cmd_cv(args):
     config = _pipeline_config(args)
     folds = _resolve(args, "folds", DEFAULT_FOLDS)
-    _check_folds(folds)
     dataset = load_dataset(args.manifest)
     try:
         report = kfold_cross_validate(dataset, folds, config, config.seed)

@@ -194,8 +194,10 @@ def load_record(path: str) -> GsrRecord:
             body = lines[idx][1:].strip()
             if ":" not in body:
                 raise ValueError(f"malformed metadata line {idx + 1}: {lines[idx]!r}")
-            key, value = body.split(":", 1)
-            meta[key.strip()] = value.strip()
+            key, value = (part.strip() for part in body.split(":", 1))
+            if key in meta:
+                raise ValueError(f"line {idx + 1}: metadata key {key!r} given twice")
+            meta[key] = value
             idx += 1
         if idx >= len(lines) or lines[idx] != CSV_HEADER:
             raise ValueError(f"expected header {CSV_HEADER!r} after metadata")

@@ -33,7 +33,12 @@ from .features import CATALOG_VERSION, N_FEATURES, FeatureMatrix, FeatureNormali
 from .kernels import KernelSpec, finish_block, gram
 from .selection import validate_catalog_indices
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
+
+# The SMO stop rule: a machine converges when its KKT gap m - M is at most
+# TOLERANCE, and stops short after MAX_PASSES pair updates.
+TOLERANCE = 1e-3
+MAX_PASSES = 100_000
 
 # Floor for non-positive curvature along the working-set direction.
 _TAU = 1e-12
@@ -45,17 +50,11 @@ class TrainConfig:
 
     c: float = 1.0
     kernel: KernelSpec = field(default_factory=KernelSpec)
-    tolerance: float = 1e-3
-    max_passes: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
         if not np.isfinite(self.c) or self.c <= 0:
             raise ValueError(f"c must be positive and finite, got {self.c}")
-        if not np.isfinite(self.tolerance) or self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_passes < 1:
-            raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
 
 
 @dataclass
@@ -304,7 +303,7 @@ def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig) -> BinarySvm
         return Kt
 
     alpha, G, iterations, converged, trace = _smo_solve(
-        row, kdiag, y[p], config.c, config.tolerance, config.max_passes)
+        row, kdiag, y[p], config.c, TOLERANCE, MAX_PASSES)
     back = np.argsort(p)
     alpha, G = alpha[back], G[back]
 
@@ -369,24 +368,20 @@ class MulticlassSvmModel:
                              f"expected {N_FEATURES}")
 
     def warnings(self, prefix: str = "") -> list:
-        """A line after prefix for each machine that max_passes stopped short of tolerance."""
+        """A line after prefix for each machine that MAX_PASSES stopped short of TOLERANCE."""
         return [f"{prefix}machine {a.value}/{b.value} did not converge: stopped after "
                 f"{m.iterations} iterations with KKT gap {m.final_violation:.4g}"
                 for m, (a, b) in zip(self.machines, combinations(self.label_order, 2))
                 if not m.converged]
 
 
-def train_multiclass(matrix: FeatureMatrix, config: TrainConfig,
-                     feature_indices=None,
-                     normalization: FeatureNormalization | None = None) -> MulticlassSvmModel:
+def train_multiclass(matrix: FeatureMatrix, config: TrainConfig, feature_indices,
+                     normalization: FeatureNormalization | None) -> MulticlassSvmModel:
     """Train all pairwise machines on a table of full catalog rows.
 
     The rows go through _prepare_rows, as at prediction: cut to
-    feature_indices (default: all catalog columns), then scaled by
-    normalization (if any).
+    feature_indices, then scaled by normalization (if not None).
     """
-    if feature_indices is None:
-        feature_indices = range(1, N_FEATURES + 1)
     feature_indices = tuple(validate_catalog_indices(feature_indices))
     values = _prepare_rows(normalization, feature_indices, matrix.values)
     labels = matrix.labels
@@ -489,8 +484,6 @@ def save_model(model: MulticlassSvmModel, path: str) -> None:
         "normalization": norm,
         "config": {
             "c": _hex(model.config.c),
-            "tolerance": _hex(model.config.tolerance),
-            "max_passes": model.config.max_passes,
             "seed": model.config.seed,
             "kernel": {"kind": spec.kind, "eta": None if spec.eta is None else _hex(spec.eta)},
         },
@@ -526,8 +519,6 @@ def load_model(path: str) -> MulticlassSvmModel:
             c=float.fromhex(cfg["c"]),
             kernel=KernelSpec(kind=spec["kind"],
                               eta=None if spec["eta"] is None else float.fromhex(spec["eta"])),
-            tolerance=float.fromhex(cfg["tolerance"]),
-            max_passes=int(cfg["max_passes"]),
             seed=int(cfg["seed"]),
         )
         label_order = tuple(parse_label(v) for v in payload["label_order"])

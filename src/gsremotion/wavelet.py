@@ -15,6 +15,7 @@ bit-identical to the per-signal np.convolve formulation.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -28,17 +29,14 @@ DEFAULT_LEVELS = 5
 # sigma estimate (median of |N(0,1)| is 0.6745).
 MAD_SCALE = 0.6745
 
-_BANK_CACHE = {}
-
 
 @dataclass(frozen=True)
 class FilterBank:
-    """Two-channel analysis/synthesis filters for one wavelet family."""
+    """Two-channel analysis filters. Each synthesis filter is its analysis
+    filter reversed, so synthesis takes the analysis filters as its taps."""
 
     lowpass_decomp: np.ndarray
     highpass_decomp: np.ndarray
-    lowpass_recon: np.ndarray
-    highpass_recon: np.ndarray
 
     @property
     def length(self) -> int:
@@ -89,27 +87,15 @@ def _daubechies_scaling(order: int) -> np.ndarray:
     return h
 
 
-def daubechies_filter_bank(order: int = DEFAULT_ORDER) -> FilterBank:
-    """Build (and cache) the analysis/synthesis bank for a Daubechies order."""
-    if order < 1:
-        raise ValueError(f"wavelet order must be >= 1, got {order}")
-    bank = _BANK_CACHE.get(order)
-    if bank is None:
-        h = _daubechies_scaling(order)
-        length = h.size
-        lo_d = h[::-1].copy()
-        hi_d = np.array([(-1.0) ** n * lo_d[length - 1 - n] for n in range(length)])
-        bank = FilterBank(
-            lowpass_decomp=lo_d,
-            highpass_decomp=hi_d,
-            lowpass_recon=lo_d[::-1].copy(),
-            highpass_recon=hi_d[::-1].copy(),
-        )
-        for arr in (bank.lowpass_decomp, bank.highpass_decomp,
-                    bank.lowpass_recon, bank.highpass_recon):
-            arr.setflags(write=False)
-        _BANK_CACHE[order] = bank
-    return bank
+@cache
+def daubechies_filter_bank() -> FilterBank:
+    """The db(DEFAULT_ORDER) bank, built on first use (so importing skips np.roots)."""
+    lo_d = _daubechies_scaling(DEFAULT_ORDER)[::-1].copy()
+    length = lo_d.size
+    hi_d = np.array([(-1.0) ** n * lo_d[length - 1 - n] for n in range(length)])
+    for arr in (lo_d, hi_d):
+        arr.setflags(write=False)
+    return FilterBank(lowpass_decomp=lo_d, highpass_decomp=hi_d)
 
 
 def _symmetric_extend(x: np.ndarray, pad: int) -> np.ndarray:
@@ -136,8 +122,9 @@ def _analysis_step(x: np.ndarray, bank: FilterBank):
     return out
 
 
-def _upsample_sums(coef: np.ndarray, f: np.ndarray, out_len: int):
-    """Yield (columns, sums) per parity, in one buffer, of coef upsampled through f.
+def _upsample_sums(coef: np.ndarray, taps: np.ndarray, out_len: int):
+    """Yield (columns, sums) per parity, in one buffer, of coef upsampled through
+    the synthesis filter taps[::-1]; taps is the matching analysis filter.
 
     Output L-1+s meets the taps of the parity of s only, so it is summed over
     those, in ascending tap order like np.convolve; the zero-stuffed products
@@ -145,8 +132,7 @@ def _upsample_sums(coef: np.ndarray, f: np.ndarray, out_len: int):
     output as a partial overlap with a BLAS dot product, which rounds
     differently (fused multiply-add); np.vecdot makes that call for every row.
     """
-    half = f.size // 2
-    taps = np.ascontiguousarray(f[::-1])
+    half = taps.size // 2
     n = out_len // 2
     acc = np.empty((coef.shape[0], n))
     for parity in (0, 1):
@@ -155,7 +141,7 @@ def _upsample_sums(coef: np.ndarray, f: np.ndarray, out_len: int):
             acc += coef[:, parity + u:parity + u + n] * taps[2 * u + parity]
         yield slice(parity, 2 * n, 2), acc
     if out_len % 2:
-        stuffed = np.zeros((coef.shape[0], f.size - 1))
+        stuffed = np.zeros((coef.shape[0], taps.size - 1))
         stuffed[:, 0::2] = coef[:, -half:]
         yield -1, np.vecdot(stuffed, taps[:-1])
 
@@ -164,10 +150,10 @@ def _synthesis_step(approx: np.ndarray, detail: np.ndarray, out_len: int,
                     bank: FilterBank) -> np.ndarray:
     """One inverse level over (rows x m) blocks; highpass sums add in place."""
     y = np.empty((approx.shape[0], out_len))
-    for columns, sums in _upsample_sums(approx, bank.lowpass_recon, out_len):
+    for columns, sums in _upsample_sums(approx, bank.lowpass_decomp, out_len):
         y[:, columns] = sums
     del sums  # free the lowpass buffer before the highpass one is made
-    for columns, sums in _upsample_sums(detail, bank.highpass_recon, out_len):
+    for columns, sums in _upsample_sums(detail, bank.highpass_decomp, out_len):
         y[:, columns] += sums
     return y
 
@@ -197,7 +183,7 @@ def dwt_decompose(signal: np.ndarray, levels: int = DEFAULT_LEVELS) -> WaveletDe
         raise ValueError(f"levels must be >= 1, got {levels}")
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite values")
-    bank = daubechies_filter_bank(DEFAULT_ORDER)
+    bank = daubechies_filter_bank()
     n = x.shape[1]
     min_len = max(2 ** levels, bank.length - 1)
     if n < min_len:
@@ -227,7 +213,7 @@ def dwt_reconstruct(decomp: WaveletDecomposition) -> np.ndarray:
         if det.shape != (y.shape[0], lengths[lev]):
             raise ValueError(f"detail level {lev} shape {det.shape} inconsistent "
                              f"(expected {(y.shape[0], lengths[lev])})")
-    bank = daubechies_filter_bank(DEFAULT_ORDER)
+    bank = daubechies_filter_bank()
     for det, out_len in zip(details[::-1], lengths[-2::-1]):
         y = _synthesis_step(y, det, out_len, bank)
     return y[0] if np.ndim(decomp.approximation) == 1 else y

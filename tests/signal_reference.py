@@ -14,7 +14,6 @@ from gsremotion.dataset import MIN_SAMPLES
 from gsremotion.features import BAND_HIGH_HZ, BAND_LOW_HZ
 from gsremotion.wavelet import (
     DEFAULT_LEVELS,
-    DEFAULT_ORDER,
     MAD_SCALE,
     FilterBank,
     WaveletDecomposition,
@@ -44,8 +43,9 @@ def _synthesis_step(approx: np.ndarray, detail: np.ndarray, out_len: int,
     up_a[0::2] = approx
     up_d = np.zeros(2 * detail.size - 1)
     up_d[0::2] = detail
-    y = (np.convolve(up_a, bank.lowpass_recon, mode="full")
-         + np.convolve(up_d, bank.highpass_recon, mode="full"))
+    # each synthesis filter is its analysis filter reversed
+    y = (np.convolve(up_a, bank.lowpass_decomp[::-1], mode="full")
+         + np.convolve(up_d, bank.highpass_decomp[::-1], mode="full"))
     start = bank.length - 1
     return y[start:start + out_len]
 
@@ -59,7 +59,7 @@ def dwt_decompose(signal: np.ndarray, levels: int = DEFAULT_LEVELS) -> WaveletDe
         raise ValueError(f"levels must be >= 1, got {levels}")
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite values")
-    bank = daubechies_filter_bank(DEFAULT_ORDER)
+    bank = daubechies_filter_bank()
     min_len = max(2 ** levels, bank.length - 1)
     if x.size < min_len:
         raise ValueError(
@@ -80,7 +80,7 @@ def dwt_reconstruct(decomp: WaveletDecomposition) -> np.ndarray:
     levels = decomp.levels
     if levels < 1:
         raise ValueError("decomposition has no detail levels")
-    bank = daubechies_filter_bank(DEFAULT_ORDER)
+    bank = daubechies_filter_bank()
     lengths = coefficient_lengths(decomp.original_length, levels)
     if decomp.approximation.size != lengths[levels]:
         raise ValueError(

@@ -15,12 +15,11 @@ import re
 import shutil
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gsremotion import cli
+from gsremotion import cli, svm
 from gsremotion.dataset import (
     CSV_HEADER,
     LABEL_ORDER,
@@ -534,6 +533,16 @@ class TestCv:
         assert "fold 1" in text
         assert "held-out accesses during fit: 0" in text
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--k", "99"], "k must be in 1..30, got 99"),
+        (["--seed", "-1"], "expected non-negative integer"),
+    ])
+    def test_bad_flag_fails_before_any_input_is_read(self, tmp_path, capsys, flag, message):
+        rc = cli.main(["cv", "--manifest", str(tmp_path / "missing.txt"), *flag,
+                       "--out", str(tmp_path / "cv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_one_fold_flag_is_named_folds(self, manifest, tmp_path, capsys):
         rc = cli.main(["cv", "--manifest", manifest, "--folds", "1",
                        "--out", str(tmp_path / "cv")])
@@ -542,13 +551,11 @@ class TestCv:
 
 
 class TestNonConvergence:
-    """A machine stopped by max_passes is named on stderr; files are unchanged."""
+    """A machine stopped by MAX_PASSES is named on stderr; files are unchanged."""
 
     @pytest.fixture
     def two_passes(self, monkeypatch):
-        build = cli._pipeline_config
-        monkeypatch.setattr(cli, "_pipeline_config",
-                            lambda *a, **kw: replace(build(*a, **kw), max_passes=2))
+        monkeypatch.setattr(svm, "MAX_PASSES", 2)
 
     def test_train_warns(self, features_csv, tmp_path, capsys, two_passes):
         out = tmp_path / "model.json"
@@ -569,7 +576,7 @@ class TestNonConvergence:
         assert err.count("warning: fold 1: machine") == 10
         assert err.count("warning: fold 2: machine") == 10
         report = kfold_cross_validate(load_dataset(manifest), 2,
-                                      replace(PipelineConfig(seed=3), max_passes=2), 3)
+                                      PipelineConfig(seed=3), 3)
         assert err.splitlines() == [f"warning: {line}" for line in report.warnings]
 
     def test_report_warns_per_model(self, features_csv, tmp_path, capsys, two_passes):
@@ -579,7 +586,7 @@ class TestNonConvergence:
         assert err.count("warning: selected-k model: machine") == 10
         assert err.count("warning: all-features model: machine") == 10
         report = comparison_report(read_feature_csv(str(features_csv)),
-                                   replace(PipelineConfig(selection_k=10), max_passes=2),
+                                   PipelineConfig(selection_k=10),
                                    0.5, PipelineConfig.seed)
         assert err.splitlines() == [f"warning: {line}" for line in report.warnings]
         assert set(json.loads((tmp_path / "cmp.json").read_text())) == {
@@ -655,6 +662,16 @@ class TestConfigFile:
         assert rc == 1
         assert "line 2: unknown key 'kernal'" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
+
+    def test_repeated_key_rejected(self, features_csv, tmp_path, capsys):
+        for text, key in (("k = 5\nk = 7\n", "k"),
+                          ("test-fraction = 0.5\ntest_fraction = 0.4\n", "test_fraction")):
+            cfg = write_config(tmp_path / "twice.cfg", text)
+            rc = cli.main(["select", "--features", str(features_csv),
+                           "--out", str(tmp_path / "selection.json"), "--config", cfg])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: {cfg}: line 2: key {key!r} given twice\n"
+            assert not (tmp_path / "selection.json").exists()
 
     def test_unparsable_value(self, features_csv, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad.cfg", "k = five\n")
@@ -1038,8 +1055,9 @@ class TestMalformedInputFiles:
                           "label 'happiness' has 4 rows, cannot stratify into 5 folds")
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda p: p.update(format_version=1), "format_version 1 unsupported (expected 3)"),
-        (lambda p: p.update(format_version=2), "format_version 2 unsupported (expected 3)"),
+        (lambda p: p.update(format_version=1), "format_version 1 unsupported (expected 4)"),
+        (lambda p: p.update(format_version=2), "format_version 2 unsupported (expected 4)"),
+        (lambda p: p.update(format_version=3), "format_version 3 unsupported (expected 4)"),
         (lambda p: p["config"]["kernel"].update(kind="sigmoid"),
          "unknown kernel kind 'sigmoid' (expected one of ('linear', 'rbf'))"),
         (lambda p: p["config"]["kernel"].update(kind="linear", eta=(0.5).hex()),
@@ -1047,7 +1065,7 @@ class TestMalformedInputFiles:
         (lambda p: p.pop("normalization"), "missing key 'normalization'"),
         (lambda p: p["machines"].append(p["machines"][0]),
          "11 machines for 5 labels: need one per label pair"),
-    ], ids=["v1", "v2", "deleted_kind", "linear_eta", "no_normalization",
+    ], ids=["v1", "v2", "v3", "deleted_kind", "linear_eta", "no_normalization",
             "eleven_machines"])
     def test_model_file_refused(self, model_path, features_csv, tmp_path, capsys,
                                 edit, message):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -145,6 +147,17 @@ class TestRecordCsv:
         del lines[1]  # subject line
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="missing metadata"):
+            load_record(str(path))
+
+    def test_repeated_metadata_key(self, tmp_path):
+        rec = make_record(n=64, label=EmotionLabel.HAPPINESS)
+        path = tmp_path / "rec.csv"
+        save_record(rec, str(path))
+        lines = path.read_text().splitlines()
+        lines.insert(4, "# label: calm")  # after the last metadata line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 5: "
+                                             "metadata key 'label' given twice$"):
             load_record(str(path))
 
     def test_unknown_label_in_file(self, tmp_path):

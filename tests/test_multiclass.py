@@ -32,6 +32,7 @@ from gsremotion.svm import (
 from conftest import delete_key, key_paths
 
 H, G, C = EmotionLabel.HAPPINESS, EmotionLabel.GRIEF, EmotionLabel.CALM
+ALL_COLUMNS = range(1, N_FEATURES + 1)
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +105,7 @@ class TestComposition:
             labels=[small_features.labels[i] for i in rows],
         )
         config = TrainConfig(kernel=KernelSpec(kind="rbf"))
-        mc = train_multiclass(sub, config)
+        mc = train_multiclass(sub, config, ALL_COLUMNS, None)
         assert len(mc.machines) == 1
         assert mc.label_order == (EmotionLabel.ANGER, EmotionLabel.CALM)
 
@@ -128,7 +129,7 @@ class TestComposition:
                             record_ids=small_features.record_ids[:4],
                             labels=[None] * 4)
         with pytest.raises(ValueError, match="labels"):
-            train_multiclass(bad, TrainConfig())
+            train_multiclass(bad, TrainConfig(), ALL_COLUMNS, None)
 
     def test_single_label_rejected(self, small_features):
         rows = [i for i, lab in enumerate(small_features.labels)
@@ -137,7 +138,7 @@ class TestComposition:
                             record_ids=[small_features.record_ids[i] for i in rows],
                             labels=[small_features.labels[i] for i in rows])
         with pytest.raises(ValueError, match="2 distinct labels"):
-            train_multiclass(sub, TrainConfig())
+            train_multiclass(sub, TrainConfig(), ALL_COLUMNS, None)
 
     def test_machine_count_is_validated(self):
         with pytest.raises(ValueError, match="^0 machines for 3 labels: need one per label pair$"):
@@ -232,7 +233,7 @@ class TestPrepareRows:
                                    record_ids=small_features.record_ids,
                                    labels=small_features.labels)
         with pytest.raises(ValueError, match=f"rows have 3 columns.* {N_FEATURES} columns"):
-            train_multiclass(restricted, TrainConfig(), (2, 4, 9))
+            train_multiclass(restricted, TrainConfig(), (2, 4, 9), None)
 
     def test_incompatible_width_rejected(self, fitted):
         with pytest.raises(ValueError, match="columns"):
@@ -295,7 +296,7 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(fitted.model, str(path))
         payload = json.loads(path.read_text())
-        payload["format_version"] = 4
+        payload["format_version"] = 5
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="format_version"):
             load_model(str(path))
@@ -312,14 +313,15 @@ class TestSerialization:
         norm["degenerate"] = [lo == hi for lo, hi in zip(norm["mins"], norm["maxs"])]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: model format_version 1 "
-                                             r"unsupported \(expected 3\)"):
+                                             r"unsupported \(expected 4\)"):
             load_model(str(path))
 
     def test_saved_file_stores_each_fact_once(self, both_model, tmp_path):
         path = tmp_path / "model.json"
         save_model(both_model, str(path))
         payload = json.loads(path.read_text())
-        assert payload["format_version"] == MODEL_FORMAT_VERSION == 3
+        assert payload["format_version"] == MODEL_FORMAT_VERSION == 4
+        assert set(payload["config"]) == {"c", "kernel", "seed"}
         assert set(payload["config"]["kernel"]) == {"kind", "eta"}
         for m in payload["machines"]:
             assert set(m) == {"bias", "dual_coef", "support_vectors", "iterations",
@@ -379,7 +381,7 @@ class TestSerialization:
         save_model(both_model, str(path))
         text = path.read_text()
         paths = list(key_paths(json.loads(text)))
-        assert len(paths) == 8 + 5 + 2 + 2 + 10 * 6  # top, config, kernel, norm, machines
+        assert len(paths) == 8 + 3 + 2 + 2 + 10 * 6  # top, config, kernel, norm, machines
         for key_path in paths:
             payload = json.loads(text)
             delete_key(payload, key_path)
@@ -393,7 +395,7 @@ class TestSerialization:
     @pytest.mark.parametrize("key_path, value", [
         (("machines",), None),
         (("machines", 0, "bias"), 1.5),
-        (("config", "max_passes"), [1]),
+        (("config", "seed"), [1]),
     ])
     def test_wrong_type_rejected(self, fitted, tmp_path, key_path, value):
         path = tmp_path / "model.json"

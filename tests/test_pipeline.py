@@ -28,11 +28,9 @@ class TestPipelineConfig:
         assert config.c == 1.0
 
     def test_train_config_mapping(self):
-        config = PipelineConfig(c=2.5, tolerance=1e-4, max_passes=500, seed=9)
+        config = PipelineConfig(c=2.5, seed=9)
         assert isinstance(config, TrainConfig)
         assert config.c == 2.5
-        assert config.tolerance == 1e-4
-        assert config.max_passes == 500
         assert config.seed == 9
 
     def test_selection_k_must_be_positive(self):

@@ -222,14 +222,6 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError, match="c must"):
             TrainConfig(c=c)
 
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            TrainConfig(tolerance=0.0)
-
-    def test_bad_max_passes(self):
-        with pytest.raises(ValueError, match="max_passes"):
-            TrainConfig(max_passes=0)
-
 
 class TestBinaryTraining:
     C = 10.0
@@ -345,8 +337,6 @@ class TestAgainstExhaustiveSolver:
 
 
 class TestAgainstQpSolver:
-    TOL = 1e-3
-
     @pytest.mark.parametrize("n", [20, 50, 100])
     def test_dual_objective_matches_slsqp(self, n):
         optimize = pytest.importorskip("scipy.optimize")
@@ -354,8 +344,7 @@ class TestAgainstQpSolver:
         X = rng.normal(size=(n, 3))
         # overlapping classes, so the optimum has free and bounded alphas
         y = np.where(X[:, 0] + 0.8 * rng.normal(size=n) > 0, 1.0, -1.0)
-        config = TrainConfig(c=1.0, kernel=KernelSpec(kind="rbf", eta=0.5),
-                             tolerance=self.TOL)
+        config = TrainConfig(c=1.0, kernel=KernelSpec(kind="rbf", eta=0.5))
         model = train_binary(X, y, config)
         assert model.converged
         alpha = recover_alpha(model, X, y)
@@ -374,7 +363,7 @@ class TestAgainstQpSolver:
         # SMO stops once the violating-pair gap m - M is <= tol; by convexity
         # the optimum then lies at most (m - M)/2 * ||alpha - alpha*||_1 above
         # the SMO objective.
-        slack = self.TOL / 2.0 * np.abs(alpha - qp.x).sum()
+        slack = svm.TOLERANCE / 2.0 * np.abs(alpha - qp.x).sum()
         assert best - slack - 1e-9 * best <= smo_obj <= best + 1e-8 * best
 
 
@@ -434,14 +423,15 @@ class TestRowsOnDemand:
     the solve must be the one on the same rows all finished up front, bit
     for bit."""
 
-    @pytest.mark.parametrize("max_passes", [1, 50, TrainConfig.max_passes])
+    @pytest.mark.parametrize("max_passes", [1, 50, svm.MAX_PASSES])
     @pytest.mark.parametrize("n", [37, 600])
     @pytest.mark.parametrize("kind", ["linear", "rbf"])
     def test_train_binary_matches_a_full_matrix_solve(self, monkeypatch, kind, n, max_passes):
         rng = np.random.default_rng(n)
         y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         X = rng.normal(size=(n, 8)) + 0.5 * y[:, None]
-        config = TrainConfig(kernel=KernelSpec(kind=kind), max_passes=max_passes, seed=3)
+        config = TrainConfig(kernel=KernelSpec(kind=kind), seed=3)
+        monkeypatch.setattr(svm, "MAX_PASSES", max_passes)
         solves = []
 
         def recorded(row, kdiag, *args):
@@ -457,7 +447,7 @@ class TestRowsOnDemand:
         norms = (Xp * Xp).sum(axis=1)
         K = np.stack([finish_block(spec, Xp[t] @ XpT, norms[t], norms) for t in range(n)])
         kdiag = finish_block(spec, norms.copy(), norms, norms)
-        full = _smo_solve(K.__getitem__, kdiag, y[p], config.c, config.tolerance, max_passes)
+        full = _smo_solve(K.__getitem__, kdiag, y[p], config.c, svm.TOLERANCE, max_passes)
         (lazy,) = solves
         for got, want in zip(lazy, full):
             assert_bits_equal(got, want)  # alpha, G, iterations, converged, trace
@@ -488,12 +478,13 @@ class TestMemoryBudget:
     N = 600
     KINDS = ["linear", "rbf"]
 
-    def peak(self, kind, max_passes):
+    def peak(self, monkeypatch, kind, max_passes):
         """train_binary's tracemalloc peak in n^2 floats."""
         rng = np.random.default_rng(12)
         X = rng.normal(size=(self.N, 15))
         y = np.where(rng.random(self.N) < 0.5, -1.0, 1.0)
-        config = TrainConfig(kernel=KernelSpec(kind=kind), max_passes=max_passes)
+        config = TrainConfig(kernel=KernelSpec(kind=kind))
+        monkeypatch.setattr(svm, "MAX_PASSES", max_passes)
         tracemalloc.start()
         try:
             train_binary(X, y, config)
@@ -503,13 +494,13 @@ class TestMemoryBudget:
         return peak / (self.N ** 2 * 8)
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_train_binary_peak_allocation(self, kind):
-        peak = self.peak(kind, max_passes=1)
+    def test_train_binary_peak_allocation(self, monkeypatch, kind):
+        peak = self.peak(monkeypatch, kind, max_passes=1)
         assert peak <= 0.25, f"peak {peak:.2f} n^2 floats"
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_converged_train_binary_peak_allocation(self, kind):
-        peak = self.peak(kind, max_passes=TrainConfig.max_passes)
+    def test_converged_train_binary_peak_allocation(self, monkeypatch, kind):
+        peak = self.peak(monkeypatch, kind, max_passes=svm.MAX_PASSES)
         assert peak <= 2.1, f"peak {peak:.2f} n^2 floats"
 
 

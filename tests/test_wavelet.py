@@ -22,19 +22,19 @@ from reference_checks import validate_filter_bank
 
 class TestFilterBank:
     def test_db5_has_10_taps(self):
-        bank = daubechies_filter_bank(5)
+        bank = daubechies_filter_bank()
         assert bank.length == 10
 
     def test_lowpass_sums_to_sqrt2(self):
-        bank = daubechies_filter_bank(5)
+        bank = daubechies_filter_bank()
         assert abs(bank.lowpass_decomp.sum() - np.sqrt(2.0)) <= 1e-12
 
     def test_highpass_sums_to_zero(self):
-        bank = daubechies_filter_bank(5)
+        bank = daubechies_filter_bank()
         assert abs(bank.highpass_decomp.sum()) <= 1e-12
 
     def test_even_shift_orthonormality(self):
-        lo = daubechies_filter_bank(5).lowpass_decomp
+        lo = daubechies_filter_bank().lowpass_decomp
         n = lo.size
         for k in range(n // 2):
             got = float(np.dot(lo[2 * k:], lo[:n - 2 * k]))
@@ -42,40 +42,29 @@ class TestFilterBank:
             assert abs(got - expect) <= 1e-10, f"shift {2 * k}"
 
     def test_highpass_is_alternating_flip(self):
-        bank = daubechies_filter_bank(5)
+        bank = daubechies_filter_bank()
         lo, hi = bank.lowpass_decomp, bank.highpass_decomp
         n = lo.size
         alt = np.array([(-1.0) ** i * lo[n - 1 - i] for i in range(n)])
         assert_allclose(hi, alt, atol=1e-14)
 
-    def test_recon_filters_are_time_reversed(self):
-        bank = daubechies_filter_bank(5)
-        assert_array_equal(bank.lowpass_recon, bank.lowpass_decomp[::-1])
-        assert_array_equal(bank.highpass_recon, bank.highpass_decomp[::-1])
-
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
     def test_validate_accepts_every_order(self, order):
-        validate_filter_bank(daubechies_filter_bank(order))
+        # the spectral factorization at every order, made into a bank as db5 is
+        lo = wavelet._daubechies_scaling(order)[::-1]
+        hi = (-1.0) ** np.arange(lo.size) * lo[::-1]
+        validate_filter_bank(FilterBank(lowpass_decomp=lo, highpass_decomp=hi))
 
     def test_validate_rejects_corrupt_bank(self):
-        good = daubechies_filter_bank(5)
+        good = daubechies_filter_bank()
         lo = good.lowpass_decomp.copy()
         lo[0] += 1e-3
-        bad = FilterBank(
-            lowpass_decomp=lo,
-            highpass_decomp=good.highpass_decomp,
-            lowpass_recon=good.lowpass_recon,
-            highpass_recon=good.highpass_recon,
-        )
+        bad = FilterBank(lowpass_decomp=lo, highpass_decomp=good.highpass_decomp)
         with pytest.raises(ValueError, match="invalid filter bank"):
             validate_filter_bank(bad)
 
     def test_bank_is_cached(self):
-        assert daubechies_filter_bank(5) is daubechies_filter_bank(5)
-
-    def test_order_below_one(self):
-        with pytest.raises(ValueError, match="order"):
-            daubechies_filter_bank(0)
+        assert daubechies_filter_bank() is daubechies_filter_bank()
 
 
 class TestRoundTrip:

@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 validation error (bad values, unparsable flags,
 malformed data, refusing to overwrite), 2 I/O error (missing files,
 unwritable outputs).
 A --config file supplies defaults as `key = value` lines; explicit flags
-win over the file, which wins over built-in defaults.
+win over the file, which wins over built-in defaults. Keys that conflict
+(--features-list with --selection or --k) are refused, whether a flag or
+the file sets each, and so is a --test-out without a --test-fraction.
 """
 
 import argparse
@@ -170,6 +172,44 @@ def _resolve(args, key: str, default=None):
     return value
 
 
+# Keys that say the same thing two ways: a command refuses both, whether a
+# flag or the config file sets each, so neither is ignored without a word.
+_CONFLICTS = (
+    ("features_list", "selection", "each names the model's features"),
+    ("features_list", "k", "the list sets the number of features"),
+)
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _set(args, key: str) -> bool:
+    """Whether the command takes key and a flag or the config file sets it;
+    an empty flag value sets nothing here and is judged by its own rule."""
+    return hasattr(args, key) and (getattr(args, key) not in (None, "") or key in args.cfg)
+
+
+def _pairing(args, *keys):
+    """Each key is checked alone, so a config file that sets all of keys is at
+    fault for their pairing: its errors then name the file."""
+    from_file = all(getattr(args, key) is None and key in args.cfg for key in keys)
+    return file_errors(args.config) if from_file else contextlib.nullcontext()
+
+
+def _refuse_pairings(args) -> None:
+    """Refuse conflicting keys, and a held-out split missing one of its two
+    halves, before any input is read."""
+    for key, other, why in _CONFLICTS:
+        if _set(args, key) and _set(args, other):
+            with _pairing(args, key, other):
+                raise ValueError(f"{_flag(key)} and {_flag(other)} cannot both be set: {why}")
+    if hasattr(args, "test_out") and _set(args, "test_fraction") != _set(args, "test_out"):
+        if _set(args, "test_out"):
+            raise ValueError("--test-out requires --test-fraction: without it no rows are held out")
+        raise ValueError("--test-fraction requires --test-out for the held-out rows")
+
+
 def _given(**values) -> dict:
     """Keyword arguments for the values that were set, so dataclass defaults fill the rest."""
     return {name: value for name, value in values.items() if value is not None}
@@ -194,9 +234,7 @@ def _explicit_features(args):
 def _pipeline_config(args) -> PipelineConfig:
     explicit = _explicit_features(args)
     kind, eta = _resolve(args, "kernel"), _resolve(args, "eta")
-    # each is checked alone, so a file that sets both is at fault for their pairing
-    from_file = all(getattr(args, key) is None and key in args.cfg for key in ("kernel", "eta"))
-    with file_errors(args.config) if from_file else contextlib.nullcontext():
+    with _pairing(args, "kernel", "eta"):
         kernel = KernelSpec(**_given(kind=kind, eta=eta))
     return PipelineConfig(kernel=kernel, explicit_features=explicit, **_given(
         c=_resolve(args, "c"),
@@ -306,8 +344,6 @@ def cmd_train(args) -> int:
     config = _pipeline_config(args)
     test_fraction = _resolve(args, "test_fraction")
     if test_fraction is not None:
-        if not args.test_out:
-            raise ValueError("--test-fraction requires --test-out for the held-out rows")
         _check_out(args.test_out, args.force)
         train_rows, test_rows = _split(args, matrix, test_fraction, config.seed)
         test_matrix = subset_rows(matrix, test_rows)
@@ -409,7 +445,7 @@ def _add_options(sub, *keys):
     flag, so `--c abc` is a usage error; a list flag stays text for _resolve."""
     for key in keys:
         parse, _, help_text = _OPTIONS[key]
-        sub.add_argument("--" + key.replace("_", "-"), help=help_text,
+        sub.add_argument(_flag(key), help=help_text,
                          type=parse if isinstance(parse, type) else None)
     sub.add_argument("--config", help="key = value defaults file")
     sub.add_argument("--force", action="store_true", help="overwrite existing outputs")
@@ -477,6 +513,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.cfg = read_config_file(args.config) if args.config else {}
+        _refuse_pairings(args)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

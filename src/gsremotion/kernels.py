@@ -11,6 +11,12 @@ matrix-vector product, and the diagonal from the squared norms. The float
 operations after the product are the same for every block, but a training
 row's inner products come from another BLAS call than gram's and may differ
 from gram's in the last bits.
+
+squared_norms is the one rule for a squared norm. gram computes the norms
+its caller does not pass; svm.BinarySvmModel keeps its support vectors'
+norms from when it is built, and svm.predict_batch computes its rows' norms
+once per call and passes both to each machine's gram. The same expression
+on the same array gives the same bits, so passing a norm changes none.
 """
 
 from dataclasses import dataclass, replace
@@ -74,8 +80,17 @@ def finish_block(spec: KernelSpec, inner: np.ndarray, norms_x=None, norms_z=None
     return np.exp(inner, out=inner)
 
 
-def gram(spec: KernelSpec, X, Z=None) -> np.ndarray:
-    """Kernel matrix K[i, j] = K(X[i], Z[j]); Z defaults to X; built in place."""
+def squared_norms(X: np.ndarray) -> np.ndarray:
+    """|x|^2 for each row x of the 2-D float array X."""
+    return (X * X).sum(axis=1)
+
+
+def gram(spec: KernelSpec, X, Z=None, norms_x=None, norms_z=None) -> np.ndarray:
+    """Kernel matrix K[i, j] = K(X[i], Z[j]); Z defaults to X; built in place.
+
+    norms_x and norms_z, when given, must be squared_norms of X and Z; rbf
+    computes the ones not given, and linear reads none.
+    """
     Xa = np.asarray(X, dtype=np.float64)
     Za = Xa if Z is None else np.asarray(Z, dtype=np.float64)
     if Xa.ndim != 2 or Za.ndim != 2 or Xa.shape[1] != Za.shape[1]:
@@ -84,6 +99,8 @@ def gram(spec: KernelSpec, X, Z=None) -> np.ndarray:
     inner = Xa @ Za.T
     if spec.kind != "rbf":
         return finish_block(spec, inner)
-    norms_x = (Xa * Xa).sum(axis=1)
-    norms_z = norms_x if Z is None else (Za * Za).sum(axis=1)
+    if norms_x is None:
+        norms_x = squared_norms(Xa)
+    if norms_z is None:
+        norms_z = norms_x if Z is None else squared_norms(Za)
     return finish_block(spec, inner, norms_x[:, None], norms_z)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .dataset import LABEL_ORDER, file_errors, parse_label, write_json
 from .features import CATALOG_VERSION, N_FEATURES, FeatureMatrix, FeatureNormalization
-from .kernels import KernelSpec, finish_block, gram
+from .kernels import KernelSpec, finish_block, gram, squared_norms
 from .selection import validate_catalog_indices
 
 MODEL_FORMAT_VERSION = 4
@@ -59,7 +59,14 @@ class TrainConfig:
 
 @dataclass
 class BinarySvmModel:
-    """One trained two-class machine: support expansion f(x) = sum coef K + b."""
+    """One trained two-class machine: support expansion f(x) = sum coef K + b.
+
+    support_norms, for rbf the squared_norms of support_vectors (None for
+    linear, which reads none), is derived when the machine is built, so also
+    by load_model and dataclasses.replace, and is not serialized; prediction
+    reads it instead of computing it per call. Support vectors whose norms
+    overflow are refused here, as prediction would refuse them.
+    """
 
     support_vectors: np.ndarray
     dual_coef: np.ndarray
@@ -69,6 +76,7 @@ class BinarySvmModel:
     converged: bool = True
     final_violation: float = 0.0
     objective_trace: np.ndarray | None = None  # training-time diagnostic, not serialized
+    support_norms: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.support_vectors = np.asarray(self.support_vectors, dtype=np.float64)
@@ -81,6 +89,10 @@ class BinarySvmModel:
                 and np.isfinite(self.bias)):
             raise ValueError("support vectors, dual coefficients and bias must be finite")
         self.kernel.require_resolved()
+        self.support_norms = None
+        if self.kernel.kind == "rbf":
+            with _kernel_overflow_refused():
+                self.support_norms = squared_norms(self.support_vectors)
 
     @property
     def n_support(self) -> int:
@@ -287,7 +299,7 @@ def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig) -> BinarySvm
     with _kernel_overflow_refused():
         # The diagonal comes from the squared norms, so an rbf K_tt is
         # exactly 1; the bound covers every row the solver computes later.
-        norms = (Xp * Xp).sum(axis=1)
+        norms = squared_norms(Xp)
         kdiag = finish_block(spec, norms.copy(), norms, norms)
         _kernel_bound(spec, norms)  # raises where a cell could overflow
     # Row t is one matrix-vector product, finished and kept when the solver
@@ -324,14 +336,15 @@ def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig) -> BinarySvm
     )
 
 
-def decision_values(model: BinarySvmModel, X: np.ndarray) -> np.ndarray:
-    """f(x) for each row of X."""
+def decision_values(model: BinarySvmModel, X: np.ndarray, norms=None) -> np.ndarray:
+    """f(x) for each row of X; norms, when given, must be squared_norms(X)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
     if model.n_support == 0:
         return np.full(X.shape[0], model.bias)
-    return gram(model.kernel, X, model.support_vectors) @ model.dual_coef + model.bias
+    K = gram(model.kernel, X, model.support_vectors, norms, model.support_norms)
+    return K @ model.dual_coef + model.bias
 
 
 @dataclass
@@ -425,14 +438,23 @@ def _prepare_rows(normalization: FeatureNormalization | None, feature_indices,
     return rows if normalization is None else normalization.scale(rows, columns)
 
 
+# Machine i of a model with n labels decides the label positions _PAIRS[n][i].
+_PAIRS = {n: np.array(list(combinations(range(n), 2)))
+          for n in range(2, len(LABEL_ORDER) + 1)}
+
+
 def predict_batch(model: MulticlassSvmModel, values: np.ndarray) -> list:
     """Predict a label per full catalog row; one row is a (1, 30) batch."""
     order = model.label_order
-    # the model's machines are its label pairs in order
-    pairs = np.array(list(combinations(range(len(order)), 2)))
+    pairs = _PAIRS[len(order)]
     with _kernel_overflow_refused():  # a used column may overflow its scaling too
         rows = _prepare_rows(model.normalization, model.feature_indices, values)
-        f = np.column_stack([decision_values(m, rows) for m in model.machines])
+        # only rbf reads norms, and a linear model's rows may be too large to square
+        norms = (squared_norms(rows) if any(m.kernel.kind == "rbf" for m in model.machines)
+                 else None)
+        f = np.empty((rows.shape[0], len(model.machines)))
+        for j, m in enumerate(model.machines):
+            f[:, j] = decision_values(m, rows, norms)
     winners = np.where(f > 0, pairs[:, 0], pairs[:, 1])
     # add.at sums each row's strengths in machine order, so tie-breaks see the
     # same floats as adding one machine at a time

@@ -22,6 +22,7 @@ import sys
 import numpy as np
 import pytest
 
+from gsremotion import pipeline
 from gsremotion.evaluate import ConfusionMatrix, kfold_cross_validate
 from gsremotion.features import extract_dataset_features
 from gsremotion.pipeline import PipelineConfig, evaluate_model, fit_from_features, prepare_dataset
@@ -163,3 +164,23 @@ def test_returned_objects_carry_what_perfbench_reads(small_corpus):
     json.dumps(payload)
     assert payload["mean_accuracy"] == report.mean_accuracy
     assert payload["heldout_accesses_during_fit"] == report.heldout_accesses == 0
+
+
+def test_prediction_stays_visible_to_the_tracer(small_features):
+    """perfbench's kernels.gram_* metrics are spans around kernels.gram, so
+    each predict_rows call must still run the kernel through it: at least
+    once, whether per machine or over one pool of support vectors."""
+    tracing = load_tracing()
+    model = fit_from_features(small_features, PipelineConfig(seed=42)).model
+    tracer = tracing.Tracer()
+    tracer.install(tracing.TARGETS)
+    try:
+        for rows in (small_features.values[:1], small_features.values):
+            pipeline.predict_rows(model, rows)  # looked up at call time, as perfbench does
+    finally:
+        tracer.uninstall()
+    spans = tracer.take()
+    calls = [s.span_id for s in spans if s.name == "svm.predict"]
+    assert len(calls) == 2
+    for call in calls:
+        assert any(s.name == "kernels.gram" and s.parent_id == call for s in spans)

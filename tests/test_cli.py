@@ -301,11 +301,12 @@ class TestTrain:
         assert load_model(str(out)).feature_indices == (2, 4, 6)
 
     def test_holdout_requires_test_out(self, features_csv, tmp_path, capsys):
-        rc = cli.main(["train", "--features", str(features_csv),
-                       "--out", str(tmp_path / "model.json"),
-                       "--test-fraction", "0.5"])
-        assert rc == 1
-        assert "--test-out" in capsys.readouterr().err
+        for test_out in ([], ["--test-out", ""]):
+            rc = cli.main(["train", "--features", str(features_csv),
+                           "--out", str(tmp_path / "model.json"),
+                           "--test-fraction", "0.5", *test_out])
+            assert rc == 1
+            assert "--test-out" in capsys.readouterr().err
 
     def test_holdout_writes_test_rows(self, features_csv, tmp_path):
         model_out = tmp_path / "model.json"
@@ -375,6 +376,66 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: column f02 spans more than the float range (max - min overflows)\n")
+
+
+class TestConflictingKeys:
+    """A key that would leave another one ignored is refused with exit 1, and
+    nothing is written, whether a flag or the config file sets each key."""
+
+    LIST_AND_K = "--features-list and --k cannot both be set: the list sets the number of features"
+    LIST_AND_SELECTION = ("--features-list and --selection cannot both be set: "
+                          "each names the model's features")
+
+    def run(self, tmp_path, capsys, argv, file_keys=None):
+        if file_keys:
+            argv += ["--config", write_config(tmp_path / "keys.cfg", "".join(
+                f"{key} = {value}\n" for key, value in file_keys.items()))]
+        rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert not (tmp_path / "out").exists() and not (tmp_path / "t.csv").exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["select", "train", "cv", "report"])
+    @pytest.mark.parametrize("in_file", [(), ("k",), ("features_list",)])
+    def test_feature_list_and_k(self, manifest, features_csv, tmp_path, capsys, command,
+                                in_file):
+        keys = {"features_list": "4,5", "k": "9"}
+        source = ["--manifest", manifest] if command == "cv" else ["--features",
+                                                                   str(features_csv)]
+        flags = [arg for key, value in keys.items() if key not in in_file
+                 for arg in ("--" + key.replace("_", "-"), value)]
+        err = self.run(tmp_path, capsys, [command, *source, *flags],
+                       {key: keys[key] for key in in_file})
+        assert err == f"error: {self.LIST_AND_K}\n"
+
+    def test_both_in_the_file_name_it(self, features_csv, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, ["train", "--features", str(features_csv)],
+                       {"features_list": "1,2", "k": "5"})
+        assert err == f"error: {tmp_path / 'keys.cfg'}: {self.LIST_AND_K}\n"
+
+    @pytest.mark.parametrize("in_file", [False, True])
+    def test_feature_list_and_selection(self, features_csv, tmp_path, capsys, in_file):
+        selection = tmp_path / "selection.json"
+        assert cli.main(["select", "--features", str(features_csv),
+                         "--out", str(selection), "--features-list", "2,4,6"]) == 0
+        argv = ["train", "--features", str(features_csv), "--selection", str(selection)]
+        if in_file:
+            err = self.run(tmp_path, capsys, argv, {"features_list": "1,2,3"})
+        else:
+            err = self.run(tmp_path, capsys, argv + ["--features-list", "1,2,3"])
+        assert err == f"error: {self.LIST_AND_SELECTION}\n"
+
+    def test_test_out_without_test_fraction(self, features_csv, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, ["train", "--features", str(features_csv),
+                                          "--test-out", str(tmp_path / "t.csv")])
+        assert err == ("error: --test-out requires --test-fraction: "
+                       "without it no rows are held out\n")
+
+    def test_refused_before_any_input_is_read(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, ["train", "--features", str(tmp_path / "missing.csv"),
+                                          "--selection", str(tmp_path / "missing.json"),
+                                          "--features-list", "1,2"])
+        assert err == f"error: {self.LIST_AND_SELECTION}\n"
 
 
 class TestPredict:

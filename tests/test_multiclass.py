@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import re
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -11,10 +13,11 @@ from gsremotion.features import (
     CATALOG_VERSION,
     N_FEATURES,
     FeatureMatrix,
+    extract_dataset_features,
     fit_feature_normalization,
 )
-from gsremotion.kernels import KernelSpec
-from gsremotion.pipeline import PipelineConfig, fit_from_features, predict_rows
+from gsremotion.kernels import KernelSpec, squared_norms
+from gsremotion.pipeline import PipelineConfig, fit_from_features, predict_rows, prepare_dataset
 from gsremotion.svm import (
     MODEL_FORMAT_VERSION,
     BinarySvmModel,
@@ -30,6 +33,7 @@ from gsremotion.svm import (
 )
 
 from conftest import delete_key, key_paths
+from reference_checks import gram_reference
 
 H, G, C = EmotionLabel.HAPPINESS, EmotionLabel.GRIEF, EmotionLabel.CALM
 ALL_COLUMNS = range(1, N_FEATURES + 1)
@@ -212,6 +216,56 @@ class TestBatchPath:
                                   PipelineConfig(norm_mode=mode, seed=42)).model
         batch = predict_batch(model, small_features.values)
         assert batch == [predict_batch(model, row[None])[0] for row in small_features.values]
+
+
+@pytest.fixture(scope="module", params=["signal", "both"])
+def default_fit(request, default_corpus):
+    """The seed-42 model of the default corpus, and that corpus's feature table."""
+    config = PipelineConfig(norm_mode=request.param, seed=42)
+    matrix = extract_dataset_features(prepare_dataset(default_corpus, config))
+    return fit_from_features(matrix, config).model, matrix
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPredictionConstants:
+    """A machine keeps its support vectors' squared norms, and predict_batch
+    computes its rows' norms once per call; no decision value moves a bit."""
+
+    def test_decision_values_match_the_reference_gram(self, default_fit):
+        model, matrix = default_fit
+        rows = _prepare_rows(model.normalization, model.feature_indices, matrix.values)
+        norms = squared_norms(rows)
+        for m in model.machines:
+            want = gram_reference(m.kernel, rows, m.support_vectors) @ m.dual_coef + m.bias
+            assert_same_bits(decision_values(m, rows, norms), want)
+            assert_same_bits(decision_values(m, rows), want)
+
+    def test_machines_keep_their_support_norms(self, default_fit, tmp_path):
+        model, _ = default_fit
+        path = str(tmp_path / "model.json")
+        save_model(model, path)
+        halves = [dataclasses.replace(m, support_vectors=m.support_vectors[::2],
+                                      dual_coef=m.dual_coef[::2]) for m in model.machines]
+        for machines in (model.machines, load_model(path).machines, halves):
+            for m in machines:
+                assert_same_bits(m.support_norms, squared_norms(m.support_vectors))
+
+
+    def test_only_rbf_squares_support_vectors_and_rows(self):
+        """Norms too large for a float are refused where rbf needs them; the
+        linear kernel reads none, so its values may be that large."""
+        huge = {"support_vectors": [[1e200, 0.0]], "dual_coef": [1.0], "bias": 0.0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^kernel matrix overflows"):
+                BinarySvmModel(**huge, kernel=KernelSpec(eta=1.0))
+            linear = BinarySvmModel(**huge, kernel=KernelSpec(kind="linear"))
+            assert linear.support_norms is None
+            assert decision_values(linear, [[2.0, 0.0]])[0] == 2e200
+            assert predict_batch(vote_model(), catalog_row([1e200, -1e200, 1.0])[None]) == [H]
 
 
 class TestPrepareRows:

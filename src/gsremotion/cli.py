@@ -291,12 +291,18 @@ def cmd_synth(args) -> int:
         sample_rate_hz=_resolve(args, "sample_rate_hz"),
         noise_std_us=_resolve(args, "noise_std"),
     )
-    # only the file sets these, so a fault in their combination is the file's
-    with file_errors(args.config) if values else contextlib.nullcontext():
+    # only the file sets these, so a fault in their combination is the file's,
+    # and so is a corpus too large to allocate
+    blame = (lambda: file_errors(args.config)) if values else contextlib.nullcontext
+    with blame():
         config = SynthConfig(**values, **_given(seed=_resolve(args, "seed")))
     manifest = os.path.join(args.out, "manifest.txt")
     _check_out(manifest, args.force)
-    dataset = generate_dataset(config)
+    with blame():
+        try:
+            dataset = generate_dataset(config)
+        except MemoryError as exc:
+            raise ValueError(f"cannot allocate the corpus: {exc}") from None
     save_dataset(dataset, args.out)
     print(f"wrote {len(dataset)} records to {args.out}")
     return 0

@@ -27,7 +27,7 @@ MIN_SAMPLES = 64
 # peaks near 2.3 MB over it. Cross-validation streams its corpus through
 # denoise, normalization and feature extraction one block at a time
 # (preprocess.preprocess_blocks), so it holds one prepared block, not the
-# prepared corpus.
+# prepared corpus. synth generates its records in blocks of this size too.
 _BLOCK_ROWS = 64
 
 CSV_HEADER = "conductance_us"

@@ -10,15 +10,30 @@ full pipeline.
 The tonic base is drawn once per subject, so all of a subject's records sit
 on the same resting level and calm-baseline normalization genuinely cancels
 the subject effect. Generation is fully deterministic: every record's draws
-come from one seeded generator consumed in a fixed order, and dataset-level
-seeds are derived by seed-sequence composition.
+come from its own generator, seeded by SeedSequence([seed, label index,
+sequence number]) and consumed in a fixed order (_draw).
+
+Generation runs in two parts. The draws are made record by record; the
+arithmetic (drift line, events, noise, positivity floor) then runs on up to
+_BLOCK_ROWS records at once as one (rows x samples) array. Every step of it
+is elementwise per row, in the order one record alone would take it, so a
+record's bits do not depend on the block it is in, nor on where in the
+block it sits: a corpus generated in blocks of any size, and a record
+generated alone (generate_record, a block of one), carry the same bits.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LABEL_ORDER, MIN_SAMPLES, Dataset, EmotionLabel, GsrRecord
+from .dataset import (
+    _BLOCK_ROWS,
+    LABEL_ORDER,
+    MIN_SAMPLES,
+    Dataset,
+    EmotionLabel,
+    GsrRecord,
+)
 
 POSITIVITY_FLOOR_US = 1e-3
 
@@ -104,10 +119,14 @@ class SynthConfig:
                 raise ValueError(f"count for {lab.value} cannot be negative")
         if not any(c > 0 for c in self.per_label_counts.values()):
             raise ValueError("at least one label needs a positive count")
-        if self.sample_rate_hz <= 0:
-            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if not 0 < self.sample_rate_hz < np.inf:
+            raise ValueError(
+                f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}")
         if not 0 < self.duration_s < np.inf:
             raise ValueError(f"duration_s must be positive and finite, got {self.duration_s}")
+        if not self.duration_s * self.sample_rate_hz < np.inf:
+            raise ValueError(f"duration {self.duration_s}s at {self.sample_rate_hz}Hz "
+                             "yields a sample count that is not finite")
         if self.n_samples < MIN_SAMPLES:
             raise ValueError(
                 f"duration {self.duration_s}s at {self.sample_rate_hz}Hz yields fewer "
@@ -115,64 +134,113 @@ class SynthConfig:
             )
         if self.noise_std_us < 0:
             raise ValueError(f"noise_std_us cannot be negative, got {self.noise_std_us}")
+        if not self.noise_std_us < np.inf:
+            raise ValueError(f"noise_std_us must be finite, got {self.noise_std_us}")
 
     @property
     def n_samples(self) -> int:
         return int(round(self.duration_s * self.sample_rate_hz))
 
 
-def _bump(t: np.ndarray, t0: float, amplitude: float, rise: float,
-          decay: float) -> np.ndarray:
-    """Difference-of-exponentials event, peak-normalized to `amplitude`."""
-    s = t - t0
-    active = s >= 0.0
-    out = np.zeros_like(t)
-    sa = s[active]
-    shape = np.exp(-sa / decay) - np.exp(-sa / rise)
-    # peak of exp(-s/d) - exp(-s/r) sits at s* = ln(d/r) * r*d/(d-r)
-    s_star = np.log(decay / rise) * rise * decay / (decay - rise)
-    peak = np.exp(-s_star / decay) - np.exp(-s_star / rise)
-    out[active] = amplitude * shape / peak
-    return out
+def _event_shape(s, rise, decay):
+    """exp(-s/decay) - exp(-s/rise): the difference-of-exponentials event
+    (fast rise, slow decay) at s seconds after onset, elementwise.
+
+    s must not be negative: a large negative s overflows exp. At s = 0 the
+    shape is exactly 0.0, so a pre-onset cell clipped to 0 gets a bump of
+    0.0, and adding it keeps the cell's bits.
+    """
+    slow, fast = (np.exp(-s / tau) for tau in (decay, rise))
+    return slow - fast
 
 
-def generate_record(label: EmotionLabel, seed, config: SynthConfig, subject_id: str,
-                    record_id: str, base_tonic_us: float) -> GsrRecord:
-    """One deterministic record for (label, seed, config) on the subject's
-    resting level base_tonic_us."""
+def _draw(label: EmotionLabel, seed, config: SynthConfig, base_tonic_us: float,
+          noise: np.ndarray):
+    """One record's draws from its own generator, in a fixed order: tonic
+    offset, drift, event count, the events' four uniforms as one
+    (n_events x 4) call, then the standard-normal noise, written into noise.
+
+    Returns (tonic, drift, events), events an (n_events x 4) array of onset
+    t0, peak amplitude, rise and decay per event.
+    """
     bands = LABEL_BANDS[label]
     rng = np.random.default_rng(seed)
-    n = config.n_samples
-    t = np.arange(n) / config.sample_rate_hz
-
     tonic = base_tonic_us + rng.uniform(*bands.tonic_offset_us)
     drift = rng.uniform(*DRIFT_US_PER_S)
     scale = config.duration_s / 60.0
     ev_lo = int(round(bands.n_events[0] * scale))
     ev_hi = int(round(bands.n_events[1] * scale))
     n_events = int(rng.integers(ev_lo, ev_hi + 1))
-    signal = tonic + drift * t
     # Events sit on a jittered grid rather than fully at random: even spacing
     # keeps per-record event energy stable, and capping the last slot keeps
     # every bump's tail inside the record.
     latest = max(config.duration_s - 3.0 * EVENT_DECAY_S[1], config.duration_s * 0.5)
     slot = (latest - 1.0) / n_events if n_events else 0.0
-    for k in range(n_events):
-        center = 1.0 + (k + 0.5) * slot
-        t0 = center + rng.uniform(-0.3, 0.3) * slot
-        amplitude = rng.uniform(*bands.amplitude_us)
-        rise = rng.uniform(*EVENT_RISE_S)
-        decay = rng.uniform(*EVENT_DECAY_S)
-        signal = signal + _bump(t, t0, amplitude, rise, decay)
-    signal = signal + rng.standard_normal(n) * config.noise_std_us
-    signal = np.maximum(signal, POSITIVITY_FLOOR_US)
-    return GsrRecord(
-        record_id=record_id,
-        subject_id=subject_id,
-        label=label,
-        sample_rate_hz=config.sample_rate_hz,
-        samples=signal,
+    events = rng.uniform(
+        (-0.3, bands.amplitude_us[0], EVENT_RISE_S[0], EVENT_DECAY_S[0]),
+        (0.3, bands.amplitude_us[1], EVENT_RISE_S[1], EVENT_DECAY_S[1]),
+        size=(n_events, 4),
     )
+    centers = 1.0 + (np.arange(n_events) + 0.5) * slot
+    events[:, 0] = centers + events[:, 0] * slot
+    rng.standard_normal(out=noise)
+    return tonic, drift, events
+
+
+def _generate_block(specs: list, config: SynthConfig) -> list:
+    """Records for specs, a list of (label, seed, subject_id, record_id,
+    base_tonic_us), computed as one (rows x samples) block.
+
+    Every step is elementwise per row, in the order a single record would
+    take it, so a record's bits do not depend on the block it is in.
+    """
+    rows, n = len(specs), config.n_samples
+    try:
+        noise = np.empty((rows, n))
+    except ValueError:  # numpy's refusal of a shape whose bytes it cannot index
+        raise MemoryError(f"{rows} records of {n:.3g} samples exceed numpy's array size "
+                          "limit") from None
+    tonic, drift, counts = np.empty(rows), np.empty(rows), np.empty(rows, dtype=np.intp)
+    drawn = []
+    for i, (label, seed, _, _, base) in enumerate(specs):
+        tonic[i], drift[i], events = _draw(label, seed, config, base, noise[i])
+        counts[i] = len(events)
+        drawn.append(events)
+    events = np.zeros((rows, counts.max(), 4))
+    for i, row in enumerate(drawn):
+        events[i, :counts[i]] = row
+
+    t = np.arange(n) / config.sample_rate_hz
+    signal = tonic[:, None] + drift[:, None] * t
+    for k in range(events.shape[1]):
+        have = counts > k
+        at = slice(None) if have.all() else np.flatnonzero(have)
+        t0, amplitude, rise, decay = events[at, k].T
+        # every cell before column c0 precedes each row's event k
+        c0 = int(np.searchsorted(t, t0.min()))
+        s = t[c0:] - t0[:, None]
+        np.maximum(s, 0.0, out=s)
+        # peak of exp(-s/d) - exp(-s/r) sits at s* = ln(d/r) * r*d/(d-r)
+        s_star = np.log(decay / rise) * rise * decay / (decay - rise)
+        peak = _event_shape(s_star, rise, decay)
+        bump = amplitude[:, None] * _event_shape(s, rise[:, None], decay[:, None])
+        bump /= peak[:, None]
+        signal[at, c0:] += bump
+    noise *= config.noise_std_us
+    signal += noise
+    np.maximum(signal, POSITIVITY_FLOOR_US, out=signal)
+    return [
+        GsrRecord(record_id=record_id, subject_id=subject_id, label=label,
+                  sample_rate_hz=config.sample_rate_hz, samples=signal[i])
+        for i, (label, _, subject_id, record_id, _) in enumerate(specs)
+    ]
+
+
+def generate_record(label: EmotionLabel, seed, config: SynthConfig, subject_id: str,
+                    record_id: str, base_tonic_us: float) -> GsrRecord:
+    """One deterministic record for (label, seed, config) on the subject's
+    resting level base_tonic_us: a block of one."""
+    return _generate_block([(label, seed, subject_id, record_id, base_tonic_us)], config)[0]
 
 
 def generate_dataset(config: SynthConfig) -> Dataset:
@@ -181,23 +249,22 @@ def generate_dataset(config: SynthConfig) -> Dataset:
     The number of subjects equals the smallest positive per-label count, so
     every subject receives at least one record of every label (in particular
     a calm record, which baseline normalization requires). Each subject's
-    tonic base is drawn once and shared by all their records.
+    tonic base is drawn once and shared by all their records. Records are
+    computed _BLOCK_ROWS at a time.
     """
     positive = [c for c in config.per_label_counts.values() if c > 0]
     num_subjects = max(min(positive), 1)
     subject_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5AB]))
     subject_base = subject_rng.uniform(*SUBJECT_TONIC_US, size=num_subjects)
-    records = []
+    specs = []
     for lab_idx, label in enumerate(LABEL_ORDER):
-        count = config.per_label_counts.get(label, 0)
-        for seq in range(count):
+        for seq in range(config.per_label_counts.get(label, 0)):
             subject_idx = seq % num_subjects
             subject = f"S{subject_idx + 1:02d}"
-            child_seed = np.random.SeedSequence([config.seed, lab_idx, seq])
-            record = generate_record(
-                label, child_seed, config, subject_id=subject,
-                record_id=f"{subject}_{label.value}_{seq + 1:03d}",
-                base_tonic_us=float(subject_base[subject_idx]),
-            )
-            records.append(record)
+            specs.append((label, np.random.SeedSequence([config.seed, lab_idx, seq]),
+                          subject, f"{subject}_{label.value}_{seq + 1:03d}",
+                          float(subject_base[subject_idx])))
+    records = []
+    for start in range(0, len(specs), _BLOCK_ROWS):
+        records += _generate_block(specs[start:start + _BLOCK_ROWS], config)
     return Dataset(records=records)

@@ -6,11 +6,16 @@ wavelet steps as np.convolve calls and every statistic as a scalar. The
 block code must give the same bits for every row, so the tests compare the
 two on odd lengths, the 64-sample minimum, a corpus and blocks of several
 sizes.
+
+generate_dataset is the record-at-a-time synth generator that synth's block
+generator replaced: four scalar uniform draws per event and one
+full-length bump array per event. synth must give the same bits.
 """
 
 import numpy as np
 
-from gsremotion.dataset import MIN_SAMPLES
+from gsremotion import synth
+from gsremotion.dataset import LABEL_ORDER, MIN_SAMPLES, Dataset, GsrRecord
 from gsremotion.features import BAND_HIGH_HZ, BAND_LOW_HZ
 from gsremotion.wavelet import (
     DEFAULT_LEVELS,
@@ -194,3 +199,60 @@ def extract_features(signal: np.ndarray, sample_rate_hz: float) -> np.ndarray:
         + _spectral_block(x, sample_rate_hz)
     )
     return np.array(values)
+
+
+def _bump(t: np.ndarray, t0: float, amplitude: float, rise: float,
+          decay: float) -> np.ndarray:
+    """Difference-of-exponentials event, peak-normalized to `amplitude`."""
+    s = t - t0
+    active = s >= 0.0
+    out = np.zeros_like(t)
+    sa = s[active]
+    shape = np.exp(-sa / decay) - np.exp(-sa / rise)
+    s_star = np.log(decay / rise) * rise * decay / (decay - rise)
+    peak = np.exp(-s_star / decay) - np.exp(-s_star / rise)
+    out[active] = amplitude * shape / peak
+    return out
+
+
+def generate_record(label, seed, config, subject_id: str, record_id: str,
+                    base_tonic_us: float) -> GsrRecord:
+    bands = synth.LABEL_BANDS[label]
+    rng = np.random.default_rng(seed)
+    n = config.n_samples
+    t = np.arange(n) / config.sample_rate_hz
+    tonic = base_tonic_us + rng.uniform(*bands.tonic_offset_us)
+    drift = rng.uniform(*synth.DRIFT_US_PER_S)
+    scale = config.duration_s / 60.0
+    ev_lo = int(round(bands.n_events[0] * scale))
+    ev_hi = int(round(bands.n_events[1] * scale))
+    n_events = int(rng.integers(ev_lo, ev_hi + 1))
+    signal = tonic + drift * t
+    latest = max(config.duration_s - 3.0 * synth.EVENT_DECAY_S[1], config.duration_s * 0.5)
+    slot = (latest - 1.0) / n_events if n_events else 0.0
+    for k in range(n_events):
+        center = 1.0 + (k + 0.5) * slot
+        t0 = center + rng.uniform(-0.3, 0.3) * slot
+        amplitude = rng.uniform(*bands.amplitude_us)
+        rise = rng.uniform(*synth.EVENT_RISE_S)
+        decay = rng.uniform(*synth.EVENT_DECAY_S)
+        signal = signal + _bump(t, t0, amplitude, rise, decay)
+    signal = signal + rng.standard_normal(n) * config.noise_std_us
+    signal = np.maximum(signal, synth.POSITIVITY_FLOOR_US)
+    return GsrRecord(record_id, subject_id, label, config.sample_rate_hz, signal)
+
+
+def generate_dataset(config) -> Dataset:
+    positive = [c for c in config.per_label_counts.values() if c > 0]
+    num_subjects = max(min(positive), 1)
+    subject_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5AB]))
+    subject_base = subject_rng.uniform(*synth.SUBJECT_TONIC_US, size=num_subjects)
+    records = []
+    for lab_idx, label in enumerate(LABEL_ORDER):
+        for seq in range(config.per_label_counts.get(label, 0)):
+            subject_idx = seq % num_subjects
+            subject = f"S{subject_idx + 1:02d}"
+            records.append(generate_record(
+                label, np.random.SeedSequence([config.seed, lab_idx, seq]), config, subject,
+                f"{subject}_{label.value}_{seq + 1:03d}", float(subject_base[subject_idx])))
+    return Dataset(records=records)

@@ -145,6 +145,23 @@ class TestSynth:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("duration,message", [
+        # numpy's allocator refuses the first block
+        ("1e12", "cannot allocate the corpus: Unable to allocate"),
+        # numpy refuses the block's shape before allocating
+        ("1e300", "cannot allocate the corpus: 64 records of 1.6e+301 samples exceed"),
+    ])
+    def test_corpus_too_large_to_allocate_names_the_file(self, tmp_path, capsys,
+                                                          duration, message):
+        cfg = write_config(tmp_path / "synth.cfg", f"duration_s = {duration}\n")
+        out = tmp_path / "corpus"
+        rc = cli.main(["synth", "--out", str(out), "--config", cfg])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1, err
+        assert message in err
+        assert not out.exists()
+
     def test_wrong_counts_length(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "synth.cfg", "counts = 3,3,3\n")
         rc = cli.main(["synth", "--out", str(tmp_path / "corpus"), "--config", cfg])
@@ -766,7 +783,14 @@ class TestConfigFile:
         ("train", "c = 0\n", "config key c: c must be positive and finite, got 0.0"),
         ("preprocess", "norm = bogus\n", "config key norm: norm mode must be one of"),
         ("train", "seed = -1\n", "config key seed: expected non-negative integer"),
-        ("synth", "sample_rate_hz = 0\n", "sample_rate_hz must be positive, got 0.0"),
+        ("synth", "sample_rate_hz = 0\n", "sample_rate_hz must be positive and finite, got 0.0"),
+        ("synth", "sample_rate_hz = inf\n", "sample_rate_hz must be positive and finite, got inf"),
+        ("synth", "sample_rate_hz = nan\n", "sample_rate_hz must be positive and finite, got nan"),
+        ("synth", "noise_std = nan\n",
+         "config key noise_std: noise_std_us must be finite, got nan"),
+        ("synth", "noise_std = inf\n",
+         "config key noise_std: noise_std_us must be finite, got inf"),
+        ("synth", "duration_s = 1e308\n", "yields a sample count that is not finite"),
     ]
 
     def test_every_config_key_has_an_out_of_range_case(self):

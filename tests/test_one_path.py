@@ -1,11 +1,12 @@
 """Guards for duties with one owner: the CLI prints every `warning:` line
-through `cli._warn`, and only `svm` words a machine that did not converge."""
+through `cli._warn`, only `svm` words a machine that did not converge, and
+one function of `synth` shapes every phasic event."""
 
 import ast
 from pathlib import Path
 
 import gsremotion
-from gsremotion import cli
+from gsremotion import cli, synth
 
 SRC = Path(gsremotion.__file__).parent
 
@@ -28,3 +29,15 @@ def test_cli_warns_only_through_its_helper():
 def test_only_svm_words_non_convergence():
     holders = sorted(p.name for p in SRC.glob("*.py") if "did not converge" in p.read_text())
     assert holders == ["svm.py"]
+
+
+def test_one_function_shapes_synth_events():
+    tree = ast.parse(Path(synth.__file__).read_text())
+
+    def exp_sites(node) -> list:
+        return [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "exp"]
+
+    holders = [n.name for n in ast.walk(tree)
+               if isinstance(n, ast.FunctionDef) and exp_sites(n)]
+    assert holders == ["_event_shape"]
+    assert len(exp_sites(tree)) == 1

@@ -1,13 +1,16 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import signal_reference as ref
 from gsremotion import synth
 from gsremotion.dataset import LABEL_ORDER, EmotionLabel
 from gsremotion.synth import (
     DEFAULT_COUNTS,
+    SUBJECT_TONIC_US,
     LabelBands,
     SynthConfig,
     generate_dataset,
@@ -143,6 +146,88 @@ def test_event_count_scales_with_duration(monkeypatch):
     assert count_events(30.0) == 7
 
 
+def corpus_digest(dataset) -> str:
+    """sha256 of every record's id, subject, label, rate and sample bytes, in order."""
+    digest = hashlib.sha256()
+    for rec in dataset:
+        digest.update(f"{rec.record_id}|{rec.subject_id}|{rec.label.value}|"
+                      f"{rec.sample_rate_hz!r}\n".encode())
+        digest.update(rec.samples.astype("<f8").tobytes())
+    return digest.hexdigest()
+
+
+class TestGoldenCorpora:
+    """Seed-42 corpora whose bits are frozen: each digest was computed by the
+    record-at-a-time generator that the block generator replaced."""
+
+    GOLDEN = {
+        "default": ({}, "ecffb869f9fe5f9afe90e3f4123d5cf8ab8e5f28efb1ed2fcb440e1a92c58e67"),
+        "8x": ({"per_label_counts": {lab: 8 * n for lab, n in DEFAULT_COUNTS.items()}},
+               "d08ac9a95129cd0a5d9e40c7902f5b7d777f9fee3e900eb43769e74bb098eca5"),
+        "37.3s-9hz": ({"duration_s": 37.3, "sample_rate_hz": 9.0},
+                      "aa2c7659905222cb7b6b30935349195c421a4514e6d8dbf6466595385d0b48b3"),
+        # the shortest records at 64 samples: no record has an event
+        "1s-64hz": ({"duration_s": 1.0, "sample_rate_hz": 64.0},
+                    "dd1ef0d61a23945a1d94cdbd97a20d2f3287496ebe89506b9b5e9de9f515da54"),
+        # long records: a pre-onset cell lies up to 600 s before its event
+        "600s": ({"duration_s": 600.0, "per_label_counts": {lab: 4 for lab in EmotionLabel}},
+                 "92d9a76b8d2d047c8a7b7ae34f8d09a0ecd5a3bb2620079810ad641651069670"),
+        "noise0": ({"noise_std_us": 0.0},
+                   "f682879c15ec10d685b9d5ca36cc485f9007c8abbf276428c1fa3cb4e16ed071"),
+    }
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_corpus_keeps_its_bits(self, name):
+        overrides, expected = self.GOLDEN[name]
+        assert corpus_digest(generate_dataset(SynthConfig(seed=42, **overrides))) == expected
+
+
+@pytest.mark.parametrize("seed,counts,duration,rate,noise", [
+    (5, (3, 0, 2, 5, 4), 23.7, 7.5, 0.3),
+    (11, (1, 1, 1, 1, 1), 200.0, 4.0, 0.02),
+    (2024, (70, 2, 0, 3, 9), 64.3, 16.0, 0.0),
+    (7, (0, 0, 0, 0, 3), 4.0, 50.0, 0.02),
+])
+def test_block_generator_matches_the_record_reference(seed, counts, duration, rate, noise):
+    config = SynthConfig(per_label_counts=dict(zip(LABEL_ORDER, counts)), duration_s=duration,
+                         sample_rate_hz=rate, seed=seed, noise_std_us=noise)
+    expected = ref.generate_dataset(config)
+    assert corpus_digest(generate_dataset(config)) == corpus_digest(expected)
+
+
+class TestBlockIndependence:
+    """A record's samples do not depend on the block it is computed in."""
+
+    def test_block_size_does_not_move_any_bit(self, monkeypatch, default_corpus):
+        expected = corpus_digest(default_corpus)
+        for rows in (1, 7, 100):
+            monkeypatch.setattr(synth, "_BLOCK_ROWS", rows)
+            assert corpus_digest(generate_dataset(SynthConfig(seed=42))) == expected
+
+    def test_shifted_record_keeps_its_bits(self, default_corpus):
+        # 13 more happiness records push every later record 13 rows along,
+        # across block boundaries; the subject count (43) stays the same
+        counts = {**DEFAULT_COUNTS, EmotionLabel.HAPPINESS: 70}
+        shifted = {rec.record_id: rec for rec in generate_dataset(
+            SynthConfig(seed=42, per_label_counts=counts))}
+        for rec in default_corpus:
+            twin = shifted[rec.record_id]
+            assert twin.subject_id == rec.subject_id
+            assert_array_equal(twin.samples, rec.samples)
+
+    def test_record_alone_equals_its_corpus_copy(self, default_corpus):
+        base = np.random.default_rng(np.random.SeedSequence([42, 0x5AB])).uniform(
+            *SUBJECT_TONIC_US, size=43)
+        for position in (0, 63, 64, 130, 256):
+            rec = default_corpus.records[position]
+            lab_idx = LABEL_ORDER.index(rec.label)
+            seq = int(rec.record_id.rsplit("_", 1)[1]) - 1
+            alone = generate_record(
+                rec.label, np.random.SeedSequence([42, lab_idx, seq]), SynthConfig(seed=42),
+                rec.subject_id, rec.record_id, float(base[int(rec.subject_id[1:]) - 1]))
+            assert_array_equal(alone.samples, rec.samples)
+
+
 class TestSynthConfigValidation:
     def test_empty_counts(self):
         with pytest.raises(ValueError, match="per_label_counts"):
@@ -176,6 +261,20 @@ class TestSynthConfigValidation:
     def test_negative_noise(self):
         with pytest.raises(ValueError, match="noise_std_us"):
             SynthConfig(noise_std_us=-0.1)
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_noise_must_be_finite(self, noise):
+        with pytest.raises(ValueError, match="noise_std_us must be finite"):
+            SynthConfig(noise_std_us=noise)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -16.0])
+    def test_sample_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="sample_rate_hz must be positive and finite"):
+            SynthConfig(sample_rate_hz=rate)
+
+    def test_sample_count_must_be_finite(self):
+        with pytest.raises(ValueError, match="sample count that is not finite"):
+            SynthConfig(duration_s=1e308, sample_rate_hz=16.0)
 
     def test_label_bands_type_check(self):
         # the table is frozen in the module: one LabelBands of 2-tuples per

@@ -7,6 +7,11 @@ A --config file supplies defaults as `key = value` lines; explicit flags
 win over the file, which wins over built-in defaults. Keys that conflict
 (--features-list with --selection or --k) are refused, whether a flag or
 the file sets each, and so is a --test-out without a --test-fraction.
+
+main owns every option, in this order: the config file, the refusal of
+conflicting keys, each key of the command's _COMMANDS row resolved and
+checked once (_resolve), the model config (PipelineConfig, with the
+--selection file), then the command, which reads the resolved values.
 """
 
 import argparse
@@ -145,11 +150,11 @@ def read_config_file(path: str) -> dict:
     return cfg
 
 
-def _resolve(args, key: str, default=None):
-    """flag > config file > default, either text through the key's parser (a
-    number flag arrives parsed by argparse, and parsing it again keeps it) and
-    checked by the key's rule before any work starts; a bad value from the
-    file names the file and the key."""
+def _resolve(args, key: str):
+    """flag > config file > None (unset), either text through the key's parser
+    (a number flag arrives parsed by argparse, and parsing it again keeps it)
+    and checked by the key's rule; a bad value from the file names the file
+    and the key."""
     parse, check, _ = _OPTIONS[key]
     value = getattr(args, key, None)
     if value is not None:
@@ -158,7 +163,7 @@ def _resolve(args, key: str, default=None):
             check(value)
         return value
     if key not in args.cfg:
-        return default
+        return None
     with file_errors(args.config):
         try:
             value = parse(args.cfg[key])
@@ -193,7 +198,7 @@ def _set(args, key: str) -> bool:
 def _pairing(args, *keys):
     """Each key is checked alone, so a config file that sets all of keys is at
     fault for their pairing: its errors then name the file."""
-    from_file = all(getattr(args, key) is None and key in args.cfg for key in keys)
+    from_file = all(getattr(args, key, None) is None and key in args.cfg for key in keys)
     return file_errors(args.config) if from_file else contextlib.nullcontext()
 
 
@@ -221,27 +226,17 @@ def _check_out(path: str, force: bool) -> str:
     return path
 
 
-def _explicit_features(args):
-    """Explicit catalog indices from --features-list or a selection file."""
-    listed = _resolve(args, "features_list")
-    if listed is not None:
-        return listed
-    if getattr(args, "selection", None):
-        return read_selection_indices(args.selection)
-    return None
-
-
-def _pipeline_config(args) -> PipelineConfig:
-    explicit = _explicit_features(args)
-    kind, eta = _resolve(args, "kernel"), _resolve(args, "eta")
+def _pipeline_config(args, values: dict) -> PipelineConfig:
+    """The command's model config from its resolved values, with explicit
+    catalog indices from --features-list or else a selection file."""
+    explicit = values.get("features_list")
+    if explicit is None and getattr(args, "selection", None):
+        explicit = read_selection_indices(args.selection)
     with _pairing(args, "kernel", "eta"):
-        kernel = KernelSpec(**_given(kind=kind, eta=eta))
+        kernel = KernelSpec(**_given(kind=values.get("kernel"), eta=values.get("eta")))
     return PipelineConfig(kernel=kernel, explicit_features=explicit, **_given(
-        c=_resolve(args, "c"),
-        selection_k=_resolve(args, "k"),
-        norm_mode=_resolve(args, "norm"),
-        seed=_resolve(args, "seed"),
-    ))
+        c=values.get("c"), selection_k=values.get("k"),
+        norm_mode=values.get("norm"), seed=values.get("seed")))
 
 
 def _read_labeled(path: str):
@@ -284,18 +279,17 @@ def _writes_prefix(command):
 
 
 def cmd_synth(args) -> int:
-    counts = _resolve(args, "counts")
     values = _given(
-        per_label_counts=None if counts is None else dict(zip(LABEL_ORDER, counts)),
-        duration_s=_resolve(args, "duration_s"),
-        sample_rate_hz=_resolve(args, "sample_rate_hz"),
-        noise_std_us=_resolve(args, "noise_std"),
+        per_label_counts=None if args.counts is None else dict(zip(LABEL_ORDER, args.counts)),
+        duration_s=args.duration_s,
+        sample_rate_hz=args.sample_rate_hz,
+        noise_std_us=args.noise_std,
     )
     # only the file sets these, so a fault in their combination is the file's,
     # and so is a corpus too large to allocate
     blame = (lambda: file_errors(args.config)) if values else contextlib.nullcontext
     with blame():
-        config = SynthConfig(**values, **_given(seed=_resolve(args, "seed")))
+        config = SynthConfig(**values, **_given(seed=args.seed))
     manifest = os.path.join(args.out, "manifest.txt")
     _check_out(manifest, args.force)
     with blame():
@@ -309,7 +303,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    norm = _resolve(args, "norm", PipelineConfig.norm_mode)
+    norm = args.pipeline.norm_mode
     manifest = os.path.join(args.out, "manifest.txt")
     _check_out(manifest, args.force)
     dataset = load_dataset(args.manifest)
@@ -331,13 +325,12 @@ def cmd_features(args) -> int:
 def cmd_select(args) -> int:
     _check_out(args.out, args.force)
     matrix = read_feature_csv(args.features)
-    explicit = _explicit_features(args)
+    explicit = args.pipeline.explicit_features
     if explicit is not None:
         result = SelectionResult(selected_indices=explicit)
     else:
-        k = _resolve(args, "k", PipelineConfig.selection_k)
         with file_errors(args.features):  # too few rows or varying columns: the table's fault
-            result = select_features(matrix.values, k)
+            result = select_features(matrix.values, args.pipeline.selection_k)
     write_selection_json(result, args.out)
     _warn(result.warnings)
     print(f"selected {result.k} features -> {args.out}")
@@ -346,17 +339,17 @@ def cmd_select(args) -> int:
 
 def cmd_train(args) -> int:
     _check_out(args.out, args.force)
-    matrix = _read_labeled(args.features)
-    config = _pipeline_config(args)
-    test_fraction = _resolve(args, "test_fraction")
-    if test_fraction is not None:
+    if args.test_fraction is not None:
         _check_out(args.test_out, args.force)
-        train_rows, test_rows = _split(args, matrix, test_fraction, config.seed)
-        test_matrix = subset_rows(matrix, test_rows)
-        matrix = subset_rows(matrix, train_rows)
-        write_feature_csv(test_matrix, args.test_out)
-        print(f"held out {test_matrix.n_rows} rows -> {args.test_out}")
-    fitted = fit_from_features(matrix, config)
+    matrix = _read_labeled(args.features)
+    held_out = None
+    if args.test_fraction is not None:
+        train_rows, test_rows = _split(args, matrix, args.test_fraction, args.pipeline.seed)
+        held_out, matrix = subset_rows(matrix, test_rows), subset_rows(matrix, train_rows)
+    fitted = fit_from_features(matrix, args.pipeline)
+    if held_out is not None:  # written only once the fit succeeded
+        write_feature_csv(held_out, args.test_out)
+        print(f"held out {held_out.n_rows} rows -> {args.test_out}")
     save_model(fitted.model, args.out)
     _warn(fitted.model.warnings())
     n_machines = len(fitted.model.machines)
@@ -384,7 +377,7 @@ def cmd_predict(args) -> int:
 
 @_writes_prefix
 def cmd_eval(args):
-    seed = _resolve(args, "seed", PipelineConfig.seed)
+    seed = args.pipeline.seed
     model = load_model(args.model)
     matrix = _read_labeled(args.features)
     with file_errors(args.features):  # rows the model cannot score, or a label it never saw
@@ -413,11 +406,10 @@ def cmd_eval(args):
 
 @_writes_prefix
 def cmd_cv(args):
-    config = _pipeline_config(args)
-    folds = _resolve(args, "folds", DEFAULT_FOLDS)
+    folds = DEFAULT_FOLDS if args.folds is None else args.folds
     dataset = load_dataset(args.manifest)
     try:
-        report = kfold_cross_validate(dataset, folds, config, config.seed)
+        report = kfold_cross_validate(dataset, folds, args.pipeline, args.pipeline.seed)
     except TooFewRowsError as exc:  # a corpus too small for the folds is the manifest's fault
         raise ValueError(f"{args.manifest}: {exc}") from None
     fold_lines = [
@@ -435,8 +427,8 @@ def cmd_cv(args):
 
 @_writes_prefix
 def cmd_report(args):
-    config = _pipeline_config(args)
-    test_fraction = _resolve(args, "test_fraction", REPORT_TEST_FRACTION)
+    config = args.pipeline
+    test_fraction = REPORT_TEST_FRACTION if args.test_fraction is None else args.test_fraction
     matrix = _read_labeled(args.features)
     _split(args, matrix, test_fraction, config.seed)  # comparison_report splits alike
     report = comparison_report(matrix, config, test_fraction, config.seed)
@@ -447,12 +439,14 @@ def cmd_report(args):
 
 
 def _add_options(sub, *keys):
-    """Each key's flag, then --config and --force. argparse parses a number
-    flag, so `--c abc` is a usage error; a list flag stays text for _resolve."""
+    """Each key's flag (none for a key only a config file sets), then --config
+    and --force. argparse parses a number flag, so `--c abc` is a usage
+    error; a list flag stays text for _resolve."""
     for key in keys:
         parse, _, help_text = _OPTIONS[key]
-        sub.add_argument(_flag(key), help=help_text,
-                         type=parse if isinstance(parse, type) else None)
+        if help_text is not None:
+            sub.add_argument(_flag(key), help=help_text,
+                             type=parse if isinstance(parse, type) else None)
     sub.add_argument("--config", help="key = value defaults file")
     sub.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
@@ -476,7 +470,7 @@ _MODEL_KEYS = ("k", "features_list", "kernel", "c", "eta", "norm", "seed")
 # name, stage, help, required inputs, help for --out, option keys
 _COMMANDS = (
     ("synth", cmd_synth, "generate a synthetic labeled corpus", (), "output directory",
-     ("seed",)),
+     ("counts", "duration_s", "sample_rate_hz", "noise_std", "seed")),
     ("preprocess", cmd_preprocess, "denoise and normalize records", ("manifest",),
      "output directory", ("norm",)),
     ("features", cmd_features, "extract the feature table", ("manifest",),
@@ -511,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--test-out", help="where to write the held-out rows")
             p.add_argument("--selection", help="selection JSON from the select stage")
         _add_options(p, *keys)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, keys=keys)
     return parser
 
 
@@ -520,6 +514,10 @@ def main(argv=None) -> int:
     try:
         args.cfg = read_config_file(args.config) if args.config else {}
         _refuse_pairings(args)
+        values = {key: _resolve(args, key) for key in args.keys}
+        # built before the resolved values replace the flags: _pairing tells them apart
+        args.pipeline = _pipeline_config(args, values)
+        vars(args).update(values)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,6 +37,9 @@ from .dataset import (
 
 POSITIVITY_FLOOR_US = 1e-3
 
+# The most bytes numpy lets one array hold.
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
+
 # Resting conductance band shared by all subjects.
 SUBJECT_TONIC_US = (2.5, 5.5)
 
@@ -132,6 +135,14 @@ class SynthConfig:
                 f"duration {self.duration_s}s at {self.sample_rate_hz}Hz yields fewer "
                 f"than {MIN_SAMPLES} samples"
             )
+        # _draw takes a record's events as one (n_events x 4) float64 array; a
+        # record whose samples alone exceed numpy's size limit is refused when
+        # its block is allocated
+        most_events = max(round(bands.n_events[1] * (self.duration_s / 60.0))
+                          for bands in LABEL_BANDS.values())
+        if 4 * 8 * most_events > _MAX_ARRAY_BYTES >= 8 * self.n_samples:
+            raise ValueError(f"duration_s {self.duration_s} gives a record up to "
+                             f"{most_events:.3g} events, too many to draw as one array")
         if self.noise_std_us < 0:
             raise ValueError(f"noise_std_us cannot be negative, got {self.noise_std_us}")
         if not self.noise_std_us < np.inf:

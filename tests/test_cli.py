@@ -162,6 +162,21 @@ class TestSynth:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("duration,rate,events", [
+        ("1e19", "1e-17", "1e+19 gives a record up to 2.33e+18"),
+        ("1e21", "1e-19", "1e+21 gives a record up to 2.33e+20"),
+    ])
+    def test_too_many_events_name_duration_s(self, tmp_path, capsys, duration, rate, events):
+        # 100 samples a record, but more events than one array can hold
+        cfg = write_config(tmp_path / "synth.cfg",
+                           f"duration_s = {duration}\nsample_rate_hz = {rate}\n")
+        out = tmp_path / "corpus"
+        rc = cli.main(["synth", "--out", str(out), "--config", cfg])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: duration_s {events} events, too many to draw as one array\n")
+        assert not out.exists()
+
     def test_wrong_counts_length(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "synth.cfg", "counts = 3,3,3\n")
         rc = cli.main(["synth", "--out", str(tmp_path / "corpus"), "--config", cfg])
@@ -335,6 +350,30 @@ class TestTrain:
         assert held.n_rows == 10
         labels = [lab.value for lab in held.labels]
         assert all(labels.count(name) == 2 for name in LABEL_NAMES)
+
+    def test_refused_fit_leaves_no_held_out_file(self, features_csv, tmp_path, capsys):
+        huge = huge_column_table(features_csv, tmp_path)
+        argv = ["train", "--features", str(huge), "--features-list", "1,2,3",
+                "--test-fraction", "0.5", "--test-out", str(tmp_path / "t.csv"),
+                "--out", str(tmp_path / "model.json")]
+        for _ in range(2):  # a rerun meets the same refusal, not an existing file
+            assert main_printing_warnings(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == ("error: kernel matrix overflows: feature values or kernel "
+                           "parameters are too large\n")
+            assert sorted(os.listdir(tmp_path)) == ["huge.csv"]
+
+    def test_existing_test_out_refused_before_any_input_is_read(self, tmp_path, capsys):
+        existing = tmp_path / "existing.csv"
+        existing.write_text("kept\n")
+        rc = cli.main(["train", "--features", str(tmp_path / "missing.csv"),
+                       "--test-fraction", "0.3", "--test-out", str(existing),
+                       "--out", str(tmp_path / "model.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {existing} exists; pass --force to overwrite\n"
+        assert sorted(os.listdir(tmp_path)) == ["existing.csv"]
+        assert existing.read_text() == "kept\n"
 
     def test_rejects_unknown_kernel(self, features_csv, tmp_path, capsys):
         for kind in ("bogus", "sigmoid", "poly"):
@@ -611,15 +650,47 @@ class TestCv:
         assert "fold 1" in text
         assert "held-out accesses during fit: 0" in text
 
+    # each command's inputs, none of which exists: a feature table unless listed
+    MISSING_INPUTS = {"cv": ["--manifest", "missing.txt"],
+                      "preprocess": ["--manifest", "missing.txt"],
+                      "eval": ["--model", "missing.json", "--features", "missing.csv"]}
+
     @pytest.mark.parametrize("flag, message", [
-        (["--k", "99"], "k must be in 1..30, got 99"),
-        (["--seed", "-1"], "expected non-negative integer"),
+        (["cv", "--k", "99"], "k must be in 1..30, got 99"),
+        (["cv", "--seed", "-1"], "expected non-negative integer"),
+        (["preprocess", "--norm", "bogus"],
+         "norm mode must be one of ('signal', 'feature', 'both'), got 'bogus'"),
+        (["select", "--k", "99"], "k must be in 1..30, got 99"),
+        (["train", "--k", "99"], "k must be in 1..30, got 99"),
+        (["train", "--kernel", "linear", "--eta", "0.5"],
+         "eta 0.5 given, but the linear kernel takes no eta"),
+        (["train", "--test-fraction", "1.5", "--test-out", "t.csv"],
+         "test_fraction must be in (0, 1), got 1.5"),
+        (["eval", "--seed", "-1"], "expected non-negative integer"),
+        (["report", "--k", "99"], "k must be in 1..30, got 99"),
     ])
-    def test_bad_flag_fails_before_any_input_is_read(self, tmp_path, capsys, flag, message):
-        rc = cli.main(["cv", "--manifest", str(tmp_path / "missing.txt"), *flag,
-                       "--out", str(tmp_path / "cv")])
+    def test_bad_flag_fails_before_any_input_is_read(self, tmp_path, capsys, monkeypatch,
+                                                      flag, message):
+        """Every command checks its options first: with each input file
+        missing, the command and its bad flags in flag exit 1 with the
+        flag's own error line, and nothing is written."""
+        monkeypatch.chdir(tmp_path)
+        command, *flags = flag
+        inputs = self.MISSING_INPUTS.get(command, ["--features", "missing.csv"])
+        rc = cli.main([command, *inputs, *flags, "--out", "out"])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_bad_config_value_fails_before_any_input_is_read(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "bad.cfg", "k = 99\n")
+        rc = cli.main(["select", "--features", "missing.csv", "--out", "out", "--config", cfg])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: {cfg}: config key k: k must be in 1..30, got 99\n"
+        assert os.listdir(tmp_path) == ["bad.cfg"]
 
     def test_one_fold_flag_is_named_folds(self, manifest, tmp_path, capsys):
         rc = cli.main(["cv", "--manifest", manifest, "--folds", "1",

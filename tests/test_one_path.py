@@ -1,6 +1,7 @@
 """Guards for duties with one owner: the CLI prints every `warning:` line
-through `cli._warn`, only `svm` words a machine that did not converge, and
-one function of `synth` shapes every phasic event."""
+through `cli._warn` and resolves every option in `cli.main`, only `svm`
+words a machine that did not converge, and one function of `synth` shapes
+every phasic event."""
 
 import ast
 from pathlib import Path
@@ -24,6 +25,17 @@ def test_cli_warns_only_through_its_helper():
     inside = [s for s in strings(helpers[0]) if "warning:" in s]
     assert inside
     assert [s for s in strings(tree) if "warning:" in s] == inside
+
+
+def test_cli_resolves_options_only_in_main():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    callers = [f.name for f in functions for n in ast.walk(f)
+               if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_resolve"]
+    assert callers == ["main"]
+    readers = [f.name for f in functions if f.name.startswith("cmd_")
+               for n in ast.walk(f) if isinstance(n, ast.Attribute) and n.attr == "cfg"]
+    assert readers == []
 
 
 def test_only_svm_words_non_convergence():

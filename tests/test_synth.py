@@ -276,6 +276,17 @@ class TestSynthConfigValidation:
         with pytest.raises(ValueError, match="sample count that is not finite"):
             SynthConfig(duration_s=1e308, sample_rate_hz=16.0)
 
+    @pytest.mark.parametrize("duration,rate", [(1.3e18, 1e-16), (1e19, 1e-17), (1e21, 1e-19)])
+    def test_event_count_too_large_to_draw_names_duration(self, duration, rate):
+        # about 100 samples, but an anger record's (n_events x 4) float64
+        # events exceed numpy's size limit
+        with pytest.raises(ValueError, match=r"^duration_s .* events, too many to draw"):
+            SynthConfig(duration_s=duration, sample_rate_hz=rate)
+
+    def test_event_count_that_fits_is_accepted(self):
+        # 2.33e17 anger events take 7.5e18 bytes, within numpy's 9.2e18
+        SynthConfig(duration_s=1e18, sample_rate_hz=1e-16)
+
     def test_label_bands_type_check(self):
         # the table is frozen in the module: one LabelBands of 2-tuples per
         # label, and no config field through which a caller replaces it

@@ -24,6 +24,7 @@ import numpy as np
 
 from .dataset import (
     LABEL_ORDER,
+    corpus_paths,
     file_errors,
     load_dataset,
     save_dataset,
@@ -290,8 +291,8 @@ def cmd_synth(args) -> int:
     blame = (lambda: file_errors(args.config)) if values else contextlib.nullcontext
     with blame():
         config = SynthConfig(**values, **_given(seed=args.seed))
-    manifest = os.path.join(args.out, "manifest.txt")
-    _check_out(manifest, args.force)
+    for path in corpus_paths(args.out):
+        _check_out(path, args.force)
     with blame():
         try:
             dataset = generate_dataset(config)
@@ -304,8 +305,8 @@ def cmd_synth(args) -> int:
 
 def cmd_preprocess(args) -> int:
     norm = args.pipeline.norm_mode
-    manifest = os.path.join(args.out, "manifest.txt")
-    _check_out(manifest, args.force)
+    for path in corpus_paths(args.out):
+        _check_out(path, args.force)
     dataset = load_dataset(args.manifest)
     processed = preprocess_dataset(dataset, norm)
     save_dataset(processed, args.out)
@@ -460,7 +461,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 _INPUT_HELP = {
-    "manifest": "manifest.txt of a record directory",
+    "manifest": "manifest.txt of a corpus directory",
     "features": "feature CSV",
     "model": "model JSON from the train stage",
 }

@@ -1,20 +1,25 @@
 """GSR record and dataset containers, their file formats, and the file boundary.
 
 A record is one skin-conductance time series for one subject under one
-emotion label. Datasets are flat lists of records addressed by a manifest
-file (one record filename per line, relative to the manifest's directory).
-
-A record file holds four `# key: value` metadata lines (record_id, subject,
-label, sample_rate_hz), the header `conductance_us`, then one sample per
-line as the repr of a float. Sampling is uniform: sample i was taken at
-i / sample_rate_hz, so no time column is stored, and a two-column file with
-a `t_seconds` column fails the header check.
+emotion label; a dataset is an ordered list of records. A corpus on disk is
+a directory of two files (record format 3): `samples.npy`, every record's
+samples as one flat little-endian float64 array (NumPy's .npy layout), and
+`manifest.txt`, the line `# record_format: 3` then a CSV table
+`record_id,subject,label,sample_rate_hz,n_samples` with one row per record.
+Records tile the array in manifest order, so the n_samples sum to its size
+and a record's offset is the sum of those before it. Sampling is uniform:
+sample i was taken at i / sample_rate_hz, so no time is stored.
 """
 
+import bisect
+import contextlib
+import csv
+import itertools
 import json
+import math
 import os
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+import tokenize
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -30,10 +35,13 @@ MIN_SAMPLES = 64
 # prepared corpus. synth generates its records in blocks of this size too.
 _BLOCK_ROWS = 64
 
-CSV_HEADER = "conductance_us"
+SAMPLES_NAME = "samples.npy"
+MANIFEST_NAME = "manifest.txt"
+FORMAT_LINE = "# record_format: 3"
+MANIFEST_HEADER = ["record_id", "subject", "label", "sample_rate_hz", "n_samples"]
 
 
-@contextmanager
+@contextlib.contextmanager
 def file_errors(path: str, kind: str = "file"):
     """Re-raise a missing key, a value of the wrong type or any ValueError
     inside the block as `ValueError("<path>: ...")`, with `kind` naming the
@@ -78,7 +86,8 @@ def parse_label(text: str) -> EmotionLabel:
 
 
 def _check_id(name: str, value: str) -> None:
-    """Refuse an id a record file cannot carry back: its reader strips each line."""
+    """Refuse an empty id, or one a line-oriented reader of the manifest or
+    the feature table would not carry back unchanged."""
     if not value:
         raise ValueError(f"{name} must be non-empty")
     if value != value.strip() or len(value.splitlines()) > 1:
@@ -98,16 +107,11 @@ class GsrRecord:
 
     def __post_init__(self):
         _check_id("record_id", self.record_id)
-        # the id names the record's file, and a manifest skips `#` lines
-        if (self.record_id in (".", "..") or self.record_id.startswith("#")
-                or "/" in self.record_id or "\\" in self.record_id):
-            raise ValueError(f"record_id {self.record_id!r} cannot name a record file: "
-                             "it holds '/' or '\\', is '.' or '..', or starts with '#'")
         _check_id("subject_id", self.subject_id)
         if not isinstance(self.label, EmotionLabel):
             raise ValueError(f"label must be an EmotionLabel, got {type(self.label).__name__}")
-        if not self.sample_rate_hz > 0:
-            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ValueError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {self.samples.shape}")
@@ -121,13 +125,7 @@ class GsrRecord:
 
     def with_samples(self, samples: np.ndarray) -> "GsrRecord":
         """Copy of this record carrying a new sample array."""
-        return GsrRecord(
-            record_id=self.record_id,
-            subject_id=self.subject_id,
-            label=self.label,
-            sample_rate_hz=self.sample_rate_hz,
-            samples=samples,
-        )
+        return replace(self, samples=samples)
 
 
 @dataclass
@@ -171,93 +169,89 @@ class Dataset:
                 yield rows, np.stack([self.records[i].samples for i in rows]), rate
 
 
-def save_record(record: GsrRecord, path: str) -> None:
-    """Write one record: `# key: value` metadata lines, the header, one sample per line."""
-    head = (
-        f"# record_id: {record.record_id}\n"
-        f"# subject: {record.subject_id}\n"
-        f"# label: {record.label.value}\n"
-        f"# sample_rate_hz: {float(record.sample_rate_hz)!r}\n"
-        f"{CSV_HEADER}\n"
-    )
-    with open(path, "w") as fh:
-        fh.write(head + "\n".join(map(repr, record.samples.tolist())) + "\n")
-
-
-def load_record(path: str) -> GsrRecord:
-    """Read one record file written by save_record."""
-    meta = {}
-    with file_errors(path), open(path) as fh:
-        lines = fh.read().splitlines()
-        idx = 0
-        while idx < len(lines) and lines[idx].startswith("#"):
-            body = lines[idx][1:].strip()
-            if ":" not in body:
-                raise ValueError(f"malformed metadata line {idx + 1}: {lines[idx]!r}")
-            key, value = (part.strip() for part in body.split(":", 1))
-            if key in meta:
-                raise ValueError(f"line {idx + 1}: metadata key {key!r} given twice")
-            meta[key] = value
-            idx += 1
-        if idx >= len(lines) or lines[idx] != CSV_HEADER:
-            raise ValueError(f"expected header {CSV_HEADER!r} after metadata")
-        body = lines[idx + 1:]
-        try:
-            # numpy's string-to-float cast accepts exactly what float() does
-            samples = np.array(body, dtype=np.float64)
-        except ValueError:
-            for lineno, value in enumerate(body, start=idx + 2):
-                try:
-                    float(value)
-                except ValueError:
-                    raise ValueError(f"line {lineno}: bad conductance value {value!r}") from None
-            raise
-        missing = [k for k in ("record_id", "subject", "label", "sample_rate_hz") if k not in meta]
-        if missing:
-            raise ValueError(f"missing metadata keys: {', '.join(missing)}")
-        try:
-            rate = float(meta["sample_rate_hz"])
-        except ValueError:
-            raise ValueError(f"bad sample_rate_hz {meta['sample_rate_hz']!r}")
-        return GsrRecord(
-            record_id=meta["record_id"],
-            subject_id=meta["subject"],
-            label=parse_label(meta["label"]),
-            sample_rate_hz=rate,
-            samples=samples,
-        )
+def corpus_paths(out_dir: str) -> tuple:
+    """(samples path, manifest path) of the corpus in out_dir."""
+    return os.path.join(out_dir, SAMPLES_NAME), os.path.join(out_dir, MANIFEST_NAME)
 
 
 def save_dataset(dataset: Dataset, out_dir: str) -> str:
-    """Write every record plus manifest.txt listing them; returns the manifest path."""
+    """Write the corpus into out_dir and return its manifest path. The old manifest
+    goes first and the new one last, so no manifest names samples not written."""
+    samples_path, manifest_path = corpus_paths(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    names = []
-    for rec in dataset.records:
-        name = f"{rec.record_id}.csv"
-        save_record(rec, os.path.join(out_dir, name))
-        names.append(name)
-    manifest_path = os.path.join(out_dir, "manifest.txt")
-    with open(manifest_path, "w") as fh:
-        fh.write("\n".join(names) + "\n")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(manifest_path)
+    samples = np.concatenate([np.empty(0)] + [rec.samples for rec in dataset.records])
+    np.save(samples_path, samples.astype("<f8", copy=False), allow_pickle=False)
+    with open(manifest_path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(FORMAT_LINE + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(MANIFEST_HEADER)
+        writer.writerows([rec.record_id, rec.subject_id, rec.label.value,
+                          repr(float(rec.sample_rate_hz)), rec.samples.size]
+                         for rec in dataset.records)
     return manifest_path
 
 
-def load_dataset(manifest_path: str) -> Dataset:
-    """Load all records named by a manifest file, preserving its order.
+def _read_manifest(fh) -> list:
+    """(line number, record_id, subject, label, rate, n_samples) per row, in order."""
+    if fh.readline().strip() != FORMAT_LINE:
+        raise ValueError(f"no {FORMAT_LINE!r} line: record format 2 (one file per record) "
+                         "is no longer read; regenerate the corpus with `gsremotion synth`")
+    reader = csv.reader(fh)
+    if next(reader, None) != MANIFEST_HEADER:
+        raise ValueError(f"header must be {','.join(MANIFEST_HEADER)}")
+    rows = []
+    for lineno, row in enumerate(reader, start=3):
+        if len(row) != len(MANIFEST_HEADER):
+            raise ValueError(f"line {lineno}: expected {len(MANIFEST_HEADER)} fields, "
+                             f"got {len(row)}")
+        record_id, subject, label, rate, n_samples = row
+        if not (n_samples.isascii() and n_samples.isdigit()):
+            raise ValueError(f"line {lineno}: n_samples must be a count, got {n_samples!r}")
+        try:
+            rows.append((lineno, record_id, subject, parse_label(label), float(rate),
+                         int(n_samples)))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    if not rows:
+        raise ValueError("manifest lists no records")
+    return rows
 
-    Blank lines and `#` comment lines are ignored; a manifest that lists no
-    record is an error.
-    """
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    with file_errors(manifest_path), open(manifest_path) as fh:
-        names = [
-            line.strip() for line in fh
-            if line.strip() and not line.strip().startswith("#")
-        ]
-        if not names:
-            raise ValueError("manifest lists no records")
-    records = [load_record(os.path.join(base, name)) for name in names]
-    with file_errors(manifest_path):  # records clash: the manifest is at fault
+
+def load_dataset(manifest_path: str) -> Dataset:
+    """The corpus of a manifest, in its order. A fault of a sample or of the
+    array names samples.npy; every other fault names the manifest."""
+    samples_path, _ = corpus_paths(os.path.dirname(manifest_path))
+    with file_errors(manifest_path), open(manifest_path, newline="", encoding="utf-8") as fh:
+        rows = _read_manifest(fh)
+    with file_errors(samples_path), open(samples_path, "rb") as fh:
+        try:
+            samples = np.load(fh, allow_pickle=False)
+        except (EOFError, MemoryError, OverflowError, tokenize.TokenError) as exc:
+            # besides ValueError, what np.load raises on a cut or corrupt header
+            raise ValueError(f"not a readable .npy array ({type(exc).__name__}: {exc})") from None
+        if fh.read(1):
+            raise ValueError("bytes follow the array")
+        if samples.ndim != 1 or samples.dtype.str != "<f8":
+            raise ValueError("expected a 1-D little-endian float64 ('<f8') array, "
+                             f"got {samples.dtype.str!r} of shape {samples.shape}")
+    ends = list(itertools.accumulate(row[-1] for row in rows))
+    if ends[-1] != samples.size:
+        raise ValueError(f"{manifest_path}: n_samples sum to {ends[-1]}, but "
+                         f"{SAMPLES_NAME} holds {samples.size} samples")
+    finite = np.isfinite(samples)
+    if not finite.all():
+        record_id = rows[bisect.bisect_right(ends, int(finite.argmin()))][1]
+        raise ValueError(f"{samples_path}: record {record_id!r} contains non-finite samples")
+    records = []
+    with file_errors(manifest_path):
+        for (lineno, record_id, subject, label, rate, n_samples), end in zip(rows, ends):
+            try:
+                records.append(GsrRecord(record_id, subject, label, rate,
+                                         samples[end - n_samples:end]))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
         return Dataset(records=records)
 
 

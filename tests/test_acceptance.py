@@ -243,7 +243,8 @@ def test_10_pipeline_reruns_are_byte_identical(tmp_path, announce):
                          "--out", str(root / "comparison"), "--seed", "42"]) == 0
         runs.append(root)
     first, second = runs
-    for rel in ("features.csv", "selection.json", "model.json", "test.csv",
-                "scores.json", "scores.txt", "comparison.json", "comparison.txt"):
+    for rel in ("corpus/samples.npy", "corpus/manifest.txt", "preprocessed/samples.npy",
+                "preprocessed/manifest.txt", "features.csv", "selection.json", "model.json",
+                "test.csv", "scores.json", "scores.txt", "comparison.json", "comparison.txt"):
         assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
     announce(10)

@@ -12,6 +12,7 @@ import ast
 import contextlib
 import importlib
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -22,7 +23,7 @@ import sys
 import numpy as np
 import pytest
 
-from gsremotion import pipeline
+from gsremotion import dataset, pipeline
 from gsremotion.evaluate import ConfusionMatrix, kfold_cross_validate
 from gsremotion.features import extract_dataset_features
 from gsremotion.pipeline import PipelineConfig, evaluate_model, fit_from_features, prepare_dataset
@@ -184,3 +185,29 @@ def test_prediction_stays_visible_to_the_tracer(small_features):
     assert len(calls) == 2
     for call in calls:
         assert any(s.name == "kernels.gram" and s.parent_id == call for s in spans)
+
+
+def test_corpus_io_stays_what_the_tracer_measures(small_corpus, tmp_path):
+    """perfbench traces save_dataset and load_dataset by name, and reads
+    dataset.bytes_written as the bytes of the files directly in
+    save_dataset's second positional argument (tracing._dir_bytes does not
+    recurse), so the corpus must be written there, every file of it."""
+    tracing = load_tracing()
+    assert {("gsremotion.dataset", "save_dataset"),
+            ("gsremotion.dataset", "load_dataset")} <= set(tracing.TARGETS)
+    assert list(inspect.signature(dataset.save_dataset).parameters) == ["dataset", "out_dir"]
+    assert list(inspect.signature(dataset.load_dataset).parameters) == ["manifest_path"]
+    out = tmp_path / "corpus"
+    tracer = tracing.Tracer()
+    tracer.install(tracing.TARGETS)
+    try:
+        # looked up at call time and called positionally, as cli does
+        manifest = dataset.save_dataset(small_corpus, str(out))
+        loaded = dataset.load_dataset(manifest)
+    finally:
+        tracer.uninstall()
+    spans = tracer.take()
+    saved, = [s for s in spans if s.name == "dataset.save"]
+    assert [s.name for s in spans].count("dataset.load") == 1
+    assert saved.facts["bytes"] == sum(p.stat().st_size for p in out.rglob("*")) > 0
+    assert len(loaded) == len(small_corpus)

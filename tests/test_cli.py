@@ -15,13 +15,13 @@ import re
 import shutil
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gsremotion import cli, svm
 from gsremotion.dataset import (
-    CSV_HEADER,
     LABEL_ORDER,
     Dataset,
     EmotionLabel,
@@ -117,8 +117,7 @@ class TestSynth:
     def test_writes_corpus(self, corpus_dir, manifest):
         dataset = load_dataset(manifest)
         assert len(dataset) == 20
-        csvs = [name for name in os.listdir(corpus_dir) if name.endswith(".csv")]
-        assert len(csvs) == 20
+        assert sorted(os.listdir(corpus_dir)) == ["manifest.txt", "samples.npy"]
 
     def test_refuses_overwrite(self, corpus_dir, capsys):
         rc = cli.main(["synth", "--out", str(corpus_dir), "--seed", "7"])
@@ -132,6 +131,22 @@ class TestSynth:
         assert cli.main(args) == 0
         assert cli.main(args) == 1
         assert cli.main(args + ["--force"]) == 0
+
+    @pytest.mark.parametrize("command", ["synth", "preprocess"])
+    @pytest.mark.parametrize("existing", ["samples.npy", "manifest.txt"])
+    def test_either_corpus_file_is_protected(self, manifest, tmp_path, capsys, command,
+                                             existing):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / existing).write_text("kept")
+        source = ["--manifest", manifest] if command == "preprocess" else []
+        rc = cli.main([command, *source, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {out / existing} exists; pass --force to overwrite\n")
+        assert os.listdir(out) == [existing] and (out / existing).read_text() == "kept"
+        assert cli.main([command, *source, "--out", str(out), "--force"]) == 0
+        assert sorted(os.listdir(out)) == ["manifest.txt", "samples.npy"]
 
     def test_seeded_runs_match(self, tmp_path):
         cfg = write_config(tmp_path / "synth.cfg",
@@ -1186,23 +1201,28 @@ class TestMalformedInputFiles:
         assert capsys.readouterr().err == "error: expected non-negative integer\n"
 
     def test_manifest_lists_a_record_twice(self, corpus_dir, tmp_path, capsys):
-        first = (corpus_dir / "manifest.txt").read_text().splitlines()[0]
-        manifest = tmp_path / "manifest.txt"
-        manifest.write_text(f"{corpus_dir / first}\n{corpus_dir / first}\n")
-        rc = cli.main(["features", "--manifest", str(manifest),
+        first = load_dataset(str(corpus_dir / "manifest.txt")).records[0]
+        manifest = save_dataset(Dataset(records=[first]), str(tmp_path))
+        # the row twice and its samples twice: the rows tile the array
+        lines = open(manifest).read().splitlines()
+        with open(manifest, "w") as fh:
+            fh.write("\n".join(lines + lines[2:]) + "\n")
+        np.save(tmp_path / "samples.npy", np.tile(first.samples, 2))
+        rc = cli.main(["features", "--manifest", manifest,
                        "--out", str(tmp_path / "features.csv")])
         self.assert_names(capsys, rc, manifest, "duplicate record_id")
 
     def test_short_record_names_its_file(self, corpus_dir, tmp_path, capsys):
-        name = (corpus_dir / "manifest.txt").read_text().splitlines()[0]
-        lines = (corpus_dir / name).read_text().splitlines()
-        header = lines.index(CSV_HEADER)
-        record = tmp_path / name
-        record.write_text("\n".join(lines[:header + 26]) + "\n")
-        (tmp_path / "manifest.txt").write_text(name + "\n")
-        rc = cli.main(["features", "--manifest", str(tmp_path / "manifest.txt"),
+        first = load_dataset(str(corpus_dir / "manifest.txt")).records[0]
+        manifest = save_dataset(Dataset(records=[first]), str(tmp_path))
+        lines = open(manifest).read().splitlines()
+        with open(manifest, "w") as fh:
+            fh.write("\n".join(lines[:2] + [lines[2].replace(",256", ",25")]) + "\n")
+        np.save(tmp_path / "samples.npy", first.samples[:25])
+        rc = cli.main(["features", "--manifest", manifest,
                        "--out", str(tmp_path / "features.csv")])
-        self.assert_names(capsys, rc, record, "has 25 samples, need at least 64")
+        self.assert_names(capsys, rc, manifest,
+                          f"line 3: record {first.record_id!r} has 25 samples, need at least 64")
 
     def test_corpus_too_small_to_stratify_names_its_manifest(self, manifest, tmp_path,
                                                             capsys):
@@ -1235,46 +1255,46 @@ class TestMalformedInputFiles:
 
     @pytest.mark.parametrize("command", ["features", "cv"])
     def test_empty_manifest_names_its_file(self, tmp_path, capsys, command):
-        manifest = tmp_path / "manifest.txt"
-        manifest.write_text("# nothing yet\n")
-        rc = cli.main([command, "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+        manifest = save_dataset(Dataset(records=[]), str(tmp_path / "corpus"))
+        rc = cli.main([command, "--manifest", manifest, "--out", str(tmp_path / "out")])
         self.assert_names(capsys, rc, manifest, "manifest lists no records")
 
     @pytest.mark.parametrize("record_id", ["../escaped", "#hidden", "a/b", "a\\b", ".", ".."])
     def test_record_id_that_cannot_name_a_file(self, corpus_dir, tmp_path, capsys,
                                                record_id):
-        # `../escaped` would be saved outside --out, and the manifest reader
-        # would skip a `#hidden.csv` line, silently dropping the record
-        corpus = tmp_path / "corpus"
-        shutil.copytree(corpus_dir, corpus)
-        record = corpus / (corpus / "manifest.txt").read_text().splitlines()[0]
-        record.write_text(re.sub(r"(?m)^# record_id: .*$", lambda _: f"# record_id: {record_id}",
-                                 record.read_text()))
-        before = sorted(tmp_path.rglob("*"))
-        rc = cli.main(["preprocess", "--manifest", str(corpus / "manifest.txt"),
+        # record format 2 refused these ids: `../escaped` named a file outside
+        # --out, and its manifest reader skipped a `#hidden.csv` line. No id
+        # names a file now, so each one is carried through as it is
+        records = load_dataset(str(corpus_dir / "manifest.txt")).records
+        renamed = Dataset(records=[replace(records[0], record_id=record_id)] + records[1:])
+        manifest = save_dataset(renamed, str(tmp_path / "corpus"))
+        rc = cli.main(["preprocess", "--manifest", manifest,
                        "--out", str(tmp_path / "work" / "out")])
-        self.assert_names(capsys, rc, record, f"record_id {record_id!r} cannot name")
-        assert sorted(tmp_path.rglob("*")) == before
+        assert rc == 0, capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "work").rglob("*")) == [
+            "manifest.txt", "out", "samples.npy"]
+        back = load_dataset(str(tmp_path / "work" / "out" / "manifest.txt"))
+        assert [r.record_id for r in back] == [r.record_id for r in renamed]
 
     @pytest.mark.parametrize("kind", ["old_format", "blank_line", "two_fields"])
     def test_record_body_refused(self, corpus_dir, tmp_path, capsys, kind):
-        name = (corpus_dir / "manifest.txt").read_text().splitlines()[0]
-        lines = (corpus_dir / name).read_text().splitlines()
-        header = lines.index(CSV_HEADER)
-        body = lines[header + 1:]
-        if kind == "old_format":  # the two-column layout with a t_seconds column
-            lines[header:] = ["t_seconds,conductance_us"] + [
-                f"{i / 16.0!r},{value}" for i, value in enumerate(body)]
-            message = "expected header 'conductance_us' after metadata"
-        elif kind == "blank_line":
-            lines.insert(header + 4, "")
-            message = "line 9: bad conductance value ''"
+        if kind == "old_format":  # record format 2: one text file per record
+            (tmp_path / "r1.csv").write_text(
+                "# record_id: r1\n# subject: S01\n# label: calm\n# sample_rate_hz: 16.0\n"
+                "conductance_us\n" + "2.5\n" * 64)
+            (tmp_path / "manifest.txt").write_text("r1.csv\n")
+            message = ("no '# record_format: 3' line: record format 2 (one file per record) "
+                       "is no longer read; regenerate the corpus with `gsremotion synth`")
         else:
-            lines[header + 4] = f"{body[3]},{body[3]}"
-            message = f"line 9: bad conductance value '{body[3]},{body[3]}'"
-        record = tmp_path / name
-        record.write_text("\n".join(lines) + "\n")
-        (tmp_path / "manifest.txt").write_text(name + "\n")
+            shutil.copy(corpus_dir / "samples.npy", tmp_path)
+            lines = (corpus_dir / "manifest.txt").read_text().splitlines()
+            if kind == "blank_line":
+                lines.insert(4, "")
+                message = "line 5: expected 5 fields, got 0"
+            else:  # a sixth field
+                lines[3] += ",16.0"
+                message = "line 4: expected 5 fields, got 6"
+            (tmp_path / "manifest.txt").write_text("\n".join(lines) + "\n")
         rc = cli.main(["features", "--manifest", str(tmp_path / "manifest.txt"),
                        "--out", str(tmp_path / "features.csv")])
-        self.assert_names(capsys, rc, record, message)
+        self.assert_names(capsys, rc, tmp_path / "manifest.txt", message)

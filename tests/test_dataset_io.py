@@ -1,20 +1,20 @@
+import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from gsremotion.dataset import (
-    CSV_HEADER,
     LABEL_ORDER,
     Dataset,
     EmotionLabel,
     GsrRecord,
     load_dataset,
-    load_record,
     parse_label,
     save_dataset,
-    save_record,
     stratified_split_indices,
 )
 
@@ -71,7 +71,7 @@ class TestGsrRecord:
         with pytest.raises(ValueError, match="non-finite"):
             GsrRecord("r1", "S01", EmotionLabel.CALM, 16.0, samples)
 
-    @pytest.mark.parametrize("rate", [0.0, -16.0])
+    @pytest.mark.parametrize("rate", [0.0, -16.0, float("inf"), float("nan")])
     def test_bad_sample_rate(self, rate):
         with pytest.raises(ValueError, match="sample_rate_hz"):
             make_record(rate=rate)
@@ -94,8 +94,8 @@ class TestGsrRecord:
     @pytest.mark.parametrize("value", [" s ", "s ", "c\n4", "c\r\n4", "c\r4", "c\x1c4",
                                        "c\u20284"])
     def test_rejects_ids_a_record_file_cannot_carry(self, field, value):
-        # the reader strips " s " to "s", merging two subjects, and a record id
-        # "c\n4" wrote a manifest listing a record file "c"
+        # a line-oriented reader of the feature table would strip " s " to "s",
+        # merging two subjects, or split "c\n4" into two lines
         with pytest.raises(ValueError, match=f"^{field} .* cannot be stored in a record file"):
             make_record(**{field: value})
 
@@ -109,78 +109,182 @@ class TestGsrRecord:
         assert rec.samples.size == 128
 
 
+def save_one(tmp_path, rec=None):
+    """A one-record corpus in tmp_path; returns (manifest path, samples path)."""
+    manifest = save_dataset(Dataset(records=[rec or make_record(n=64)]), str(tmp_path))
+    return manifest, str(tmp_path / "samples.npy")
+
+
+def edit_manifest(manifest, edit):
+    """Rewrite the manifest's lines through edit(lines)."""
+    with open(manifest) as fh:
+        lines = fh.read().splitlines()
+    edit(lines)
+    with open(manifest, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def set_line(index, text):
+    return lambda lines: lines.__setitem__(index, text)
+
+
+def refused(path, message, manifest):
+    """load_dataset(manifest) fails naming path, with message in its text."""
+    with pytest.raises(ValueError) as exc:
+        load_dataset(str(manifest))
+    assert str(exc.value).startswith(f"{path}: "), str(exc.value)
+    assert message in str(exc.value), str(exc.value)
+
+
 class TestRecordCsv:
+    """The manifest's record table, and the samples.npy it indexes."""
+
     def test_round_trip_is_bit_exact(self, tmp_path):
-        rec = make_record(label=EmotionLabel.ANGER, seed=5)
-        path = tmp_path / "rec.csv"
-        save_record(rec, str(path))
-        back = load_record(str(path))
+        rec = make_record(label=EmotionLabel.ANGER, rate=4.0 / 3.0, seed=5)
+        back, = load_dataset(save_dataset(Dataset(records=[rec]), str(tmp_path)))
         assert back.record_id == rec.record_id
         assert back.subject_id == rec.subject_id
         assert back.label is rec.label
         assert back.sample_rate_hz == rec.sample_rate_hz
-        assert_array_equal(back.samples, rec.samples)
+        assert back.samples.tobytes() == rec.samples.tobytes()
 
     def test_non_finite_value_in_file(self, tmp_path):
-        rec = make_record(n=64)
-        path = tmp_path / "rec.csv"
-        save_record(rec, str(path))
-        text = path.read_text().replace(repr(float(rec.samples[10])), "nan", 1)
-        path.write_text(text)
-        with pytest.raises(ValueError, match="non-finite"):
-            load_record(str(path))
+        recs = [make_record(f"r{i}", n=64, seed=i) for i in range(3)]
+        manifest = save_dataset(Dataset(records=recs), str(tmp_path))
+        samples = np.load(tmp_path / "samples.npy")
+        samples[64 + 10] = np.nan
+        np.save(tmp_path / "samples.npy", samples)
+        refused(tmp_path / "samples.npy", "record 'r1' contains non-finite samples", manifest)
 
     def test_bad_conductance_value(self, tmp_path):
-        rec = make_record(n=64)
-        path = tmp_path / "rec.csv"
-        save_record(rec, str(path))
-        text = path.read_text().replace(repr(float(rec.samples[3])), "oops", 1)
-        path.write_text(text)
-        with pytest.raises(ValueError, match="bad conductance"):
-            load_record(str(path))
+        # the array cut short inside its last sample
+        manifest, samples = save_one(tmp_path)
+        with open(samples, "r+b") as fh:
+            fh.truncate(os.path.getsize(samples) - 3)
+        refused(samples, "Failed to read all data", manifest)
 
     def test_missing_metadata_key(self, tmp_path):
-        rec = make_record(n=64)
-        path = tmp_path / "rec.csv"
-        save_record(rec, str(path))
-        lines = path.read_text().splitlines()
-        del lines[1]  # subject line
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="missing metadata"):
-            load_record(str(path))
+        manifest, _ = save_one(tmp_path)
+        edit_manifest(manifest, set_line(2, "r1,calm,16.0,64"))
+        refused(manifest, "line 3: expected 5 fields, got 4", manifest)
 
     def test_repeated_metadata_key(self, tmp_path):
-        rec = make_record(n=64, label=EmotionLabel.HAPPINESS)
-        path = tmp_path / "rec.csv"
-        save_record(rec, str(path))
-        lines = path.read_text().splitlines()
-        lines.insert(4, "# label: calm")  # after the last metadata line
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 5: "
-                                             "metadata key 'label' given twice$"):
-            load_record(str(path))
+        manifest, _ = save_one(tmp_path)
+        edit_manifest(manifest, set_line(1, "record_id,subject,label,label,n_samples"))
+        refused(manifest, "header must be record_id,subject,label,sample_rate_hz,n_samples",
+                manifest)
 
     def test_unknown_label_in_file(self, tmp_path):
-        rec = make_record(n=64)
-        path = tmp_path / "rec.csv"
-        save_record(rec, str(path))
-        path.write_text(path.read_text().replace("label: calm", "label: boredom"))
-        with pytest.raises(ValueError, match="unknown emotion label"):
-            load_record(str(path))
+        manifest, _ = save_one(tmp_path)
+        edit_manifest(manifest, set_line(2, "r1,S01,boredom,16.0,64"))
+        refused(manifest, "line 3: unknown emotion label 'boredom'", manifest)
 
     def test_missing_header_row(self, tmp_path):
-        rec = make_record(n=64)
-        path = tmp_path / "rec.csv"
-        save_record(rec, str(path))
-        path.write_text(path.read_text().replace(CSV_HEADER, "a,b"))
-        with pytest.raises(ValueError, match="expected header"):
-            load_record(str(path))
+        manifest, _ = save_one(tmp_path)
+        edit_manifest(manifest, lambda lines: lines.pop(1))
+        refused(manifest, "header must be", manifest)
+
+    @pytest.mark.parametrize("rate, message", [
+        ("abc", "line 3: could not convert string to float: 'abc'"),
+        ("inf", "line 3: sample_rate_hz must be finite and > 0, got inf"),
+        ("nan", "line 3: sample_rate_hz must be finite and > 0, got nan"),
+        ("0", "line 3: sample_rate_hz must be finite and > 0, got 0.0"),
+    ])
+    def test_bad_rate(self, tmp_path, rate, message):
+        manifest, _ = save_one(tmp_path)
+        edit_manifest(manifest, set_line(2, f"r1,S01,calm,{rate},64"))
+        refused(manifest, message, manifest)
+
+    @pytest.mark.parametrize("count, message", [
+        ("65", "n_samples sum to 65, but samples.npy holds 64 samples"),
+        ("63", "n_samples sum to 63, but samples.npy holds 64 samples"),
+        ("-64", "line 3: n_samples must be a count, got '-64'"),
+        ("6.4e1", "line 3: n_samples must be a count, got '6.4e1'"),
+        ("", "line 3: n_samples must be a count, got ''"),
+    ])
+    def test_wrong_n_samples(self, tmp_path, count, message):
+        manifest, _ = save_one(tmp_path)
+        edit_manifest(manifest, set_line(2, f"r1,S01,calm,16.0,{count}"))
+        refused(manifest, message, manifest)
+
+    def test_records_tile_the_array_in_manifest_order(self, tmp_path):
+        recs = [make_record(f"r{i}", n=n, seed=i) for i, n in enumerate([64, 100, 77])]
+        save_dataset(Dataset(records=recs), str(tmp_path))
+        flat = np.load(tmp_path / "samples.npy")
+        assert flat.dtype.str == "<f8" and flat.shape == (241,)
+        assert flat.tobytes() == np.concatenate([r.samples for r in recs]).tobytes()
+        assert (tmp_path / "manifest.txt").read_text().splitlines() == [
+            "# record_format: 3", "record_id,subject,label,sample_rate_hz,n_samples",
+            "r0,S01,calm,16.0,64", "r1,S01,calm,16.0,100", "r2,S01,calm,16.0,77"]
+
+    def test_lengths_that_sum_to_the_array_read_back_as_given(self, tmp_path):
+        # the one layout rule is the sum: each record is the slice its row gives
+        recs = [make_record(f"r{i}", n=96, seed=i) for i in range(2)]
+        manifest = save_dataset(Dataset(records=recs), str(tmp_path))
+        edit_manifest(manifest, lambda lines: lines.__setitem__(
+            slice(2, 4), ["r0,S01,calm,16.0,64", "r1,S01,calm,16.0,128"]))
+        first, second = load_dataset(manifest)
+        flat = np.concatenate([r.samples for r in recs])
+        assert first.samples.tobytes() == flat[:64].tobytes()
+        assert second.samples.tobytes() == flat[64:].tobytes()
+
+
+def write_npy_header(path, header: bytes):
+    """A version 1.0 .npy file holding only the given header dict text."""
+    body = header + b" " * (-(10 + len(header) + 1) % 64) + b"\n"
+    path.write_bytes(b"\x93NUMPY\x01\x00" + len(body).to_bytes(2, "little") + body)
+
+
+def npy_shape(shape: str):
+    header = "{'descr': '<f8', 'fortran_order': False, 'shape': " + shape
+    return lambda path, samples: write_npy_header(path, header.encode())
+
+
+def npz(path, samples):
+    with path.open("wb") as fh:
+        np.savez(fh, samples)
+
+
+class TestSamplesFile:
+    """Every samples.npy that is not one flat '<f8' array ends in one error naming it."""
+
+    @pytest.mark.parametrize("write, message", [
+        (lambda p, a: p.write_bytes(b""), "not a readable .npy array (EOFError"),
+        (lambda p, a: np.save(p, a.astype("<f4")), "got '<f4' of shape (64,)"),
+        (lambda p, a: np.save(p, a.astype(">f8")), "got '>f8' of shape (64,)"),
+        (lambda p, a: np.save(p, a.reshape(8, 8)), "got '<f8' of shape (8, 8)"),
+        (lambda p, a: np.save(p, a[0]), "got '<f8' of shape ()"),
+        (lambda p, a: np.save(p, a.astype(object), allow_pickle=True), "allow_pickle=False"),
+        (lambda p, a: p.write_bytes(p.read_bytes() + b"\0"), "bytes follow the array"),
+        (lambda p, a: p.write_bytes(p.read_bytes()[:60]), "EOF: reading array header"),
+        (lambda p, a: p.write_bytes(b"gsremotion"), "pickled"),
+        (npz, "bytes follow the array"),
+        (npy_shape("(10000000000000,), }"), "not a readable .npy array (MemoryError"),
+        (npy_shape("(99999999999999999999,), }"), "not a readable .npy array (OverflowError"),
+        (npy_shape("("), "not a readable .npy array (TokenError"),
+    ], ids=["empty", "f4", "big_endian", "2d", "0d", "object", "trailing", "cut_header",
+            "no_magic", "npz", "huge_shape", "overflowing_shape", "open_bracket"])
+    def test_refused(self, tmp_path, write, message):
+        manifest, samples = save_one(tmp_path)
+        write(tmp_path / "samples.npy", np.load(samples))
+        refused(samples, message, manifest)
+
+    def test_missing_samples_is_an_os_error(self, tmp_path):
+        manifest, samples = save_one(tmp_path)
+        os.remove(samples)
+        with pytest.raises(FileNotFoundError):
+            load_dataset(manifest)
 
 
 def test_dataset_rejects_duplicate_record_ids():
     recs = [make_record(record_id="same"), make_record(record_id="same", seed=1)]
     with pytest.raises(ValueError, match="duplicate record_id"):
         Dataset(records=recs)
+
+
+# every id _check_id accepts: non-empty, no surrounding whitespace, one line
+ids = st.text(min_size=1, max_size=12).filter(
+    lambda s: s == s.strip() and len(s.splitlines()) == 1)
 
 
 class TestManifest:
@@ -193,29 +297,74 @@ class TestManifest:
         for a, b in zip(back, ds):
             assert_array_equal(a.samples, b.samples)
 
-    def test_ids_come_back_unchanged(self, tmp_path):
-        records = [make_record(record_id=rid, subject_id=sid, seed=i) for i, (rid, sid) in
-                   enumerate([("a b", "s 1"), ("a:b", "s: 1"), ("a,b", "é"), ("s", "s")])]
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pairs=st.lists(st.tuples(ids, ids), min_size=1, max_size=4,
+                          unique_by=lambda pair: pair[0]),
+           rates=st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=4,
+                          max_size=4),
+           raw=st.binary(min_size=64 * 8, max_size=64 * 8))
+    @example(pairs=[("a,b", "s 1"), ('a"b', 's: "1"'), ("a/b", "#s"), ("#a", "a\\b"),
+                    ("..", "."), ("é", "\x00")], rates=[16.0] * 4, raw=bytes(64 * 8))
+    def test_ids_come_back_unchanged(self, tmp_path, pairs, rates, raw):
+        # every id _check_id accepts (`,`, `"`, `/` and a leading `#` among them),
+        # every rate and every finite sample's bits
+        bits = np.frombuffer(raw, dtype="<f8")
+        bits = np.where(np.isfinite(bits), bits, 1.0)
+        records = [GsrRecord(rid, sid, LABEL_ORDER[i % 5], rates[i % 4], np.roll(bits, i))
+                   for i, (rid, sid) in enumerate(pairs)]
         back = load_dataset(save_dataset(Dataset(records=records), str(tmp_path)))
-        assert [(r.record_id, r.subject_id) for r in back] == [
-            (r.record_id, r.subject_id) for r in records]
-
-    def test_comments_and_blank_lines_ignored(self, tmp_path):
-        recs = [make_record(f"r{i}", seed=i) for i in range(2)]
-        manifest = save_dataset(Dataset(records=recs), str(tmp_path))
-        with open(manifest) as fh:
-            body = fh.read()
-        with open(manifest, "w") as fh:
-            fh.write("# corpus listing\n\n" + body + "\n# trailing note\n")
-        back = load_dataset(manifest)
-        assert len(back) == 2
+        assert [(r.record_id, r.subject_id, r.label, r.sample_rate_hz) for r in back] == [
+            (r.record_id, r.subject_id, r.label, r.sample_rate_hz) for r in records]
+        assert [r.samples.tobytes() for r in back] == [r.samples.tobytes() for r in records]
 
     def test_empty_manifest_is_rejected(self, tmp_path):
-        manifest = tmp_path / "manifest.txt"
-        manifest.write_text("# nothing yet\n")
+        manifest = save_dataset(Dataset(records=[]), str(tmp_path))
         with pytest.raises(ValueError) as exc:
-            load_dataset(str(manifest))
+            load_dataset(manifest)
         assert str(exc.value) == f"{manifest}: manifest lists no records"
+
+    def test_v2_corpus_is_refused_by_name(self, tmp_path):
+        # record format 2: one text file per record, and a manifest of file names
+        (tmp_path / "r1.csv").write_text(
+            "# record_id: r1\n# subject: S01\n# label: calm\n# sample_rate_hz: 16.0\n"
+            "conductance_us\n" + "2.5\n" * 64)
+        (tmp_path / "manifest.txt").write_text("r1.csv\n")
+        refused(tmp_path / "manifest.txt",
+                "record format 2 (one file per record) is no longer read; regenerate "
+                "the corpus with `gsremotion synth`", tmp_path / "manifest.txt")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines.append(lines[2]), "n_samples sum to 256, but samples.npy holds 192"),
+        (lambda lines: lines.pop(3), "n_samples sum to 128, but samples.npy holds 192"),
+        (lambda lines: lines.insert(3, ""), "line 4: expected 5 fields, got 0"),
+    ], ids=["duplicated_row", "dropped_row", "blank_row"])
+    def test_rows_that_do_not_tile_are_refused(self, tmp_path, edit, message):
+        recs = [make_record(f"r{i}", n=64, seed=i) for i in range(3)]
+        manifest = save_dataset(Dataset(records=recs), str(tmp_path))
+        edit_manifest(manifest, edit)
+        refused(manifest, message, manifest)
+
+    def test_writes_only_its_two_files(self, tmp_path):
+        out = tmp_path / "corpus"
+        save_dataset(Dataset(records=[make_record()]), str(out))
+        assert sorted(os.listdir(out)) == ["manifest.txt", "samples.npy"]
+
+    def test_manifest_is_written_after_the_samples(self, tmp_path, monkeypatch):
+        out = tmp_path / "corpus"
+        save_dataset(Dataset(records=[make_record()]), str(out))
+        seen = []
+
+        def failing_save(path, *args, **kwargs):
+            seen.append(os.path.exists(out / "manifest.txt"))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "save", failing_save)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(Dataset(records=[make_record(seed=1)]), str(out))
+        # the old manifest went before the samples, and no new one was written
+        assert seen == [False]
+        assert not (out / "manifest.txt").exists()
 
 
 class TestStratifiedSplit:
@@ -277,3 +426,18 @@ class TestStratifiedSplit:
         labels = self.labels({EmotionLabel.CALM: 4, EmotionLabel.FEAR: 1})
         with pytest.raises(ValueError, match="at least 2"):
             stratified_split_indices(labels, 0.3, seed=0)
+
+
+def test_readme_example_writes_a_corpus(tmp_path, monkeypatch):
+    with open(os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")) as fh:
+        section = fh.read().split("### Record files", 1)[1].split("## Library use", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    recordings = [("p1,a", "P1", "calm", 4.0, np.linspace(1.0, 2.0, 64)),
+                  ("p1,b", "P1", "Fear", 4.0, np.linspace(3.0, 2.0, 100))]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus").mkdir()
+    exec(compile(code, "README.md", "exec"), {"recordings": recordings})
+    back = load_dataset("corpus/manifest.txt")
+    assert [(r.record_id, r.subject_id, r.label, r.sample_rate_hz) for r in back] == [
+        ("p1,a", "P1", EmotionLabel.CALM, 4.0), ("p1,b", "P1", EmotionLabel.FEAR, 4.0)]
+    assert [r.samples.tobytes() for r in back] == [x[4].tobytes() for x in recordings]

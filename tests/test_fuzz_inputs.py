@@ -2,13 +2,14 @@
 
 Most tests take a valid file, break it with a mutation that the format
 never accepts (truncation, a junk line, a missing key, a value of the wrong
-type, a table narrower than the catalog, a record in the old two-column
-layout), run the command that reads it through cli.main, and check the
+type, a table narrower than the catalog, a manifest whose rows do not tile
+its samples), run the command that reads it through cli.main, and check the
 error contract: exit code 1 or 2, one `error:` or `io error:` line on
 stderr and nothing else, and for a validation error the broken file named
 once, right after `error:`. A few apply a mutation that can leave the file
-valid (manifest lines dropped, a feature table cut at a row boundary) and
-accept either a consistent result or that same error contract.
+valid (manifest lines dropped, a feature table cut at a row boundary, a
+flipped byte in the header of samples.npy) and accept either a consistent
+result or that same error contract.
 Examples are derandomized and bounded so the suite stays deterministic and
 fast.
 """
@@ -20,13 +21,13 @@ import os
 import string
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsremotion import cli
-from gsremotion.dataset import CSV_HEADER, LABEL_ORDER
-from gsremotion.features import read_feature_csv
+from gsremotion.dataset import LABEL_ORDER
 from gsremotion.selection import read_selection_indices
 
 from conftest import delete_key, key_paths
@@ -134,99 +135,105 @@ class TestConfigFile:
                         "--out", os.path.join(tmp, "sel.json"), "--config", broken], broken)
 
 
+def corpus_copy(tmp, inputs, manifest_text=None, samples=None):
+    """A corpus in tmp from the valid one, with the manifest text or the bytes of
+    samples.npy replaced where given; returns the paths of both files."""
+    corpus = inputs["manifest"].parent
+    manifest, broken = os.path.join(tmp, "manifest.txt"), os.path.join(tmp, "samples.npy")
+    with open(manifest, "w") as fh:
+        fh.write(inputs["manifest"].read_text() if manifest_text is None else manifest_text)
+    with open(broken, "wb") as fh:
+        fh.write((corpus / "samples.npy").read_bytes() if samples is None else samples)
+    return manifest, broken
+
+
+@st.composite
+def manifest_mutation(draw, text):
+    lines = text.splitlines()
+    kind = draw(st.sampled_from(["truncate", "duplicate", "bad_count", "bad_label",
+                                 "bad_rate", "junk_line", "swap_fields"]))
+    if kind == "truncate":
+        return truncated(text, draw(st.floats(0, 1)))
+    row = draw(st.integers(2, len(lines) - 1))
+    fields = lines[row].split(",")
+    if kind == "duplicate":
+        lines = splice(lines[2:], draw(st.integers(0, len(lines) - 2)), lines[row])
+        return "\n".join(text.splitlines()[:2] + lines) + "\n"
+    if kind == "junk_line":
+        return "\n".join(splice(lines, draw(st.integers(0, len(lines))), draw(junk))) + "\n"
+    if kind == "bad_count":
+        fields[4] = str(draw(st.integers(0, 10**6).filter(lambda n: str(n) != fields[4])))
+    elif kind == "bad_label":
+        fields[2] = draw(junk.filter(lambda s: s.strip().lower() not in LABEL_NAMES))
+    elif kind == "bad_rate":
+        fields[3] = draw(junk)
+    else:  # the count where the rate belongs, and the rate where the count belongs
+        fields[3], fields[4] = fields[4], fields[3]
+    lines[row] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
 class TestManifest:
     @FUZZ
     @given(data=st.data())
     def test_broken_manifest(self, inputs, data):
-        corpus = inputs["manifest"].parent
-        names = inputs["manifest"].read_text().splitlines()
-        kind = data.draw(st.sampled_from(["duplicate", "partial_name", "missing_file"]))
-        index = data.draw(st.integers(0, len(names) - 1))
-        if kind == "duplicate":
-            lines = splice(names, data.draw(st.integers(0, len(names))), names[index])
-        elif kind == "partial_name":
-            cut = data.draw(st.integers(1, len(names[index]) - 1))
-            lines = names[:index] + [names[index][:cut]]
-        else:
-            lines = splice(names, index, data.draw(junk) + ".csv")
+        text = data.draw(manifest_mutation(inputs["manifest"].read_text()))
         with tempfile.TemporaryDirectory() as tmp:
-            broken = os.path.join(tmp, "manifest.txt")
-            with open(broken, "w") as fh:
-                # absolute record paths: the records stay where synth wrote them
-                fh.write("\n".join(os.path.join(corpus, n) for n in lines) + "\n")
-            line = run_broken(["features", "--manifest", broken,
-                               "--out", os.path.join(tmp, "features.csv")], broken)
-        if kind == "duplicate":
-            assert "duplicate record_id" in line
-        else:
-            assert line.startswith("io error: ")
+            broken, _ = corpus_copy(tmp, inputs, manifest_text=text)
+            run_broken(["features", "--manifest", broken,
+                        "--out", os.path.join(tmp, "features.csv")], broken)
 
     @FUZZ
     @given(data=st.data())
     def test_manifest_with_lines_dropped(self, inputs, data):
-        corpus = inputs["manifest"].parent
-        names = inputs["manifest"].read_text().splitlines()
-        keep = data.draw(st.lists(st.booleans(), min_size=len(names), max_size=len(names)))
-        kept = [name for name, k in zip(names, keep) if k]
+        lines = inputs["manifest"].read_text().splitlines()
+        keep = data.draw(st.lists(st.booleans(), min_size=len(lines), max_size=len(lines)))
+        kept = [line for line, k in zip(lines, keep) if k]
         with tempfile.TemporaryDirectory() as tmp:
-            manifest = os.path.join(tmp, "manifest.txt")
-            write(manifest, [os.path.join(corpus, name) for name in kept])
+            manifest, _ = corpus_copy(tmp, inputs, manifest_text="".join(
+                line + "\n" for line in kept))
             out = os.path.join(tmp, "features.csv")
             rc, err = run(["features", "--manifest", manifest, "--out", out])
-            if not kept:
-                assert "manifest lists no records" in assert_error(rc, err, manifest)
+            if kept != lines:  # what is left no longer tiles samples.npy
+                assert_error(rc, err, manifest)
                 return
             assert (rc, err) == (0, "")
-            assert read_feature_csv(out).record_ids == [name[:-len(".csv")] for name in kept]
+            assert open(out).read() == inputs["features"].read_text()
 
 
 @st.composite
-def record_mutation(draw, text):
-    lines = text.splitlines()
-    header = lines.index(CSV_HEADER)
-    kind = draw(st.sampled_from(["truncate", "bad_value", "two_fields", "blank_line",
-                                 "bad_label", "drop_metadata", "old_format"]))
+def samples_mutation(draw, raw):
+    """(bytes, whether the result may still be valid) from a valid samples.npy."""
+    data_start = 10 + int.from_bytes(raw[8:10], "little")  # a version 1.0 header
+    kind = draw(st.sampled_from(["truncate", "append", "flip_header", "non_finite"]))
     if kind == "truncate":
-        # stop before the 64th sample is complete: never enough samples
-        end = len("\n".join(lines[:header + 64]))
-        return text[:draw(st.integers(0, end - 1))]
-    row = draw(st.integers(header + 1, len(lines) - 1))
-    if kind == "drop_metadata":
-        del lines[draw(st.integers(0, header - 1))]
-    elif kind == "bad_label":
-        label = draw(junk.filter(lambda s: s.strip().lower() not in LABEL_NAMES))
-        lines = [f"# label: {label}" if ln.startswith("# label:") else ln for ln in lines]
-    elif kind == "old_format":
-        # the two-column layout, with t_seconds in front of every sample
-        rate = float(next(ln for ln in lines if ln.startswith("# sample_rate_hz:"))
-                     .split(":")[1])
-        lines[header:] = ["t_seconds,conductance_us"] + [
-            f"{i / rate!r},{value}" for i, value in enumerate(lines[header + 1:])]
-    elif kind == "bad_value":
-        lines[row] = draw(junk)
-    elif kind == "two_fields":
-        lines[row] = f"{lines[row]},{lines[row]}"
-    else:
-        lines.insert(row, "")
-    return "\n".join(lines) + "\n"
+        return raw[:draw(st.integers(0, len(raw) - 1))], False
+    if kind == "append":
+        return raw + draw(st.binary(min_size=1, max_size=16)), False
+    if kind == "flip_header":
+        # a flipped header byte can leave an equivalent header: '<f8' -> '|f8'
+        at = draw(st.integers(0, data_start - 1))
+        flipped = raw[at] ^ draw(st.integers(1, 255))
+        return raw[:at] + bytes([flipped]) + raw[at + 1:], True
+    at = data_start + 8 * draw(st.integers(0, (len(raw) - data_start) // 8 - 1))
+    value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return raw[:at] + np.float64(value).tobytes() + raw[at + 8:], False
 
 
 class TestRecordCsv:
     @FUZZ
     @given(data=st.data())
     def test_broken_record(self, inputs, data):
-        corpus = inputs["manifest"].parent
-        name = inputs["manifest"].read_text().splitlines()[0]
-        text = data.draw(record_mutation((corpus / name).read_text()))
+        raw = (inputs["manifest"].parent / "samples.npy").read_bytes()
+        samples, may_stay_valid = data.draw(samples_mutation(raw))
         with tempfile.TemporaryDirectory() as tmp:
-            broken = os.path.join(tmp, name)
-            with open(broken, "w") as fh:
-                fh.write(text)
-            manifest = os.path.join(tmp, "manifest.txt")
-            with open(manifest, "w") as fh:
-                fh.write(name + "\n")
-            run_broken(["features", "--manifest", manifest,
-                        "--out", os.path.join(tmp, "features.csv")], broken)
+            manifest, broken = corpus_copy(tmp, inputs, samples=samples)
+            out = os.path.join(tmp, "features.csv")
+            rc, err = run(["features", "--manifest", manifest, "--out", out])
+            if may_stay_valid and rc == 0:
+                assert open(out).read() == inputs["features"].read_text()
+            else:
+                assert_error(rc, err, broken)
 
 
 @st.composite

@@ -516,25 +516,27 @@ fits = hashlib.sha256()
 for kind in ("linear", "rbf"):
     m = train_binary(X, y, TrainConfig(kernel=KernelSpec(kind=kind)))
     fits.update(m.dual_coef.tobytes() + np.float64(m.bias).tobytes() + str(m.iterations).encode())
-print(fits.hexdigest(), hashlib.sha256((X @ X.T).tobytes()).hexdigest())
+a, b = rng.normal(size=(2, 1_000_000))
+print(fits.hexdigest(), np.dot(a, b).hex())
 """
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one core runs one BLAS thread")
 def test_training_bits_do_not_depend_on_blas_threads():
     """Each kernel row is its own matrix-vector product, so a machine's bits
-    are the same on 1 and 2 OpenBLAS threads; the n x n product X @ X.T of
-    the same table is not, which shows that the threaded path ran."""
+    are the same on 1 and 2 OpenBLAS threads. The dot product of two 1e6-long
+    vectors is not: threaded ddot splits the sum, on the SkylakeX, Haswell and
+    Sandybridge kernels alike, which shows that the threaded path ran."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    fits, products = set(), set()
+    fits, dots = set(), set()
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-c", THREADS_CHILD], capture_output=True,
                               text=True, env=env, check=True, timeout=120)
-        fit, product = proc.stdout.split()
+        fit, dot = proc.stdout.split()
         fits.add(fit)
-        products.add(product)
-    assert len(products) == 2, "X @ X.T has the same bits on 1 and 2 threads"
+        dots.add(dot)
+    assert len(dots) == 2, "np.dot has the same bits on 1 and 2 threads"
     assert len(fits) == 1
 
 

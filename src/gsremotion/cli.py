@@ -35,7 +35,6 @@ from .dataset import (
 from .evaluate import (
     SAMPLED_PER_LABEL,
     ConfusionMatrix,
-    TooFewRowsError,
     accuracy,
     format_confusion,
     format_sampled_rates,
@@ -308,7 +307,8 @@ def cmd_preprocess(args) -> int:
     for path in corpus_paths(args.out):
         _check_out(path, args.force)
     dataset = load_dataset(args.manifest)
-    processed = preprocess_dataset(dataset, norm)
+    with file_errors(args.manifest):  # a record the stage refuses is the corpus's fault
+        processed = preprocess_dataset(dataset, norm)
     save_dataset(processed, args.out)
     print(f"preprocessed {len(processed)} records into {args.out} (norm={norm})")
     return 0
@@ -317,7 +317,8 @@ def cmd_preprocess(args) -> int:
 def cmd_features(args) -> int:
     _check_out(args.out, args.force)
     dataset = load_dataset(args.manifest)
-    matrix = extract_dataset_features(dataset)
+    with file_errors(args.manifest):  # a record the stage refuses is the corpus's fault
+        matrix = extract_dataset_features(dataset)
     write_feature_csv(matrix, args.out)
     print(f"wrote {matrix.n_rows} x {matrix.n_features} feature rows to {args.out}")
     return 0
@@ -347,7 +348,8 @@ def cmd_train(args) -> int:
     if args.test_fraction is not None:
         train_rows, test_rows = _split(args, matrix, args.test_fraction, args.pipeline.seed)
         held_out, matrix = subset_rows(matrix, test_rows), subset_rows(matrix, train_rows)
-    fitted = fit_from_features(matrix, args.pipeline)
+    with file_errors(args.features):  # a table the fit refuses is the table's fault
+        fitted = fit_from_features(matrix, args.pipeline)
     if held_out is not None:  # written only once the fit succeeded
         write_feature_csv(held_out, args.test_out)
         print(f"held out {held_out.n_rows} rows -> {args.test_out}")
@@ -409,10 +411,9 @@ def cmd_eval(args):
 def cmd_cv(args):
     folds = DEFAULT_FOLDS if args.folds is None else args.folds
     dataset = load_dataset(args.manifest)
-    try:
+    # a corpus too small for the folds, or one a fold's fit refuses, is the manifest's fault
+    with file_errors(args.manifest):
         report = kfold_cross_validate(dataset, folds, args.pipeline, args.pipeline.seed)
-    except TooFewRowsError as exc:  # a corpus too small for the folds is the manifest's fault
-        raise ValueError(f"{args.manifest}: {exc}") from None
     fold_lines = [
         f"fold {i + 1}: accuracy {a:.4f}"
         for i, a in enumerate(report.fold_accuracies)
@@ -432,7 +433,8 @@ def cmd_report(args):
     test_fraction = REPORT_TEST_FRACTION if args.test_fraction is None else args.test_fraction
     matrix = _read_labeled(args.features)
     _split(args, matrix, test_fraction, config.seed)  # comparison_report splits alike
-    report = comparison_report(matrix, config, test_fraction, config.seed)
+    with file_errors(args.features):  # a table the fit refuses is the table's fault
+        report = comparison_report(matrix, config, test_fraction, config.seed)
     acc = report["accuracy"]
     return report, report.warnings, format_comparison(report), (
         f"test accuracy: {acc['selected']['test']:.4f} with {report['k']} features, "

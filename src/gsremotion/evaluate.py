@@ -109,10 +109,6 @@ class HeldOutGuard:
         return self._values
 
 
-class TooFewRowsError(ValueError):
-    """A label has fewer rows than the folds it must be dealt into."""
-
-
 def stratified_kfold_indices(labels, k: int, seed: int) -> list:
     """k disjoint test-index lists covering all rows, stratified by label.
 
@@ -124,7 +120,7 @@ def stratified_kfold_indices(labels, k: int, seed: int) -> list:
     folds = [[] for _ in range(k)]
     for lab, rows in shuffled_label_groups(labels, seed).items():
         if len(rows) < k:
-            raise TooFewRowsError(
+            raise ValueError(
                 f"label {getattr(lab, 'value', lab)!r} has {len(rows)} rows, "
                 f"cannot stratify into {k} folds"
             )

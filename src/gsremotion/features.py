@@ -247,7 +247,9 @@ def write_feature_csv(matrix: FeatureMatrix, path: str) -> None:
 
 
 def read_feature_csv(path: str) -> FeatureMatrix:
-    """Read a table written by write_feature_csv; validates catalog version."""
+    """Read a table written by write_feature_csv; validates catalog version.
+    Every row has every field, so a blank row is refused, and a record_id
+    appears once."""
     with file_errors(path), open(path) as fh:
         first = fh.readline().strip()
         if not first.startswith("# catalog_version:"):
@@ -265,11 +267,14 @@ def read_feature_csv(path: str) -> FeatureMatrix:
         if header[2:] != column_ids():
             raise ValueError(f"feature columns must be f01..f{N_FEATURES:02d}")
         ids, labels, rows = [], [], []
+        id_lines = {}
         for lineno, row in enumerate(reader, start=3):
-            if not row:
-                continue
-            if len(row) != len(header):
+            if len(row) != len(header):  # a blank row has 0 fields
                 raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+            if row[0] in id_lines:
+                raise ValueError(f"line {lineno}: record_id {row[0]!r} is also on "
+                                 f"line {id_lines[row[0]]}")
+            id_lines[row[0]] = lineno
             ids.append(row[0])
             labels.append(parse_label(row[1]) if row[1] else None)
             try:

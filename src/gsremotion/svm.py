@@ -19,6 +19,12 @@ x_t @ X.T finished into kernel values, and the solver keeps the curvature
 vector of each first index it picks. A solve reads only the rows of the
 indices it picks, about an eighth of them in a cross-validation of the 8x
 corpus, and no n x n array is ever formed.
+
+Prediction, too, bounds its kernel blocks, not the batch it serves:
+predict_batch scores its rows in blocks of max(1, _KERNEL_BLOCK_CELLS // n)
+rows, n the model's largest support-vector count, so no kernel block holds
+more than _KERNEL_BLOCK_CELLS cells (or one row's, if n is larger). A single
+row, or any batch that fits one block, is scored as one block.
 """
 
 import json
@@ -42,6 +48,9 @@ MAX_PASSES = 100_000
 
 # Floor for non-positive curvature along the working-set direction.
 _TAU = 1e-12
+
+# The most rows x support-vector kernel cells predict_batch forms at once.
+_KERNEL_BLOCK_CELLS = 2 ** 17
 
 
 @dataclass
@@ -354,7 +363,9 @@ class MulticlassSvmModel:
     Machine i decides the i-th pair of label_order (combinations order).
     feature_indices are 1-based catalog columns the machines were trained
     on; normalization, when present, holds the min and max of every catalog
-    column, and each used column is scaled by its own.
+    column, and each used column is scaled by its own. block_rows, the rows
+    predict_batch scores at once, is derived from the machines when the model
+    is built and is not serialized.
     """
 
     machines: list
@@ -362,6 +373,7 @@ class MulticlassSvmModel:
     feature_indices: tuple
     normalization: FeatureNormalization | None = None
     config: TrainConfig = field(default_factory=TrainConfig)
+    block_rows: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.label_order = tuple(self.label_order)
@@ -379,6 +391,8 @@ class MulticlassSvmModel:
         if self.normalization is not None and self.normalization.n_features != N_FEATURES:
             raise ValueError(f"normalization has {self.normalization.n_features} columns, "
                              f"expected {N_FEATURES}")
+        widest = max(m.n_support for m in self.machines)
+        self.block_rows = max(1, _KERNEL_BLOCK_CELLS // max(widest, 1))
 
     def warnings(self, prefix: str = "") -> list:
         """A line after prefix for each machine that MAX_PASSES stopped short of TOLERANCE."""
@@ -444,7 +458,16 @@ _PAIRS = {n: np.array(list(combinations(range(n), 2)))
 
 
 def predict_batch(model: MulticlassSvmModel, values: np.ndarray) -> list:
-    """Predict a label per full catalog row; one row is a (1, 30) batch."""
+    """Predict a label per full catalog row; one row is a (1, 30) batch.
+
+    The rows and their norms are prepared once; then each block of
+    model.block_rows rows goes through every machine's decision_values, so
+    a kernel block never exceeds _KERNEL_BLOCK_CELLS cells (one row's, if a
+    machine has more support vectors). A batch of one block is scored as a
+    whole; in a larger one a decision value may differ in its last bits
+    from the same row's in another block, as BLAS orders a block's sums by
+    the block's shape.
+    """
     order = model.label_order
     pairs = _PAIRS[len(order)]
     with _kernel_overflow_refused():  # a used column may overflow its scaling too
@@ -453,8 +476,11 @@ def predict_batch(model: MulticlassSvmModel, values: np.ndarray) -> list:
         norms = (squared_norms(rows) if any(m.kernel.kind == "rbf" for m in model.machines)
                  else None)
         f = np.empty((rows.shape[0], len(model.machines)))
-        for j, m in enumerate(model.machines):
-            f[:, j] = decision_values(m, rows, norms)
+        for start in range(0, rows.shape[0], model.block_rows):
+            block = slice(start, start + model.block_rows)
+            x, x_norms = rows[block], None if norms is None else norms[block]
+            for j, m in enumerate(model.machines):
+                f[block, j] = decision_values(m, x, x_norms)
     winners = np.where(f > 0, pairs[:, 0], pairs[:, 1])
     # add.at sums each row's strengths in machine order, so tie-breaks see the
     # same floats as adding one machine at a time

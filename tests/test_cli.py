@@ -224,7 +224,7 @@ class TestPreprocess:
                                      "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: record 'f1' has non-finite values after denoising\n")
+            f"error: {manifest}: record 'f1' has non-finite values after denoising\n")
 
 
     def test_tiny_calm_range_names_the_calm_record(self, tmp_path, capsys):
@@ -236,7 +236,8 @@ class TestPreprocess:
                                      "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: calm record 'c1' has a range too small to normalize record 'f1'\n")
+            f"error: {manifest}: calm record 'c1' has a range too small to normalize "
+            "record 'f1'\n")
 
 class TestFeatures:
     def test_table_shape(self, features_csv):
@@ -257,7 +258,7 @@ class TestFeatures:
                                      "--out", str(tmp_path / "features.csv")])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: feature vector for 'huge' has non-finite values\n")
+            f"error: {manifest}: feature vector for 'huge' has non-finite values\n")
 
 
 class TestSelect:
@@ -375,8 +376,8 @@ class TestTrain:
             assert main_printing_warnings(argv) == 1
             out, err = capsys.readouterr()
             assert out == ""
-            assert err == ("error: kernel matrix overflows: feature values or kernel "
-                           "parameters are too large\n")
+            assert err == (f"error: {huge}: kernel matrix overflows: feature values or "
+                           "kernel parameters are too large\n")
             assert sorted(os.listdir(tmp_path)) == ["huge.csv"]
 
     def test_existing_test_out_refused_before_any_input_is_read(self, tmp_path, capsys):
@@ -427,7 +428,7 @@ class TestTrain:
         rc = main_printing_warnings(["train", "--features", str(huge), *flags,
                                      "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {huge}: {message}\n"
         assert not out.exists()
 
 
@@ -446,7 +447,8 @@ class TestTrain:
                                      "--out", str(tmp_path / "model.json")])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: column f02 spans more than the float range (max - min overflows)\n")
+            f"error: {wide}: column f02 spans more than the float range "
+            "(max - min overflows)\n")
 
 
 class TestConflictingKeys:
@@ -1170,6 +1172,55 @@ class TestMalformedInputFiles:
         rc = cli.main([command[0], "--features", str(broken), *args,
                        "--out", str(tmp_path / "out")])
         self.assert_names(capsys, rc, broken, "has 1 record(s), need at least 2 to split")
+
+    @pytest.mark.parametrize("command", ["select", "train", "predict", "eval", "report"])
+    @pytest.mark.parametrize("fault", ["repeated_id", "blank_row"])
+    def test_feature_table_row_fault_names_its_line(self, features_csv, model_path, tmp_path,
+                                                    capsys, command, fault):
+        lines = features_csv.read_text().splitlines()
+        if fault == "repeated_id":
+            lines.append(lines[5])
+            message = (f"line {len(lines)}: record_id {lines[5].split(',')[0]!r} "
+                       "is also on line 6")
+        else:
+            lines.insert(5, "")
+            message = "line 6: expected 32 fields, got 0"
+        broken = tmp_path / "features.csv"
+        broken.write_text("\n".join(lines) + "\n")
+        model = ["--model", str(model_path)] if command in ("predict", "eval") else []
+        rc = cli.main([command, "--features", str(broken), *model,
+                       "--out", str(tmp_path / "out")])
+        self.assert_names(capsys, rc, broken, message)
+        assert os.listdir(tmp_path) == ["features.csv"]
+
+    @pytest.mark.parametrize("command", ["select", "train", "report"])
+    @pytest.mark.parametrize("fault", ["too_few_varying", "covariance_overflow"])
+    def test_table_the_fit_refuses_names_its_file(self, features_csv, tmp_path, capsys,
+                                                  command, fault):
+        if fault == "covariance_overflow":
+            broken, k = huge_column_table(features_csv, tmp_path), []
+            message = "table values are too large: their covariance overflows"
+        else:  # one of the table's 30 columns is constant
+            broken, k = tmp_path / "features.csv", ["--k", "30"]
+            shutil.copy(features_csv, broken)
+            message = "only 29 non-constant features available, cannot select 30"
+        rc = main_printing_warnings([command, "--features", str(broken), *k,
+                                     "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {broken}: {message}\n"
+        assert os.listdir(tmp_path) == [broken.name]
+
+    def test_corpus_the_fit_refuses_names_its_manifest(self, tmp_path, capsys):
+        # every record the same samples: every feature column is constant
+        samples = 3.0 + np.random.default_rng(0).uniform(0, 1, 128)
+        manifest = save_dataset(Dataset(records=[
+            GsrRecord(f"{lab.value}{i}", f"S{i % 2}", lab, 16.0, samples)
+            for lab in LABEL_ORDER for i in range(6)]), str(tmp_path / "corpus"))
+        rc = cli.main(["cv", "--manifest", manifest, "--out", str(tmp_path / "cv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: only 0 non-constant features available, cannot select 15\n")
+        assert os.listdir(tmp_path) == ["corpus"]
 
     @pytest.mark.parametrize("command", ["train", "eval", "report"])
     def test_unlabeled_row_names_its_table(self, features_csv, model_path, tmp_path,

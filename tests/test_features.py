@@ -314,6 +314,24 @@ class TestFeatureCsv:
         with pytest.raises(ValueError, match="expected 32 fields"):
             read_feature_csv(str(path))
 
+    def test_blank_row_is_refused(self, small_corpus, tmp_path):
+        path = tmp_path / "f.csv"
+        write_feature_csv(self.matrix(small_corpus), str(path))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:4] + [""] + lines[4:]) + "\n")
+        with pytest.raises(ValueError, match=": line 5: expected 32 fields, got 0$"):
+            read_feature_csv(str(path))
+
+    def test_repeated_record_id_names_both_lines(self, small_corpus, tmp_path):
+        path = tmp_path / "f.csv"
+        write_feature_csv(self.matrix(small_corpus), str(path))
+        lines = path.read_text().splitlines()
+        record_id = lines[3].split(",")[0]
+        path.write_text("\n".join(lines + [lines[3]]) + "\n")
+        with pytest.raises(ValueError, match=f": line {len(lines) + 1}: record_id "
+                                             f"'{record_id}' is also on line 4$"):
+            read_feature_csv(str(path))
+
     def test_no_rows(self, tmp_path):
         path = tmp_path / "f.csv"
         header = "record_id,label," + ",".join(column_ids())

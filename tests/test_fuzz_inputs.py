@@ -240,7 +240,7 @@ class TestRecordCsv:
 def feature_mutation(draw, text):
     lines = text.splitlines()
     kind = draw(st.sampled_from(["truncate", "bad_label", "bad_value", "drop_field",
-                                 "drop_columns"]))
+                                 "drop_columns", "repeat_row", "blank_row"]))
     if kind == "truncate":
         # cut before the first row: version line, header or no rows at all
         return text[:draw(st.integers(0, len(lines[0]) + len(lines[1]) + 2))]
@@ -249,6 +249,12 @@ def feature_mutation(draw, text):
         j = draw(st.integers(1, 30))
         return "\n".join(lines[:1] + [",".join(ln.split(",")[:-j]) for ln in lines[1:]]) + "\n"
     row = draw(st.integers(2, len(lines) - 1))
+    if kind == "repeat_row":  # the row again on a later line: its record_id twice
+        lines.insert(draw(st.integers(row + 1, len(lines))), lines[row])
+        return "\n".join(lines) + "\n"
+    if kind == "blank_row":  # anywhere after the header, also after the last row
+        lines.insert(draw(st.integers(2, len(lines))), "")
+        return "\n".join(lines) + "\n"
     fields = lines[row].split(",")
     if kind == "bad_label":
         fields[1] = draw(junk.filter(lambda s: s.strip().lower() not in LABEL_NAMES))

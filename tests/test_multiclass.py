@@ -16,7 +16,8 @@ from gsremotion.features import (
     extract_dataset_features,
     fit_feature_normalization,
 )
-from gsremotion.kernels import KernelSpec, squared_norms
+from gsremotion import svm
+from gsremotion.kernels import KernelSpec, gram, squared_norms
 from gsremotion.pipeline import PipelineConfig, fit_from_features, predict_rows, prepare_dataset
 from gsremotion.svm import (
     MODEL_FORMAT_VERSION,
@@ -216,6 +217,31 @@ class TestBatchPath:
                                   PipelineConfig(norm_mode=mode, seed=42)).model
         batch = predict_batch(model, small_features.values)
         assert batch == [predict_batch(model, row[None])[0] for row in small_features.values]
+
+    def test_batch_of_several_blocks_matches_single_rows(self, default_fit):
+        model, matrix = default_fit
+        single = [predict_batch(model, row[None])[0] for row in matrix.values]
+        tiles = -(-3 * model.block_rows // matrix.n_rows)  # at least 3 blocks of rows
+        assert predict_batch(model, np.tile(matrix.values, (tiles, 1))) == single * tiles
+
+    def test_kernel_blocks_are_bounded(self, default_fit, monkeypatch):
+        """Each kernel block covers model.block_rows rows (the last one the
+        rest), at most _KERNEL_BLOCK_CELLS cells, for every machine."""
+        model, matrix = default_fit
+        widest = max(m.n_support for m in model.machines)
+        assert model.block_rows == svm._KERNEL_BLOCK_CELLS // widest
+        blocks = []
+
+        def counted(spec, X, Z, *norms):
+            blocks.append((len(X), len(Z)))
+            return gram(spec, X, Z, *norms)
+
+        monkeypatch.setattr(svm, "gram", counted)
+        rows = 2 * model.block_rows + 5
+        predict_batch(model, np.resize(matrix.values, (rows, N_FEATURES)))
+        sizes = [model.block_rows, model.block_rows, 5]
+        assert blocks == [(n, m.n_support) for n in sizes for m in model.machines]
+        assert max(r * n for r, n in blocks) <= svm._KERNEL_BLOCK_CELLS
 
 
 @pytest.fixture(scope="module", params=["signal", "both"])

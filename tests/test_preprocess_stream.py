@@ -168,7 +168,7 @@ class TestErrorPrecedence:
         manifest = save_dataset(Dataset(records=records), str(tmp_path / "corpus"))
         rc = cli.main(["cv", "--manifest", manifest, "--out", str(tmp_path / "cv")])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
 
 
 def test_preprocess_and_cv_leave_numpy_ma_unimported():

@@ -10,6 +10,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from gsremotion import svm
+from gsremotion.dataset import LABEL_ORDER
+from gsremotion.features import N_FEATURES
 from gsremotion.kernels import KernelSpec, finish_block, gram
 from gsremotion.pipeline import PipelineConfig, fit_from_features
 from gsremotion.svm import (
@@ -502,6 +504,30 @@ class TestMemoryBudget:
     def test_converged_train_binary_peak_allocation(self, monkeypatch, kind):
         peak = self.peak(monkeypatch, kind, max_passes=svm.MAX_PASSES)
         assert peak <= 2.1, f"peak {peak:.2f} n^2 floats"
+
+    def test_predict_batch_peak_does_not_grow_with_the_batch(self):
+        """predict_batch forms its kernel a block of rows at a time, so a
+        table 8 blocks long peaks within 2x of one block; one (rows x
+        support vectors) array over the whole table would take about 8x."""
+        rng = np.random.default_rng(13)
+        spec = KernelSpec(kind="rbf").resolved(N_FEATURES)
+        machines = [svm.BinarySvmModel(support_vectors=rng.normal(size=(500, N_FEATURES)),
+                                       dual_coef=rng.normal(size=500), bias=0.0, kernel=spec)
+                    for _ in range(3)]
+        model = svm.MulticlassSvmModel(machines=machines, label_order=LABEL_ORDER[:3],
+                                       feature_indices=range(1, N_FEATURES + 1))
+        values = rng.normal(size=(8 * model.block_rows, N_FEATURES))
+
+        def peak(rows):
+            tracemalloc.start()
+            try:
+                svm.predict_batch(model, rows)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, eight = peak(values[:model.block_rows]), peak(values)
+        assert eight <= 2 * one, f"8 blocks peak {eight} bytes, one block {one}"
 
 
 THREADS_CHILD = """

@@ -434,7 +434,7 @@ def cmd_report(args):
     matrix = _read_labeled(args.features)
     _split(args, matrix, test_fraction, config.seed)  # comparison_report splits alike
     with file_errors(args.features):  # a table the fit refuses is the table's fault
-        report = comparison_report(matrix, config, test_fraction, config.seed)
+        report = comparison_report(matrix, config, test_fraction)
     acc = report["accuracy"]
     return report, report.warnings, format_comparison(report), (
         f"test accuracy: {acc['selected']['test']:.4f} with {report['k']} features, "

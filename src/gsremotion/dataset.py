@@ -91,8 +91,8 @@ def _check_id(name: str, value: str) -> None:
     if not value:
         raise ValueError(f"{name} must be non-empty")
     if value != value.strip() or len(value.splitlines()) > 1:
-        raise ValueError(f"{name} {value!r} cannot be stored in a record file: "
-                         "it has leading or trailing whitespace or a line break")
+        raise ValueError(f"{name} {value!r} cannot be stored in a manifest or feature "
+                         "table: it has leading or trailing whitespace or a line break")
 
 
 @dataclass
@@ -169,6 +169,47 @@ class Dataset:
                 yield rows, np.stack([self.records[i].samples for i in rows]), rate
 
 
+def write_table(path: str, version_line: str, header: list, rows) -> None:
+    """Write the layout of the manifest and the feature table: version_line,
+    then header and rows as UTF-8 CSV (RFC 4180 quoting), record_id first."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(version_line + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_table(path: str, version_line: str, header: list, parse_row, version_hint: str) -> list:
+    """(file line, *parse_row(fields)) per row of a table written by write_table.
+
+    Refuses a first line other than version_line (the message ends in
+    version_hint), another header, a field csv cannot read, a row without one
+    field per column, and a row whose id _check_id refuses or an earlier row
+    has. A row's refusal, parse_row's ValueError included, names the file line
+    the row starts on.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        if fh.readline().strip() != version_line:
+            raise ValueError(f"no {version_line!r} line: {version_hint}")
+        reader, rows, id_lines, lineno = csv.reader(fh), [], {}, 2
+        try:
+            if next(reader, None) != header:
+                raise ValueError(f"header must be {','.join(header)}")
+            lineno = reader.line_num + 2  # the reader starts after the version line
+            for fields in reader:
+                if len(fields) != len(header):  # a blank row has none
+                    raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
+                _check_id(header[0], fields[0])
+                if id_lines.setdefault(fields[0], lineno) != lineno:
+                    raise ValueError(f"{header[0]} {fields[0]!r} is also on line "
+                                     f"{id_lines[fields[0]]}")
+                rows.append((lineno, *parse_row(fields)))
+                lineno = reader.line_num + 2
+        except (ValueError, csv.Error) as exc:  # csv.Error: a field over its size limit
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return rows
+
+
 def corpus_paths(out_dir: str) -> tuple:
     """(samples path, manifest path) of the corpus in out_dir."""
     return os.path.join(out_dir, SAMPLES_NAME), os.path.join(out_dir, MANIFEST_NAME)
@@ -183,48 +224,31 @@ def save_dataset(dataset: Dataset, out_dir: str) -> str:
         os.remove(manifest_path)
     samples = np.concatenate([np.empty(0)] + [rec.samples for rec in dataset.records])
     np.save(samples_path, samples.astype("<f8", copy=False), allow_pickle=False)
-    with open(manifest_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(FORMAT_LINE + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MANIFEST_HEADER)
-        writer.writerows([rec.record_id, rec.subject_id, rec.label.value,
-                          repr(float(rec.sample_rate_hz)), rec.samples.size]
-                         for rec in dataset.records)
+    write_table(manifest_path, FORMAT_LINE, MANIFEST_HEADER,
+                ([rec.record_id, rec.subject_id, rec.label.value,
+                  repr(float(rec.sample_rate_hz)), rec.samples.size]
+                 for rec in dataset.records))
     return manifest_path
 
 
-def _read_manifest(fh) -> list:
-    """(line number, record_id, subject, label, rate, n_samples) per row, in order."""
-    if fh.readline().strip() != FORMAT_LINE:
-        raise ValueError(f"no {FORMAT_LINE!r} line: record format 2 (one file per record) "
-                         "is no longer read; regenerate the corpus with `gsremotion synth`")
-    reader = csv.reader(fh)
-    if next(reader, None) != MANIFEST_HEADER:
-        raise ValueError(f"header must be {','.join(MANIFEST_HEADER)}")
-    rows = []
-    for lineno, row in enumerate(reader, start=3):
-        if len(row) != len(MANIFEST_HEADER):
-            raise ValueError(f"line {lineno}: expected {len(MANIFEST_HEADER)} fields, "
-                             f"got {len(row)}")
-        record_id, subject, label, rate, n_samples = row
-        if not (n_samples.isascii() and n_samples.isdigit()):
-            raise ValueError(f"line {lineno}: n_samples must be a count, got {n_samples!r}")
-        try:
-            rows.append((lineno, record_id, subject, parse_label(label), float(rate),
-                         int(n_samples)))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    if not rows:
-        raise ValueError("manifest lists no records")
-    return rows
+def _manifest_row(fields) -> tuple:
+    """(record_id, subject, label, rate, n_samples) of a manifest row."""
+    record_id, subject, label, rate, n_samples = fields
+    if not (n_samples.isascii() and n_samples.isdigit()):
+        raise ValueError(f"n_samples must be a count, got {n_samples!r}")
+    return record_id, subject, parse_label(label), float(rate), int(n_samples)
 
 
 def load_dataset(manifest_path: str) -> Dataset:
     """The corpus of a manifest, in its order. A fault of a sample or of the
     array names samples.npy; every other fault names the manifest."""
     samples_path, _ = corpus_paths(os.path.dirname(manifest_path))
-    with file_errors(manifest_path), open(manifest_path, newline="", encoding="utf-8") as fh:
-        rows = _read_manifest(fh)
+    with file_errors(manifest_path):
+        rows = read_table(manifest_path, FORMAT_LINE, MANIFEST_HEADER, _manifest_row,
+                          "record format 2 (one file per record) is no longer read; "
+                          "regenerate the corpus with `gsremotion synth`")
+        if not rows:
+            raise ValueError("manifest lists no records")
     with file_errors(samples_path), open(samples_path, "rb") as fh:
         try:
             samples = np.load(fh, allow_pickle=False)

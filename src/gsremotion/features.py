@@ -12,12 +12,11 @@ extracted a block at a time. Each value is bit-identical to the one the
 per-signal computation gives.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MIN_SAMPLES, Dataset, file_errors, parse_label
+from .dataset import MIN_SAMPLES, Dataset, file_errors, parse_label, read_table, write_table
 
 CATALOG_VERSION = 1
 
@@ -230,57 +229,34 @@ def column_ids() -> list:
     return [f"f{i:02d}" for i in range(1, N_FEATURES + 1)]
 
 
+VERSION_LINE = f"# catalog_version: {CATALOG_VERSION}"
+HEADER = ["record_id", "label"] + column_ids()
+
+
 def write_feature_csv(matrix: FeatureMatrix, path: str) -> None:
     """Write a full-catalog feature table; floats use shortest round-trip repr."""
     if matrix.n_features != N_FEATURES:
         raise ValueError(f"a feature table has {N_FEATURES} catalog columns, "
                          f"got {matrix.n_features}")
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# catalog_version: {CATALOG_VERSION}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["record_id", "label"] + column_ids())
-        for i in range(matrix.n_rows):
-            lab = matrix.labels[i]
-            row = [matrix.record_ids[i], lab.value if lab is not None else ""]
-            row.extend(repr(float(v)) for v in matrix.values[i])
-            writer.writerow(row)
+    write_table(path, VERSION_LINE, HEADER,
+                ([rid, lab.value if lab is not None else "", *map(repr, values)]
+                 for rid, lab, values in zip(matrix.record_ids, matrix.labels,
+                                             matrix.values.tolist())))
 
 
 def read_feature_csv(path: str) -> FeatureMatrix:
-    """Read a table written by write_feature_csv; validates catalog version.
-    Every row has every field, so a blank row is refused, and a record_id
-    appears once."""
-    with file_errors(path), open(path) as fh:
-        first = fh.readline().strip()
-        if not first.startswith("# catalog_version:"):
-            raise ValueError("missing catalog_version line")
+    """Read a table written by write_feature_csv; a row's label may be empty."""
+    def columns(fields):
+        label = parse_label(fields[1]) if fields[1] else None
         try:
-            version = int(first.split(":", 1)[1])
+            return fields[0], label, [float(v) for v in fields[2:]]
         except ValueError:
-            raise ValueError(f"bad catalog_version line {first!r}")
-        if version != CATALOG_VERSION:
-            raise ValueError(f"catalog_version {version} unsupported (expected {CATALOG_VERSION})")
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["record_id", "label"]:
-            raise ValueError("header must start with record_id,label")
-        if header[2:] != column_ids():
-            raise ValueError(f"feature columns must be f01..f{N_FEATURES:02d}")
-        ids, labels, rows = [], [], []
-        id_lines = {}
-        for lineno, row in enumerate(reader, start=3):
-            if len(row) != len(header):  # a blank row has 0 fields
-                raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-            if row[0] in id_lines:
-                raise ValueError(f"line {lineno}: record_id {row[0]!r} is also on "
-                                 f"line {id_lines[row[0]]}")
-            id_lines[row[0]] = lineno
-            ids.append(row[0])
-            labels.append(parse_label(row[1]) if row[1] else None)
-            try:
-                rows.append([float(v) for v in row[2:]])
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad feature value")
+            raise ValueError("bad feature value") from None
+
+    with file_errors(path):
+        rows = read_table(path, VERSION_LINE, HEADER, columns,
+                          "catalog_version missing or unsupported")
         if not rows:
             raise ValueError("no feature rows")
-        return FeatureMatrix(values=np.array(rows), record_ids=ids, labels=labels)
+        _, ids, labels, values = zip(*rows)
+        return FeatureMatrix(values=np.array(values), record_ids=list(ids), labels=list(labels))

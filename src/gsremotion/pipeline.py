@@ -96,13 +96,13 @@ class ComparisonReport(dict):
 
 
 def comparison_report(matrix: FeatureMatrix, config: PipelineConfig,
-                      test_fraction: float, seed: int) -> ComparisonReport:
-    """Selected-k vs all-features accuracy on one stratified split.
+                      test_fraction: float) -> ComparisonReport:
+    """Selected-k vs all-features accuracy on one stratified split by config.seed.
 
     Both variants share the identical train/test rows; the all-features
     variant bypasses selection via an explicit 1..n index list.
     """
-    train_rows, test_rows = stratified_split_indices(matrix.labels, test_fraction, seed)
+    train_rows, test_rows = stratified_split_indices(matrix.labels, test_fraction, config.seed)
     train_matrix = subset_rows(matrix, train_rows)
     test_matrix = subset_rows(matrix, test_rows)
 
@@ -118,7 +118,7 @@ def comparison_report(matrix: FeatureMatrix, config: PipelineConfig,
 
     report = ComparisonReport({
         "test_fraction": test_fraction,
-        "split_seed": seed,
+        "split_seed": config.seed,
         "n_train": len(train_rows),
         "n_test": len(test_rows),
         "k": len(fitted_k.model.feature_indices),

@@ -182,7 +182,7 @@ def test_07_fewer_features_keep_heldout_accuracy(default_corpus,
     assert len(default_corpus) == 257
     assert Counter(r.label for r in default_corpus) == DEFAULT_COUNTS
     start = time.perf_counter()
-    report = comparison_report(default_features, PipelineConfig(), 0.3, 42)
+    report = comparison_report(default_features, PipelineConfig(), 0.3)
     selected = report["accuracy"]["selected"]["test"]
     assert selected >= report["accuracy"]["all_features"]["test"]
     assert selected >= 0.60

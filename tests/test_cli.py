@@ -39,6 +39,9 @@ from gsremotion.svm import load_model
 from gsremotion.synth import SynthConfig
 
 LABEL_NAMES = {lab.value for lab in LABEL_ORDER}
+# what a feature table with any other header is refused with
+FEATURE_HEADER_RULE = "header must be record_id,label," + ",".join(
+    f"f{i:02d}" for i in range(1, 31))
 
 
 def write_config(path, text):
@@ -752,8 +755,7 @@ class TestNonConvergence:
         assert err.count("warning: selected-k model: machine") == 10
         assert err.count("warning: all-features model: machine") == 10
         report = comparison_report(read_feature_csv(str(features_csv)),
-                                   PipelineConfig(selection_k=10),
-                                   0.5, PipelineConfig.seed)
+                                   PipelineConfig(selection_k=10), 0.5)
         assert err.splitlines() == [f"warning: {line}" for line in report.warnings]
         assert set(json.loads((tmp_path / "cmp.json").read_text())) == {
             "test_fraction", "split_seed", "n_train", "n_test", "k", "selected_indices",
@@ -970,7 +972,7 @@ class TestExitCodes:
         rc = cli.main([command, "--model", str(model_path), "--features", str(restricted),
                        "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert f"{restricted}: feature columns must be f01..f30" in capsys.readouterr().err
+        assert f"{restricted}: line 2: {FEATURE_HEADER_RULE}\n" in capsys.readouterr().err
 
     def test_inconsistent_model_names_its_file(self, model_path, features_csv,
                                                tmp_path, capsys):
@@ -1147,7 +1149,7 @@ class TestMalformedInputFiles:
                           + "\n")
         rc = cli.main([command[0], "--features", str(broken), *command[1:],
                        "--out", str(tmp_path / "out")])
-        self.assert_names(capsys, rc, broken, "feature columns must be f01..f30")
+        self.assert_names(capsys, rc, broken, FEATURE_HEADER_RULE)
 
     def test_one_row_table_names_its_file(self, features_csv, tmp_path, capsys):
         broken = tmp_path / "features.csv"
@@ -1261,7 +1263,8 @@ class TestMalformedInputFiles:
         np.save(tmp_path / "samples.npy", np.tile(first.samples, 2))
         rc = cli.main(["features", "--manifest", manifest,
                        "--out", str(tmp_path / "features.csv")])
-        self.assert_names(capsys, rc, manifest, "duplicate record_id")
+        self.assert_names(capsys, rc, manifest,
+                          f"line 4: record_id {first.record_id!r} is also on line 3")
 
     def test_short_record_names_its_file(self, corpus_dir, tmp_path, capsys):
         first = load_dataset(str(corpus_dir / "manifest.txt")).records[0]

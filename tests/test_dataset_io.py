@@ -1,3 +1,4 @@
+import csv
 import os
 import re
 
@@ -17,6 +18,7 @@ from gsremotion.dataset import (
     save_dataset,
     stratified_split_indices,
 )
+from gsremotion.features import FeatureMatrix, read_feature_csv, write_feature_csv
 
 
 def make_record(record_id="r1", subject_id="S01", label=EmotionLabel.CALM,
@@ -96,7 +98,8 @@ class TestGsrRecord:
     def test_rejects_ids_a_record_file_cannot_carry(self, field, value):
         # a line-oriented reader of the feature table would strip " s " to "s",
         # merging two subjects, or split "c\n4" into two lines
-        with pytest.raises(ValueError, match=f"^{field} .* cannot be stored in a record file"):
+        with pytest.raises(ValueError,
+                           match=f"^{field} .* cannot be stored in a manifest or feature table"):
             make_record(**{field: value})
 
     def test_with_samples_keeps_metadata(self):
@@ -287,6 +290,34 @@ ids = st.text(min_size=1, max_size=12).filter(
     lambda s: s == s.strip() and len(s.splitlines()) == 1)
 
 
+def through_manifest(records, tmp_path) -> tuple:
+    """(what went in, what came back) for the records through save_dataset
+    and load_dataset."""
+    def facts(recs):
+        return [(r.record_id, r.subject_id, r.label, r.sample_rate_hz, r.samples.tobytes())
+                for r in recs]
+
+    return facts(records), facts(load_dataset(save_dataset(Dataset(records=records),
+                                                           str(tmp_path))))
+
+
+def through_feature_table(records, tmp_path) -> tuple:
+    """The same through write_feature_csv and read_feature_csv, for a table
+    whose row is its record's first 30 samples."""
+    def facts(matrix):
+        return list(zip(matrix.record_ids, matrix.labels, map(bytes, matrix.values)))
+
+    matrix = FeatureMatrix(values=[r.samples[:30] for r in records],
+                           record_ids=[r.record_id for r in records],
+                           labels=[r.label for r in records])
+    path = str(tmp_path / "features.csv")
+    write_feature_csv(matrix, path)
+    return facts(matrix), facts(read_feature_csv(path))
+
+
+TABLES = {"manifest": through_manifest, "features": through_feature_table}
+
+
 class TestManifest:
     def test_save_load_preserves_order(self, tmp_path):
         recs = [make_record(f"r{i}", seed=i) for i in range(5)]
@@ -297,6 +328,7 @@ class TestManifest:
         for a, b in zip(back, ds):
             assert_array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize("table", TABLES)
     @settings(max_examples=60, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(pairs=st.lists(st.tuples(ids, ids), min_size=1, max_size=4,
@@ -306,17 +338,15 @@ class TestManifest:
            raw=st.binary(min_size=64 * 8, max_size=64 * 8))
     @example(pairs=[("a,b", "s 1"), ('a"b', 's: "1"'), ("a/b", "#s"), ("#a", "a\\b"),
                     ("..", "."), ("é", "\x00")], rates=[16.0] * 4, raw=bytes(64 * 8))
-    def test_ids_come_back_unchanged(self, tmp_path, pairs, rates, raw):
+    def test_ids_come_back_unchanged(self, tmp_path, table, pairs, rates, raw):
         # every id _check_id accepts (`,`, `"`, `/` and a leading `#` among them),
-        # every rate and every finite sample's bits
+        # every rate and every finite sample's bits, through either table
         bits = np.frombuffer(raw, dtype="<f8")
         bits = np.where(np.isfinite(bits), bits, 1.0)
         records = [GsrRecord(rid, sid, LABEL_ORDER[i % 5], rates[i % 4], np.roll(bits, i))
                    for i, (rid, sid) in enumerate(pairs)]
-        back = load_dataset(save_dataset(Dataset(records=records), str(tmp_path)))
-        assert [(r.record_id, r.subject_id, r.label, r.sample_rate_hz) for r in back] == [
-            (r.record_id, r.subject_id, r.label, r.sample_rate_hz) for r in records]
-        assert [r.samples.tobytes() for r in back] == [r.samples.tobytes() for r in records]
+        sent, back = TABLES[table](records, tmp_path)
+        assert back == sent
 
     def test_empty_manifest_is_rejected(self, tmp_path):
         manifest = save_dataset(Dataset(records=[]), str(tmp_path))
@@ -335,7 +365,7 @@ class TestManifest:
                 "the corpus with `gsremotion synth`", tmp_path / "manifest.txt")
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda lines: lines.append(lines[2]), "n_samples sum to 256, but samples.npy holds 192"),
+        (lambda lines: lines.append(lines[2]), "line 6: record_id 'r0' is also on line 3"),
         (lambda lines: lines.pop(3), "n_samples sum to 128, but samples.npy holds 192"),
         (lambda lines: lines.insert(3, ""), "line 4: expected 5 fields, got 0"),
     ], ids=["duplicated_row", "dropped_row", "blank_row"])
@@ -365,6 +395,54 @@ class TestManifest:
         # the old manifest went before the samples, and no new one was written
         assert seen == [False]
         assert not (out / "manifest.txt").exists()
+
+
+def three_row_table(table, tmp_path) -> tuple:
+    """A valid table of records r0, r1 and r2 (a manifest with its samples):
+    (its path, its reader, a column whose parser takes a trailing line break)."""
+    records = [make_record(f"r{i}", n=64, seed=i) for i in range(3)]
+    if table == "manifest":
+        return save_dataset(Dataset(records=records), str(tmp_path)), load_dataset, 3
+    path = str(tmp_path / "features.csv")
+    write_feature_csv(FeatureMatrix(values=[r.samples[:30] for r in records],
+                                    record_ids=[r.record_id for r in records],
+                                    labels=[r.label for r in records]), path)
+    return path, read_feature_csv, 1
+
+
+@pytest.mark.parametrize("table", TABLES)
+class TestTableLines:
+    """A row fault names the file line its row starts on, after a row whose
+    quoted field holds a line break (rows 0, 1 and 2 start on lines 3, 5, 6)."""
+
+    def refused(self, table, tmp_path, row, record_id) -> str:
+        """The reader's error, path removed, once row 0's field in the column
+        its parser lets end in a line break does, and row `row` has record_id."""
+        path, read, column = three_row_table(table, tmp_path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            head = [fh.readline(), fh.readline()]
+            rows = list(csv.reader(fh))
+        rows[0][column] += "\n"
+        rows[row][0] = record_id
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.writelines(head)
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        with pytest.raises(ValueError) as exc:
+            read(path)
+        return str(exc.value).removeprefix(f"{path}: ")
+
+    def test_multiline_id_is_refused_at_its_line(self, table, tmp_path):
+        assert self.refused(table, tmp_path, 1, "a\nb") == (
+            "line 5: record_id 'a\\nb' cannot be stored in a manifest or feature table: "
+            "it has leading or trailing whitespace or a line break")
+
+    def test_repeated_id_names_both_lines(self, table, tmp_path):
+        assert self.refused(table, tmp_path, 2, "r1") == "line 6: record_id 'r1' is also on line 5"
+
+    def test_field_over_the_csv_limit_is_refused_at_its_line(self, table, tmp_path):
+        limit = csv.field_size_limit()
+        assert self.refused(table, tmp_path, 2, "r" * (limit + 1)) == (
+            f"line 6: field larger than field limit ({limit})")
 
 
 class TestStratifiedSplit:

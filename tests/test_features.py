@@ -279,6 +279,16 @@ class TestFeatureCsv:
         with pytest.raises(ValueError, match="catalog_version"):
             read_feature_csv(str(path))
 
+    @pytest.mark.parametrize("line", ["# catalog_version:1", "# catalog_version: 01",
+                                      "# catalog_version: +1"])
+    def test_version_line_is_the_one_written(self, small_corpus, tmp_path, line):
+        path = tmp_path / "f.csv"
+        write_feature_csv(self.matrix(small_corpus), str(path))
+        path.write_text(path.read_text().replace("# catalog_version: 1", line, 1))
+        with pytest.raises(ValueError, match=": no '# catalog_version: 1' line: "
+                                             "catalog_version missing or unsupported$"):
+            read_feature_csv(str(path))
+
     def test_unsupported_version(self, small_corpus, tmp_path):
         path = tmp_path / "f.csv"
         write_feature_csv(self.matrix(small_corpus), str(path))

@@ -240,7 +240,7 @@ class TestRecordCsv:
 def feature_mutation(draw, text):
     lines = text.splitlines()
     kind = draw(st.sampled_from(["truncate", "bad_label", "bad_value", "drop_field",
-                                 "drop_columns", "repeat_row", "blank_row"]))
+                                 "drop_columns", "repeat_row", "blank_row", "multiline_id"]))
     if kind == "truncate":
         # cut before the first row: version line, header or no rows at all
         return text[:draw(st.integers(0, len(lines[0]) + len(lines[1]) + 2))]
@@ -260,6 +260,8 @@ def feature_mutation(draw, text):
         fields[1] = draw(junk.filter(lambda s: s.strip().lower() not in LABEL_NAMES))
     elif kind == "bad_value":
         fields[draw(st.integers(2, len(fields) - 1))] = draw(junk)
+    elif kind == "multiline_id":  # quoted, so csv reads one record_id holding a line break
+        fields[0] = f'"{fields[0]}\n{draw(junk)}"'
     else:
         del fields[draw(st.integers(0, len(fields) - 1))]
     lines[row] = ",".join(fields)

@@ -1,7 +1,9 @@
 """Guards for duties with one owner: the CLI prints every `warning:` line
 through `cli._warn` and resolves every option in `cli.main`, only `svm`
-words a machine that did not converge, and one function of `synth` shapes
-every phasic event."""
+words a machine that did not converge, one function of `synth` shapes
+every phasic event, and `dataset.read_table` and `dataset.write_table` read
+and write the manifest and the feature table (`cli.cmd_predict` writes
+`predictions.csv`, which has no version line, with its own `csv.writer`)."""
 
 import ast
 from pathlib import Path
@@ -53,3 +55,21 @@ def test_one_function_shapes_synth_events():
                if isinstance(n, ast.FunctionDef) and exp_sites(n)]
     assert holders == ["_event_shape"]
     assert len(exp_sites(tree)) == 1
+
+
+def test_csv_tables_have_one_reader_and_one_writer():
+    def users(name) -> list:
+        """'module.function' of each use of `csv.<name>` in the package."""
+        found = []
+        for path in sorted(SRC.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            assert not [n for n in ast.walk(tree)
+                        if isinstance(n, ast.ImportFrom) and n.module == "csv"]
+            for top in tree.body:
+                owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                found += [owner for n in ast.walk(top) if isinstance(n, ast.Attribute)
+                          and n.attr == name and getattr(n.value, "id", None) == "csv"]
+        return found
+
+    assert users("reader") == ["dataset.read_table"]
+    assert users("writer") == ["cli.cmd_predict", "dataset.write_table"]

@@ -106,8 +106,7 @@ def test_subset_rows_keeps_alignment(small_features):
 
 @pytest.fixture(scope="module")
 def report(small_features):
-    return comparison_report(small_features, PipelineConfig(seed=42),
-                             test_fraction=0.5, seed=3)
+    return comparison_report(small_features, PipelineConfig(seed=3), test_fraction=0.5)
 
 
 class TestComparisonReport:
@@ -120,8 +119,7 @@ class TestComparisonReport:
                 assert 0.0 <= report["accuracy"][variant][side] <= 1.0
 
     def test_deterministic(self, small_features, report):
-        again = comparison_report(small_features, PipelineConfig(seed=42),
-                                  test_fraction=0.5, seed=3)
+        again = comparison_report(small_features, PipelineConfig(seed=3), test_fraction=0.5)
         assert again == report
 
     def test_format_lists_both_variants(self, report):

@@ -24,7 +24,10 @@ Prediction, too, bounds its kernel blocks, not the batch it serves:
 predict_batch scores its rows in blocks of max(1, _KERNEL_BLOCK_CELLS // n)
 rows, n the model's largest support-vector count, so no kernel block holds
 more than _KERNEL_BLOCK_CELLS cells (or one row's, if n is larger). A single
-row, or any batch that fits one block, is scored as one block.
+row, or any batch that fits one block, is scored as one block. Each
+machine's decision values fill one contiguous row of a (machines x rows)
+table, and _vote counts each row's votes and sums its strengths with one
+np.bincount each over the cells row * n_labels + winner.
 """
 
 import json
@@ -346,12 +349,8 @@ def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig) -> BinarySvm
 
 
 def decision_values(model: BinarySvmModel, X: np.ndarray, norms=None) -> np.ndarray:
-    """f(x) for each row of X; norms, when given, must be squared_norms(X)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"X must be 2-D, got shape {X.shape}")
-    if model.n_support == 0:
-        return np.full(X.shape[0], model.bias)
+    """f(x) for each row of the 2-D X, which gram checks; norms, when given,
+    must be squared_norms(X)."""
     K = gram(model.kernel, X, model.support_vectors, norms, model.support_norms)
     return K @ model.dual_coef + model.bias
 
@@ -363,9 +362,10 @@ class MulticlassSvmModel:
     Machine i decides the i-th pair of label_order (combinations order).
     feature_indices are 1-based catalog columns the machines were trained
     on; normalization, when present, holds the min and max of every catalog
-    column, and each used column is scaled by its own. block_rows, the rows
-    predict_batch scores at once, is derived from the machines when the model
-    is built and is not serialized.
+    column, and each used column is scaled by its own. columns, the 0-based
+    positions of feature_indices, and block_rows, the rows predict_batch
+    scores at once, are derived when the model is built and are not
+    serialized.
     """
 
     machines: list
@@ -373,6 +373,7 @@ class MulticlassSvmModel:
     feature_indices: tuple
     normalization: FeatureNormalization | None = None
     config: TrainConfig = field(default_factory=TrainConfig)
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
     block_rows: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -391,6 +392,7 @@ class MulticlassSvmModel:
         if self.normalization is not None and self.normalization.n_features != N_FEATURES:
             raise ValueError(f"normalization has {self.normalization.n_features} columns, "
                              f"expected {N_FEATURES}")
+        self.columns = np.subtract(self.feature_indices, 1)
         widest = max(m.n_support for m in self.machines)
         self.block_rows = max(1, _KERNEL_BLOCK_CELLS // max(widest, 1))
 
@@ -410,7 +412,7 @@ def train_multiclass(matrix: FeatureMatrix, config: TrainConfig, feature_indices
     feature_indices, then scaled by normalization (if not None).
     """
     feature_indices = tuple(validate_catalog_indices(feature_indices))
-    values = _prepare_rows(normalization, feature_indices, matrix.values)
+    values = _prepare_rows(normalization, np.subtract(feature_indices, 1), matrix.values)
     labels = matrix.labels
     if any(lab is None for lab in labels):
         raise ValueError("training rows must all carry labels")
@@ -433,10 +435,10 @@ def train_multiclass(matrix: FeatureMatrix, config: TrainConfig, feature_indices
     )
 
 
-def _prepare_rows(normalization: FeatureNormalization | None, feature_indices,
+def _prepare_rows(normalization: FeatureNormalization | None, columns: np.ndarray,
                   values: np.ndarray) -> np.ndarray:
-    """A model's rows from full catalog rows: checked, cut to the
-    feature_indices columns, then scaled by the normalization (if any)."""
+    """A model's rows from full catalog rows: checked, cut to the 0-based
+    catalog columns, then scaled by the normalization (if any)."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"expected 2-D rows, got shape {values.shape}")
@@ -447,7 +449,6 @@ def _prepare_rows(normalization: FeatureNormalization | None, feature_indices,
         )
     if not np.all(np.isfinite(values)):
         raise ValueError("rows contain non-finite values")
-    columns = np.subtract(feature_indices, 1)
     rows = values[:, columns]
     return rows if normalization is None else normalization.scale(rows, columns)
 
@@ -457,38 +458,53 @@ _PAIRS = {n: np.array(list(combinations(range(n), 2)))
           for n in range(2, len(LABEL_ORDER) + 1)}
 
 
+def _vote(f: np.ndarray, pairs: np.ndarray, n_labels: int) -> tuple:
+    """(votes, strengths), each (rows x n_labels), from the (machines x rows)
+    decision table f: machine j votes for label pairs[j, 0] where f > 0, else
+    for pairs[j, 1], with strength |f|.
+
+    Each vote lands in cell row * n_labels + winner. np.bincount adds its
+    weights in input order, and f is read machine by machine, so each row's
+    strengths are summed in machine order from 0.0: the floats that adding
+    one machine at a time gives, so tie-breaks see the same bits.
+    """
+    n_rows = f.shape[1]
+    winners = np.where(f > 0, pairs[:, :1], pairs[:, 1:])
+    winners += np.arange(n_rows) * n_labels
+    cells, size = winners.ravel(), n_rows * n_labels
+    votes = np.bincount(cells, minlength=size).reshape(n_rows, n_labels)
+    strengths = np.bincount(cells, np.abs(f).ravel(), size).reshape(n_rows, n_labels)
+    return votes, strengths
+
+
 def predict_batch(model: MulticlassSvmModel, values: np.ndarray) -> list:
     """Predict a label per full catalog row; one row is a (1, 30) batch.
 
     The rows and their norms are prepared once; then each block of
-    model.block_rows rows goes through every machine's decision_values, so
-    a kernel block never exceeds _KERNEL_BLOCK_CELLS cells (one row's, if a
-    machine has more support vectors). A batch of one block is scored as a
-    whole; in a larger one a decision value may differ in its last bits
-    from the same row's in another block, as BLAS orders a block's sums by
-    the block's shape.
+    model.block_rows rows goes through every machine's decision_values,
+    which fills that block of the machine's row of a (machines x rows)
+    table, so a kernel block never exceeds _KERNEL_BLOCK_CELLS cells (one
+    row's, if a machine has more support vectors). A batch of one block is
+    scored as a whole; in a larger one a decision value may differ in its
+    last bits from the same row's in another block, as BLAS orders a
+    block's sums by the block's shape.
+
+    Each row goes to the label with the most votes, then the largest summed
+    strength among those, then the first in label order (see _vote).
     """
     order = model.label_order
-    pairs = _PAIRS[len(order)]
     with _kernel_overflow_refused():  # a used column may overflow its scaling too
-        rows = _prepare_rows(model.normalization, model.feature_indices, values)
+        rows = _prepare_rows(model.normalization, model.columns, values)
         # only rbf reads norms, and a linear model's rows may be too large to square
         norms = (squared_norms(rows) if any(m.kernel.kind == "rbf" for m in model.machines)
                  else None)
-        f = np.empty((rows.shape[0], len(model.machines)))
+        f = np.empty((len(model.machines), rows.shape[0]))
         for start in range(0, rows.shape[0], model.block_rows):
             block = slice(start, start + model.block_rows)
             x, x_norms = rows[block], None if norms is None else norms[block]
-            for j, m in enumerate(model.machines):
-                f[block, j] = decision_values(m, x, x_norms)
-    winners = np.where(f > 0, pairs[:, 0], pairs[:, 1])
-    # add.at sums each row's strengths in machine order, so tie-breaks see the
-    # same floats as adding one machine at a time
-    at = (np.arange(rows.shape[0])[:, None], winners)
-    votes = np.zeros((rows.shape[0], len(order)), dtype=np.int64)
-    strengths = np.zeros(votes.shape)
-    np.add.at(votes, at, 1)
-    np.add.at(strengths, at, np.abs(f))
+            for f_m, m in zip(f, model.machines):
+                f_m[block] = decision_values(m, x, x_norms)
+    votes, strengths = _vote(f, _PAIRS[len(order)], len(order))
     # argmax takes the first maximum, so exact strength ties go by label order
     most_votes = votes == votes.max(axis=1, keepdims=True)
     best = np.argmax(np.where(most_votes, strengths, -np.inf), axis=1)
@@ -540,13 +556,23 @@ def save_model(model: MulticlassSvmModel, path: str) -> None:
     write_json(path, payload)
 
 
+def _typed(value, kind: type, key: str):
+    """value, if json.load made it a kind (int or bool): an int is not a
+    float, a string or a boolean, and a bool is only true or false."""
+    if type(value) is not kind:
+        raise TypeError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def load_model(path: str) -> MulticlassSvmModel:
     """Load a model saved by save_model; errors on foreign or truncated files.
 
     Machine i's label pair is the i-th pair of label_order, and its kernel is
     config.kernel resolved to the model's width, the number of feature_indices.
     Every malformed file, a missing key or a value of the wrong type included,
-    ends in a ValueError that names the file.
+    ends in a ValueError that names the file; catalog_version, seed and
+    iterations must be JSON integers and converged a JSON boolean, so a
+    number or string that would coerce to one is refused.
     """
     with file_errors(path, "model file"), open(path) as fh:
         payload = json.load(fh)
@@ -558,7 +584,7 @@ def load_model(path: str) -> MulticlassSvmModel:
             )
         if payload.get("kind") != "one_vs_one_svm":
             raise ValueError("not a one_vs_one_svm model file")
-        catalog = int(payload["catalog_version"])
+        catalog = _typed(payload["catalog_version"], int, "catalog_version")
         if catalog != CATALOG_VERSION:
             raise ValueError(
                 f"catalog_version {catalog} unsupported (expected {CATALOG_VERSION})")
@@ -567,7 +593,7 @@ def load_model(path: str) -> MulticlassSvmModel:
             c=float.fromhex(cfg["c"]),
             kernel=KernelSpec(kind=spec["kind"],
                               eta=None if spec["eta"] is None else float.fromhex(spec["eta"])),
-            seed=int(cfg["seed"]),
+            seed=_typed(cfg["seed"], int, "seed"),
         )
         label_order = tuple(parse_label(v) for v in payload["label_order"])
         feature_indices = tuple(validate_catalog_indices(payload["feature_indices"]))
@@ -585,8 +611,8 @@ def load_model(path: str) -> MulticlassSvmModel:
                 dual_coef=np.array([float.fromhex(v) for v in m["dual_coef"]]),
                 bias=float.fromhex(m["bias"]),
                 kernel=kernel,
-                iterations=int(m["iterations"]),
-                converged=bool(m["converged"]),
+                iterations=_typed(m["iterations"], int, "iterations"),
+                converged=_typed(m["converged"], bool, "converged"),
                 final_violation=float.fromhex(m["final_violation"]),
             ))
         norm = payload["normalization"]

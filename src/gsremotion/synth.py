@@ -227,16 +227,23 @@ def _generate_block(specs: list, config: SynthConfig) -> list:
         have = counts > k
         at = slice(None) if have.all() else np.flatnonzero(have)
         t0, amplitude, rise, decay = events[at, k].T
-        # every cell before column c0 precedes each row's event k
+        # every cell before column c0 precedes each row's event k, and from
+        # column c1 on every cell lies over 40 * EVENT_DECAY_S[1] = 192 s after
+        # it. There a bump is below amplitude / peak * exp(-40) <= 1.16 / 0.516
+        # * 4.25e-18 < 1e-17, while the cell holds at least tonic + drift * t
+        # > 0 + 0.0318 * 192 > 6.1 uS (every tonic level SUBJECT_TONIC_US gives
+        # is >= 2.5 uS), whose half-ulp is 4.4e-16: skipping those cells keeps
+        # every bit.
         c0 = int(np.searchsorted(t, t0.min()))
-        s = t[c0:] - t0[:, None]
+        c1 = int(np.searchsorted(t, t0.max() + 40.0 * EVENT_DECAY_S[1], side="right"))
+        s = t[c0:c1] - t0[:, None]
         np.maximum(s, 0.0, out=s)
         # peak of exp(-s/d) - exp(-s/r) sits at s* = ln(d/r) * r*d/(d-r)
         s_star = np.log(decay / rise) * rise * decay / (decay - rise)
         peak = _event_shape(s_star, rise, decay)
         bump = amplitude[:, None] * _event_shape(s, rise[:, None], decay[:, None])
         bump /= peak[:, None]
-        signal[at, c0:] += bump
+        signal[at, c0:c1] += bump
     noise *= config.noise_std_us
     signal += noise
     np.maximum(signal, POSITIVITY_FLOOR_US, out=signal)

@@ -336,16 +336,37 @@ class TestSelectionJson:
                         "--out", os.path.join(tmp, "model.json")], broken)
 
 
+# The solver facts a model file keeps: converged is a JSON boolean, the
+# others JSON integers. A value that bool() or int() would coerce, such as
+# "false" (truthy) or 3.7 (truncated), is refused.
+MISTYPED_FACTS = {
+    ("machines", 0, "converged"): ["false", "true", 0, 1, None, 0.0],
+    ("machines", 0, "iterations"): [3.7, "12", 12.0, True, None],
+    ("config", "seed"): [42.9, "42", 42.0, True, False],
+    ("catalog_version",): [1.0, "1", True, 1.5],
+}
+
+
+def set_key(payload, key_path, value):
+    for step in key_path[:-1]:
+        payload = payload[step]
+    payload[key_path[-1]] = value
+
+
 @st.composite
 def model_mutation(draw, text):
-    kind = draw(st.sampled_from(["truncate", "drop_key", "not_an_object"]))
+    kind = draw(st.sampled_from(["truncate", "drop_key", "not_an_object", "mistyped_fact"]))
     if kind == "truncate":
         return truncated(text, draw(st.floats(0, 1)))
     if kind == "not_an_object":
         return json.dumps(draw(st.one_of(st.none(), st.integers(), st.text(),
                                           st.lists(st.integers(), max_size=3))))
     payload = json.loads(text)
-    delete_key(payload, draw(st.sampled_from(list(key_paths(payload)))))
+    if kind == "mistyped_fact":
+        key_path = draw(st.sampled_from(list(MISTYPED_FACTS)))
+        set_key(payload, key_path, draw(st.sampled_from(MISTYPED_FACTS[key_path])))
+    else:
+        delete_key(payload, draw(st.sampled_from(list(key_paths(payload)))))
     return json.dumps(payload)
 
 
@@ -360,3 +381,19 @@ class TestModelJson:
                 fh.write(text)
             run_broken(["predict", "--model", broken, "--features", str(inputs["features"]),
                         "--out", os.path.join(tmp, "predictions.csv")], broken)
+
+    @pytest.mark.parametrize("key_path, value", [
+        pytest.param(key_path, value, id=f"{key_path[-1]}={json.dumps(value)}")
+        for key_path, values in MISTYPED_FACTS.items() for value in values])
+    def test_mistyped_solver_fact_refused(self, inputs, key_path, value):
+        """eval refuses the file, naming it and the key; "converged": "false"
+        would otherwise load as converged and hide the warning line."""
+        payload = json.loads(inputs["model"].read_text())
+        set_key(payload, key_path, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            broken = os.path.join(tmp, "model.json")
+            with open(broken, "w") as fh:
+                json.dump(payload, fh)
+            line = run_broken(["eval", "--model", broken, "--features", str(inputs["features"]),
+                               "--out", os.path.join(tmp, "scores")], broken)
+        assert f"{key_path[-1]} must be" in line and f"got {value!r}" in line, line

@@ -19,6 +19,7 @@ from gsremotion.features import (
 from gsremotion import svm
 from gsremotion.kernels import KernelSpec, gram, squared_norms
 from gsremotion.pipeline import PipelineConfig, fit_from_features, predict_rows, prepare_dataset
+from gsremotion.synth import SynthConfig, generate_dataset
 from gsremotion.svm import (
     MODEL_FORMAT_VERSION,
     BinarySvmModel,
@@ -70,7 +71,7 @@ def vote_model(labels=(H, G, C)):
 def pair_machines(model, matrix):
     """Machine i of a model fitted on matrix, trained alone: on the rows of the
     i-th pair of label_order, +1 for the pair's first label."""
-    rows = _prepare_rows(model.normalization, model.feature_indices, matrix.values)
+    rows = _prepare_rows(model.normalization, model.columns, matrix.values)
     labels = np.array([lab.value for lab in matrix.labels])
     for a, b in combinations(model.label_order, 2):
         pick = (labels == a.value) | (labels == b.value)
@@ -196,6 +197,104 @@ class TestVoting:
         assert predict_batch(vote_model(LABEL_ORDER), rows) == expected
 
 
+def vote_reference(f, n_labels):
+    """Votes and strengths of the (machines x rows) decision table f, one
+    machine and one row at a time: each strength is summed in machine order
+    from 0.0."""
+    votes = np.zeros((f.shape[1], n_labels), dtype=np.int64)
+    strengths = np.zeros(votes.shape)
+    for (a, b), row in zip(combinations(range(n_labels), 2), f, strict=True):
+        for r, value in enumerate(row):
+            winner = a if value > 0 else b
+            votes[r, winner] += 1
+            strengths[r, winner] += abs(value)
+    return votes, strengths
+
+
+def reference_labels(votes, strengths, order):
+    """Most votes, then the largest strength, then the first label."""
+    return [order[max(range(len(order)), key=lambda i: (v[i], s[i], -i))]
+            for v, s in zip(votes, strengths)]
+
+
+# decision values that tie often: exact strength ties, and sums such as
+# 0.1 + 0.2 that differ in their last bit from 0.3, so the order of the
+# sums shows
+TIE_PRONE = [-2.0, -1.0, -0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 1.0, 2.0]
+
+
+def decision_table(n_machines, n_rows, seed):
+    """A (machines x rows) table, half its cells tie-prone and half normal."""
+    rng = np.random.default_rng(seed)
+    f = rng.choice(TIE_PRONE, size=(n_machines, n_rows))
+    spread = rng.random(f.shape) < 0.5
+    f[spread] = rng.normal(size=spread.sum())
+    return f
+
+
+class TestVoteParity:
+    """svm._vote, two bincounts over the whole table, gives the bits of
+    adding one machine at a time, so every tie-break keeps its outcome."""
+
+    @pytest.mark.parametrize("n_labels", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n_rows", [0, 1, 257])
+    def test_bincount_vote_matches_machine_at_a_time(self, n_labels, n_rows):
+        f = decision_table(n_labels * (n_labels - 1) // 2, n_rows, seed=n_labels * 1000 + n_rows)
+        votes, strengths = svm._vote(f, svm._PAIRS[n_labels], n_labels)
+        want_votes, want_strengths = vote_reference(f, n_labels)
+        assert_array_equal(votes, want_votes)
+        assert_same_bits(strengths, want_strengths)
+
+    def test_planted_exact_strength_ties_go_by_label_order(self):
+        # 4 labels, machines (0,1) (0,2) (0,3) (1,2) (1,3) (2,3): in each
+        # row two labels have 2 votes each and the same summed strength
+        f = np.array([[1.0, 0.5, -0.25, 1.0, 0.5, 0.75],
+                      [0.25, 1.0, -1.0, 0.5, -0.25, 0.5],
+                      [-0.5, -0.75, 1.0, 0.75, -1.0, 0.5]]).T.copy()
+        votes, strengths = svm._vote(f, svm._PAIRS[4], 4)
+        assert_array_equal(votes, [[2, 2, 1, 1], [2, 1, 1, 2], [1, 2, 2, 1]])
+        assert_same_bits(strengths, vote_reference(f, 4)[1])
+        assert strengths[0, 0] == strengths[0, 1] == 1.5
+        assert strengths[1, 0] == strengths[1, 3] == strengths[2, 1] == strengths[2, 2] == 1.25
+        model = vote_model(LABEL_ORDER[:4])
+        rows = np.zeros((3, N_FEATURES))
+        rows[:, :6] = f.T
+        assert predict_batch(model, rows) == [H, H, G]
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 50])
+    def test_predict_batch_labels_match_the_reference(self, monkeypatch, n_rows):
+        # block_rows 3: 50 rows are scored in 17 blocks
+        monkeypatch.setattr(svm, "_KERNEL_BLOCK_CELLS", 3)
+        model = vote_model(LABEL_ORDER)
+        assert model.block_rows == 3
+        f = decision_table(10, n_rows, seed=n_rows)
+        rows = np.zeros((n_rows, N_FEATURES))
+        rows[:, :10] = f.T
+        expected = reference_labels(*vote_reference(f, 5), LABEL_ORDER)
+        assert predict_batch(model, rows) == expected
+
+    def test_fitted_model_votes_like_the_reference(self, default_fit, monkeypatch):
+        """A batch of several kernel blocks through a fitted model: the votes
+        and strengths of its decision table, and its labels, are the
+        reference's."""
+        model, matrix = default_fit
+        seen, vote = [], svm._vote
+
+        def spy(f, pairs, n_labels):
+            seen.append((f.copy(), vote(f, pairs, n_labels)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(svm, "_vote", spy)
+        tiles = -(-2 * model.block_rows // matrix.n_rows) + 1  # more than 2 blocks
+        labels = predict_batch(model, np.tile(matrix.values, (tiles, 1)))
+        [(f, (votes, strengths))] = seen
+        assert f.shape == (len(model.machines), tiles * matrix.n_rows)
+        want_votes, want_strengths = vote_reference(f, len(model.label_order))
+        assert_array_equal(votes, want_votes)
+        assert_same_bits(strengths, want_strengths)
+        assert labels == reference_labels(want_votes, want_strengths, model.label_order)
+
+
 class TestWarnings:
     def test_unconverged_machines_named_by_position(self):
         model = vote_model()
@@ -245,15 +344,52 @@ class TestBatchPath:
 
 
 @pytest.fixture(scope="module", params=["signal", "both"])
-def default_fit(request, default_corpus):
+def norm_mode(request):
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def default_fit(norm_mode, default_corpus):
     """The seed-42 model of the default corpus, and that corpus's feature table."""
-    config = PipelineConfig(norm_mode=request.param, seed=42)
+    config = PipelineConfig(norm_mode=norm_mode, seed=42)
     matrix = extract_dataset_features(prepare_dataset(default_corpus, config))
     return fit_from_features(matrix, config).model, matrix
 
 
+@pytest.fixture(scope="module")
+def unseen_corpora():
+    """4 x 257 records no seed-42 model was trained on: synth seeds 43-46."""
+    return [generate_dataset(SynthConfig(seed=seed)) for seed in (43, 44, 45, 46)]
+
+
+@pytest.fixture(scope="module")
+def unseen_rows(norm_mode, unseen_corpora):
+    """The feature rows of unseen_corpora, prepared under norm_mode."""
+    config = PipelineConfig(norm_mode=norm_mode, seed=42)
+    return np.concatenate([extract_dataset_features(prepare_dataset(corpus, config)).values
+                           for corpus in unseen_corpora])
+
+
 def assert_same_bits(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLabelsAgree:
+    """A row's label does not depend on how it is scored: alone, in one
+    batch, or by the model reloaded from its file. Any change to the read
+    side must keep this."""
+
+    def test_single_rows_batch_and_reload_agree(self, default_fit, unseen_rows, tmp_path):
+        model, matrix = default_fit
+        path = str(tmp_path / "model.json")
+        save_model(model, path)
+        loaded = load_model(path)
+        assert unseen_rows.shape == (4 * 257, N_FEATURES)
+        for values in (matrix.values, unseen_rows):
+            batch = predict_batch(model, values)
+            for m in (model, loaded):
+                assert [predict_batch(m, row[None])[0] for row in values] == batch
+                assert predict_batch(m, values) == batch
 
 
 class TestPredictionConstants:
@@ -262,7 +398,7 @@ class TestPredictionConstants:
 
     def test_decision_values_match_the_reference_gram(self, default_fit):
         model, matrix = default_fit
-        rows = _prepare_rows(model.normalization, model.feature_indices, matrix.values)
+        rows = _prepare_rows(model.normalization, model.columns, matrix.values)
         norms = squared_norms(rows)
         for m in model.machines:
             want = gram_reference(m.kernel, rows, m.support_vectors) @ m.dual_coef + m.bias

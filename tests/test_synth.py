@@ -187,6 +187,10 @@ class TestGoldenCorpora:
     (11, (1, 1, 1, 1, 1), 200.0, 4.0, 0.02),
     (2024, (70, 2, 0, 3, 9), 64.3, 16.0, 0.0),
     (7, (0, 0, 0, 0, 3), 4.0, 50.0, 0.02),
+    # long records, whose events skip the cells past 40 slowest decay times
+    # after a slot's latest onset, which the reference adds them to
+    (42, (1, 1, 1, 1, 1), 3_600.0, 4.0, 0.02),
+    (42, (1, 1, 1, 1, 1), 36_000.0, 0.01, 0.02),
 ])
 def test_block_generator_matches_the_record_reference(seed, counts, duration, rate, noise):
     config = SynthConfig(per_label_counts=dict(zip(LABEL_ORDER, counts)), duration_s=duration,

@@ -72,8 +72,15 @@ from .synth import SynthConfig, generate_dataset
 
 
 def _int_list(text: str) -> list:
+    """Comma-separated integers; a list of only empty fields is empty, and an
+    empty field among integers is refused, not dropped."""
+    fields = [part.strip() for part in text.split(",")]
+    if not any(fields):
+        return []
+    if "" in fields:
+        raise ValueError(f"empty field in comma-separated integers {text!r}")
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in fields]
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {text!r}")
 
@@ -153,12 +160,15 @@ def read_config_file(path: str) -> dict:
 def _resolve(args, key: str):
     """flag > config file > None (unset), either text through the key's parser
     (a number flag arrives parsed by argparse, and parsing it again keeps it)
-    and checked by the key's rule; a bad value from the file names the file
-    and the key."""
+    and checked by the key's rule; a flag its parser refuses is named, and a
+    bad value from the file names the file and the key."""
     parse, check, _ = _OPTIONS[key]
     value = getattr(args, key, None)
     if value is not None:
-        value = parse(value)
+        try:
+            value = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{_flag(key)}: {exc}") from None
         if check is not None:
             check(value)
         return value

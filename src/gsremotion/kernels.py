@@ -15,11 +15,20 @@ from gram's in the last bits.
 squared_norms is the one rule for a squared norm. gram computes the norms
 its caller does not pass; svm.BinarySvmModel keeps its support vectors'
 norms from when it is built, and svm.predict_batch computes its rows' norms
-once per call and passes both to each machine's gram. The same expression
+once per call and passes them to every gram it calls. The same expression
 on the same array gives the same bits, so passing a norm changes none.
+
+gram can also score X against several matrices stacked in Z, one tile for
+all of them: splits cut Z's rows into parts, each part's inner products are
+its own product X @ part.T, written into the part's columns of the tile,
+and finish_block finishes the whole tile in one pass. So a part's columns
+have the bits of gram(spec, X, part), and the parts share only the
+finishing ufuncs' per-call overhead. svm.predict_batch scores a small row
+block this way over the stacked support vectors of all its machines.
 """
 
 from dataclasses import dataclass, replace
+from itertools import pairwise
 
 import numpy as np
 
@@ -85,18 +94,26 @@ def squared_norms(X: np.ndarray) -> np.ndarray:
     return (X * X).sum(axis=1)
 
 
-def gram(spec: KernelSpec, X, Z=None, norms_x=None, norms_z=None) -> np.ndarray:
+def gram(spec: KernelSpec, X, Z=None, norms_x=None, norms_z=None, splits=None) -> np.ndarray:
     """Kernel matrix K[i, j] = K(X[i], Z[j]); Z defaults to X; built in place.
 
     norms_x and norms_z, when given, must be squared_norms of X and Z; rbf
-    computes the ones not given, and linear reads none.
+    computes the ones not given, and linear reads none. splits, when given,
+    are row offsets into Z, as np.split takes them: the inner products of
+    each part of Z come from their own product with X, so each part's
+    columns have the bits of that part's gram alone.
     """
     Xa = np.asarray(X, dtype=np.float64)
     Za = Xa if Z is None else np.asarray(Z, dtype=np.float64)
     if Xa.ndim != 2 or Za.ndim != 2 or Xa.shape[1] != Za.shape[1]:
         raise ValueError(f"incompatible shapes {Xa.shape} and {Za.shape}")
     spec.require_resolved()
-    inner = Xa @ Za.T
+    if splits is None:
+        inner = Xa @ Za.T
+    else:
+        inner = np.empty((Xa.shape[0], Za.shape[0]))
+        for lo, hi in pairwise((0, *splits, Za.shape[0])):
+            np.matmul(Xa, Za[lo:hi].T, out=inner[:, lo:hi])
     if spec.kind != "rbf":
         return finish_block(spec, inner)
     if norms_x is None:

@@ -179,7 +179,8 @@ def read_selection_indices(path: str) -> list:
 def validate_catalog_indices(indices) -> list:
     """Check a 1-based catalog index list: non-empty, ints in range, unique, ascending.
 
-    Booleans are refused although True == 1: JSON `true` is not an index.
+    Booleans and floats are refused although True == 1 and 1.0 == 1: JSON
+    `true` and `1.0` are not indices. Python and numpy integers pass.
     """
     if len(indices) == 0:
         raise ValueError("catalog index list is empty")
@@ -190,6 +191,8 @@ def validate_catalog_indices(indices) -> list:
         v = int(i)
         if v != i or not 1 <= v <= len(FEATURE_NAMES):
             raise ValueError(f"catalog index {i!r} out of range 1..{len(FEATURE_NAMES)}")
+        if not isinstance(i, (int, np.integer)):
+            raise ValueError(f"catalog index {i!r} is a {type(i).__name__}, not an integer")
         out.append(v)
     if len(set(out)) != len(out):
         raise ValueError("catalog indices must be unique")

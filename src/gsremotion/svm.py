@@ -28,12 +28,25 @@ row, or any batch that fits one block, is scored as one block. Each
 machine's decision values fill one contiguous row of a (machines x rows)
 table, and _vote counts each row's votes and sums its strengths with one
 np.bincount each over the cells row * n_labels + winner.
+
+A block is scored in one of two tiles. The model stacks every machine's
+support vectors in machine order into one pool (LIBSVM's layout, Chang &
+Lin, ACM TIST 2011, without its deduplication). A block of at most
+model.tile_rows rows, max(1, _TILE_CELLS // pool size) (every single row),
+is one gram over the pool, split at the machines' offsets: each machine's
+inner products still come from their own product, and one finish_block
+finishes the tile, so the per-call overhead is paid once, not per machine.
+A larger block keeps one gram per machine: a pool-wide tile of a few
+hundred rows allocates megabytes of temporaries per call and was measured
+slower than the machines' tiles. Both tiles give each decision value the
+bits of decision_values on the same block.
 """
 
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, pairwise
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +67,10 @@ _TAU = 1e-12
 
 # The most rows x support-vector kernel cells predict_batch forms at once.
 _KERNEL_BLOCK_CELLS = 2 ** 17
+
+# The most rows x pool cells of a block that predict_batch scores as one
+# tile over the pool of all machines' support vectors.
+_TILE_CELLS = 2 ** 12
 
 
 @dataclass
@@ -355,16 +372,42 @@ def decision_values(model: BinarySvmModel, X: np.ndarray, norms=None) -> np.ndar
     return K @ model.dual_coef + model.bias
 
 
+class SupportPool(NamedTuple):
+    """Every machine's support vectors stacked in machine order, their
+    squared norms (None for linear), the row offsets between machines (as
+    np.split takes them) and each machine's slice of a tile's columns."""
+
+    vectors: np.ndarray
+    norms: np.ndarray | None
+    splits: tuple
+    columns: tuple
+
+
+def _support_pool(machines: list) -> SupportPool:
+    ends = np.cumsum([m.n_support for m in machines]).tolist()
+    norms = None
+    if machines[0].kernel.kind == "rbf":
+        norms = np.concatenate([m.support_norms for m in machines])
+    return SupportPool(
+        vectors=np.concatenate([m.support_vectors for m in machines]),
+        norms=norms,
+        splits=tuple(ends[:-1]),
+        columns=tuple(slice(lo, hi) for lo, hi in pairwise([0, *ends])),
+    )
+
+
 @dataclass
 class MulticlassSvmModel:
     """One-vs-one ensemble over the labels seen at training time.
 
-    Machine i decides the i-th pair of label_order (combinations order).
-    feature_indices are 1-based catalog columns the machines were trained
-    on; normalization, when present, holds the min and max of every catalog
-    column, and each used column is scaled by its own. columns, the 0-based
-    positions of feature_indices, and block_rows, the rows predict_batch
-    scores at once, are derived when the model is built and are not
+    Machine i decides the i-th pair of label_order (combinations order),
+    and every machine uses one kernel. feature_indices are 1-based catalog
+    columns the machines were trained on; normalization, when present,
+    holds the min and max of every catalog column, and each used column is
+    scaled by its own. columns, the 0-based positions of feature_indices,
+    pool, the machines' support vectors stacked (see SupportPool), and
+    block_rows and tile_rows, the rows predict_batch scores at once and in
+    one tile over the pool, are derived when the model is built and are not
     serialized.
     """
 
@@ -374,7 +417,9 @@ class MulticlassSvmModel:
     normalization: FeatureNormalization | None = None
     config: TrainConfig = field(default_factory=TrainConfig)
     columns: np.ndarray = field(init=False, repr=False, compare=False)
+    pool: SupportPool = field(init=False, repr=False, compare=False)
     block_rows: int = field(init=False, repr=False, compare=False)
+    tile_rows: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.label_order = tuple(self.label_order)
@@ -389,12 +434,18 @@ class MulticlassSvmModel:
         if widths != {len(self.feature_indices)}:
             raise ValueError(f"machines are {sorted(widths)} features wide, "
                              f"the model has {len(self.feature_indices)}")
+        kernels = {m.kernel for m in self.machines}
+        if len(kernels) != 1:
+            raise ValueError(f"machines must all use one kernel, got {len(kernels)}: "
+                             f"{sorted(kernels, key=repr)}")
         if self.normalization is not None and self.normalization.n_features != N_FEATURES:
             raise ValueError(f"normalization has {self.normalization.n_features} columns, "
                              f"expected {N_FEATURES}")
         self.columns = np.subtract(self.feature_indices, 1)
+        self.pool = _support_pool(self.machines)
         widest = max(m.n_support for m in self.machines)
         self.block_rows = max(1, _KERNEL_BLOCK_CELLS // max(widest, 1))
+        self.tile_rows = max(1, _TILE_CELLS // max(len(self.pool.vectors), 1))
 
     def warnings(self, prefix: str = "") -> list:
         """A line after prefix for each machine that MAX_PASSES stopped short of TOLERANCE."""
@@ -481,29 +532,37 @@ def predict_batch(model: MulticlassSvmModel, values: np.ndarray) -> list:
     """Predict a label per full catalog row; one row is a (1, 30) batch.
 
     The rows and their norms are prepared once; then each block of
-    model.block_rows rows goes through every machine's decision_values,
-    which fills that block of the machine's row of a (machines x rows)
-    table, so a kernel block never exceeds _KERNEL_BLOCK_CELLS cells (one
-    row's, if a machine has more support vectors). A batch of one block is
-    scored as a whole; in a larger one a decision value may differ in its
-    last bits from the same row's in another block, as BLAS orders a
-    block's sums by the block's shape.
+    model.block_rows rows fills its columns of a (machines x rows) table,
+    one row per machine, so a kernel block never exceeds
+    _KERNEL_BLOCK_CELLS cells (one row's, if a machine has more support
+    vectors). A block of at most model.tile_rows rows is one gram over
+    model.pool, and machine i's values are its columns of that tile times
+    its coefficients; a larger block goes through each machine's
+    decision_values. Either way a value has the bits of decision_values on
+    the same block. A batch of one block is scored as a whole; in a larger
+    one a decision value may differ in its last bits from the same row's
+    in another block, as BLAS orders a block's sums by the block's shape.
 
     Each row goes to the label with the most votes, then the largest summed
     strength among those, then the first in label order (see _vote).
     """
-    order = model.label_order
+    order, pool = model.label_order, model.pool
     with _kernel_overflow_refused():  # a used column may overflow its scaling too
         rows = _prepare_rows(model.normalization, model.columns, values)
         # only rbf reads norms, and a linear model's rows may be too large to square
-        norms = (squared_norms(rows) if any(m.kernel.kind == "rbf" for m in model.machines)
-                 else None)
+        norms = None if pool.norms is None else squared_norms(rows)
         f = np.empty((len(model.machines), rows.shape[0]))
         for start in range(0, rows.shape[0], model.block_rows):
             block = slice(start, start + model.block_rows)
             x, x_norms = rows[block], None if norms is None else norms[block]
-            for f_m, m in zip(f, model.machines):
-                f_m[block] = decision_values(m, x, x_norms)
+            if len(x) <= model.tile_rows:
+                K = gram(model.machines[0].kernel, x, pool.vectors, x_norms, pool.norms,
+                         pool.splits)
+                for f_m, m, cols in zip(f, model.machines, pool.columns):
+                    f_m[block] = K[:, cols] @ m.dual_coef + m.bias
+            else:
+                for f_m, m in zip(f, model.machines):
+                    f_m[block] = decision_values(m, x, x_norms)
     votes, strengths = _vote(f, _PAIRS[len(order)], len(order))
     # argmax takes the first maximum, so exact strength ties go by label order
     most_votes = votes == votes.max(axis=1, keepdims=True)
@@ -564,6 +623,17 @@ def _typed(value, kind: type, key: str):
     return value
 
 
+def _from_hex(value, key: str) -> float:
+    """A model file's hex float; one that is not a hex float, or is too large
+    for a double, is a ValueError that names key."""
+    try:
+        return float.fromhex(value)
+    except ValueError:
+        raise ValueError(f"{key} {value!r} is not a hex float") from None
+    except OverflowError:
+        raise ValueError(f"{key} {value!r} is too large for a double") from None
+
+
 def load_model(path: str) -> MulticlassSvmModel:
     """Load a model saved by save_model; errors on foreign or truncated files.
 
@@ -572,7 +642,9 @@ def load_model(path: str) -> MulticlassSvmModel:
     Every malformed file, a missing key or a value of the wrong type included,
     ends in a ValueError that names the file; catalog_version, seed and
     iterations must be JSON integers and converged a JSON boolean, so a
-    number or string that would coerce to one is refused.
+    number or string that would coerce to one is refused. Every float goes
+    through _from_hex, so a hex float too large for a double is refused by
+    its key, not raised as an OverflowError.
     """
     with file_errors(path, "model file"), open(path) as fh:
         payload = json.load(fh)
@@ -590,9 +662,9 @@ def load_model(path: str) -> MulticlassSvmModel:
                 f"catalog_version {catalog} unsupported (expected {CATALOG_VERSION})")
         cfg, spec = payload["config"], payload["config"]["kernel"]
         config = TrainConfig(
-            c=float.fromhex(cfg["c"]),
+            c=_from_hex(cfg["c"], "c"),
             kernel=KernelSpec(kind=spec["kind"],
-                              eta=None if spec["eta"] is None else float.fromhex(spec["eta"])),
+                              eta=None if spec["eta"] is None else _from_hex(spec["eta"], "eta")),
             seed=_typed(cfg["seed"], int, "seed"),
         )
         label_order = tuple(parse_label(v) for v in payload["label_order"])
@@ -601,25 +673,26 @@ def load_model(path: str) -> MulticlassSvmModel:
         kernel = config.kernel.resolved(width)
         machines = []
         for m in payload["machines"]:
-            sv_rows = [[float.fromhex(v) for v in row] for row in m["support_vectors"]]
+            sv_rows = [[_from_hex(v, "support_vectors") for v in row]
+                       for row in m["support_vectors"]]
             widths = {len(row) for row in sv_rows}
             if widths - {width}:
                 raise ValueError(f"machines are {sorted(widths)} features wide, "
                                  f"the model has {width}")
             machines.append(BinarySvmModel(
                 support_vectors=np.array(sv_rows, dtype=np.float64).reshape(len(sv_rows), width),
-                dual_coef=np.array([float.fromhex(v) for v in m["dual_coef"]]),
-                bias=float.fromhex(m["bias"]),
+                dual_coef=np.array([_from_hex(v, "dual_coef") for v in m["dual_coef"]]),
+                bias=_from_hex(m["bias"], "bias"),
                 kernel=kernel,
                 iterations=_typed(m["iterations"], int, "iterations"),
                 converged=_typed(m["converged"], bool, "converged"),
-                final_violation=float.fromhex(m["final_violation"]),
+                final_violation=_from_hex(m["final_violation"], "final_violation"),
             ))
         norm = payload["normalization"]
         if norm is not None:
             norm = FeatureNormalization(
-                mins=np.array([float.fromhex(v) for v in norm["mins"]]),
-                maxs=np.array([float.fromhex(v) for v in norm["maxs"]]),
+                mins=np.array([_from_hex(v, "mins") for v in norm["mins"]]),
+                maxs=np.array([_from_hex(v, "maxs") for v in norm["maxs"]]),
             )
         return MulticlassSvmModel(
             machines=machines,

@@ -335,6 +335,17 @@ class TestSelect:
         assert capsys.readouterr().err == "error: catalog index list is empty\n"
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("listed", ["1,,3", "1,3,", ",1,3", "1, ,3"])
+    def test_empty_field_in_feature_list_rejected(self, features_csv, tmp_path, capsys,
+                                                  listed):
+        """An empty field is refused, not dropped: 1,,3 is not the 2 features 1,3."""
+        rc = cli.main(["select", "--features", str(features_csv),
+                       "--out", str(tmp_path / "selection.json"), "--features-list", listed])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: --features-list: empty field in comma-separated integers {listed!r}\n")
+        assert os.listdir(tmp_path) == []
+
 class TestTrain:
     def test_model_round_trip(self, model_path):
         model = load_model(str(model_path))
@@ -900,6 +911,22 @@ class TestConfigFile:
         assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1, err
         assert message in err
 
+    @pytest.mark.parametrize("command, text", [
+        ("synth", "counts = 10,,10,10,10,10\n"),
+        ("synth", "counts = 10,10,10,10,10,\n"),
+        ("select", "features_list = 1,,3\n"),
+    ])
+    def test_empty_list_field_names_the_key(self, features_csv, tmp_path, capsys,
+                                            command, text):
+        cfg = write_config(tmp_path / "bad.cfg", text)
+        source = [] if command == "synth" else ["--features", str(features_csv)]
+        rc = cli.main([command, *source, "--out", str(tmp_path / "out"), "--config", cfg])
+        key, value = (part.strip() for part in text.split("="))
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config key {key}: cannot parse {value!r}\n")
+        assert os.listdir(tmp_path) == ["bad.cfg"]
+
     @pytest.mark.parametrize("command", [name for name, *_ in cli._COMMANDS])
     def test_every_command_reads_the_file(self, manifest, features_csv, model_path, tmp_path,
                                           capsys, command):
@@ -1107,6 +1134,25 @@ class TestMalformedInputFiles:
         rc = self.train_with(features_csv, selection, tmp_path)
         self.assert_names(capsys, rc, selection,
                           "selection file has a value of the wrong type")
+
+    def test_float_selection_indices_refused(self, features_csv, tmp_path, capsys):
+        selection = tmp_path / "selection.json"
+        selection.write_text(json.dumps({"selected_indices": [1.0, 4.0, 9.0]}))
+        rc = self.train_with(features_csv, selection, tmp_path)
+        self.assert_names(capsys, rc, selection, "catalog index 1.0 is a float, not an integer")
+        assert not (tmp_path / "model.json").exists()
+
+    def test_float_model_feature_indices_refused(self, model_path, features_csv, tmp_path,
+                                                 capsys):
+        payload = json.loads(model_path.read_text())
+        payload["feature_indices"] = [float(i) for i in payload["feature_indices"]]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        rc = cli.main(["eval", "--model", str(model), "--features", str(features_csv),
+                       "--out", str(tmp_path / "scores")])
+        first = payload["feature_indices"][0]
+        self.assert_names(capsys, rc, model, f"catalog index {first!r} is a float, not an integer")
+        assert os.listdir(tmp_path) == ["model.json"]
 
     def test_empty_selection_names_its_file(self, features_csv, tmp_path, capsys):
         selection = tmp_path / "selection.json"

@@ -297,11 +297,11 @@ class TestFeatureCsv:
 
 
 # every element is rejected: not an int, a boolean, a non-integral float,
-# out of 1..30, or a container
+# out of 1..30, a float (1.0 is not an index either), or a container
 bad_index = st.one_of(
     st.none(), st.booleans(), st.integers(max_value=0), st.integers(min_value=31),
-    st.text(max_size=4),
-    st.floats(allow_nan=False, allow_infinity=False).filter(lambda f: not f.is_integer()),
+    st.text(max_size=4), st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(1, 30).map(float),
     st.lists(st.integers(1, 30), max_size=2), st.dictionaries(junk, st.integers(), max_size=1),
 )
 
@@ -347,15 +347,33 @@ MISTYPED_FACTS = {
 }
 
 
+# Hex floats too large for a double, each a ValueError naming its key, not an
+# OverflowError.
+OVERFLOWING_HEX = ["0x1p+1024", "-0x1p+1024", "0x2p+1023", "0x1p+5000"]
+
+
 def set_key(payload, key_path, value):
     for step in key_path[:-1]:
         payload = payload[step]
     payload[key_path[-1]] = value
 
 
+def hex_paths(node, prefix=()):
+    """The path of every hex float string in a JSON tree, list items included."""
+    if isinstance(node, str) and "0x" in node:
+        yield prefix
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from hex_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from hex_paths(value, prefix + (i,))
+
+
 @st.composite
 def model_mutation(draw, text):
-    kind = draw(st.sampled_from(["truncate", "drop_key", "not_an_object", "mistyped_fact"]))
+    kind = draw(st.sampled_from(["truncate", "drop_key", "not_an_object", "mistyped_fact",
+                                 "overflowing_hex"]))
     if kind == "truncate":
         return truncated(text, draw(st.floats(0, 1)))
     if kind == "not_an_object":
@@ -365,6 +383,9 @@ def model_mutation(draw, text):
     if kind == "mistyped_fact":
         key_path = draw(st.sampled_from(list(MISTYPED_FACTS)))
         set_key(payload, key_path, draw(st.sampled_from(MISTYPED_FACTS[key_path])))
+    elif kind == "overflowing_hex":
+        key_path = draw(st.sampled_from(list(hex_paths(payload))))
+        set_key(payload, key_path, draw(st.sampled_from(OVERFLOWING_HEX)))
     else:
         delete_key(payload, draw(st.sampled_from(list(key_paths(payload)))))
     return json.dumps(payload)
@@ -397,3 +418,24 @@ class TestModelJson:
             line = run_broken(["eval", "--model", broken, "--features", str(inputs["features"]),
                                "--out", os.path.join(tmp, "scores")], broken)
         assert f"{key_path[-1]} must be" in line and f"got {value!r}" in line, line
+
+    @pytest.mark.parametrize("command, key_path, value", [
+        ("eval", ("machines", 0, "bias"), "0x1p+1024"),
+        ("predict", ("config", "c"), "0x1p+5000"),
+        ("eval", ("machines", 3, "support_vectors", 1, 2), "-0x1p+1024"),
+        ("predict", ("machines", 9, "dual_coef", 0), "0x2p+1023"),
+    ], ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v)))
+    def test_overflowing_hex_float_refused(self, inputs, command, key_path, value):
+        """A hex float too large for a double ends in exit 1 naming the file
+        and the key, not in an OverflowError traceback."""
+        payload = json.loads(inputs["model"].read_text())
+        set_key(payload, key_path, value)
+        key = next(step for step in reversed(key_path) if isinstance(step, str))
+        with tempfile.TemporaryDirectory() as tmp:
+            broken = os.path.join(tmp, "model.json")
+            with open(broken, "w") as fh:
+                json.dump(payload, fh)
+            out = os.path.join(tmp, "scores" if command == "eval" else "predictions.csv")
+            line = run_broken([command, "--model", broken, "--features",
+                               str(inputs["features"]), "--out", out], broken)
+        assert line.endswith(f": {key} {value!r} is too large for a double"), line

@@ -155,6 +155,19 @@ class TestComposition:
         with pytest.raises(ValueError, match="at least 2 labels"):
             MulticlassSvmModel(machines=[], label_order=(H,), feature_indices=(1,))
 
+    @pytest.mark.parametrize("kernels", [
+        [KernelSpec(kind="linear"), KernelSpec(kind="rbf", eta=1.0), KernelSpec(kind="linear")],
+        [KernelSpec(kind="rbf", eta=1.0), KernelSpec(kind="rbf", eta=0.5),
+         KernelSpec(kind="rbf", eta=1.0)],
+    ], ids=["linear-and-rbf", "two-etas"])
+    def test_machines_of_different_kernels_refused(self, kernels):
+        """The machines share one pool of support vectors, so one kernel."""
+        machines = [BinarySvmModel(support_vectors=np.eye(3)[[k]], dual_coef=np.ones(1),
+                                   bias=0.0, kernel=spec) for k, spec in enumerate(kernels)]
+        with pytest.raises(ValueError, match="^machines must all use one kernel, got 2: "):
+            MulticlassSvmModel(machines=machines, label_order=(H, G, C),
+                               feature_indices=(1, 2, 3))
+
 
 # (H,G), (H,C), (G,C) decisions for each voting outcome
 MAJORITY = [1.0, -1.0, -1.0]  # H beats G, C beats H, C beats G: two votes for C
@@ -324,11 +337,16 @@ class TestBatchPath:
         assert predict_batch(model, np.tile(matrix.values, (tiles, 1))) == single * tiles
 
     def test_kernel_blocks_are_bounded(self, default_fit, monkeypatch):
-        """Each kernel block covers model.block_rows rows (the last one the
-        rest), at most _KERNEL_BLOCK_CELLS cells, for every machine."""
+        """Each block covers model.block_rows rows (the last one the rest),
+        at most _KERNEL_BLOCK_CELLS cells. A block of the default corpus's
+        257 rows, or of model.block_rows, makes one gram call per machine; a
+        small remainder block one call over the whole pool."""
         model, matrix = default_fit
         widest = max(m.n_support for m in model.machines)
+        pool = sum(m.n_support for m in model.machines)
         assert model.block_rows == svm._KERNEL_BLOCK_CELLS // widest
+        assert model.tile_rows == svm._TILE_CELLS // pool
+        assert len(model.pool.vectors) == pool
         blocks = []
 
         def counted(spec, X, Z, *norms):
@@ -336,10 +354,14 @@ class TestBatchPath:
             return gram(spec, X, Z, *norms)
 
         monkeypatch.setattr(svm, "gram", counted)
+        predict_batch(model, matrix.values)
+        assert blocks == [(matrix.n_rows, m.n_support) for m in model.machines]
+        blocks.clear()
         rows = 2 * model.block_rows + 5
+        assert 5 <= model.tile_rows < model.block_rows
         predict_batch(model, np.resize(matrix.values, (rows, N_FEATURES)))
-        sizes = [model.block_rows, model.block_rows, 5]
-        assert blocks == [(n, m.n_support) for n in sizes for m in model.machines]
+        full = [(n, m.n_support) for n in 2 * [model.block_rows] for m in model.machines]
+        assert blocks == full + [(5, pool)]
         assert max(r * n for r, n in blocks) <= svm._KERNEL_BLOCK_CELLS
 
 
@@ -390,6 +412,78 @@ class TestLabelsAgree:
             for m in (model, loaded):
                 assert [predict_batch(m, row[None])[0] for row in values] == batch
                 assert predict_batch(m, values) == batch
+
+
+def decision_table_of(model, values):
+    """The (machines x rows) table predict_batch votes on."""
+    seen = []
+
+    def spy(f, pairs, n_labels):
+        seen.append(f.copy())
+        return vote(f, pairs, n_labels)
+
+    vote, svm._vote = svm._vote, spy
+    try:
+        predict_batch(model, values)
+    finally:
+        svm._vote = vote
+    [f] = seen
+    return f
+
+
+class TestTiles:
+    """Whether a block is one tile over the pool or one tile per machine,
+    each machine's row of the decision table has the bits of its
+    decision_values on the same block of rows."""
+
+    @staticmethod
+    def assert_rows_match_machines(model, values, block_rows):
+        rows = _prepare_rows(model.normalization, model.columns, values)
+        f = decision_table_of(model, values)
+        for start in range(0, len(rows), block_rows):
+            block = slice(start, start + block_rows)
+            for f_m, m in zip(f, model.machines, strict=True):
+                assert_same_bits(f_m[block], decision_values(m, rows[block]))
+
+    def test_decision_rows_keep_their_bits(self, default_fit, unseen_rows, monkeypatch):
+        model, matrix = default_fit
+        tile = model.tile_rows
+        for values in (matrix.values, unseen_rows):
+            for n in (1, 2, tile, tile + 1):  # single rows, pairs, either side of _TILE_CELLS
+                for start in range(0, len(values) - n + 1, n):
+                    self.assert_rows_match_machines(model, values[start:start + n],
+                                                    model.block_rows)
+        # blocks of 257 rows, one tile per machine, and a pooled remainder of 5
+        widest = max(m.n_support for m in model.machines)
+        monkeypatch.setattr(svm, "_KERNEL_BLOCK_CELLS", 257 * widest)
+        blocked = dataclasses.replace(model)
+        assert blocked.block_rows == 257 and 5 <= blocked.tile_rows
+        for values in (unseen_rows, unseen_rows[:2 * 257 + 5]):
+            self.assert_rows_match_machines(blocked, values, 257)
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_pool_follows_the_machines(self, kind):
+        """The pool stacks the machines' support vectors and norms in machine
+        order, and a machine with no support vector takes no column."""
+        rng = np.random.default_rng(5)
+        spec = KernelSpec(kind=kind, eta=None if kind == "linear" else 0.25)
+        machines = [BinarySvmModel(support_vectors=rng.normal(size=(n, 3)),
+                                   dual_coef=rng.normal(size=n), bias=0.5, kernel=spec)
+                    for n in (4, 0, 2)]
+        model = MulticlassSvmModel(machines=machines, label_order=(H, G, C),
+                                   feature_indices=(1, 2, 3))
+        pool = model.pool
+        assert pool.splits == (4, 4)
+        assert pool.columns == (slice(0, 4), slice(4, 4), slice(4, 6))
+        for m, cols in zip(machines, pool.columns, strict=True):
+            assert_same_bits(pool.vectors[cols], m.support_vectors)
+            if kind == "rbf":
+                assert_same_bits(pool.norms[cols], m.support_norms)
+        assert pool.norms is None if kind == "linear" else pool.norms.shape == (6,)
+        values = rng.normal(size=(3, N_FEATURES))
+        f = decision_table_of(model, values)
+        for f_m, m in zip(f, machines):
+            assert_same_bits(f_m, decision_values(m, values[:, :3]))
 
 
 class TestPredictionConstants:
@@ -685,6 +779,30 @@ def nan_normalization_min(payload):
     payload["normalization"]["mins"][0] = "nan"
 
 
+def overflowing_bias(payload):
+    payload["machines"][0]["bias"] = "0x1p+1024"
+
+
+def overflowing_c(payload):
+    payload["config"]["c"] = "0x1p+5000"
+
+
+def overflowing_support_value(payload):
+    payload["machines"][0]["support_vectors"][0][0] = "-0x1p+1024"
+
+
+def overflowing_normalization_max(payload):
+    payload["normalization"]["maxs"][3] = "0x2p+1023"
+
+
+def unparsable_dual_coef(payload):
+    payload["machines"][0]["dual_coef"][0] = "0x1.gp+0"
+
+
+def float_feature_indices(payload):
+    payload["feature_indices"] = [float(i) for i in payload["feature_indices"]]
+
+
 class TestInconsistentModelFile:
     """A model file whose parts disagree is refused by name when loaded."""
 
@@ -702,6 +820,12 @@ class TestInconsistentModelFile:
         (inf_support_value, "bias must be finite"),
         (minus_inf_dual_coef, "bias must be finite"),
         (nan_normalization_min, "mins and maxs must be finite"),
+        (overflowing_bias, "bias '0x1p+1024' is too large for a double"),
+        (overflowing_c, "c '0x1p+5000' is too large for a double"),
+        (overflowing_support_value, "support_vectors '-0x1p+1024' is too large for a double"),
+        (overflowing_normalization_max, "maxs '0x2p+1023' is too large for a double"),
+        (unparsable_dual_coef, "dual_coef '0x1.gp+0' is not a hex float"),
+        (float_feature_indices, ".0 is a float, not an integer"),
     ], ids=lambda v: getattr(v, "__name__", ""))
     def test_refused_with_the_file_named(self, scaled, tmp_path, edit, message):
         path = tmp_path / "model.json"

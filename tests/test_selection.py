@@ -271,6 +271,11 @@ class TestValidateCatalogIndices:
         with pytest.raises(ValueError, match="boolean"):
             validate_catalog_indices([flag, 3])
 
+    @pytest.mark.parametrize("index", [3.0, np.float64(3.0), np.float32(3.0)])
+    def test_integral_float_is_not_an_index(self, index):
+        with pytest.raises(ValueError, match=r"^catalog index .*3\.0\)? is a float(32|64)?, not an "):
+            validate_catalog_indices([1, index])
+
     def test_numpy_integers_pass(self):
         assert validate_catalog_indices(np.array([2, 7])) == [2, 7]
 

@@ -138,6 +138,20 @@ class TestGramBitIdentity:
         assert K[0, 1] == 0.0 and K[0, 2] > 0.0
         assert_array_equal(K, gram_reference(spec, X))
 
+    @pytest.mark.parametrize("n_rows", [1, 3, 40])
+    @pytest.mark.parametrize("spec", BIT_IDENTITY_SPECS, ids=lambda s: s.kind)
+    def test_split_parts_keep_their_bits(self, spec, n_rows):
+        """gram over parts of Z stacked and split gives each part's columns
+        the bits of gram over that part alone, an empty part included."""
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(n_rows, 6)) * 3.0
+        parts = [rng.normal(size=(n, 6)) for n in (7, 0, 1, 12)]
+        K = gram(spec, X, np.concatenate(parts), splits=(7, 7, 8))
+        assert K.shape == (n_rows, 20)
+        for part, cols in zip(parts, (slice(0, 7), slice(7, 7), slice(7, 8), slice(8, 20))):
+            assert_array_equal(K[:, cols], gram(spec, X, part))
+            assert_array_equal(np.signbit(K[:, cols]), np.signbit(gram(spec, X, part)))
+
     @pytest.mark.parametrize("spec", BIT_IDENTITY_SPECS, ids=lambda s: s.kind)
     def test_overflow_is_refused_as_before(self, spec):
         X = np.array([[1e200, 1.0], [2.0, 3.0]])

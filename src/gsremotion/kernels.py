@@ -13,26 +13,34 @@ row's inner products come from another BLAS call than gram's and may differ
 from gram's in the last bits.
 
 squared_norms is the one rule for a squared norm. gram computes the norms
-its caller does not pass; svm.BinarySvmModel keeps its support vectors'
-norms from when it is built, and svm.predict_batch computes its rows' norms
-once per call and passes them to every gram it calls. The same expression
-on the same array gives the same bits, so passing a norm changes none.
+of X and those of Z its caller does not pass; svm.BinarySvmModel keeps its
+support vectors' norms from when it is built, and svm.MulticlassSvmModel
+passes its pool's. The same expression on the same row gives the same bits,
+so passing a norm changes none.
 
-gram can also score X against several matrices stacked in Z, one tile for
-all of them: splits cut Z's rows into parts, each part's inner products are
-its own product X @ part.T, written into the part's columns of the tile,
-and finish_block finishes the whole tile in one pass. So a part's columns
-have the bits of gram(spec, X, part), and the parts share only the
-finishing ufuncs' per-call overhead. svm.predict_batch scores a small row
-block this way over the stacked support vectors of all its machines.
+tile_product is the one rule for a product whose rows must not depend on
+their neighbours: it forms A @ B, both made C-contiguous, as one 2-D
+product per TILE_ROWS rows of A, the last tile zero-padded. BLAS picks its
+kernels and orders its sums by a product's shape, so a row of one large
+product can differ in its last bits from the same row alone; a tile always
+has the same shape, so each row of A @ B has the bits of that row alone,
+whatever the batch, its blocks, the BLAS thread count or the memory layout
+of the rows. gram forms its inner products this way, and
+svm.decision_values its products with the coefficients. The bits still
+depend on the CPU's BLAS kernels.
 """
 
 from dataclasses import dataclass, replace
-from itertools import pairwise
 
 import numpy as np
 
 KERNEL_KINDS = ("linear", "rbf")
+
+# The rows of each 2-D product tile_product forms. Measured against the
+# seed-42 models' pools on OpenBLAS 0.3.31: heights 1, 4, 16 and 32 kept each
+# row's bits at every position of a tile under the SkylakeX, Haswell and
+# Sandybridge kernels; 7 and 10 did not under SkylakeX, nor 7 under Haswell.
+TILE_ROWS = 16
 
 
 def canonical_kind(kind: str) -> str:
@@ -94,30 +102,43 @@ def squared_norms(X: np.ndarray) -> np.ndarray:
     return (X * X).sum(axis=1)
 
 
-def gram(spec: KernelSpec, X, Z=None, norms_x=None, norms_z=None, splits=None) -> np.ndarray:
+def tile_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for 2-D float arrays, one 2-D product per TILE_ROWS rows of A,
+    the last tile zero-padded: each row has the bits of that row alone.
+
+    Both operands are made C-contiguous first. The layout is part of the
+    rule: with B a transposed view, rows 12-15 of a tile took other bits
+    than rows 0-11 against the 194 x 15 pool of the seed-42 `both` model.
+    """
+    A, B = np.ascontiguousarray(A), np.ascontiguousarray(B)
+    n = A.shape[0]
+    full = n - n % TILE_ROWS
+    out = np.empty((n, B.shape[1]))
+    for lo in range(0, full, TILE_ROWS):
+        np.matmul(A[lo:lo + TILE_ROWS], B, out=out[lo:lo + TILE_ROWS])
+    if full < n:
+        tail = np.zeros((TILE_ROWS, A.shape[1]))
+        tail[:n - full] = A[full:]
+        out[full:] = (tail @ B)[:n - full]
+    return out
+
+
+def gram(spec: KernelSpec, X, Z=None, norms_z=None) -> np.ndarray:
     """Kernel matrix K[i, j] = K(X[i], Z[j]); Z defaults to X; built in place.
 
-    norms_x and norms_z, when given, must be squared_norms of X and Z; rbf
-    computes the ones not given, and linear reads none. splits, when given,
-    are row offsets into Z, as np.split takes them: the inner products of
-    each part of Z come from their own product with X, so each part's
-    columns have the bits of that part's gram alone.
+    The inner products come from tile_product, so each row of K has the bits
+    of the same row of X alone. norms_z, when given, must be squared_norms
+    of Z; rbf computes the norms not given, and linear reads none.
     """
-    Xa = np.asarray(X, dtype=np.float64)
+    Xa = np.ascontiguousarray(X, dtype=np.float64)
     Za = Xa if Z is None else np.asarray(Z, dtype=np.float64)
     if Xa.ndim != 2 or Za.ndim != 2 or Xa.shape[1] != Za.shape[1]:
         raise ValueError(f"incompatible shapes {Xa.shape} and {Za.shape}")
     spec.require_resolved()
-    if splits is None:
-        inner = Xa @ Za.T
-    else:
-        inner = np.empty((Xa.shape[0], Za.shape[0]))
-        for lo, hi in pairwise((0, *splits, Za.shape[0])):
-            np.matmul(Xa, Za[lo:hi].T, out=inner[:, lo:hi])
+    inner = tile_product(Xa, Za.T)
     if spec.kind != "rbf":
         return finish_block(spec, inner)
-    if norms_x is None:
-        norms_x = squared_norms(Xa)
+    norms_x = squared_norms(Xa)
     if norms_z is None:
         norms_z = norms_x if Z is None else squared_norms(Za)
     return finish_block(spec, inner, norms_x[:, None], norms_z)

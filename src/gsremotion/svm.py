@@ -20,39 +20,31 @@ vector of each first index it picks. A solve reads only the rows of the
 indices it picks, about an eighth of them in a cross-validation of the 8x
 corpus, and no n x n array is ever formed.
 
-Prediction, too, bounds its kernel blocks, not the batch it serves:
+Prediction follows LIBSVM's model layout (Chang & Lin, ACM TIST 2011):
+the model keeps each support vector once, however many machines use it, in
+one pool, with a dense (pool x machines) coefficient matrix that is zero
+where a machine does not use a vector. A block of rows is then one gram
+against the pool and one product with the coefficients, which gives every
+machine's decision value at once. Both products go through
+kernels.tile_product, so a row's decision values depend on the row alone:
+not on the batch, its blocks, the BLAS thread count or the rows' layout.
 predict_batch scores its rows in blocks of max(1, _KERNEL_BLOCK_CELLS // n)
-rows, n the model's largest support-vector count, so no kernel block holds
-more than _KERNEL_BLOCK_CELLS cells (or one row's, if n is larger). A single
-row, or any batch that fits one block, is scored as one block. Each
-machine's decision values fill one contiguous row of a (machines x rows)
-table, and _vote counts each row's votes and sums its strengths with one
-np.bincount each over the cells row * n_labels + winner.
-
-A block is scored in one of two tiles. The model stacks every machine's
-support vectors in machine order into one pool (LIBSVM's layout, Chang &
-Lin, ACM TIST 2011, without its deduplication). A block of at most
-model.tile_rows rows, max(1, _TILE_CELLS // pool size) (every single row),
-is one gram over the pool, split at the machines' offsets: each machine's
-inner products still come from their own product, and one finish_block
-finishes the tile, so the per-call overhead is paid once, not per machine.
-A larger block keeps one gram per machine: a pool-wide tile of a few
-hundred rows allocates megabytes of temporaries per call and was measured
-slower than the machines' tiles. Both tiles give each decision value the
-bits of decision_values on the same block.
+rows, n the pool size, so no kernel block holds more than
+_KERNEL_BLOCK_CELLS cells (or one row's, if n is larger). _vote counts each
+row's votes and sums its strengths with one np.bincount each over the cells
+row * n_labels + winner.
 """
 
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import combinations, pairwise
-from typing import NamedTuple
+from itertools import combinations
 
 import numpy as np
 
 from .dataset import LABEL_ORDER, file_errors, parse_label, write_json
 from .features import CATALOG_VERSION, N_FEATURES, FeatureMatrix, FeatureNormalization
-from .kernels import KernelSpec, finish_block, gram, squared_norms
+from .kernels import KernelSpec, finish_block, gram, squared_norms, tile_product
 from .selection import validate_catalog_indices
 
 MODEL_FORMAT_VERSION = 4
@@ -65,12 +57,8 @@ MAX_PASSES = 100_000
 # Floor for non-positive curvature along the working-set direction.
 _TAU = 1e-12
 
-# The most rows x support-vector kernel cells predict_batch forms at once.
+# The most rows x pool kernel cells predict_batch forms at once.
 _KERNEL_BLOCK_CELLS = 2 ** 17
-
-# The most rows x pool cells of a block that predict_batch scores as one
-# tile over the pool of all machines' support vectors.
-_TILE_CELLS = 2 ** 12
 
 
 @dataclass
@@ -92,9 +80,9 @@ class BinarySvmModel:
 
     support_norms, for rbf the squared_norms of support_vectors (None for
     linear, which reads none), is derived when the machine is built, so also
-    by load_model and dataclasses.replace, and is not serialized; prediction
-    reads it instead of computing it per call. Support vectors whose norms
-    overflow are refused here, as prediction would refuse them.
+    by load_model and dataclasses.replace, and is not serialized; the
+    multiclass model's pool takes its norms from it. Support vectors whose
+    norms overflow are refused here, as prediction would refuse them.
     """
 
     support_vectors: np.ndarray
@@ -365,35 +353,21 @@ def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig) -> BinarySvm
     )
 
 
-def decision_values(model: BinarySvmModel, X: np.ndarray, norms=None) -> np.ndarray:
-    """f(x) for each row of the 2-D X, which gram checks; norms, when given,
-    must be squared_norms(X)."""
-    K = gram(model.kernel, X, model.support_vectors, norms, model.support_norms)
-    return K @ model.dual_coef + model.bias
-
-
-class SupportPool(NamedTuple):
-    """Every machine's support vectors stacked in machine order, their
-    squared norms (None for linear), the row offsets between machines (as
-    np.split takes them) and each machine's slice of a tile's columns."""
-
-    vectors: np.ndarray
-    norms: np.ndarray | None
-    splits: tuple
-    columns: tuple
-
-
-def _support_pool(machines: list) -> SupportPool:
-    ends = np.cumsum([m.n_support for m in machines]).tolist()
+def _support_pool(machines: list) -> tuple:
+    """(vectors, norms, coef, bias): each support vector of the machines once
+    (np.unique's order), their squared norms (None for linear), the dense
+    (pool x machines) coefficient matrix and the machines' biases. A vector
+    that one machine holds twice sums its coefficients."""
+    stacked = np.concatenate([m.support_vectors for m in machines])
+    vectors, first, inverse = np.unique(stacked, axis=0, return_index=True,
+                                        return_inverse=True)
     norms = None
-    if machines[0].kernel.kind == "rbf":
-        norms = np.concatenate([m.support_norms for m in machines])
-    return SupportPool(
-        vectors=np.concatenate([m.support_vectors for m in machines]),
-        norms=norms,
-        splits=tuple(ends[:-1]),
-        columns=tuple(slice(lo, hi) for lo, hi in pairwise([0, *ends])),
-    )
+    if machines[0].support_norms is not None:
+        norms = np.concatenate([m.support_norms for m in machines])[first]
+    coef = np.zeros((len(vectors), len(machines)))
+    owner = np.repeat(np.arange(len(machines)), [m.n_support for m in machines])
+    np.add.at(coef, (inverse.ravel(), owner), np.concatenate([m.dual_coef for m in machines]))
+    return vectors, norms, coef, np.array([m.bias for m in machines])
 
 
 @dataclass
@@ -404,11 +378,12 @@ class MulticlassSvmModel:
     and every machine uses one kernel. feature_indices are 1-based catalog
     columns the machines were trained on; normalization, when present,
     holds the min and max of every catalog column, and each used column is
-    scaled by its own. columns, the 0-based positions of feature_indices,
-    pool, the machines' support vectors stacked (see SupportPool), and
-    block_rows and tile_rows, the rows predict_batch scores at once and in
-    one tile over the pool, are derived when the model is built and are not
-    serialized.
+    scaled by its own. Derived when the model is built, so also by
+    load_model and dataclasses.replace, and not serialized: columns, the
+    0-based positions of feature_indices; pool, pool_norms, coef and bias,
+    the machines' unique support vectors, their squared norms, the (pool x
+    machines) coefficient matrix and the biases (see _support_pool); and
+    block_rows, the rows predict_batch scores at once.
     """
 
     machines: list
@@ -417,9 +392,11 @@ class MulticlassSvmModel:
     normalization: FeatureNormalization | None = None
     config: TrainConfig = field(default_factory=TrainConfig)
     columns: np.ndarray = field(init=False, repr=False, compare=False)
-    pool: SupportPool = field(init=False, repr=False, compare=False)
+    pool: np.ndarray = field(init=False, repr=False, compare=False)
+    pool_norms: np.ndarray | None = field(init=False, repr=False, compare=False)
+    coef: np.ndarray = field(init=False, repr=False, compare=False)
+    bias: np.ndarray = field(init=False, repr=False, compare=False)
     block_rows: int = field(init=False, repr=False, compare=False)
-    tile_rows: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.label_order = tuple(self.label_order)
@@ -442,10 +419,8 @@ class MulticlassSvmModel:
             raise ValueError(f"normalization has {self.normalization.n_features} columns, "
                              f"expected {N_FEATURES}")
         self.columns = np.subtract(self.feature_indices, 1)
-        self.pool = _support_pool(self.machines)
-        widest = max(m.n_support for m in self.machines)
-        self.block_rows = max(1, _KERNEL_BLOCK_CELLS // max(widest, 1))
-        self.tile_rows = max(1, _TILE_CELLS // max(len(self.pool.vectors), 1))
+        self.pool, self.pool_norms, self.coef, self.bias = _support_pool(self.machines)
+        self.block_rows = max(1, _KERNEL_BLOCK_CELLS // max(len(self.pool), 1))
 
     def warnings(self, prefix: str = "") -> list:
         """A line after prefix for each machine that MAX_PASSES stopped short of TOLERANCE."""
@@ -528,42 +503,36 @@ def _vote(f: np.ndarray, pairs: np.ndarray, n_labels: int) -> tuple:
     return votes, strengths
 
 
+def decision_values(model: MulticlassSvmModel, values: np.ndarray) -> np.ndarray:
+    """The (rows x machines) table of decision values of full catalog rows:
+    column j is machine j's f(x) = sum coef K(x, sv) + bias.
+
+    Each block of model.block_rows rows is one gram against model.pool and
+    one tile_product with model.coef, so a kernel block never exceeds
+    _KERNEL_BLOCK_CELLS cells (one row's, if the pool is larger), and each
+    row's values have the bits of that row scored alone.
+    """
+    with _kernel_overflow_refused():  # a used column may overflow its scaling too
+        rows = _prepare_rows(model.normalization, model.columns, values)
+        f = np.empty((rows.shape[0], len(model.machines)))
+        for start in range(0, rows.shape[0], model.block_rows):
+            block = slice(start, start + model.block_rows)
+            K = gram(model.machines[0].kernel, rows[block], model.pool, model.pool_norms)
+            f[block] = tile_product(K, model.coef)
+        f += model.bias
+    return f
+
+
 def predict_batch(model: MulticlassSvmModel, values: np.ndarray) -> list:
     """Predict a label per full catalog row; one row is a (1, 30) batch.
 
-    The rows and their norms are prepared once; then each block of
-    model.block_rows rows fills its columns of a (machines x rows) table,
-    one row per machine, so a kernel block never exceeds
-    _KERNEL_BLOCK_CELLS cells (one row's, if a machine has more support
-    vectors). A block of at most model.tile_rows rows is one gram over
-    model.pool, and machine i's values are its columns of that tile times
-    its coefficients; a larger block goes through each machine's
-    decision_values. Either way a value has the bits of decision_values on
-    the same block. A batch of one block is scored as a whole; in a larger
-    one a decision value may differ in its last bits from the same row's
-    in another block, as BLAS orders a block's sums by the block's shape.
-
-    Each row goes to the label with the most votes, then the largest summed
-    strength among those, then the first in label order (see _vote).
+    Each row goes to the label with the most votes of its decision_values,
+    then the largest summed strength among those, then the first in label
+    order (see _vote). A row's label, like its decision values, does not
+    depend on the rest of the batch.
     """
-    order, pool = model.label_order, model.pool
-    with _kernel_overflow_refused():  # a used column may overflow its scaling too
-        rows = _prepare_rows(model.normalization, model.columns, values)
-        # only rbf reads norms, and a linear model's rows may be too large to square
-        norms = None if pool.norms is None else squared_norms(rows)
-        f = np.empty((len(model.machines), rows.shape[0]))
-        for start in range(0, rows.shape[0], model.block_rows):
-            block = slice(start, start + model.block_rows)
-            x, x_norms = rows[block], None if norms is None else norms[block]
-            if len(x) <= model.tile_rows:
-                K = gram(model.machines[0].kernel, x, pool.vectors, x_norms, pool.norms,
-                         pool.splits)
-                for f_m, m, cols in zip(f, model.machines, pool.columns):
-                    f_m[block] = K[:, cols] @ m.dual_coef + m.bias
-            else:
-                for f_m, m in zip(f, model.machines):
-                    f_m[block] = decision_values(m, x, x_norms)
-    votes, strengths = _vote(f, _PAIRS[len(order)], len(order))
+    order = model.label_order
+    votes, strengths = _vote(decision_values(model, values).T, _PAIRS[len(order)], len(order))
     # argmax takes the first maximum, so exact strength ties go by label order
     most_votes = votes == votes.max(axis=1, keepdims=True)
     best = np.argmax(np.where(most_votes, strengths, -np.inf), axis=1)

@@ -1,12 +1,15 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
 from gsremotion.dataset import LABEL_ORDER, EmotionLabel
 from gsremotion.features import (
@@ -117,7 +120,8 @@ class TestComposition:
 
         y = np.where([lab is EmotionLabel.ANGER for lab in sub.labels], 1.0, -1.0)
         binary = train_binary(sub.values, y, config)
-        f = decision_values(binary, sub.values)
+        f = gram_reference(binary.kernel, sub.values, binary.support_vectors) @ binary.dual_coef \
+            + binary.bias
         by_sign = [EmotionLabel.ANGER if v > 0 else EmotionLabel.CALM for v in f]
         assert predict_batch(mc, sub.values) == by_sign
 
@@ -276,8 +280,8 @@ class TestVoteParity:
 
     @pytest.mark.parametrize("n_rows", [0, 1, 50])
     def test_predict_batch_labels_match_the_reference(self, monkeypatch, n_rows):
-        # block_rows 3: 50 rows are scored in 17 blocks
-        monkeypatch.setattr(svm, "_KERNEL_BLOCK_CELLS", 3)
+        # block_rows 3 over the pool of 10 vectors: 50 rows are scored in 17 blocks
+        monkeypatch.setattr(svm, "_KERNEL_BLOCK_CELLS", 30)
         model = vote_model(LABEL_ORDER)
         assert model.block_rows == 3
         f = decision_table(10, n_rows, seed=n_rows)
@@ -337,16 +341,14 @@ class TestBatchPath:
         assert predict_batch(model, np.tile(matrix.values, (tiles, 1))) == single * tiles
 
     def test_kernel_blocks_are_bounded(self, default_fit, monkeypatch):
-        """Each block covers model.block_rows rows (the last one the rest),
-        at most _KERNEL_BLOCK_CELLS cells. A block of the default corpus's
-        257 rows, or of model.block_rows, makes one gram call per machine; a
-        small remainder block one call over the whole pool."""
+        """Each block covers model.block_rows rows (the last one the rest)
+        and is one gram against the pool of unique support vectors, at most
+        _KERNEL_BLOCK_CELLS cells: the default corpus's 257 rows are one
+        block, and 2 blocks plus 5 rows are three."""
         model, matrix = default_fit
-        widest = max(m.n_support for m in model.machines)
-        pool = sum(m.n_support for m in model.machines)
-        assert model.block_rows == svm._KERNEL_BLOCK_CELLS // widest
-        assert model.tile_rows == svm._TILE_CELLS // pool
-        assert len(model.pool.vectors) == pool
+        pool = len(model.pool)
+        assert pool < sum(m.n_support for m in model.machines)  # machines share vectors
+        assert model.block_rows == svm._KERNEL_BLOCK_CELLS // pool
         blocks = []
 
         def counted(spec, X, Z, *norms):
@@ -355,13 +357,10 @@ class TestBatchPath:
 
         monkeypatch.setattr(svm, "gram", counted)
         predict_batch(model, matrix.values)
-        assert blocks == [(matrix.n_rows, m.n_support) for m in model.machines]
+        assert blocks == [(matrix.n_rows, pool)]
         blocks.clear()
-        rows = 2 * model.block_rows + 5
-        assert 5 <= model.tile_rows < model.block_rows
-        predict_batch(model, np.resize(matrix.values, (rows, N_FEATURES)))
-        full = [(n, m.n_support) for n in 2 * [model.block_rows] for m in model.machines]
-        assert blocks == full + [(5, pool)]
+        predict_batch(model, np.resize(matrix.values, (2 * model.block_rows + 5, N_FEATURES)))
+        assert blocks == [(model.block_rows, pool)] * 2 + [(5, pool)]
         assert max(r * n for r, n in blocks) <= svm._KERNEL_BLOCK_CELLS
 
 
@@ -414,90 +413,118 @@ class TestLabelsAgree:
                 assert predict_batch(m, values) == batch
 
 
-def decision_table_of(model, values):
-    """The (machines x rows) table predict_batch votes on."""
-    seen = []
-
-    def spy(f, pairs, n_labels):
-        seen.append(f.copy())
-        return vote(f, pairs, n_labels)
-
-    vote, svm._vote = svm._vote, spy
-    try:
-        predict_batch(model, values)
-    finally:
-        svm._vote = vote
-    [f] = seen
-    return f
+ROWS_CHILD = """
+import hashlib, sys
+import numpy as np
+from gsremotion.svm import decision_values, load_model
+model, rows = load_model(sys.argv[1]), np.load(sys.argv[2])
+batch = decision_values(model, rows)
+alone = np.concatenate([decision_values(model, row[None]) for row in rows])
+blocks = np.concatenate([decision_values(model, rows[i:i + 37]) for i in range(0, len(rows), 37)])
+same = batch.tobytes() == alone.tobytes() == blocks.tobytes()
+print(same, hashlib.sha256(batch.tobytes()).hexdigest())
+"""
 
 
 class TestTiles:
-    """Whether a block is one tile over the pool or one tile per machine,
-    each machine's row of the decision table has the bits of its
-    decision_values on the same block of rows."""
-
-    @staticmethod
-    def assert_rows_match_machines(model, values, block_rows):
-        rows = _prepare_rows(model.normalization, model.columns, values)
-        f = decision_table_of(model, values)
-        for start in range(0, len(rows), block_rows):
-            block = slice(start, start + block_rows)
-            for f_m, m in zip(f, model.machines, strict=True):
-                assert_same_bits(f_m[block], decision_values(m, rows[block]))
+    """A row's decision values have the bits of that row scored alone: in a
+    batch, in any block, on any number of BLAS threads and in any memory
+    layout, because kernels.tile_product forms both products in tiles of one
+    shape."""
 
     def test_decision_rows_keep_their_bits(self, default_fit, unseen_rows, monkeypatch):
         model, matrix = default_fit
-        tile = model.tile_rows
-        for values in (matrix.values, unseen_rows):
-            for n in (1, 2, tile, tile + 1):  # single rows, pairs, either side of _TILE_CELLS
-                for start in range(0, len(values) - n + 1, n):
-                    self.assert_rows_match_machines(model, values[start:start + n],
-                                                    model.block_rows)
-        # blocks of 257 rows, one tile per machine, and a pooled remainder of 5
-        widest = max(m.n_support for m in model.machines)
-        monkeypatch.setattr(svm, "_KERNEL_BLOCK_CELLS", 257 * widest)
+        rows = np.concatenate([matrix.values, unseen_rows])
+        assert rows.shape == (1285, N_FEATURES)
+        batch = decision_values(model, rows)
+        assert batch.shape == (1285, len(model.machines))
+        alone = np.concatenate([decision_values(model, row[None]) for row in rows])
+        assert_same_bits(alone, batch)
+        blocks = [decision_values(model, rows[i:i + 37]) for i in range(0, len(rows), 37)]
+        assert_same_bits(np.concatenate(blocks), batch)
+        assert_same_bits(decision_values(model, np.asfortranarray(rows)), batch)
+        # blocks of 100 rows inside one call
+        monkeypatch.setattr(svm, "_KERNEL_BLOCK_CELLS", 100 * len(model.pool))
         blocked = dataclasses.replace(model)
-        assert blocked.block_rows == 257 and 5 <= blocked.tile_rows
-        for values in (unseen_rows, unseen_rows[:2 * 257 + 5]):
-            self.assert_rows_match_machines(blocked, values, 257)
+        assert blocked.block_rows == 100
+        assert_same_bits(decision_values(blocked, rows), batch)
+
+    def test_decision_rows_keep_their_bits_under_blas_settings(self, default_fit, unseen_rows,
+                                                               tmp_path):
+        """In child processes on 1 and 2 OpenBLAS threads, under this CPU's
+        kernels and OpenBLAS's Haswell and Sandybridge kernels: each row's
+        values alone, in a 1,285-row batch and in 37-row blocks are equal,
+        and the thread count does not move them. The kernels give other bits
+        from each other, so each core type is compared with itself."""
+        model, matrix = default_fit
+        model_path, rows_path = str(tmp_path / "model.json"), str(tmp_path / "rows.npy")
+        save_model(model, model_path)
+        np.save(rows_path, np.concatenate([matrix.values, unseen_rows]))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        for coretype in (None, "Haswell", "Sandybridge"):
+            digests = set()
+            for threads in ("1", "2"):
+                env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+                env.pop("OPENBLAS_CORETYPE", None)
+                if coretype is not None:
+                    env["OPENBLAS_CORETYPE"] = coretype
+                proc = subprocess.run([sys.executable, "-c", ROWS_CHILD, model_path, rows_path],
+                                      capture_output=True, text=True, env=env, check=True,
+                                      timeout=120)
+                same, digest = proc.stdout.split()
+                assert same == "True", (coretype, threads)
+                digests.add(digest)
+            assert len(digests) == 1, coretype
 
     @pytest.mark.parametrize("kind", ["linear", "rbf"])
     def test_pool_follows_the_machines(self, kind):
-        """The pool stacks the machines' support vectors and norms in machine
-        order, and a machine with no support vector takes no column."""
+        """The pool holds each support vector of the machines once, and
+        coef[:, j] holds machine j's coefficients at its vectors' rows: a
+        vector two machines share has one row, a vector one machine holds
+        twice sums its coefficients, and a machine with no support vector
+        has a zero column. Only rbf keeps norms."""
         rng = np.random.default_rng(5)
         spec = KernelSpec(kind=kind, eta=None if kind == "linear" else 0.25)
-        machines = [BinarySvmModel(support_vectors=rng.normal(size=(n, 3)),
-                                   dual_coef=rng.normal(size=n), bias=0.5, kernel=spec)
-                    for n in (4, 0, 2)]
+        shared = rng.normal(size=(2, 3))
+        vectors = [np.vstack([shared, rng.normal(size=(2, 3))]), np.empty((0, 3)),
+                   np.vstack([shared[1], rng.normal(size=(1, 3)), shared[1]])]
+        machines = [BinarySvmModel(support_vectors=sv, dual_coef=rng.normal(size=len(sv)),
+                                   bias=0.5 * k, kernel=spec) for k, sv in enumerate(vectors)]
         model = MulticlassSvmModel(machines=machines, label_order=(H, G, C),
                                    feature_indices=(1, 2, 3))
-        pool = model.pool
-        assert pool.splits == (4, 4)
-        assert pool.columns == (slice(0, 4), slice(4, 4), slice(4, 6))
-        for m, cols in zip(machines, pool.columns, strict=True):
-            assert_same_bits(pool.vectors[cols], m.support_vectors)
-            if kind == "rbf":
-                assert_same_bits(pool.norms[cols], m.support_norms)
-        assert pool.norms is None if kind == "linear" else pool.norms.shape == (6,)
+        assert model.pool.shape == (5, 3) and model.coef.shape == (5, 3)
+        assert_array_equal(model.bias, [0.0, 0.5, 1.0])
+        for j, m in enumerate(machines):
+            want = np.zeros(len(model.pool))
+            for sv, c in zip(m.support_vectors, m.dual_coef):
+                [row] = np.flatnonzero((model.pool == sv).all(axis=1))
+                want[row] += c
+            assert_same_bits(model.coef[:, j], want)
+        if kind == "linear":
+            assert model.pool_norms is None
+        else:
+            assert_same_bits(model.pool_norms, squared_norms(model.pool))
         values = rng.normal(size=(3, N_FEATURES))
-        f = decision_table_of(model, values)
-        for f_m, m in zip(f, machines):
-            assert_same_bits(f_m, decision_values(m, values[:, :3]))
+        want = np.column_stack([gram_reference(spec, values[:, :3], m.support_vectors)
+                                @ m.dual_coef + m.bias for m in machines])
+        assert_allclose(decision_values(model, values), want, rtol=1e-12, atol=1e-12)
 
 
 class TestPredictionConstants:
-    """A machine keeps its support vectors' squared norms, and predict_batch
-    computes its rows' norms once per call; no decision value moves a bit."""
+    """A machine keeps its support vectors' squared norms, and the model its
+    pool and the pool's norms and coefficients, derived whenever it is built;
+    each decision value is its machine's support expansion."""
 
     def test_decision_values_match_the_reference_gram(self, default_fit):
+        """The pool sums a machine's terms in another order than the machine
+        alone, so the values agree to a few ulps, not bit for bit (measured:
+        3.2e-14 at most on the default corpus and 4 x 257 unseen rows)."""
         model, matrix = default_fit
         rows = _prepare_rows(model.normalization, model.columns, matrix.values)
-        norms = squared_norms(rows)
-        for m in model.machines:
+        f = decision_values(model, matrix.values)
+        for j, m in enumerate(model.machines):
             want = gram_reference(m.kernel, rows, m.support_vectors) @ m.dual_coef + m.bias
-            assert_same_bits(decision_values(m, rows, norms), want)
-            assert_same_bits(decision_values(m, rows), want)
+            assert_allclose(f[:, j], want, rtol=1e-12, atol=1e-12)
 
     def test_machines_keep_their_support_norms(self, default_fit, tmp_path):
         model, _ = default_fit
@@ -505,10 +532,15 @@ class TestPredictionConstants:
         save_model(model, path)
         halves = [dataclasses.replace(m, support_vectors=m.support_vectors[::2],
                                       dual_coef=m.dual_coef[::2]) for m in model.machines]
-        for machines in (model.machines, load_model(path).machines, halves):
-            for m in machines:
+        halved = dataclasses.replace(model, machines=halves)
+        for derived in (model, load_model(path), halved):
+            for m in derived.machines:
                 assert_same_bits(m.support_norms, squared_norms(m.support_vectors))
-
+            stacked = np.concatenate([m.support_vectors for m in derived.machines])
+            assert_same_bits(derived.pool, np.unique(stacked, axis=0))
+            assert_same_bits(derived.pool_norms, squared_norms(derived.pool))
+            assert derived.block_rows == svm._KERNEL_BLOCK_CELLS // len(derived.pool)
+        assert len(halved.pool) < len(model.pool)
 
     def test_only_rbf_squares_support_vectors_and_rows(self):
         """Norms too large for a float are refused where rbf needs them; the
@@ -520,8 +552,10 @@ class TestPredictionConstants:
                 BinarySvmModel(**huge, kernel=KernelSpec(eta=1.0))
             linear = BinarySvmModel(**huge, kernel=KernelSpec(kind="linear"))
             assert linear.support_norms is None
-            assert decision_values(linear, [[2.0, 0.0]])[0] == 2e200
-            assert predict_batch(vote_model(), catalog_row([1e200, -1e200, 1.0])[None]) == [H]
+            assert vote_model().pool_norms is None
+            row = catalog_row([1e200, -1e200, 1.0])[None]
+            assert decision_values(vote_model(), row).tolist() == [[1e200, -1e200, 1.0]]
+            assert predict_batch(vote_model(), row) == [H]
 
 
 class TestPrepareRows:

@@ -18,13 +18,24 @@ from gsremotion.svm import (
     TrainConfig,
     _kernel_overflow_refused,
     _smo_solve,
-    decision_values,
     train_binary,
 )
 
 from conftest import XOR_X, XOR_Y
 from reference_checks import gram_reference, kernel_eval, kkt_violation
 from smo_reference import smo_solve as reference_smo_solve
+
+
+def decisions(machine, X):
+    """machine's decision values on the rows of X through the library's one
+    prediction path: as the machine of a two-label model whose features are
+    the first catalog columns."""
+    X = np.asarray(X, dtype=np.float64)
+    rows = np.zeros((len(X), N_FEATURES))
+    rows[:, :X.shape[1]] = X
+    model = svm.MulticlassSvmModel(machines=[machine], label_order=LABEL_ORDER[:2],
+                                   feature_indices=range(1, X.shape[1] + 1))
+    return svm.decision_values(model, rows)[:, 0]
 
 
 def recover_alpha(model, X, y):
@@ -141,16 +152,21 @@ class TestGramBitIdentity:
     @pytest.mark.parametrize("n_rows", [1, 3, 40])
     @pytest.mark.parametrize("spec", BIT_IDENTITY_SPECS, ids=lambda s: s.kind)
     def test_split_parts_keep_their_bits(self, spec, n_rows):
-        """gram over parts of Z stacked and split gives each part's columns
-        the bits of gram over that part alone, an empty part included."""
+        """gram over parts of X stacked gives each part's rows the bits of
+        gram over that part alone, an empty part and a transposed copy
+        included: its products are formed in tiles of one shape."""
         rng = np.random.default_rng(11)
-        X = rng.normal(size=(n_rows, 6)) * 3.0
-        parts = [rng.normal(size=(n, 6)) for n in (7, 0, 1, 12)]
-        K = gram(spec, X, np.concatenate(parts), splits=(7, 7, 8))
-        assert K.shape == (n_rows, 20)
-        for part, cols in zip(parts, (slice(0, 7), slice(7, 7), slice(7, 8), slice(8, 20))):
-            assert_array_equal(K[:, cols], gram(spec, X, part))
-            assert_array_equal(np.signbit(K[:, cols]), np.signbit(gram(spec, X, part)))
+        Z = rng.normal(size=(n_rows, 6))
+        parts = [rng.normal(size=(n, 6)) * 3.0 for n in (7, 0, 1, 12, 33)]
+        K = gram(spec, np.concatenate(parts), Z)
+        assert K.shape == (53, n_rows)
+        assert_array_equal(gram(spec, np.asfortranarray(np.concatenate(parts)), Z), K)
+        lo = 0
+        for part in parts:
+            rows = slice(lo, lo + len(part))
+            assert_array_equal(K[rows], gram(spec, part, Z))
+            assert_array_equal(np.signbit(K[rows]), np.signbit(gram(spec, part, Z)))
+            lo += len(part)
 
     @pytest.mark.parametrize("spec", BIT_IDENTITY_SPECS, ids=lambda s: s.kind)
     def test_overflow_is_refused_as_before(self, spec):
@@ -250,7 +266,7 @@ class TestBinaryTraining:
     def test_separable_blobs_train_perfectly(self, blobs):
         model, X, y = self.fit_blobs(blobs)
         assert model.converged
-        f = decision_values(model, X)
+        f = decisions(model, X)
         assert np.all(np.sign(f) == y)
 
     def test_kkt_conditions_hold(self, blobs):
@@ -274,7 +290,7 @@ class TestBinaryTraining:
         alpha = recover_alpha(model, X, y)
         free = (alpha > 1e-9) & (alpha < self.C - 1e-9)
         assert free.any()
-        f = decision_values(model, X)
+        f = decisions(model, X)
         assert np.max(np.abs(np.abs(f[free]) - 1.0)) <= 5e-2
 
     def test_objective_never_decreases(self, blobs):
@@ -286,7 +302,7 @@ class TestBinaryTraining:
     def test_xor_needs_the_rbf_kernel(self):
         config = TrainConfig(c=10.0, kernel=KernelSpec(kind="rbf", eta=1.0))
         model = train_binary(XOR_X, XOR_Y, config)
-        f = decision_values(model, XOR_X)
+        f = decisions(model, XOR_X)
         assert np.all(np.sign(f) == XOR_Y)
 
     def test_unset_eta_resolves_against_train_width(self, blobs):
@@ -305,8 +321,7 @@ class TestBinaryTraining:
 
     def test_decision_value_matches_batch(self, blobs):
         model, X, _ = self.fit_blobs(blobs)
-        assert decision_values(model, X[3:4])[0] == pytest.approx(
-            decision_values(model, X)[3], rel=1e-12)
+        assert decisions(model, X[3:4])[0] == decisions(model, X)[3]
 
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).normal(size=(6, 2))

@@ -174,24 +174,21 @@ def _block(signal) -> np.ndarray:
     return np.atleast_2d(x)
 
 
-def dwt_decompose(signal: np.ndarray, levels: int = DEFAULT_LEVELS) -> WaveletDecomposition:
-    """Multi-level analysis of one signal, or of each row of a (rows x samples)
-    block into (rows x m) coefficients. Requires at least
-    max(2**levels, 2*DEFAULT_ORDER - 1) samples."""
+def dwt_decompose(signal: np.ndarray) -> WaveletDecomposition:
+    """DEFAULT_LEVELS-level analysis of one signal, or of each row of a
+    (rows x samples) block into (rows x m) coefficients. Requires at least
+    max(2**DEFAULT_LEVELS, 2*DEFAULT_ORDER - 1) samples."""
     x = _block(signal)
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite values")
     bank = daubechies_filter_bank()
     n = x.shape[1]
-    min_len = max(2 ** levels, bank.length - 1)
+    min_len = max(2 ** DEFAULT_LEVELS, bank.length - 1)
     if n < min_len:
-        raise ValueError(
-            f"signal length {n} too short for {levels} levels (need at least {min_len})"
-        )
+        raise ValueError(f"signal length {n} too short for {DEFAULT_LEVELS} levels "
+                         f"(need at least {min_len})")
     details = []
-    for _ in range(levels):
+    for _ in range(DEFAULT_LEVELS):
         x, det = _analysis_step(x, bank)
         details.append(det)
     if np.ndim(signal) == 1:

@@ -18,6 +18,7 @@ from gsremotion.wavelet import (
 )
 
 from reference_checks import validate_filter_bank
+from signal_reference import dwt_decompose as reference_decompose
 
 
 class TestFilterBank:
@@ -72,26 +73,28 @@ class TestRoundTrip:
     def test_perfect_reconstruction(self, n):
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n)
-        back = dwt_reconstruct(dwt_decompose(x, levels=5))
+        back = dwt_reconstruct(dwt_decompose(x))
         assert back.shape == x.shape
         assert np.max(np.abs(back - x)) <= 1e-9 * np.max(np.abs(x))
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 4, 5])
     def test_reconstruction_at_every_depth(self, levels):
+        """dwt_reconstruct inverts an analysis of any depth; the library
+        analyses at DEFAULT_LEVELS, so the reference analyses here."""
         rng = np.random.default_rng(levels)
         x = rng.standard_normal(200)
-        back = dwt_reconstruct(dwt_decompose(x, levels=levels))
+        back = dwt_reconstruct(reference_decompose(x, levels=levels))
         assert np.max(np.abs(back - x)) <= 1e-9 * np.max(np.abs(x))
 
     def test_constant_signal_has_no_detail(self):
         x = np.full(256, 4.2)
-        dec = dwt_decompose(x, levels=5)
+        dec = dwt_decompose(x)
         for det in dec.details:
             assert np.max(np.abs(det)) <= 1e-10
 
     def test_coefficient_lengths_match_decomposition(self):
         x = np.random.default_rng(0).standard_normal(257)
-        dec = dwt_decompose(x, levels=5)
+        dec = dwt_decompose(x)
         lengths = coefficient_lengths(257, 5)
         assert lengths == [257, 133, 71, 40, 25, 17]
         assert [d.size for d in dec.details] == lengths[1:]
@@ -105,7 +108,7 @@ class TestRoundTrip:
         x = np.zeros(n)
         m = n - 2 * margin
         x[margin:margin + m] = rng.standard_normal(m) * np.hanning(m)
-        dec = dwt_decompose(x, levels=5)
+        dec = dwt_decompose(x)
         coef = np.sum(dec.approximation ** 2) + sum(np.sum(d ** 2) for d in dec.details)
         sig = np.sum(x ** 2)
         assert abs(coef - sig) <= 1e-6 * sig
@@ -114,18 +117,14 @@ class TestRoundTrip:
 class TestDecomposeValidation:
     def test_too_short(self):
         with pytest.raises(ValueError, match="too short"):
-            dwt_decompose(np.ones(31), levels=5)
-
-    def test_levels_below_one(self):
-        with pytest.raises(ValueError, match="levels"):
-            dwt_decompose(np.ones(128), levels=0)
+            dwt_decompose(np.ones(31))
 
     def test_block_decomposes_row_by_row(self):
         block = np.random.default_rng(6).standard_normal((4, 97))
-        dec = dwt_decompose(block, levels=3)
+        dec = dwt_decompose(block)
         assert dec.original_length == 97
         for r, row in enumerate(block):
-            one = dwt_decompose(row, levels=3)
+            one = dwt_decompose(row)
             assert_array_equal(dec.approximation[r], one.approximation)
             for got, want in zip(dec.details, one.details):
                 assert_array_equal(got[r], want)
@@ -144,13 +143,13 @@ class TestDecomposeValidation:
 
 class TestReconstructValidation:
     def test_wrong_approximation_length(self):
-        dec = dwt_decompose(np.random.default_rng(1).standard_normal(128), levels=3)
+        dec = dwt_decompose(np.random.default_rng(1).standard_normal(128))
         dec.approximation = dec.approximation[:-1]
         with pytest.raises(ValueError, match="approximation length"):
             dwt_reconstruct(dec)
 
     def test_wrong_detail_length(self):
-        dec = dwt_decompose(np.random.default_rng(1).standard_normal(128), levels=3)
+        dec = dwt_decompose(np.random.default_rng(1).standard_normal(128))
         dec.details[1] = dec.details[1][:-2]
         with pytest.raises(ValueError, match="detail level 2"):
             dwt_reconstruct(dec)
@@ -271,7 +270,7 @@ class TestDenoise:
     def test_matches_documented_recipe(self):
         rng = np.random.default_rng(4)
         x = self.sinusoid() + rng.standard_normal(512) * 0.2
-        dec = dwt_decompose(x, levels=5)
+        dec = dwt_decompose(x)
         sigma = float(np.median(np.abs(dec.details[0]))) / MAD_SCALE
         threshold = sigma * np.sqrt(2.0 * np.log(x.size))
         dec.details = [soft_threshold(d, threshold) for d in dec.details]

@@ -161,7 +161,8 @@ def _resolve(args, key: str):
     """flag > config file > None (unset), either text through the key's parser
     (a number flag arrives parsed by argparse, and parsing it again keeps it)
     and checked by the key's rule; a flag its parser refuses is named, and a
-    bad value from the file names the file and the key."""
+    bad value from the file names the file and the key. Either way the
+    message keeps the parser's or the rule's reason."""
     parse, check, _ = _OPTIONS[key]
     value = getattr(args, key, None)
     if value is not None:
@@ -177,13 +178,10 @@ def _resolve(args, key: str):
     with file_errors(args.config):
         try:
             value = parse(args.cfg[key])
-        except ValueError:
-            raise ValueError(f"config key {key}: cannot parse {args.cfg[key]!r}")
-        if check is not None:
-            try:
+            if check is not None:
                 check(value)
-            except ValueError as exc:
-                raise ValueError(f"config key {key}: {exc}")
+        except ValueError as exc:
+            raise ValueError(f"config key {key}: {exc}") from None
     return value
 
 

@@ -857,11 +857,24 @@ class TestConfigFile:
         rc = cli.main(["train", "--features", str(features_csv),
                        "--out", str(tmp_path / "model.json"), "--config", cfg])
         assert rc == 1
-        assert "cannot parse" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config key k: invalid literal for int() with base 10: 'five'\n")
         cfg = write_config(tmp_path / "synth.cfg", "duration_s = abc\n")
         assert cli.main(["synth", "--out", str(tmp_path / "corpus"), "--config", cfg]) == 1
-        assert f"error: {cfg}: config key duration_s: cannot parse 'abc'" in \
-            capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config key duration_s: could not convert string to float: 'abc'\n")
+
+    def test_refused_list_keeps_the_parser_reason(self, features_csv, tmp_path, capsys):
+        """The same unparsable list, from the file or as a flag, prints the
+        parser's reason; the file's names the file and the key."""
+        cfg = write_config(tmp_path / "bad.cfg", "features_list = 1,,2\n")
+        reason = "empty field in comma-separated integers '1,,2'"
+        select = ["select", "--features", str(features_csv), "--out", str(tmp_path / "s.json")]
+        assert cli.main([*select, "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: config key features_list: {reason}\n"
+        assert cli.main([*select, "--features-list", "1,,2"]) == 1
+        assert capsys.readouterr().err == f"error: --features-list: {reason}\n"
+        assert not (tmp_path / "s.json").exists()
 
 
     # one out-of-range value per config key, run by a subcommand that reads it
@@ -924,7 +937,7 @@ class TestConfigFile:
         key, value = (part.strip() for part in text.split("="))
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"error: {cfg}: config key {key}: cannot parse {value!r}\n")
+            f"error: {cfg}: config key {key}: empty field in comma-separated integers {value!r}\n")
         assert os.listdir(tmp_path) == ["bad.cfg"]
 
     @pytest.mark.parametrize("command", [name for name, *_ in cli._COMMANDS])

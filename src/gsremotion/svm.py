@@ -28,11 +28,11 @@ against the pool and one product with the coefficients, which gives every
 machine's decision value at once. Both products go through
 kernels.tile_product, so a row's decision values depend on the row alone:
 not on the batch, its blocks, the BLAS thread count or the rows' layout.
-predict_batch scores its rows in blocks of max(1, _KERNEL_BLOCK_CELLS // n)
+decision_values scores its rows in blocks of max(1, _KERNEL_BLOCK_CELLS // n)
 rows, n the pool size, so no kernel block holds more than
-_KERNEL_BLOCK_CELLS cells (or one row's, if n is larger). _vote counts each
-row's votes and sums its strengths with one np.bincount each over the cells
-row * n_labels + winner.
+_KERNEL_BLOCK_CELLS cells (or one row's, if n is larger). predict_batch's
+_vote counts each row's votes and sums its strengths with one np.bincount
+each over the cells row * n_labels + winner.
 """
 
 import json
@@ -57,7 +57,7 @@ MAX_PASSES = 100_000
 # Floor for non-positive curvature along the working-set direction.
 _TAU = 1e-12
 
-# The most rows x pool kernel cells predict_batch forms at once.
+# The most rows x pool kernel cells decision_values forms at once.
 _KERNEL_BLOCK_CELLS = 2 ** 17
 
 

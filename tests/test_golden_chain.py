@@ -2,7 +2,8 @@
 
 The chain runs in process through cli.main in a temporary directory: the
 README's synth ... report commands, predict on the held-out and on the full
-table, and the same model commands under --norm both. Each command's exit
+table, the same model commands under --norm both, and a synth and a report
+whose options come from the config files of CONFIGS. Each command's exit
 code, stdout and stderr, and the sha256 of every file the chain leaves, must
 equal golden_chain.json.
 
@@ -54,12 +55,25 @@ COMMANDS = [
     "--out predictions_both.csv",
     "cv --manifest data/manifest.txt --norm both --folds 5 --out cv_both --seed 42",
     "report --features features_both.csv --norm both --out comparison_both --seed 42",
+    "synth --config synth.cfg --out data_cfg",
+    "report --features features.csv --config report.cfg --out comparison_cfg",
 ]
+
+# Written into the directory before the chain runs; their values take the
+# file path of every key they set, a quoted value and an exponent included.
+CONFIGS = {
+    "synth.cfg": "# a small corpus\ncounts = 6,7,6,8,6\nduration_s = 40.0\n"
+                 "sample_rate_hz = 2.5\nnoise_std = 2.5e-2\nseed = 7\n",
+    "report.cfg": "k = 10\nc = 2.5\nkernel = 'rbf'\neta = 0.125  # over k\n"
+                  "seed = 7\ntest-fraction = 0.25\n",
+}
 
 
 def run_chain(directory: Path) -> dict:
     """Run COMMANDS in directory; return what golden_chain.json holds."""
     runs = []
+    for name, text in CONFIGS.items():
+        (directory / name).write_text(text)
     cwd = os.getcwd()
     os.chdir(directory)
     try:

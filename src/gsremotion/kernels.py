@@ -13,10 +13,9 @@ row's inner products come from another BLAS call than gram's and may differ
 from gram's in the last bits.
 
 squared_norms is the one rule for a squared norm. gram computes the norms
-of X and those of Z its caller does not pass; svm.BinarySvmModel keeps its
-support vectors' norms from when it is built, and svm.MulticlassSvmModel
-passes its pool's. The same expression on the same row gives the same bits,
-so passing a norm changes none.
+of X and those of Z its caller does not pass; svm.MulticlassSvmModel keeps
+its pool's norms from when it is built and passes them. The same expression
+on the same row gives the same bits, so passing a norm changes none.
 
 tile_product is the one rule for a product whose rows must not depend on
 their neighbours: it forms A @ B, both made C-contiguous, as one 2-D

@@ -76,14 +76,7 @@ class TrainConfig:
 
 @dataclass
 class BinarySvmModel:
-    """One trained two-class machine: support expansion f(x) = sum coef K + b.
-
-    support_norms, for rbf the squared_norms of support_vectors (None for
-    linear, which reads none), is derived when the machine is built, so also
-    by load_model and dataclasses.replace, and is not serialized; the
-    multiclass model's pool takes its norms from it. Support vectors whose
-    norms overflow are refused here, as prediction would refuse them.
-    """
+    """One trained two-class machine: support expansion f(x) = sum coef K + b."""
 
     support_vectors: np.ndarray
     dual_coef: np.ndarray
@@ -93,7 +86,6 @@ class BinarySvmModel:
     converged: bool = True
     final_violation: float = 0.0
     objective_trace: np.ndarray | None = None  # training-time diagnostic, not serialized
-    support_norms: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.support_vectors = np.asarray(self.support_vectors, dtype=np.float64)
@@ -106,10 +98,6 @@ class BinarySvmModel:
                 and np.isfinite(self.bias)):
             raise ValueError("support vectors, dual coefficients and bias must be finite")
         self.kernel.require_resolved()
-        self.support_norms = None
-        if self.kernel.kind == "rbf":
-            with _kernel_overflow_refused():
-                self.support_norms = squared_norms(self.support_vectors)
 
     @property
     def n_support(self) -> int:
@@ -354,20 +342,16 @@ def train_binary(X: np.ndarray, y: np.ndarray, config: TrainConfig) -> BinarySvm
 
 
 def _support_pool(machines: list) -> tuple:
-    """(vectors, norms, coef, bias): each support vector of the machines once
-    (np.unique's order), their squared norms (None for linear), the dense
-    (pool x machines) coefficient matrix and the machines' biases. A vector
-    that one machine holds twice sums its coefficients."""
+    """(vectors, coef, bias): each support vector of the machines once
+    (np.unique's order), the dense (pool x machines) coefficient matrix and
+    the machines' biases. A vector that one machine holds twice sums its
+    coefficients."""
     stacked = np.concatenate([m.support_vectors for m in machines])
-    vectors, first, inverse = np.unique(stacked, axis=0, return_index=True,
-                                        return_inverse=True)
-    norms = None
-    if machines[0].support_norms is not None:
-        norms = np.concatenate([m.support_norms for m in machines])[first]
+    vectors, inverse = np.unique(stacked, axis=0, return_inverse=True)
     coef = np.zeros((len(vectors), len(machines)))
     owner = np.repeat(np.arange(len(machines)), [m.n_support for m in machines])
     np.add.at(coef, (inverse.ravel(), owner), np.concatenate([m.dual_coef for m in machines]))
-    return vectors, norms, coef, np.array([m.bias for m in machines])
+    return vectors, coef, np.array([m.bias for m in machines])
 
 
 @dataclass
@@ -380,10 +364,12 @@ class MulticlassSvmModel:
     holds the min and max of every catalog column, and each used column is
     scaled by its own. Derived when the model is built, so also by
     load_model and dataclasses.replace, and not serialized: columns, the
-    0-based positions of feature_indices; pool, pool_norms, coef and bias,
-    the machines' unique support vectors, their squared norms, the (pool x
-    machines) coefficient matrix and the biases (see _support_pool); and
-    block_rows, the rows predict_batch scores at once.
+    0-based positions of feature_indices; pool, coef and bias, the
+    machines' unique support vectors, the (pool x machines) coefficient
+    matrix and the biases (see _support_pool); pool_norms, for rbf the
+    squared_norms of pool (None for linear, which reads none); and
+    block_rows, the rows predict_batch scores at once. Support vectors whose
+    norms overflow are refused here, as prediction would refuse them.
     """
 
     machines: list
@@ -419,7 +405,11 @@ class MulticlassSvmModel:
             raise ValueError(f"normalization has {self.normalization.n_features} columns, "
                              f"expected {N_FEATURES}")
         self.columns = np.subtract(self.feature_indices, 1)
-        self.pool, self.pool_norms, self.coef, self.bias = _support_pool(self.machines)
+        self.pool, self.coef, self.bias = _support_pool(self.machines)
+        self.pool_norms = None
+        if self.machines[0].kernel.kind == "rbf":
+            with _kernel_overflow_refused():
+                self.pool_norms = squared_norms(self.pool)
         self.block_rows = max(1, _KERNEL_BLOCK_CELLS // max(len(self.pool), 1))
 
     def warnings(self, prefix: str = "") -> list:

@@ -526,7 +526,9 @@ class TestPredictionConstants:
             want = gram_reference(m.kernel, rows, m.support_vectors) @ m.dual_coef + m.bias
             assert_allclose(f[:, j], want, rtol=1e-12, atol=1e-12)
 
-    def test_machines_keep_their_support_norms(self, default_fit, tmp_path):
+    def test_models_keep_their_pool_norms(self, default_fit, tmp_path):
+        """However the model is built, its pool is the machines' unique support
+        vectors and pool_norms their squared norms."""
         model, _ = default_fit
         path = str(tmp_path / "model.json")
         save_model(model, path)
@@ -534,8 +536,6 @@ class TestPredictionConstants:
                                       dual_coef=m.dual_coef[::2]) for m in model.machines]
         halved = dataclasses.replace(model, machines=halves)
         for derived in (model, load_model(path), halved):
-            for m in derived.machines:
-                assert_same_bits(m.support_norms, squared_norms(m.support_vectors))
             stacked = np.concatenate([m.support_vectors for m in derived.machines])
             assert_same_bits(derived.pool, np.unique(stacked, axis=0))
             assert_same_bits(derived.pool_norms, squared_norms(derived.pool))
@@ -546,12 +546,16 @@ class TestPredictionConstants:
         """Norms too large for a float are refused where rbf needs them; the
         linear kernel reads none, so its values may be that large."""
         huge = {"support_vectors": [[1e200, 0.0]], "dual_coef": [1.0], "bias": 0.0}
+
+        def two_label_model(kernel):
+            return MulticlassSvmModel(machines=[BinarySvmModel(**huge, kernel=kernel)],
+                                      label_order=(H, G), feature_indices=(1, 2))
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^kernel matrix overflows"):
-                BinarySvmModel(**huge, kernel=KernelSpec(eta=1.0))
-            linear = BinarySvmModel(**huge, kernel=KernelSpec(kind="linear"))
-            assert linear.support_norms is None
+                two_label_model(KernelSpec(eta=1.0))
+            assert two_label_model(KernelSpec(kind="linear")).pool_norms is None
             assert vote_model().pool_norms is None
             row = catalog_row([1e200, -1e200, 1.0])[None]
             assert decision_values(vote_model(), row).tolist() == [[1e200, -1e200, 1.0]]

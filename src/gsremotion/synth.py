@@ -19,7 +19,7 @@ _BLOCK_ROWS records at once as one (rows x samples) array. Every step of it
 is elementwise per row, in the order one record alone would take it, so a
 record's bits do not depend on the block it is in, nor on where in the
 block it sits: a corpus generated in blocks of any size, and a record
-generated alone (generate_record, a block of one), carry the same bits.
+generated alone (a block of one), carry the same bits.
 """
 
 from dataclasses import dataclass, field
@@ -252,13 +252,6 @@ def _generate_block(specs: list, config: SynthConfig) -> list:
                   sample_rate_hz=config.sample_rate_hz, samples=signal[i])
         for i, (label, _, subject_id, record_id, _) in enumerate(specs)
     ]
-
-
-def generate_record(label: EmotionLabel, seed, config: SynthConfig, subject_id: str,
-                    record_id: str, base_tonic_us: float) -> GsrRecord:
-    """One deterministic record for (label, seed, config) on the subject's
-    resting level base_tonic_us: a block of one."""
-    return _generate_block([(label, seed, subject_id, record_id, base_tonic_us)], config)[0]
 
 
 def generate_dataset(config: SynthConfig) -> Dataset:

@@ -14,12 +14,13 @@ from gsremotion.synth import (
     LabelBands,
     SynthConfig,
     generate_dataset,
-    generate_record,
 )
 
 
 def record(label, seed, config):
-    return generate_record(label, seed, config, "S01", f"S01_{label.value}_001", 4.0)
+    """One record alone: a block of one."""
+    spec = (label, seed, "S01", f"S01_{label.value}_001", 4.0)
+    return synth._generate_block([spec], config)[0]
 
 
 @pytest.fixture
@@ -226,9 +227,9 @@ class TestBlockIndependence:
             rec = default_corpus.records[position]
             lab_idx = LABEL_ORDER.index(rec.label)
             seq = int(rec.record_id.rsplit("_", 1)[1]) - 1
-            alone = generate_record(
-                rec.label, np.random.SeedSequence([42, lab_idx, seq]), SynthConfig(seed=42),
-                rec.subject_id, rec.record_id, float(base[int(rec.subject_id[1:]) - 1]))
+            spec = (rec.label, np.random.SeedSequence([42, lab_idx, seq]), rec.subject_id,
+                    rec.record_id, float(base[int(rec.subject_id[1:]) - 1]))
+            [alone] = synth._generate_block([spec], SynthConfig(seed=42))
             assert_array_equal(alone.samples, rec.samples)
 
 

@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 validation error (bad values, unparsable flags,
 malformed data, refusing to overwrite), 2 I/O error (missing files,
 unwritable outputs).
+Every option, flag or config value alike, arrives as text and is parsed
+once, numbers by dataset.parse_int and dataset.parse_float.
 A --config file supplies defaults as `key = value` lines; explicit flags
 win over the file, which wins over built-in defaults. Keys that conflict
 (--features-list with --selection or --k) are refused, whether a flag or
@@ -27,6 +29,8 @@ from .dataset import (
     corpus_paths,
     file_errors,
     load_dataset,
+    parse_float,
+    parse_int,
     save_dataset,
     stratified_split_indices,
     validate_test_fraction,
@@ -79,10 +83,7 @@ def _int_list(text: str) -> list:
         return []
     if "" in fields:
         raise ValueError(f"empty field in comma-separated integers {text!r}")
-    try:
-        return [int(part) for part in fields]
-    except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}")
+    return [parse_int(part) for part in fields]
 
 
 def _check_counts(counts: list) -> None:
@@ -108,29 +109,29 @@ REPORT_TEST_FRACTION = 0.3
 # flag's help (None: only a config file sets the key). duration_s and
 # sample_rate_hz are checked together when cmd_synth builds its SynthConfig.
 _OPTIONS = {
-    "c": (float, lambda c: PipelineConfig(c=c),
+    "c": (parse_float, lambda c: PipelineConfig(c=c),
           f"box constraint (default {PipelineConfig.c})"),
-    "eta": (float, lambda eta: KernelSpec(eta=eta),
+    "eta": (parse_float, lambda eta: KernelSpec(eta=eta),
             "rbf kernel scale (default: one over the number of model features)"),
     "features_list": (_int_list, validate_catalog_indices,
                       "explicit catalog indices, e.g. 3,5,7"),
-    "folds": (int, _check_folds, f"fold count (default {DEFAULT_FOLDS})"),
-    "k": (int, lambda k: validate_k(k, N_FEATURES),
+    "folds": (parse_int, _check_folds, f"fold count (default {DEFAULT_FOLDS})"),
+    "k": (parse_int, lambda k: validate_k(k, N_FEATURES),
           f"number of features to select (default {PipelineConfig.selection_k})"),
     "kernel": (str, lambda kind: KernelSpec(kind=kind),
                f"{' | '.join(KERNEL_KINDS)} (default {KernelSpec.kind})"),
     "norm": (str, validate_norm_mode,
              f"{' | '.join(NORM_MODES)} (default {PipelineConfig.norm_mode})"),
     # the rule default_rng applies; a lambda, so importing cli loads no numpy.random
-    "seed": (int, lambda seed: np.random.SeedSequence(seed),
+    "seed": (parse_int, lambda seed: np.random.SeedSequence(seed),
              f"random seed (default {PipelineConfig.seed})"),
-    "test_fraction": (float, validate_test_fraction,
+    "test_fraction": (parse_float, validate_test_fraction,
                       "share of rows held out by a stratified split (train: none unless "
                       f"given; report: default {REPORT_TEST_FRACTION})"),
     "counts": (_int_list, _check_counts, None),
-    "duration_s": (float, None, None),
-    "sample_rate_hz": (float, None, None),
-    "noise_std": (float, lambda std: SynthConfig(noise_std_us=std), None),
+    "duration_s": (parse_float, None, None),
+    "sample_rate_hz": (parse_float, None, None),
+    "noise_std": (parse_float, lambda std: SynthConfig(noise_std_us=std), None),
 }
 
 
@@ -158,30 +159,24 @@ def read_config_file(path: str) -> dict:
 
 
 def _resolve(args, key: str):
-    """flag > config file > None (unset), either text through the key's parser
-    (a number flag arrives parsed by argparse, and parsing it again keeps it)
-    and checked by the key's rule; a flag its parser refuses is named, and a
-    bad value from the file names the file and the key. Either way the
-    message keeps the parser's or the rule's reason."""
+    """flag > config file > None (unset): the text through the key's parser,
+    then the key's rule. A refusal keeps the parser's or the rule's reason
+    and names the flag, or the file and the key."""
     parse, check, _ = _OPTIONS[key]
-    value = getattr(args, key, None)
-    if value is not None:
-        try:
-            value = parse(value)
-        except ValueError as exc:
-            raise ValueError(f"{_flag(key)}: {exc}") from None
-        if check is not None:
-            check(value)
-        return value
-    if key not in args.cfg:
+    text = getattr(args, key, None)
+    if text is not None:
+        name, where = _flag(key), contextlib.nullcontext()
+    elif key in args.cfg:
+        text, name, where = args.cfg[key], f"config key {key}", file_errors(args.config)
+    else:
         return None
-    with file_errors(args.config):
+    with where:
         try:
-            value = parse(args.cfg[key])
+            value = parse(text)
             if check is not None:
                 check(value)
         except ValueError as exc:
-            raise ValueError(f"config key {key}: {exc}") from None
+            raise ValueError(f"{name}: {exc}") from None
     return value
 
 
@@ -255,13 +250,6 @@ def _read_labeled(path: str):
             unlabeled = matrix.record_ids[matrix.labels.index(None)]
             raise ValueError(f"row {unlabeled!r} has no label")
     return matrix
-
-
-def _split(args, matrix, test_fraction: float, seed: int):
-    """Stratified (train, test) rows of the --features table; a label with too
-    few rows to split is the table's fault and names it."""
-    with file_errors(args.features):
-        return stratified_split_indices(matrix.labels, test_fraction, seed)
 
 
 def _warn(lines) -> None:
@@ -354,7 +342,9 @@ def cmd_train(args) -> int:
     matrix = _read_labeled(args.features)
     held_out = None
     if args.test_fraction is not None:
-        train_rows, test_rows = _split(args, matrix, args.test_fraction, args.pipeline.seed)
+        with file_errors(args.features):  # a label with too few rows to split
+            train_rows, test_rows = stratified_split_indices(
+                matrix.labels, args.test_fraction, args.pipeline.seed)
         held_out, matrix = subset_rows(matrix, test_rows), subset_rows(matrix, train_rows)
     with file_errors(args.features):  # a table the fit refuses is the table's fault
         fitted = fit_from_features(matrix, args.pipeline)
@@ -440,8 +430,8 @@ def cmd_report(args):
     config = args.pipeline
     test_fraction = REPORT_TEST_FRACTION if args.test_fraction is None else args.test_fraction
     matrix = _read_labeled(args.features)
-    _split(args, matrix, test_fraction, config.seed)  # comparison_report splits alike
-    with file_errors(args.features):  # a table the fit refuses is the table's fault
+    # a label with too few rows to split, or a table the fit refuses, is the table's fault
+    with file_errors(args.features):
         report = comparison_report(matrix, config, test_fraction)
     acc = report["accuracy"]
     return report, report.warnings, format_comparison(report), (
@@ -451,19 +441,18 @@ def cmd_report(args):
 
 def _add_options(sub, *keys):
     """Each key's flag (none for a key only a config file sets), then --config
-    and --force. argparse parses a number flag, so `--c abc` is a usage
-    error; a list flag stays text for _resolve."""
+    and --force. A flag's value stays text for _resolve."""
     for key in keys:
-        parse, _, help_text = _OPTIONS[key]
+        help_text = _OPTIONS[key][2]
         if help_text is not None:
-            sub.add_argument(_flag(key), help=help_text,
-                             type=parse if isinstance(parse, type) else None)
+            sub.add_argument(_flag(key), help=help_text)
     sub.add_argument("--config", help="key = value defaults file")
     sub.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """A flag argparse cannot parse is a validation error: exit 1, not argparse's 2."""
+    """An argument argparse refuses (an unknown flag, a flag without its value)
+    is a validation error: exit 1, not argparse's 2."""
 
     def error(self, message):
         self.print_usage(sys.stderr)

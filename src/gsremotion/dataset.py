@@ -56,6 +56,30 @@ def file_errors(path: str, kind: str = "file"):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _plain(text: str) -> bool:
+    """Whether text is free of what int and float take but no writer emits:
+    non-ASCII characters (digits of other scripts), `_` (PEP 515 grouping)
+    and leading or trailing whitespace."""
+    return text.isascii() and "_" not in text and text == text.strip()
+
+
+def parse_int(text: str) -> int:
+    """An integer in Python's int syntax without non-ASCII characters, `_` or
+    surrounding whitespace; a refusal carries int's own reason."""
+    if not _plain(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+def parse_float(text: str) -> float:
+    """A float in Python's float syntax (inf, nan and exponents included)
+    without non-ASCII characters, `_` or surrounding whitespace; a refusal
+    carries float's own reason."""
+    if not _plain(text):
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def write_json(path: str, payload: dict) -> None:
     """Indented, key-sorted JSON with a trailing newline."""
     with open(path, "w") as fh:
@@ -234,9 +258,13 @@ def save_dataset(dataset: Dataset, out_dir: str) -> str:
 def _manifest_row(fields) -> tuple:
     """(record_id, subject, label, rate, n_samples) of a manifest row."""
     record_id, subject, label, rate, n_samples = fields
-    if not (n_samples.isascii() and n_samples.isdigit()):
+    try:
+        count = parse_int(n_samples)
+    except ValueError:
+        count = -1
+    if count < 0:
         raise ValueError(f"n_samples must be a count, got {n_samples!r}")
-    return record_id, subject, parse_label(label), float(rate), int(n_samples)
+    return record_id, subject, parse_label(label), parse_float(rate), count
 
 
 def load_dataset(manifest_path: str) -> Dataset:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MIN_SAMPLES, Dataset, file_errors, parse_label, read_table, write_table
+from .dataset import (MIN_SAMPLES, Dataset, file_errors, parse_float, parse_label, read_table,
+                      write_table)
 
 CATALOG_VERSION = 1
 
@@ -249,7 +250,7 @@ def read_feature_csv(path: str) -> FeatureMatrix:
     def columns(fields):
         label = parse_label(fields[1]) if fields[1] else None
         try:
-            return fields[0], label, [float(v) for v in fields[2:]]
+            return fields[0], label, [parse_float(v) for v in fields[2:]]
         except ValueError:
             raise ValueError("bad feature value") from None
 

@@ -293,7 +293,8 @@ class TestSelect:
                        "--out", str(tmp_path / "selection.json"),
                        "--features-list", "a,b"])
         assert rc == 1
-        assert "comma-separated integers" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: --features-list: invalid literal for int() with base 10: 'a'\n")
 
 
     def test_too_few_varying_columns_names_the_table(self, features_csv, tmp_path, capsys):
@@ -312,7 +313,7 @@ class TestSelect:
         rc = cli.main(["select", "--features", str(features_csv),
                        "--out", str(tmp_path / "s.json"), "--k", "31"])
         assert rc == 1
-        assert capsys.readouterr().err == "error: k must be in 1..30, got 31\n"
+        assert capsys.readouterr().err == "error: --k: k must be in 1..30, got 31\n"
 
     def test_too_large_values_name_the_table(self, features_csv, tmp_path, capsys):
         huge = huge_column_table(features_csv, tmp_path)
@@ -332,7 +333,7 @@ class TestSelect:
         rc = cli.main([command, *source, "--features-list", listed,
                        "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert capsys.readouterr().err == "error: catalog index list is empty\n"
+        assert capsys.readouterr().err == "error: --features-list: catalog index list is empty\n"
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("listed", ["1,,3", "1,3,", ",1,3", "1, ,3"])
@@ -411,7 +412,8 @@ class TestTrain:
                            "--out", str(tmp_path / "model.json"), "--kernel", kind])
             assert rc == 1
             assert capsys.readouterr().err == (
-                f"error: unknown kernel kind {kind!r} (expected one of ('linear', 'rbf'))\n")
+                f"error: --kernel: unknown kernel kind {kind!r} "
+                "(expected one of ('linear', 'rbf'))\n")
         assert not (tmp_path / "model.json").exists()
 
     def test_rejects_zero_eta(self, features_csv, tmp_path, capsys):
@@ -687,18 +689,18 @@ class TestCv:
                       "eval": ["--model", "missing.json", "--features", "missing.csv"]}
 
     @pytest.mark.parametrize("flag, message", [
-        (["cv", "--k", "99"], "k must be in 1..30, got 99"),
-        (["cv", "--seed", "-1"], "expected non-negative integer"),
+        (["cv", "--k", "99"], "--k: k must be in 1..30, got 99"),
+        (["cv", "--seed", "-1"], "--seed: expected non-negative integer"),
         (["preprocess", "--norm", "bogus"],
-         "norm mode must be one of ('signal', 'feature', 'both'), got 'bogus'"),
-        (["select", "--k", "99"], "k must be in 1..30, got 99"),
-        (["train", "--k", "99"], "k must be in 1..30, got 99"),
+         "--norm: norm mode must be one of ('signal', 'feature', 'both'), got 'bogus'"),
+        (["select", "--k", "99"], "--k: k must be in 1..30, got 99"),
+        (["train", "--k", "99"], "--k: k must be in 1..30, got 99"),
         (["train", "--kernel", "linear", "--eta", "0.5"],
          "eta 0.5 given, but the linear kernel takes no eta"),
         (["train", "--test-fraction", "1.5", "--test-out", "t.csv"],
-         "test_fraction must be in (0, 1), got 1.5"),
-        (["eval", "--seed", "-1"], "expected non-negative integer"),
-        (["report", "--k", "99"], "k must be in 1..30, got 99"),
+         "--test-fraction: test_fraction must be in (0, 1), got 1.5"),
+        (["eval", "--seed", "-1"], "--seed: expected non-negative integer"),
+        (["report", "--k", "99"], "--k: k must be in 1..30, got 99"),
     ])
     def test_bad_flag_fails_before_any_input_is_read(self, tmp_path, capsys, monkeypatch,
                                                       flag, message):
@@ -727,7 +729,7 @@ class TestCv:
         rc = cli.main(["cv", "--manifest", manifest, "--folds", "1",
                        "--out", str(tmp_path / "cv")])
         assert rc == 1
-        assert capsys.readouterr().err == "error: folds must be >= 2, got 1\n"
+        assert capsys.readouterr().err == "error: --folds: folds must be >= 2, got 1\n"
 
 
 class TestNonConvergence:
@@ -961,7 +963,76 @@ class TestConfigFile:
         rc = cli.main(["train", "--features", str(features_csv), "--kernel", "bogus",
                        "--out", str(tmp_path / "model.json"), "--config", cfg])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: unknown kernel kind 'bogus'")
+        assert capsys.readouterr().err.startswith("error: --kernel: unknown kernel kind 'bogus'")
+
+
+class TestNumberGrammar:
+    """A number Python's int or float would take with `_`, non-ASCII digits or
+    surrounding whitespace is refused wherever it is read, and the refusal
+    names the flag, the config key, or the file and line."""
+
+    INT = "invalid literal for int() with base 10"
+
+    @pytest.mark.parametrize("flag, message", [
+        (["--features-list", "1_5,2_0"], f"--features-list: {INT}: '1_5'"),
+        (["--features-list", "\u0661,\u0662"], f"--features-list: {INT}: '\u0661'"),
+        (["--k", "1_5"], f"--k: {INT}: '1_5'"),
+        (["--k", " 15"], f"--k: {INT}: ' 15'"),
+    ], ids=["grouped-list", "arabic-indic-list", "grouped-k", "spaced-k"])
+    def test_flag(self, features_csv, tmp_path, capsys, flag, message):
+        rc = cli.main(["select", "--features", str(features_csv), *flag,
+                       "--out", str(tmp_path / "s.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("synth", "counts = 1_0,10,10,10,10\n", f"config key counts: {INT}: '1_0'"),
+        ("select", "k = 1_5\n", f"config key k: {INT}: '1_5'"),
+    ], ids=["counts", "k"])
+    def test_config_value(self, features_csv, tmp_path, capsys, command, text, message):
+        cfg = write_config(tmp_path / "bad.cfg", text)
+        source = [] if command == "synth" else ["--features", str(features_csv)]
+        rc = cli.main([command, *source, "--out", str(tmp_path / "out"), "--config", cfg])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert os.listdir(tmp_path) == ["bad.cfg"]
+
+    def test_manifest_rate(self, corpus_dir, tmp_path, capsys):
+        corpus = shutil.copytree(corpus_dir, tmp_path / "corpus")
+        manifest = corpus / "manifest.txt"
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        fields = lines[2].split(",")
+        fields[3] = " \uff11\uff16.0 "
+        lines[2] = ",".join(fields)
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = cli.main(["features", "--manifest", str(manifest),
+                       "--out", str(tmp_path / "features.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: line 3: could not convert string to float: "
+            "' \uff11\uff16.0 '\n")
+        assert os.listdir(tmp_path) == ["corpus"]
+
+    def test_feature_value(self, features_csv, tmp_path, capsys):
+        lines = features_csv.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[2] = "\u0663"
+        lines[3] = ",".join(fields)
+        table = tmp_path / "features.csv"
+        table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = cli.main(["select", "--features", str(table), "--out", str(tmp_path / "s.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {table}: line 4: bad feature value\n"
+        assert os.listdir(tmp_path) == ["features.csv"]
+
+    def test_flag_and_config_value_give_one_reason(self, features_csv, tmp_path, capsys):
+        cfg = write_config(tmp_path / "bad.cfg", "k = five\n")
+        select = ["select", "--features", str(features_csv), "--out", str(tmp_path / "s.json")]
+        assert cli.main([*select, "--k", "five"]) == 1
+        assert capsys.readouterr().err == f"error: --k: {self.INT}: 'five'\n"
+        assert cli.main([*select, "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: config key k: {self.INT}: 'five'\n"
 
 
 class TestExitCodes:
@@ -1026,12 +1097,25 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {broken}: machines are [15] features wide, the model has 14\n")
 
+    def test_overflowing_support_vector_names_its_model(self, model_path, features_csv,
+                                                        tmp_path, capsys):
+        """An rbf support vector whose squared norm overflows is refused as the
+        model is built from its file."""
+        payload = json.loads(model_path.read_text())
+        assert payload["config"]["kernel"]["kind"] == "rbf"
+        payload["machines"][0]["support_vectors"][0][0] = (1e200).hex()
+        broken = tmp_path / "model.json"
+        broken.write_text(json.dumps(payload))
+        rc = cli.main(["predict", "--model", str(broken), "--features", str(features_csv),
+                       "--out", str(tmp_path / "predictions.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: {broken}: kernel matrix overflows: feature "
+                                           "values or kernel parameters are too large\n")
+
     def test_unparsable_flag_is_validation_error(self, features_csv, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["train", "--features", str(features_csv),
-                      "--out", str(tmp_path / "model.json"), "--c", "abc"])
-        assert exc.value.code == 1
-        assert "argument --c: invalid float value: 'abc'" in capsys.readouterr().err
+        assert cli.main(["train", "--features", str(features_csv),
+                         "--out", str(tmp_path / "model.json"), "--c", "abc"]) == 1
+        assert capsys.readouterr().err == "error: --c: could not convert string to float: 'abc'\n"
         for flag in ("--r", "--degree"):
             with pytest.raises(SystemExit) as exc:
                 cli.main(["train", "--features", str(features_csv),
@@ -1302,7 +1386,8 @@ class TestMalformedInputFiles:
         rc = cli.main(["report", "--features", str(features_csv), "--test-fraction", "1.5",
                        "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert capsys.readouterr().err == "error: test_fraction must be in (0, 1), got 1.5\n"
+        assert capsys.readouterr().err == (
+            "error: --test-fraction: test_fraction must be in (0, 1), got 1.5\n")
 
     @pytest.mark.parametrize("command", ["train", "report"])
     def test_negative_seed_flag_names_no_file(self, features_csv, tmp_path, capsys, command):
@@ -1310,7 +1395,7 @@ class TestMalformedInputFiles:
         rc = cli.main([command, "--features", str(features_csv), "--seed", "-1",
                        "--test-fraction", "0.5", *held_out, "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert capsys.readouterr().err == "error: expected non-negative integer\n"
+        assert capsys.readouterr().err == "error: --seed: expected non-negative integer\n"
 
     def test_manifest_lists_a_record_twice(self, corpus_dir, tmp_path, capsys):
         first = load_dataset(str(corpus_dir / "manifest.txt")).records[0]

@@ -1,6 +1,7 @@
 import csv
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from gsremotion.dataset import (
     EmotionLabel,
     GsrRecord,
     load_dataset,
+    parse_float,
+    parse_int,
     parse_label,
     save_dataset,
     stratified_split_indices,
@@ -50,6 +53,42 @@ def test_parse_label(text, expected):
 def test_parse_label_rejects_unknown():
     with pytest.raises(ValueError, match="unknown emotion label"):
         parse_label("boredom")
+
+
+# The number grammar, written independently of dataset's: Python's int and
+# float syntax in ASCII, without `_` or surrounding whitespace.
+INT_GRAMMAR = re.compile(r"[+-]?[0-9]+", re.ASCII)
+FLOAT_GRAMMAR = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?"
+                           r"|inf|infinity|nan)", re.ASCII | re.IGNORECASE)
+# what int and float take besides the grammar: grouping, other scripts' digits
+# (Arabic-Indic, fullwidth) and whitespace, ASCII and not
+NUMBER_ALPHABET = list("0123456789+-.eEinfatyINFAN_ \t\n\x1c") + ["\u0663", "\uff11", "\u00a0"]
+
+
+def accepts(parse, text: str) -> bool:
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.text(st.sampled_from(NUMBER_ALPHABET), max_size=10)
+       | st.from_regex(FLOAT_GRAMMAR, fullmatch=True),
+       n=st.integers(), x=st.floats(allow_nan=False, allow_infinity=False))
+@example(text="1_5", n=0, x=0.0)
+@example(text=" 15", n=0, x=0.0)
+@example(text="\u0661\u0662", n=0, x=0.0)
+@example(text="\uff11\uff16.0", n=0, x=0.0)
+@example(text="-Infinity", n=0, x=0.0)
+def test_number_grammar(text, n, x):
+    """A string is a number if and only if it matches the grammar, and every
+    str(int) and repr(float) of a finite float reads back bit for bit."""
+    assert accepts(parse_int, text) == bool(INT_GRAMMAR.fullmatch(text))
+    assert accepts(parse_float, text) == bool(FLOAT_GRAMMAR.fullmatch(text))
+    assert parse_int(str(n)) == n
+    assert struct.pack("<d", parse_float(repr(x))) == struct.pack("<d", x)
 
 
 def test_label_order_covers_all_labels_once():
@@ -402,7 +441,7 @@ def three_row_table(table, tmp_path) -> tuple:
     (its path, its reader, a column whose parser takes a trailing line break)."""
     records = [make_record(f"r{i}", n=64, seed=i) for i in range(3)]
     if table == "manifest":
-        return save_dataset(Dataset(records=records), str(tmp_path)), load_dataset, 3
+        return save_dataset(Dataset(records=records), str(tmp_path)), load_dataset, 2
     path = str(tmp_path / "features.csv")
     write_feature_csv(FeatureMatrix(values=[r.samples[:30] for r in records],
                                     record_ids=[r.record_id for r in records],

@@ -1,5 +1,6 @@
 """Guards for duties with one owner: the CLI prints every `warning:` line
-through `cli._warn` and resolves every option in `cli.main`, only `svm`
+through `cli._warn`, resolves every option in `cli.main` and parses every
+number with `dataset.parse_int` or `dataset.parse_float`, only `svm`
 words a machine that did not converge, one function of `synth` shapes
 every phasic event, and `dataset.read_table` and `dataset.write_table` read
 and write the manifest and the feature table (`cli.cmd_predict` writes
@@ -9,7 +10,7 @@ import ast
 from pathlib import Path
 
 import gsremotion
-from gsremotion import cli, synth
+from gsremotion import cli, dataset, synth
 
 SRC = Path(gsremotion.__file__).parent
 
@@ -38,6 +39,20 @@ def test_cli_resolves_options_only_in_main():
     readers = [f.name for f in functions if f.name.startswith("cmd_")
                for n in ast.walk(f) if isinstance(n, ast.Attribute) and n.attr == "cfg"]
     assert readers == []
+
+
+def test_cli_parses_every_number_one_way():
+    """argparse passes every flag on as text, each number key's parser is
+    one of the grammar's, and cli itself calls neither int nor float."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    assert not [kw for n in calls for kw in n.keywords if kw.arg == "type"]
+    assert not [n for n in calls if getattr(n.func, "id", None) in ("int", "float")]
+    numbers = {key for key, (parse, _, _) in cli._OPTIONS.items() if parse is not str}
+    assert numbers == {"c", "eta", "folds", "k", "seed", "test_fraction", "duration_s",
+                       "sample_rate_hz", "noise_std", "features_list", "counts"}
+    for key in numbers:
+        assert cli._OPTIONS[key][0] in (dataset.parse_int, dataset.parse_float, cli._int_list)
 
 
 def test_only_svm_words_non_convergence():

@@ -689,30 +689,32 @@ class TestCv:
                       "eval": ["--model", "missing.json", "--features", "missing.csv"]}
 
     @pytest.mark.parametrize("flag, message", [
-        (["cv", "--k", "99"], "--k: k must be in 1..30, got 99"),
-        (["cv", "--seed", "-1"], "--seed: expected non-negative integer"),
+        (["cv", "--k", "99"], "k must be in 1..30, got 99"),
+        (["cv", "--seed", "-1"], "expected non-negative integer"),
         (["preprocess", "--norm", "bogus"],
-         "--norm: norm mode must be one of ('signal', 'feature', 'both'), got 'bogus'"),
-        (["select", "--k", "99"], "--k: k must be in 1..30, got 99"),
-        (["train", "--k", "99"], "--k: k must be in 1..30, got 99"),
+         "norm mode must be one of ('signal', 'feature', 'both'), got 'bogus'"),
+        (["select", "--k", "99"], "k must be in 1..30, got 99"),
+        (["train", "--k", "99"], "k must be in 1..30, got 99"),
         (["train", "--kernel", "linear", "--eta", "0.5"],
          "eta 0.5 given, but the linear kernel takes no eta"),
         (["train", "--test-fraction", "1.5", "--test-out", "t.csv"],
-         "--test-fraction: test_fraction must be in (0, 1), got 1.5"),
-        (["eval", "--seed", "-1"], "--seed: expected non-negative integer"),
-        (["report", "--k", "99"], "--k: k must be in 1..30, got 99"),
+         "test_fraction must be in (0, 1), got 1.5"),
+        (["eval", "--seed", "-1"], "expected non-negative integer"),
+        (["report", "--k", "99"], "k must be in 1..30, got 99"),
     ])
     def test_bad_flag_fails_before_any_input_is_read(self, tmp_path, capsys, monkeypatch,
                                                       flag, message):
         """Every command checks its options first: with each input file
         missing, the command and its bad flags in flag exit 1 with the
-        flag's own error line, and nothing is written."""
+        flag's own error line, and nothing is written. The line names the
+        first flag, unless the fault is the pairing of --kernel and --eta."""
         monkeypatch.chdir(tmp_path)
         command, *flags = flag
         inputs = self.MISSING_INPUTS.get(command, ["--features", "missing.csv"])
         rc = cli.main([command, *inputs, *flags, "--out", "out"])
+        named = "" if flags[0] == "--kernel" else f"{flags[0]}: "
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {named}{message}\n"
         assert os.listdir(tmp_path) == []
 
     def test_bad_config_value_fails_before_any_input_is_read(self, tmp_path, capsys,

@@ -147,7 +147,9 @@ def read_config_file(path: str) -> dict:
                 raise ValueError(f"line {lineno}: expected key = value")
             key, value = line.split("=", 1)
             key = key.strip().replace("-", "_")
-            value = value.strip().strip("'\"")
+            value = value.strip()
+            if len(value) > 1 and value[0] == value[-1] and value[0] in "'\"":
+                value = value[1:-1]  # one pair of quotes around the whole value
             if not key:
                 raise ValueError(f"line {lineno}: empty key")
             if key not in _OPTIONS:

@@ -57,9 +57,9 @@ def file_errors(path: str, kind: str = "file"):
 
 
 def _plain(text: str) -> bool:
-    """Whether text is free of what int and float take but no writer emits:
-    non-ASCII characters (digits of other scripts), `_` (PEP 515 grouping)
-    and leading or trailing whitespace."""
+    """Whether text is free of what int, float and str.lower take but no
+    writer emits: non-ASCII characters (digits of other scripts), `_` (PEP
+    515 grouping) and leading or trailing whitespace."""
     return text.isascii() and "_" not in text and text == text.strip()
 
 
@@ -80,6 +80,14 @@ def parse_float(text: str) -> float:
     return float(text)
 
 
+def parse_word(text: str, words: tuple, what: str) -> str:
+    """The word of words (each lower-case) that text names in any case; text
+    must be free of what _plain refuses, and a refusal names what it reads."""
+    if _plain(text) and text.lower() in words:
+        return text.lower()
+    raise ValueError(f"unknown {what} {text!r} (expected one of: {', '.join(words)})")
+
+
 def write_json(path: str, payload: dict) -> None:
     """Indented, key-sorted JSON with a trailing newline."""
     with open(path, "w") as fh:
@@ -98,15 +106,13 @@ class EmotionLabel(Enum):
 # Canonical label ordering, the declaration order, used for stratification,
 # pairwise machine layout and report rows.
 LABEL_ORDER = tuple(EmotionLabel)
+LABEL_NAMES = tuple(lab.value for lab in LABEL_ORDER)
 
 
 def parse_label(text: str) -> EmotionLabel:
-    """Parse a label name, case-insensitively."""
-    try:
-        return EmotionLabel(text.strip().lower())
-    except ValueError:
-        names = ", ".join(lab.value for lab in LABEL_ORDER)
-        raise ValueError(f"unknown emotion label {text!r} (expected one of: {names})")
+    """The label text names in any case, by parse_word: `Calm` reads as calm,
+    ` calm` is refused."""
+    return EmotionLabel(parse_word(text, LABEL_NAMES, "emotion label"))
 
 
 def _check_id(name: str, value: str) -> None:

@@ -33,6 +33,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dataset import parse_word
+
 KERNEL_KINDS = ("linear", "rbf")
 
 # The rows of each 2-D product tile_product forms. Measured against the
@@ -40,13 +42,6 @@ KERNEL_KINDS = ("linear", "rbf")
 # row's bits at every position of a tile under the SkylakeX, Haswell and
 # Sandybridge kernels; 7 and 10 did not under SkylakeX, nor 7 under Haswell.
 TILE_ROWS = 16
-
-
-def canonical_kind(kind: str) -> str:
-    k = kind.strip().lower()
-    if k not in KERNEL_KINDS:
-        raise ValueError(f"unknown kernel kind {kind!r} (expected one of {KERNEL_KINDS})")
-    return k
 
 
 @dataclass(frozen=True)
@@ -57,7 +52,7 @@ class KernelSpec:
     eta: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", canonical_kind(self.kind))
+        object.__setattr__(self, "kind", parse_word(self.kind, KERNEL_KINDS, "kernel kind"))
         if self.eta is not None:
             if self.kind == "linear":
                 raise ValueError(f"eta {self.eta} given, but the linear kernel takes no eta")

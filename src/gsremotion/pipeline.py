@@ -28,7 +28,7 @@ class PipelineConfig(TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        validate_norm_mode(self.norm_mode)
+        self.norm_mode = validate_norm_mode(self.norm_mode)
         if not 1 <= self.selection_k:
             raise ValueError(f"selection_k must be >= 1, got {self.selection_k}")
         if self.explicit_features is not None:

@@ -15,16 +15,14 @@ columns. preprocess_dataset gathers the stream back into records.
 
 import numpy as np
 
-from .dataset import Dataset, EmotionLabel
+from .dataset import Dataset, EmotionLabel, parse_word
 from .wavelet import denoise
 
 NORM_MODES = ("signal", "feature", "both")
 
 
 def validate_norm_mode(mode: str) -> str:
-    if mode not in NORM_MODES:
-        raise ValueError(f"norm mode must be one of {NORM_MODES}, got {mode!r}")
-    return mode
+    return parse_word(mode, NORM_MODES, "norm mode")
 
 
 def preprocess_blocks(dataset: Dataset, norm_mode: str):
@@ -47,9 +45,8 @@ def preprocess_blocks(dataset: Dataset, norm_mode: str):
     calm record, the missing subjects, the lowest record a calm range is
     too small for. From the first fault on, no block is yielded.
     """
-    validate_norm_mode(norm_mode)
     records = dataset.records
-    scaled = norm_mode != "feature"
+    scaled = validate_norm_mode(norm_mode) != "feature"
     firsts = {}
     if scaled:
         for i, rec in enumerate(records):

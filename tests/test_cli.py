@@ -413,7 +413,7 @@ class TestTrain:
             assert rc == 1
             assert capsys.readouterr().err == (
                 f"error: --kernel: unknown kernel kind {kind!r} "
-                "(expected one of ('linear', 'rbf'))\n")
+                "(expected one of: linear, rbf)\n")
         assert not (tmp_path / "model.json").exists()
 
     def test_rejects_zero_eta(self, features_csv, tmp_path, capsys):
@@ -692,7 +692,7 @@ class TestCv:
         (["cv", "--k", "99"], "k must be in 1..30, got 99"),
         (["cv", "--seed", "-1"], "expected non-negative integer"),
         (["preprocess", "--norm", "bogus"],
-         "norm mode must be one of ('signal', 'feature', 'both'), got 'bogus'"),
+         "unknown norm mode 'bogus' (expected one of: signal, feature, both)"),
         (["select", "--k", "99"], "k must be in 1..30, got 99"),
         (["train", "--k", "99"], "k must be in 1..30, got 99"),
         (["train", "--kernel", "linear", "--eta", "0.5"],
@@ -899,7 +899,7 @@ class TestConfigFile:
         ("synth", "duration_s = 2\n", "duration 2.0s at 16.0Hz yields fewer than 64 samples"),
         ("synth", "duration_s = inf\n", "duration_s must be positive and finite, got inf"),
         ("train", "c = 0\n", "config key c: c must be positive and finite, got 0.0"),
-        ("preprocess", "norm = bogus\n", "config key norm: norm mode must be one of"),
+        ("preprocess", "norm = bogus\n", "config key norm: unknown norm mode 'bogus'"),
         ("train", "seed = -1\n", "config key seed: expected non-negative integer"),
         ("synth", "sample_rate_hz = 0\n", "sample_rate_hz must be positive and finite, got 0.0"),
         ("synth", "sample_rate_hz = inf\n", "sample_rate_hz must be positive and finite, got inf"),
@@ -1035,6 +1035,109 @@ class TestNumberGrammar:
         assert capsys.readouterr().err == f"error: --k: {self.INT}: 'five'\n"
         assert cli.main([*select, "--config", cfg]) == 1
         assert capsys.readouterr().err == f"error: {cfg}: config key k: {self.INT}: 'five'\n"
+
+
+def with_first_label(path, out, label):
+    """The manifest or feature table at path written to out, its first row's
+    label set to label (CSV-quoted when it needs to be)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        head = [fh.readline(), fh.readline()]
+        rows = list(csv.reader(fh))
+    rows[0][head[1].split(",").index("label")] = label
+    with open(out, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(head)
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return out
+
+
+class TestWordGrammar:
+    """A label, kernel kind or norm mode is one of its words in any case and
+    nothing else: surrounding whitespace or a line break is refused wherever
+    it is read, with one wording, naming the flag, the config key, or the
+    file and line. A config value loses one pair of matching quotes only."""
+
+    KINDS = "(expected one of: linear, rbf)"
+    LABELS = "(expected one of: happiness, grief, fear, anger, calm)"
+
+    def test_manifest_label(self, corpus_dir, tmp_path, capsys):
+        corpus = shutil.copytree(corpus_dir, tmp_path / "corpus")
+        manifest = with_first_label(corpus / "manifest.txt", corpus / "manifest.txt",
+                                    " CaLm\n")
+        rc = cli.main(["features", "--manifest", str(manifest),
+                       "--out", str(tmp_path / "features.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: line 3: unknown emotion label ' CaLm\\n' {self.LABELS}\n")
+        assert os.listdir(tmp_path) == ["corpus"]
+
+    def test_feature_table_label(self, features_csv, tmp_path, capsys):
+        table = with_first_label(features_csv, tmp_path / "features.csv", " CaLm\n")
+        rc = cli.main(["select", "--features", str(table), "--out", str(tmp_path / "s.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {table}: line 3: unknown emotion label ' CaLm\\n' {self.LABELS}\n")
+        assert os.listdir(tmp_path) == ["features.csv"]
+
+    @pytest.mark.parametrize("flag, message", [
+        (["--kernel", " Linear"], f"--kernel: unknown kernel kind ' Linear' {KINDS}"),
+        (["--norm", " both"], "--norm: unknown norm mode ' both' "
+                              "(expected one of: signal, feature, both)"),
+    ], ids=["kernel", "norm"])
+    def test_spaced_flag(self, features_csv, tmp_path, capsys, flag, message):
+        rc = cli.main(["train", "--features", str(features_csv), *flag,
+                       "--out", str(tmp_path / "model.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_model_kind(self, model_path, features_csv, tmp_path, capsys):
+        payload = json.loads(model_path.read_text())
+        payload["config"]["kernel"]["kind"] = " RBF"
+        broken = tmp_path / "model.json"
+        broken.write_text(json.dumps(payload))
+        rc = cli.main(["eval", "--model", str(broken), "--features", str(features_csv),
+                       "--out", str(tmp_path / "scores")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {broken}: unknown kernel kind ' RBF' {self.KINDS}\n")
+
+    @pytest.mark.parametrize("text, key, value", [
+        ("counts = '6,6,6,6,6\"\n", "counts", "'6"),
+        ("seed = \"\"7''\n", "seed", "\"\"7''"),
+    ], ids=["counts", "seed"])
+    def test_mismatched_config_quotes(self, tmp_path, capsys, text, key, value):
+        cfg = write_config(tmp_path / "synth.cfg", text)
+        rc = cli.main(["synth", "--out", str(tmp_path / "corpus"), "--config", cfg])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config key {key}: "
+            f"invalid literal for int() with base 10: {value!r}\n")
+        assert os.listdir(tmp_path) == ["synth.cfg"]
+
+    def test_quoted_config_value_loses_one_pair(self, features_csv, tmp_path, capsys):
+        cfg = write_config(tmp_path / "train.cfg", "kernel = \"'rbf'\"\n")
+        rc = cli.main(["train", "--features", str(features_csv),
+                       "--out", str(tmp_path / "model.json"), "--config", cfg])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config key kernel: unknown kernel kind \"'rbf'\" {self.KINDS}\n")
+
+    def test_capitalised_kernel_writes_its_word(self, features_csv, model_path, tmp_path):
+        out = tmp_path / "model.json"
+        assert cli.main(["train", "--features", str(features_csv), "--kernel", "RBF",
+                         "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["kernel"]["kind"] == "rbf"
+        assert out.read_bytes() == model_path.read_bytes()
+
+    def test_capitalised_norm_runs_as_its_word(self, manifest, tmp_path, capsys):
+        outs = [tmp_path / "lower", tmp_path / "capitalised"]
+        for norm, out in zip(("both", "Both"), outs):
+            assert cli.main(["preprocess", "--manifest", manifest, "--norm", norm,
+                             "--out", str(out)]) == 0
+            assert capsys.readouterr().out == (
+                f"preprocessed 20 records into {out} (norm=both)\n")
+        for name in ("manifest.txt", "samples.npy"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 class TestExitCodes:
@@ -1435,7 +1538,7 @@ class TestMalformedInputFiles:
         (lambda p: p.update(format_version=2), "format_version 2 unsupported (expected 4)"),
         (lambda p: p.update(format_version=3), "format_version 3 unsupported (expected 4)"),
         (lambda p: p["config"]["kernel"].update(kind="sigmoid"),
-         "unknown kernel kind 'sigmoid' (expected one of ('linear', 'rbf'))"),
+         "unknown kernel kind 'sigmoid' (expected one of: linear, rbf)"),
         (lambda p: p["config"]["kernel"].update(kind="linear", eta=(0.5).hex()),
          "eta 0.5 given, but the linear kernel takes no eta"),
         (lambda p: p.pop("normalization"), "missing key 'normalization'"),

@@ -18,10 +18,13 @@ from gsremotion.dataset import (
     parse_float,
     parse_int,
     parse_label,
+    parse_word,
     save_dataset,
     stratified_split_indices,
 )
 from gsremotion.features import FeatureMatrix, read_feature_csv, write_feature_csv
+from gsremotion.kernels import KERNEL_KINDS
+from gsremotion.preprocess import NORM_MODES
 
 
 def make_record(record_id="r1", subject_id="S01", label=EmotionLabel.CALM,
@@ -44,7 +47,6 @@ def make_record(record_id="r1", subject_id="S01", label=EmotionLabel.CALM,
     ("calm", EmotionLabel.CALM),
     ("Fear", EmotionLabel.FEAR),
     ("ANGER", EmotionLabel.ANGER),
-    ("  calm ", EmotionLabel.CALM),
 ])
 def test_parse_label(text, expected):
     assert parse_label(text) is expected
@@ -89,6 +91,46 @@ def test_number_grammar(text, n, x):
     assert accepts(parse_float, text) == bool(FLOAT_GRAMMAR.fullmatch(text))
     assert parse_int(str(n)) == n
     assert struct.pack("<d", parse_float(repr(x))) == struct.pack("<d", x)
+
+
+# The word sets parse_word reads, each with its grammar written independently
+# of dataset's: one of the words in any ASCII case, with nothing around it.
+WORD_SETS = [("emotion label", tuple(lab.value for lab in LABEL_ORDER)),
+             ("kernel kind", KERNEL_KINDS), ("norm mode", NORM_MODES)]
+WORD_GRAMMARS = [(what, words, re.compile("|".join(words), re.ASCII | re.IGNORECASE))
+                 for what, words in WORD_SETS]
+ALL_WORDS = [word for _, words in WORD_SETS for word in words]
+# what str.lower and a case-insensitive match take besides the grammar:
+# whitespace, `_`, and letters of other scripts that case-fold near ASCII
+# (dotted and dotless i, long s, the Kelvin sign)
+WORD_JUNK = list(" \t\n_-\u00a0\u0130\u0131\u017f\u212a")
+any_case = st.sampled_from(ALL_WORDS).flatmap(
+    lambda w: st.tuples(*[st.sampled_from((c, c.upper())) for c in w]).map("".join))
+word_junk = st.text(st.sampled_from(WORD_JUNK), max_size=2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=any_case
+       | st.tuples(word_junk, any_case, word_junk).map("".join)
+       | st.text(st.sampled_from(sorted(set("".join(ALL_WORDS).upper() + "".join(ALL_WORDS)))
+                                 + WORD_JUNK), max_size=10))
+@example(text="  calm ")
+@example(text=" CaLm\n")
+@example(text="Both")
+@example(text="\u017fignal")
+def test_word_grammar(text):
+    """parse_word takes a text if and only if it matches the grammar of the
+    word set, returns its lower-case word, and refuses every other text with
+    one wording."""
+    for what, words, grammar in WORD_GRAMMARS:
+        if grammar.fullmatch(text):
+            assert parse_word(text, words, what) == text.lower()
+            assert text.lower() in words
+            continue
+        with pytest.raises(ValueError) as exc:
+            parse_word(text, words, what)
+        assert str(exc.value) == (f"unknown {what} {text!r} "
+                                  f"(expected one of: {', '.join(words)})")
 
 
 def test_label_order_covers_all_labels_once():
@@ -438,37 +480,54 @@ class TestManifest:
 
 def three_row_table(table, tmp_path) -> tuple:
     """A valid table of records r0, r1 and r2 (a manifest with its samples):
-    (its path, its reader, a column whose parser takes a trailing line break)."""
+    (its path, its reader)."""
     records = [make_record(f"r{i}", n=64, seed=i) for i in range(3)]
     if table == "manifest":
-        return save_dataset(Dataset(records=records), str(tmp_path)), load_dataset, 2
+        return save_dataset(Dataset(records=records), str(tmp_path)), load_dataset
     path = str(tmp_path / "features.csv")
     write_feature_csv(FeatureMatrix(values=[r.samples[:30] for r in records],
                                     record_ids=[r.record_id for r in records],
                                     labels=[r.label for r in records]), path)
-    return path, read_feature_csv, 1
+    return path, read_feature_csv
 
 
-@pytest.mark.parametrize("table", TABLES)
+def rewrite_rows(path, edit) -> None:
+    """Rewrite the rows of a table, its first two lines kept, after edit(rows)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        head = [fh.readline(), fh.readline()]
+        rows = list(csv.reader(fh))
+    edit(rows)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(head)
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def refusal(path, read) -> str:
+    """The reader's error for the table at path, the path removed."""
+    with pytest.raises(ValueError) as exc:
+        read(path)
+    return str(exc.value).removeprefix(f"{path}: ")
+
+
+# Only a manifest can still hold a line break: read_table reads its subject
+# raw, and GsrRecord refuses it only once every row is read. No field of a
+# feature table can (test_feature_table_refuses_a_line_break_at_its_row).
+@pytest.mark.parametrize("table", ["manifest"])
 class TestTableLines:
     """A row fault names the file line its row starts on, after a row whose
     quoted field holds a line break (rows 0, 1 and 2 start on lines 3, 5, 6)."""
 
     def refused(self, table, tmp_path, row, record_id) -> str:
-        """The reader's error, path removed, once row 0's field in the column
-        its parser lets end in a line break does, and row `row` has record_id."""
-        path, read, column = three_row_table(table, tmp_path)
-        with open(path, newline="", encoding="utf-8") as fh:
-            head = [fh.readline(), fh.readline()]
-            rows = list(csv.reader(fh))
-        rows[0][column] += "\n"
-        rows[row][0] = record_id
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.writelines(head)
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-        with pytest.raises(ValueError) as exc:
-            read(path)
-        return str(exc.value).removeprefix(f"{path}: ")
+        """The reader's error, path removed, once row 0's subject ends in a
+        line break and row `row` has record_id."""
+        path, read = three_row_table(table, tmp_path)
+
+        def edit(rows):
+            rows[0][1] += "\n"
+            rows[row][0] = record_id
+
+        rewrite_rows(path, edit)
+        return refusal(path, read)
 
     def test_multiline_id_is_refused_at_its_line(self, table, tmp_path):
         assert self.refused(table, tmp_path, 1, "a\nb") == (
@@ -482,6 +541,19 @@ class TestTableLines:
         limit = csv.field_size_limit()
         assert self.refused(table, tmp_path, 2, "r" * (limit + 1)) == (
             f"line 6: field larger than field limit ({limit})")
+
+
+def test_feature_table_refuses_a_line_break_at_its_row(tmp_path):
+    """A line break in any field of row r1 (lines 4 and 5) is refused at
+    line 4, whichever column holds it: the id, the label or a value."""
+    for column in range(2 + 30):
+        path, read = three_row_table("features", tmp_path)
+
+        def edit(rows):
+            rows[1][column] += "\n"
+
+        rewrite_rows(path, edit)
+        assert refusal(path, read).startswith("line 4: "), column
 
 
 class TestStratifiedSplit:

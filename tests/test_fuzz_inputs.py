@@ -164,7 +164,7 @@ def manifest_mutation(draw, text):
     if kind == "bad_count":
         fields[4] = str(draw(st.integers(0, 10**6).filter(lambda n: str(n) != fields[4])))
     elif kind == "bad_label":
-        fields[2] = draw(junk.filter(lambda s: s.strip().lower() not in LABEL_NAMES))
+        fields[2] = draw(junk.filter(lambda s: s.lower() not in LABEL_NAMES))
     elif kind == "bad_rate":
         fields[3] = draw(junk)
     else:  # the count where the rate belongs, and the rate where the count belongs
@@ -257,7 +257,7 @@ def feature_mutation(draw, text):
         return "\n".join(lines) + "\n"
     fields = lines[row].split(",")
     if kind == "bad_label":
-        fields[1] = draw(junk.filter(lambda s: s.strip().lower() not in LABEL_NAMES))
+        fields[1] = draw(junk.filter(lambda s: s.lower() not in LABEL_NAMES))
     elif kind == "bad_value":
         fields[draw(st.integers(2, len(fields) - 1))] = draw(junk)
     elif kind == "multiline_id":  # quoted, so csv reads one record_id holding a line break

@@ -1,6 +1,7 @@
 """Guards for duties with one owner: the CLI prints every `warning:` line
 through `cli._warn`, resolves every option in `cli.main` and parses every
-number with `dataset.parse_int` or `dataset.parse_float`, only `svm`
+number with `dataset.parse_int` or `dataset.parse_float`, `dataset.parse_word`
+reads and words every label, kernel kind and norm mode, only `svm`
 words a machine that did not converge, one function of `synth` shapes
 every phasic event, and `dataset.read_table` and `dataset.write_table` read
 and write the manifest and the feature table (`cli.cmd_predict` writes
@@ -53,6 +54,20 @@ def test_cli_parses_every_number_one_way():
                        "sample_rate_hz", "noise_std", "features_list", "counts"}
     for key in numbers:
         assert cli._OPTIONS[key][0] in (dataset.parse_int, dataset.parse_float, cli._int_list)
+
+
+def test_words_are_read_one_way():
+    """Only dataset.parse_word lower-cases a text, and only dataset words a
+    refusal of a word that is not one of its set."""
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        callers += [f"{path.stem}.{getattr(top, 'name', '<module>')}" for top in tree.body
+                    for n in ast.walk(top)
+                    if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "lower"]
+        if path.stem != "dataset":
+            assert not [s for s in strings(tree) if "(expected one of" in s], path.name
+    assert set(callers) == {"dataset.parse_word"}
 
 
 def test_only_svm_words_non_convergence():

@@ -56,6 +56,14 @@ def file_errors(path: str, kind: str = "file"):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _typed(value, kind: type, key: str):
+    """value, if json.load made it a kind (int, bool or list): an int is not
+    a float, a string or a boolean, and a bool is only true or false."""
+    if type(value) is not kind:
+        raise TypeError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def _plain(text: str) -> bool:
     """Whether text is free of what int, float and str.lower take but no
     writer emits: non-ASCII characters (digits of other scripts), `_` (PEP

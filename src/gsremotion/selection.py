@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import file_errors, write_json
+from .dataset import _typed, file_errors, write_json
 from .features import CATALOG_VERSION, FEATURE_NAMES
 
 
@@ -170,10 +170,9 @@ def write_selection_json(result: SelectionResult, path: str) -> None:
 def read_selection_indices(path: str) -> list:
     """Load selected catalog indices from a selection JSON file."""
     with file_errors(path, "selection file"), open(path) as fh:
-        indices = json.load(fh).get("selected_indices")
-        if not isinstance(indices, list):
-            raise ValueError("selected_indices is missing or not a list")
-        return validate_catalog_indices(indices)
+        payload = json.load(fh)
+        return validate_catalog_indices(_typed(payload["selected_indices"], list,
+                                               "selected_indices"))
 
 
 def validate_catalog_indices(indices) -> list:

@@ -42,7 +42,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .dataset import LABEL_ORDER, file_errors, parse_label, write_json
+from .dataset import LABEL_ORDER, _typed, file_errors, parse_label, write_json
 from .features import CATALOG_VERSION, N_FEATURES, FeatureMatrix, FeatureNormalization
 from .kernels import KernelSpec, finish_block, gram, squared_norms, tile_product
 from .selection import validate_catalog_indices
@@ -572,14 +572,6 @@ def save_model(model: MulticlassSvmModel, path: str) -> None:
         "machines": machines,
     }
     write_json(path, payload)
-
-
-def _typed(value, kind: type, key: str):
-    """value, if json.load made it a kind (int or bool): an int is not a
-    float, a string or a boolean, and a bool is only true or false."""
-    if type(value) is not kind:
-        raise TypeError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
-    return value
 
 
 def _from_hex(value, key: str) -> float:

@@ -1329,6 +1329,21 @@ class TestMalformedInputFiles:
         self.assert_names(capsys, rc, selection,
                           "selection file has a value of the wrong type")
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"k": 2}, "selection file is missing key 'selected_indices'"),
+        ({"selected_indices": "1,2"}, "selection file has a value of the wrong type "
+                                      "(selected_indices must be a JSON list, got '1,2')"),
+    ], ids=["missing", "string"])
+    def test_selection_indices_read_as_model_keys(self, features_csv, tmp_path, capsys,
+                                                  payload, message):
+        """A missing or mistyped selected_indices reads as a model.json key does."""
+        selection = tmp_path / "selection.json"
+        selection.write_text(json.dumps(payload))
+        rc = self.train_with(features_csv, selection, tmp_path)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {selection}: {message}\n"
+        assert os.listdir(tmp_path) == ["selection.json"]
+
     @pytest.mark.parametrize("indices", [[None], [[1]]])
     def test_selection_index_of_wrong_type(self, features_csv, tmp_path, capsys, indices):
         selection = tmp_path / "selection.json"

@@ -341,6 +341,8 @@ def cmd_train(args) -> int:
     _check_out(args.out, args.force)
     if args.test_fraction is not None:
         _check_out(args.test_out, args.force)
+        if os.path.realpath(args.test_out) == os.path.realpath(args.out):
+            raise ValueError(f"--test-out and --out both name {args.out}")
     matrix = _read_labeled(args.features)
     held_out = None
     if args.test_fraction is not None:

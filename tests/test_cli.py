@@ -406,6 +406,18 @@ class TestTrain:
         assert sorted(os.listdir(tmp_path)) == ["existing.csv"]
         assert existing.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("force", [False, True])
+    def test_refuses_test_out_naming_the_model(self, tmp_path, capsys, monkeypatch, force):
+        """Checked before the table is read: the table here does not exist."""
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("sub")
+        rc = cli.main(["train", "--features", "missing.csv", "--test-fraction", "0.3",
+                       "--test-out", "sub/../m.json", "--out", "m.json"]
+                      + ["--force"] * force)
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --test-out and --out both name m.json\n"
+        assert os.listdir(tmp_path) == ["sub"]
+
     def test_rejects_unknown_kernel(self, features_csv, tmp_path, capsys):
         for kind in ("bogus", "sigmoid", "poly"):
             rc = cli.main(["train", "--features", str(features_csv),

@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 validation error (bad values, unparsable flags,
 malformed data, refusing to overwrite), 2 I/O error (missing files,
 unwritable outputs).
 Every option, flag or config value alike, arrives as text and is parsed
-once, numbers by dataset.parse_int and dataset.parse_float.
+once, numbers by dataset.parse_int and parse_float, words by parse_word.
 A --config file supplies defaults as `key = value` lines; explicit flags
 win over the file, which wins over built-in defaults. Keys that conflict
 (--features-list with --selection or --k) are refused, whether a flag or

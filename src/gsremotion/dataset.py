@@ -65,9 +65,9 @@ def _typed(value, kind: type, key: str):
 
 
 def _plain(text: str) -> bool:
-    """Whether text is free of what int, float and str.lower take but no
-    writer emits: non-ASCII characters (digits of other scripts), `_` (PEP
-    515 grouping) and leading or trailing whitespace."""
+    """Whether text is free of what int and float take but no writer emits:
+    non-ASCII characters (digits of other scripts), `_` (PEP 515 grouping)
+    and leading or trailing whitespace. parse_word refuses the same."""
     return text.isascii() and "_" not in text and text == text.strip()
 
 

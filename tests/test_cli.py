@@ -703,8 +703,8 @@ class TestCv:
     @pytest.mark.parametrize("flag, message", [
         (["cv", "--k", "99"], "k must be in 1..30, got 99"),
         (["cv", "--seed", "-1"], "expected non-negative integer"),
-        (["preprocess", "--norm", "bogus"],
-         "unknown norm mode 'bogus' (expected one of: signal, feature, both)"),
+        (["preprocess", "--norm", "zscore"],
+         "unknown norm mode 'zscore' (expected one of: signal, feature, both)"),
         (["select", "--k", "99"], "k must be in 1..30, got 99"),
         (["train", "--k", "99"], "k must be in 1..30, got 99"),
         (["train", "--kernel", "linear", "--eta", "0.5"],

@@ -511,36 +511,46 @@ def refusal(path, read) -> str:
 
 # Only a manifest can still hold a line break: read_table reads its subject
 # raw, and GsrRecord refuses it only once every row is read. No field of a
-# feature table can (test_feature_table_refuses_a_line_break_at_its_row).
-@pytest.mark.parametrize("table", ["manifest"])
+# feature table can (test_feature_table_refuses_a_line_break_at_its_row), so
+# its rows each take one line.
+ROW_LINES = {"manifest": (3, 5, 6), "features": (3, 4, 5)}
+
+
+@pytest.mark.parametrize("table", ["features", "manifest"])
 class TestTableLines:
-    """A row fault names the file line its row starts on, after a row whose
-    quoted field holds a line break (rows 0, 1 and 2 start on lines 3, 5, 6)."""
+    """A row fault names the file line its row starts on: in a manifest after
+    a row whose quoted field holds a line break (rows 0, 1 and 2 start on
+    lines 3, 5, 6), in a feature table one row to a line (lines 3, 4, 5)."""
 
     def refused(self, table, tmp_path, row, record_id) -> str:
-        """The reader's error, path removed, once row 0's subject ends in a
-        line break and row `row` has record_id."""
+        """The reader's error, path removed, once row `row` has record_id and,
+        in a manifest, row 0's subject ends in a line break."""
         path, read = three_row_table(table, tmp_path)
 
         def edit(rows):
-            rows[0][1] += "\n"
+            if table == "manifest":
+                rows[0][1] += "\n"
             rows[row][0] = record_id
 
         rewrite_rows(path, edit)
         return refusal(path, read)
 
     def test_multiline_id_is_refused_at_its_line(self, table, tmp_path):
+        line = ROW_LINES[table][1]
         assert self.refused(table, tmp_path, 1, "a\nb") == (
-            "line 5: record_id 'a\\nb' cannot be stored in a manifest or feature table: "
+            f"line {line}: record_id 'a\\nb' cannot be stored in a manifest or feature table: "
             "it has leading or trailing whitespace or a line break")
 
     def test_repeated_id_names_both_lines(self, table, tmp_path):
-        assert self.refused(table, tmp_path, 2, "r1") == "line 6: record_id 'r1' is also on line 5"
+        _, first, second = ROW_LINES[table]
+        assert self.refused(table, tmp_path, 2, "r1") == (
+            f"line {second}: record_id 'r1' is also on line {first}")
 
     def test_field_over_the_csv_limit_is_refused_at_its_line(self, table, tmp_path):
         limit = csv.field_size_limit()
+        line = ROW_LINES[table][2]
         assert self.refused(table, tmp_path, 2, "r" * (limit + 1)) == (
-            f"line 6: field larger than field limit ({limit})")
+            f"line {line}: field larger than field limit ({limit})")
 
 
 def test_feature_table_refuses_a_line_break_at_its_row(tmp_path):

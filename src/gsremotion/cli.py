@@ -10,10 +10,12 @@ win over the file, which wins over built-in defaults. Keys that conflict
 (--features-list with --selection or --k) are refused, whether a flag or
 the file sets each, and so is a --test-out without a --test-fraction.
 
-main owns every option, in this order: the config file, the refusal of
-conflicting keys, each key of the command's _COMMANDS row resolved and
-checked once (_resolve), the model config (PipelineConfig, with the
---selection file), then the command, which reads the resolved values.
+main owns every option and every output, in this order: the config file,
+the refusal of conflicting keys, each key of the command's _COMMANDS row
+resolved and checked once (_resolve), the model config (PipelineConfig,
+with the --selection file), the refusal of each existing file the row's
+--out implies (_outputs), then the command, which reads the resolved
+values and returns its warning and summary lines for main to print.
 """
 
 import argparse
@@ -225,12 +227,6 @@ def _given(**values) -> dict:
     return {name: value for name, value in values.items() if value is not None}
 
 
-def _check_out(path: str, force: bool) -> str:
-    if os.path.exists(path) and not force:
-        raise ValueError(f"{path} exists; pass --force to overwrite")
-    return path
-
-
 def _pipeline_config(args, values: dict) -> PipelineConfig:
     """The command's model config from its resolved values, with explicit
     catalog indices from --features-list or else a selection file."""
@@ -254,29 +250,36 @@ def _read_labeled(path: str):
     return matrix
 
 
+def _outputs(args):
+    """Each file the command writes: those its _COMMANDS row says --out names, and
+    train's --test-out, which _refuse_pairings allows only beside --test-fraction."""
+    if args.writes == "corpus":
+        yield from corpus_paths(args.out)
+    elif args.writes == "prefix":
+        yield from (args.out + ".json", args.out + ".txt")
+    else:
+        yield args.out
+        if getattr(args, "test_out", None):
+            if os.path.realpath(args.test_out) == os.path.realpath(args.out):
+                raise ValueError(f"--test-out and --out both name {args.out}")
+            yield args.test_out
+
+
 def _warn(lines) -> None:
     """Print each line to stderr as a warning; the CLI warns nowhere else."""
     for line in lines:
         print(f"warning: {line}", file=sys.stderr)
 
 
-def _writes_prefix(command):
-    """Run a command that returns (payload, warnings, text, summary) and write its
-    <prefix>.json and <prefix>.txt, both refused before the command runs."""
-    def stage(args) -> int:
-        json_path = _check_out(args.out + ".json", args.force)
-        text_path = _check_out(args.out + ".txt", args.force)
-        payload, warnings, text, summary = command(args)
-        write_json(json_path, payload)
-        _warn(warnings)
-        with open(text_path, "w") as fh:
-            fh.write(text + "\n")
-        print(f"{summary} -> {json_path}, {text_path}")
-        return 0
-    return stage
+def _write_prefix(out: str, payload: dict, text: str) -> str:
+    """Write a report's <out>.json and <out>.txt; both paths, for its summary line."""
+    write_json(out + ".json", payload)
+    with open(out + ".txt", "w") as fh:
+        fh.write(text + "\n")
+    return f"{out}.json, {out}.txt"
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args):
     values = _given(
         per_label_counts=None if args.counts is None else dict(zip(LABEL_ORDER, args.counts)),
         duration_s=args.duration_s,
@@ -285,45 +288,34 @@ def cmd_synth(args) -> int:
     )
     # only the file sets these, so a fault in their combination is the file's,
     # and so is a corpus too large to allocate
-    blame = (lambda: file_errors(args.config)) if values else contextlib.nullcontext
-    with blame():
+    with file_errors(args.config) if values else contextlib.nullcontext():
         config = SynthConfig(**values, **_given(seed=args.seed))
-    for path in corpus_paths(args.out):
-        _check_out(path, args.force)
-    with blame():
         try:
             dataset = generate_dataset(config)
         except MemoryError as exc:
             raise ValueError(f"cannot allocate the corpus: {exc}") from None
     save_dataset(dataset, args.out)
-    print(f"wrote {len(dataset)} records to {args.out}")
-    return 0
+    return [], [f"wrote {len(dataset)} records to {args.out}"]
 
 
-def cmd_preprocess(args) -> int:
+def cmd_preprocess(args):
     norm = args.pipeline.norm_mode
-    for path in corpus_paths(args.out):
-        _check_out(path, args.force)
     dataset = load_dataset(args.manifest)
     with file_errors(args.manifest):  # a record the stage refuses is the corpus's fault
         processed = preprocess_dataset(dataset, norm)
     save_dataset(processed, args.out)
-    print(f"preprocessed {len(processed)} records into {args.out} (norm={norm})")
-    return 0
+    return [], [f"preprocessed {len(processed)} records into {args.out} (norm={norm})"]
 
 
-def cmd_features(args) -> int:
-    _check_out(args.out, args.force)
+def cmd_features(args):
     dataset = load_dataset(args.manifest)
     with file_errors(args.manifest):  # a record the stage refuses is the corpus's fault
         matrix = extract_dataset_features(dataset)
     write_feature_csv(matrix, args.out)
-    print(f"wrote {matrix.n_rows} x {matrix.n_features} feature rows to {args.out}")
-    return 0
+    return [], [f"wrote {matrix.n_rows} x {matrix.n_features} feature rows to {args.out}"]
 
 
-def cmd_select(args) -> int:
-    _check_out(args.out, args.force)
+def cmd_select(args):
     matrix = read_feature_csv(args.features)
     explicit = args.pipeline.explicit_features
     if explicit is not None:
@@ -332,19 +324,12 @@ def cmd_select(args) -> int:
         with file_errors(args.features):  # too few rows or varying columns: the table's fault
             result = select_features(matrix.values, args.pipeline.selection_k)
     write_selection_json(result, args.out)
-    _warn(result.warnings)
-    print(f"selected {result.k} features -> {args.out}")
-    return 0
+    return result.warnings, [f"selected {result.k} features -> {args.out}"]
 
 
-def cmd_train(args) -> int:
-    _check_out(args.out, args.force)
-    if args.test_fraction is not None:
-        _check_out(args.test_out, args.force)
-        if os.path.realpath(args.test_out) == os.path.realpath(args.out):
-            raise ValueError(f"--test-out and --out both name {args.out}")
+def cmd_train(args):
     matrix = _read_labeled(args.features)
-    held_out = None
+    held_out, lines = None, []
     if args.test_fraction is not None:
         with file_errors(args.features):  # a label with too few rows to split
             train_rows, test_rows = stratified_split_indices(
@@ -354,19 +339,15 @@ def cmd_train(args) -> int:
         fitted = fit_from_features(matrix, args.pipeline)
     if held_out is not None:  # written only once the fit succeeded
         write_feature_csv(held_out, args.test_out)
-        print(f"held out {held_out.n_rows} rows -> {args.test_out}")
+        lines.append(f"held out {held_out.n_rows} rows -> {args.test_out}")
     save_model(fitted.model, args.out)
-    _warn(fitted.model.warnings())
-    n_machines = len(fitted.model.machines)
-    print(
-        f"trained {n_machines} machines on {matrix.n_rows} rows "
+    return fitted.model.warnings(), lines + [
+        f"trained {len(fitted.model.machines)} machines on {matrix.n_rows} rows "
         f"(k={len(fitted.model.feature_indices)}) -> {args.out}"
-    )
-    return 0
+    ]
 
 
-def cmd_predict(args) -> int:
-    _check_out(args.out, args.force)
+def cmd_predict(args):
     model = load_model(args.model)
     matrix = read_feature_csv(args.features)
     with file_errors(args.features):
@@ -376,11 +357,9 @@ def cmd_predict(args) -> int:
         writer.writerow(["record_id", "label", "predicted"])
         for rid, true, pred in zip(matrix.record_ids, matrix.labels, predicted):
             writer.writerow([rid, true.value if true else "", pred.value])
-    print(f"wrote {matrix.n_rows} predictions to {args.out}")
-    return 0
+    return [], [f"wrote {matrix.n_rows} predictions to {args.out}"]
 
 
-@_writes_prefix
 def cmd_eval(args):
     seed = args.pipeline.seed
     model = load_model(args.model)
@@ -406,10 +385,10 @@ def cmd_eval(args):
     }
     text = (format_confusion(cm) + "\n\n" + format_rates(cm)
             + "\n\n" + format_sampled_rates(sample))
-    return payload, [], text, f"accuracy {acc:.4f} on {cm.total} rows"
+    paths = _write_prefix(args.out, payload, text)
+    return [], [f"accuracy {acc:.4f} on {cm.total} rows -> {paths}"]
 
 
-@_writes_prefix
 def cmd_cv(args):
     folds = DEFAULT_FOLDS if args.folds is None else args.folds
     dataset = load_dataset(args.manifest)
@@ -424,12 +403,12 @@ def cmd_cv(args):
         f"\n\nmean {report.mean_accuracy:.4f}  std {report.std_accuracy:.4f}"
         f"\nheld-out accesses during fit: {report.heldout_accesses}\n\n"
     ) + format_confusion(report.confusion)
-    return report.to_dict(), report.warnings, text, (
+    paths = _write_prefix(args.out, report.to_dict(), text)
+    return report.warnings, [
         f"cv mean accuracy {report.mean_accuracy:.4f} (std {report.std_accuracy:.4f}) "
-        f"over {folds} folds")
+        f"over {folds} folds -> {paths}"]
 
 
-@_writes_prefix
 def cmd_report(args):
     config = args.pipeline
     test_fraction = REPORT_TEST_FRACTION if args.test_fraction is None else args.test_fraction
@@ -438,9 +417,10 @@ def cmd_report(args):
     with file_errors(args.features):
         report = comparison_report(matrix, config, test_fraction)
     acc = report["accuracy"]
-    return report, report.warnings, format_comparison(report), (
+    paths = _write_prefix(args.out, report, format_comparison(report))
+    return report.warnings, [
         f"test accuracy: {acc['selected']['test']:.4f} with {report['k']} features, "
-        f"{acc['all_features']['test']:.4f} with all")
+        f"{acc['all_features']['test']:.4f} with all -> {paths}"]
 
 
 def _add_options(sub, *keys):
@@ -468,23 +448,26 @@ _INPUT_HELP = {
     "features": "feature CSV",
     "model": "model JSON from the train stage",
 }
-_PREFIX = "output prefix (writes <prefix>.json and <prefix>.txt)"
 _MODEL_KEYS = ("k", "features_list", "kernel", "c", "eta", "norm", "seed")
 
-# name, stage, help, required inputs, help for --out, option keys
+_CORPUS = ("corpus", "output directory")
+_PREFIX = ("prefix", "output prefix (writes <prefix>.json and <prefix>.txt)")
+
+# name, stage, help, required inputs, (what --out names: corpus, prefix or
+# file, for _outputs; its help), option keys
 _COMMANDS = (
-    ("synth", cmd_synth, "generate a synthetic labeled corpus", (), "output directory",
+    ("synth", cmd_synth, "generate a synthetic labeled corpus", (), _CORPUS,
      ("counts", "duration_s", "sample_rate_hz", "noise_std", "seed")),
     ("preprocess", cmd_preprocess, "denoise and normalize records", ("manifest",),
-     "output directory", ("norm",)),
+     _CORPUS, ("norm",)),
     ("features", cmd_features, "extract the feature table", ("manifest",),
-     "output CSV path", ()),
+     ("file", "output CSV path"), ()),
     ("select", cmd_select, "pick the least redundant features", ("features",),
-     "output JSON path", ("k", "features_list")),
+     ("file", "output JSON path"), ("k", "features_list")),
     ("train", cmd_train, "train the one-vs-one SVM model", ("features",),
-     "output model JSON", ("test_fraction", *_MODEL_KEYS)),
+     ("file", "output model JSON"), ("test_fraction", *_MODEL_KEYS)),
     ("predict", cmd_predict, "label feature rows with a model", ("model", "features"),
-     "output CSV path", ()),
+     ("file", "output CSV path"), ()),
     ("eval", cmd_eval, "score a model on labeled rows", ("model", "features"), _PREFIX,
      ("seed",)),
     ("cv", cmd_cv, "stratified k-fold cross-validation", ("manifest",), _PREFIX,
@@ -500,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="GSR emotion classification pipeline",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, func, about, inputs, out_help, keys in _COMMANDS:
+    for name, func, about, inputs, (writes, out_help), keys in _COMMANDS:
         p = commands.add_parser(name, help=about)
         for flag in inputs:
             p.add_argument(f"--{flag}", required=True, help=_INPUT_HELP[flag])
@@ -509,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--test-out", help="where to write the held-out rows")
             p.add_argument("--selection", help="selection JSON from the select stage")
         _add_options(p, *keys)
-        p.set_defaults(func=func, keys=keys)
+        p.set_defaults(func=func, keys=keys, writes=writes)
     return parser
 
 
@@ -522,7 +505,13 @@ def main(argv=None) -> int:
         # built before the resolved values replace the flags: _pairing tells them apart
         args.pipeline = _pipeline_config(args, values)
         vars(args).update(values)
-        return args.func(args)
+        for path in _outputs(args):
+            if os.path.exists(path) and not args.force:
+                raise ValueError(f"{path} exists; pass --force to overwrite")
+        warnings, lines = args.func(args)
+        _warn(warnings)
+        print(*lines, sep="\n")
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

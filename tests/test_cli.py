@@ -135,6 +135,20 @@ class TestSynth:
         assert cli.main(args) == 1
         assert cli.main(args + ["--force"]) == 0
 
+    def test_refuses_overwrite_before_checking_its_config(self, tmp_path, capsys):
+        """An existing output is refused first, as every command does, before
+        a duration too short for one record is."""
+        cfg = write_config(tmp_path / "synth.cfg", "duration_s = 1.0\n")
+        out = tmp_path / "corpus"
+        out.mkdir()
+        (out / "samples.npy").write_text("kept")
+        rc = cli.main(["synth", "--out", str(out), "--config", cfg])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {out / 'samples.npy'} exists; pass --force to overwrite\n")
+        assert cli.main(["synth", "--out", str(out), "--config", cfg, "--force"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: duration 1.0s at ")
+
     @pytest.mark.parametrize("command", ["synth", "preprocess"])
     @pytest.mark.parametrize("existing", ["samples.npy", "manifest.txt"])
     def test_either_corpus_file_is_protected(self, manifest, tmp_path, capsys, command,
@@ -405,6 +419,20 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {existing} exists; pass --force to overwrite\n"
         assert sorted(os.listdir(tmp_path)) == ["existing.csv"]
         assert existing.read_text() == "kept\n"
+
+    def test_unwritable_model_prints_no_held_out_line(self, features_csv, tmp_path, capsys):
+        """The held-out rows are written before the model; when the model
+        cannot be written, stdout stays empty and only the io error is printed."""
+        test_out = tmp_path / "test.csv"
+        model = tmp_path / "missing" / "model.json"
+        rc = cli.main(["train", "--features", str(features_csv), "--test-fraction", "0.3",
+                       "--test-out", str(test_out), "--out", str(model)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("io error: ") and captured.err.count("\n") == 1
+        assert str(model) in captured.err
+        assert test_out.exists()
 
     @pytest.mark.parametrize("force", [False, True])
     def test_refuses_test_out_naming_the_model(self, tmp_path, capsys, monkeypatch, force):
@@ -1628,3 +1656,4 @@ class TestMalformedInputFiles:
         rc = cli.main(["features", "--manifest", str(tmp_path / "manifest.txt"),
                        "--out", str(tmp_path / "features.csv")])
         self.assert_names(capsys, rc, tmp_path / "manifest.txt", message)
+

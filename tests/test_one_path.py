@@ -1,9 +1,9 @@
 """Guards for duties with one owner: the CLI prints every `warning:` line
-through `cli._warn`, resolves every option in `cli.main` and parses every
-number with `dataset.parse_int` or `dataset.parse_float`, `dataset.parse_word`
-reads and words every label, kernel kind and norm mode, only `svm`
-words a machine that did not converge, one function of `synth` shapes
-every phasic event, and `dataset.read_table` and `dataset.write_table` read
+through `cli._warn`, resolves every option and refuses and prints every
+output in `cli.main`, and parses every number with `dataset.parse_int` or
+`dataset.parse_float`; `dataset.parse_word` reads and words every label,
+kernel kind and norm mode; only `svm` words a machine that did not
+converge; one function of `synth` shapes every phasic event; and `dataset.read_table` and `dataset.write_table` read
 and write the manifest and the feature table (`cli.cmd_predict` writes
 `predictions.csv`, which has no version line, with its own `csv.writer`)."""
 
@@ -40,6 +40,24 @@ def test_cli_resolves_options_only_in_main():
     readers = [f.name for f in functions if f.name.startswith("cmd_")
                for n in ast.walk(f) if isinstance(n, ast.Attribute) and n.attr == "cfg"]
     assert readers == []
+
+
+def test_cli_outputs_only_in_main():
+    """main refuses every existing output, from the files _outputs lists, and
+    prints every line a command returns; no command prints, warns or refuses."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+
+    def callers(name) -> list:
+        return [f.name for f in functions for n in ast.walk(f)
+                if isinstance(n, ast.Call) and getattr(n.func, "id", None) == name]
+
+    assert callers("_outputs") == callers("_warn") == ["main"]
+    assert sorted(set(callers("print"))) == ["_warn", "main"]
+    refusers = [f.name for f in functions
+                if [text for text in strings(f) if "pass --force to overwrite" in text]]
+    assert refusers == ["main"]
+    assert not hasattr(cli, "_writes_prefix") and not hasattr(cli, "_check_out")
 
 
 def test_cli_parses_every_number_one_way():

@@ -103,6 +103,15 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def read_json(path: str, kind: str):
+    """The JSON document at path; one too deep for json.load is refused, not raised."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{kind} is nested too deeply to read") from None
+
+
 class EmotionLabel(Enum):
     HAPPINESS = "happiness"
     GRIEF = "grief"

@@ -7,12 +7,11 @@ equals their min (the rule FeatureNormalization uses), are removed up front
 since their correlation is undefined.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import _typed, file_errors, write_json
+from .dataset import _typed, file_errors, read_json, write_json
 from .features import CATALOG_VERSION, FEATURE_NAMES
 
 
@@ -169,8 +168,8 @@ def write_selection_json(result: SelectionResult, path: str) -> None:
 
 def read_selection_indices(path: str) -> list:
     """Load selected catalog indices from a selection JSON file."""
-    with file_errors(path, "selection file"), open(path) as fh:
-        payload = json.load(fh)
+    with file_errors(path, "selection file"):
+        payload = read_json(path, "selection file")
         return validate_catalog_indices(_typed(payload["selected_indices"], list,
                                                "selected_indices"))
 

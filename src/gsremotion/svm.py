@@ -35,14 +35,13 @@ _vote counts each row's votes and sums its strengths with one np.bincount
 each over the cells row * n_labels + winner.
 """
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
-from .dataset import LABEL_ORDER, _typed, file_errors, parse_label, write_json
+from .dataset import LABEL_ORDER, _typed, file_errors, parse_label, read_json, write_json
 from .features import CATALOG_VERSION, N_FEATURES, FeatureMatrix, FeatureNormalization
 from .kernels import KernelSpec, finish_block, gram, squared_norms, tile_product
 from .selection import validate_catalog_indices
@@ -597,8 +596,8 @@ def load_model(path: str) -> MulticlassSvmModel:
     through _from_hex, so a hex float too large for a double is refused by
     its key, not raised as an OverflowError.
     """
-    with file_errors(path, "model file"), open(path) as fh:
-        payload = json.load(fh)
+    with file_errors(path, "model file"):
+        payload = read_json(path, "model file")
         version = payload.get("format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(

@@ -1439,6 +1439,21 @@ class TestMalformedInputFiles:
                        "--out", str(tmp_path / "selection.json")])
         self.assert_names(capsys, rc, broken, message)
 
+    @pytest.mark.parametrize("kind", ["model", "selection"])
+    def test_deeply_nested_json_names_its_file(self, features_csv, tmp_path, capsys, kind):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        out = str(tmp_path / "out")
+        if kind == "model":
+            argv = ["predict", "--model", str(deep), "--features", str(features_csv)]
+        else:
+            argv = ["train", "--features", str(features_csv), "--selection", str(deep)]
+        rc = cli.main(argv + ["--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {deep}: {kind} file is nested too deeply to read\n")
+        assert os.listdir(tmp_path) == ["deep.json"]
+
     @pytest.mark.parametrize("command", [
         ["select", "--k", "5"],
         ["train"],

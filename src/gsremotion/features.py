@@ -250,9 +250,12 @@ def read_feature_csv(path: str) -> FeatureMatrix:
     def columns(fields):
         label = parse_label(fields[1]) if fields[1] else None
         try:
-            return fields[0], label, [parse_float(v) for v in fields[2:]]
+            values = [parse_float(v) for v in fields[2:]]
         except ValueError:
             raise ValueError("bad feature value") from None
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite feature value")
+        return fields[0], label, values
 
     with file_errors(path):
         rows = read_table(path, VERSION_LINE, HEADER, columns,

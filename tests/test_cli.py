@@ -1439,6 +1439,21 @@ class TestMalformedInputFiles:
                        "--out", str(tmp_path / "selection.json")])
         self.assert_names(capsys, rc, broken, message)
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "1e999"])
+    def test_feature_table_non_finite_value_names_its_line(self, features_csv, tmp_path,
+                                                           capsys, value):
+        lines = features_csv.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[7] = value
+        lines[5] = ",".join(fields)
+        broken = tmp_path / "features.csv"
+        broken.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["select", "--features", str(broken),
+                       "--out", str(tmp_path / "selection.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {broken}: line 6: non-finite feature value\n"
+        assert os.listdir(tmp_path) == ["features.csv"]
+
     @pytest.mark.parametrize("kind", ["model", "selection"])
     def test_deeply_nested_json_names_its_file(self, features_csv, tmp_path, capsys, kind):
         deep = tmp_path / "deep.json"

@@ -140,7 +140,7 @@ _OPTIONS = {
 def read_config_file(path: str) -> dict:
     """Parse a flat `key = value` defaults file (# starts a comment)."""
     cfg = {}
-    with file_errors(path), open(path) as fh:
+    with file_errors(path), open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -274,7 +274,7 @@ def _warn(lines) -> None:
 def _write_prefix(out: str, payload: dict, text: str) -> str:
     """Write a report's <out>.json and <out>.txt; both paths, for its summary line."""
     write_json(out + ".json", payload)
-    with open(out + ".txt", "w") as fh:
+    with open(out + ".txt", "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     return f"{out}.json, {out}.txt"
 
@@ -352,7 +352,7 @@ def cmd_predict(args):
     matrix = read_feature_csv(args.features)
     with file_errors(args.features):
         predicted = predict_rows(model, matrix.values)
-    with open(args.out, "w", newline="") as fh:
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")  # quotes an id holding a comma
         writer.writerow(["record_id", "label", "predicted"])
         for rid, true, pred in zip(matrix.record_ids, matrix.labels, predicted):

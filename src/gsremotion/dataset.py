@@ -98,7 +98,7 @@ def parse_word(text: str, words: tuple, what: str) -> str:
 
 def write_json(path: str, payload: dict) -> None:
     """Indented, key-sorted JSON with a trailing newline."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -1,7 +1,8 @@
 """End-to-end command-line tests.
 
 Every command runs in-process through cli.main so exit codes, stdout,
-stderr, and output files can all be asserted without subprocesses.
+stderr, and output files can all be asserted without subprocesses; only
+TestLocale starts a child, to run it under another locale.
 The corpus here is deliberately tiny; accuracy itself is covered by the
 library tests and the acceptance suite.
 """
@@ -13,6 +14,7 @@ import json
 import os
 import re
 import shutil
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
@@ -1687,3 +1689,44 @@ class TestMalformedInputFiles:
                        "--out", str(tmp_path / "features.csv")])
         self.assert_names(capsys, rc, tmp_path / "manifest.txt", message)
 
+
+class TestLocale:
+    """Every text file is read and written as UTF-8, whatever the locale: a
+    child runs under the C locale with neither coercion nor UTF-8 mode."""
+
+    ENV = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+    def run(self, *argv):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src, **self.ENV)
+        return subprocess.run([sys.executable, "-m", "gsremotion.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_child_runs_in_ascii(self):
+        code = "import locale; print(locale.getpreferredencoding(False))"
+        env = dict(os.environ, **self.ENV)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        assert proc.stdout.strip() in ("ANSI_X3.4-1968", "ascii", "US-ASCII")
+
+    def test_non_ascii_record_id_is_predicted(self, features_csv, model_path, tmp_path):
+        lines = features_csv.read_text().splitlines()
+        lines[2] = "S\u00e901_x," + lines[2].split(",", 1)[1]
+        table = tmp_path / "features.csv"
+        table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "predictions.csv"
+        proc = self.run("predict", "--model", str(model_path), "--features", str(table),
+                        "--out", str(out))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = out.read_text(encoding="utf-8").splitlines()
+        assert len(rows) == len(lines) - 1
+        assert rows[1].startswith("S\u00e901_x,")
+
+    def test_non_ascii_config_comment(self, features_csv, tmp_path):
+        cfg = tmp_path / "select.cfg"
+        cfg.write_text("features_list = 2,3,5  # caf\u00e9\n", encoding="utf-8")
+        out = tmp_path / "selection.json"
+        proc = self.run("select", "--features", str(features_csv), "--config", str(cfg),
+                        "--out", str(out))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert read_selection_indices(str(out)) == [2, 3, 5]

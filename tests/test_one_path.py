@@ -2,8 +2,9 @@
 through `cli._warn`, resolves every option and refuses and prints every
 output in `cli.main`, and parses every number with `dataset.parse_int` or
 `dataset.parse_float`; `dataset.parse_word` reads and words every label,
-kernel kind and norm mode; only `svm` words a machine that did not
-converge; one function of `synth` shapes every phasic event; and `dataset.read_table` and `dataset.write_table` read
+kernel kind and norm mode; every text-mode `open` names its encoding; only
+`svm` words a machine that did not converge; one function of `synth` shapes
+every phasic event; and `dataset.read_table` and `dataset.write_table` read
 and write the manifest and the feature table (`cli.cmd_predict` writes
 `predictions.csv`, which has no version line, with its own `csv.writer`)."""
 
@@ -58,6 +59,21 @@ def test_cli_outputs_only_in_main():
                 if [text for text in strings(f) if "pass --force to overwrite" in text]]
     assert refusers == ["main"]
     assert not hasattr(cli, "_writes_prefix") and not hasattr(cli, "_check_out")
+
+
+def test_text_files_name_their_encoding():
+    """Every text-mode open in src/ passes encoding=, so no file's bytes
+    depend on the locale; a binary open (samples.npy's "rb") has none."""
+    opens = []
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "open":
+                modes = n.args[1:2] + [kw.value for kw in n.keywords if kw.arg == "mode"]
+                binary = any("b" in m.value for m in modes)
+                opens.append((path.name, binary,
+                              any(kw.arg == "encoding" for kw in n.keywords)))
+    assert [o for o in opens if not o[1] and not o[2]] == []
+    assert [o for o in opens if o[1]] == [("dataset.py", True, False)]
 
 
 def test_cli_parses_every_number_one_way():

@@ -10,17 +10,19 @@ win over the file, which wins over built-in defaults. Keys that conflict
 (--features-list with --selection or --k) are refused, whether a flag or
 the file sets each, and so is a --test-out without a --test-fraction.
 
-main owns every option and every output, in this order: the config file,
+main owns every option, input and output, in this order: the config file,
 the refusal of conflicting keys, each key of the command's _COMMANDS row
 resolved and checked once (_resolve), the model config (PipelineConfig,
-with the --selection file), the refusal of each existing file the row's
---out implies (_outputs), then the command, which reads the resolved
-values and returns its warning and summary lines for main to print.
+with the --selection file), the refusal of each file the row's --out
+implies (_outputs) that is an input, exists or cannot be opened, then the
+row's inputs, each read by its reader, then the command under its data
+input's blame, and last the warning and summary lines it returns.
 """
 
 import argparse
 import contextlib
 import csv
+import errno
 import os
 import sys
 
@@ -250,10 +252,22 @@ def _read_labeled(path: str):
     return matrix
 
 
+def _read_files(args, paths) -> set:
+    """The realpath of each file the command reads, which no output may name:
+    its inputs, a manifest's samples.npy, train's --selection and --config."""
+    if hasattr(args, "manifest"):
+        paths = [*paths, corpus_paths(os.path.dirname(args.manifest))[0]]
+    return {os.path.realpath(path)
+            for path in [*paths, getattr(args, "selection", None), args.config] if path}
+
+
 def _outputs(args):
     """Each file the command writes: those its _COMMANDS row says --out names, and
-    train's --test-out, which _refuse_pairings allows only beside --test-fraction."""
+    train's --test-out, which _refuse_pairings allows only beside --test-fraction.
+    A corpus --out that is a file is refused as save_dataset would refuse it."""
     if args.writes == "corpus":
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
         yield from corpus_paths(args.out)
     elif args.writes == "prefix":
         yield from (args.out + ".json", args.out + ".txt")
@@ -280,63 +294,48 @@ def _write_prefix(out: str, payload: dict, text: str) -> str:
 
 
 def cmd_synth(args):
-    values = _given(
+    config = SynthConfig(**_given(
         per_label_counts=None if args.counts is None else dict(zip(LABEL_ORDER, args.counts)),
-        duration_s=args.duration_s,
-        sample_rate_hz=args.sample_rate_hz,
-        noise_std_us=args.noise_std,
-    )
-    # only the file sets these, so a fault in their combination is the file's,
-    # and so is a corpus too large to allocate
-    with file_errors(args.config) if values else contextlib.nullcontext():
-        config = SynthConfig(**values, **_given(seed=args.seed))
-        try:
-            dataset = generate_dataset(config)
-        except MemoryError as exc:
-            raise ValueError(f"cannot allocate the corpus: {exc}") from None
+        duration_s=args.duration_s, sample_rate_hz=args.sample_rate_hz,
+        noise_std_us=args.noise_std, seed=args.seed))
+    try:
+        dataset = generate_dataset(config)
+    except MemoryError as exc:
+        raise ValueError(f"cannot allocate the corpus: {exc}") from None
     save_dataset(dataset, args.out)
     return [], [f"wrote {len(dataset)} records to {args.out}"]
 
 
-def cmd_preprocess(args):
+def cmd_preprocess(args, dataset):
     norm = args.pipeline.norm_mode
-    dataset = load_dataset(args.manifest)
-    with file_errors(args.manifest):  # a record the stage refuses is the corpus's fault
-        processed = preprocess_dataset(dataset, norm)
+    processed = preprocess_dataset(dataset, norm)
     save_dataset(processed, args.out)
     return [], [f"preprocessed {len(processed)} records into {args.out} (norm={norm})"]
 
 
-def cmd_features(args):
-    dataset = load_dataset(args.manifest)
-    with file_errors(args.manifest):  # a record the stage refuses is the corpus's fault
-        matrix = extract_dataset_features(dataset)
+def cmd_features(args, dataset):
+    matrix = extract_dataset_features(dataset)
     write_feature_csv(matrix, args.out)
     return [], [f"wrote {matrix.n_rows} x {matrix.n_features} feature rows to {args.out}"]
 
 
-def cmd_select(args):
-    matrix = read_feature_csv(args.features)
+def cmd_select(args, matrix):
     explicit = args.pipeline.explicit_features
     if explicit is not None:
         result = SelectionResult(selected_indices=explicit)
     else:
-        with file_errors(args.features):  # too few rows or varying columns: the table's fault
-            result = select_features(matrix.values, args.pipeline.selection_k)
+        result = select_features(matrix.values, args.pipeline.selection_k)
     write_selection_json(result, args.out)
     return result.warnings, [f"selected {result.k} features -> {args.out}"]
 
 
-def cmd_train(args):
-    matrix = _read_labeled(args.features)
+def cmd_train(args, matrix):
     held_out, lines = None, []
     if args.test_fraction is not None:
-        with file_errors(args.features):  # a label with too few rows to split
-            train_rows, test_rows = stratified_split_indices(
-                matrix.labels, args.test_fraction, args.pipeline.seed)
+        train_rows, test_rows = stratified_split_indices(
+            matrix.labels, args.test_fraction, args.pipeline.seed)
         held_out, matrix = subset_rows(matrix, test_rows), subset_rows(matrix, train_rows)
-    with file_errors(args.features):  # a table the fit refuses is the table's fault
-        fitted = fit_from_features(matrix, args.pipeline)
+    fitted = fit_from_features(matrix, args.pipeline)
     if held_out is not None:  # written only once the fit succeeded
         write_feature_csv(held_out, args.test_out)
         lines.append(f"held out {held_out.n_rows} rows -> {args.test_out}")
@@ -347,11 +346,8 @@ def cmd_train(args):
     ]
 
 
-def cmd_predict(args):
-    model = load_model(args.model)
-    matrix = read_feature_csv(args.features)
-    with file_errors(args.features):
-        predicted = predict_rows(model, matrix.values)
+def cmd_predict(args, model, matrix):
+    predicted = predict_rows(model, matrix.values)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")  # quotes an id holding a comma
         writer.writerow(["record_id", "label", "predicted"])
@@ -360,13 +356,10 @@ def cmd_predict(args):
     return [], [f"wrote {matrix.n_rows} predictions to {args.out}"]
 
 
-def cmd_eval(args):
+def cmd_eval(args, model, matrix):
     seed = args.pipeline.seed
-    model = load_model(args.model)
-    matrix = _read_labeled(args.features)
-    with file_errors(args.features):  # rows the model cannot score, or a label it never saw
-        predicted = predict_rows(model, matrix.values)
-        cm = ConfusionMatrix.from_predictions(matrix.labels, predicted, model.label_order)
+    predicted = predict_rows(model, matrix.values)
+    cm = ConfusionMatrix.from_predictions(matrix.labels, predicted, model.label_order)
     acc = accuracy(cm)
     rates = per_label_rates(cm)
     sample = sampled_label_rates(matrix.labels, predicted, seed)
@@ -389,12 +382,9 @@ def cmd_eval(args):
     return [], [f"accuracy {acc:.4f} on {cm.total} rows -> {paths}"]
 
 
-def cmd_cv(args):
+def cmd_cv(args, dataset):
     folds = DEFAULT_FOLDS if args.folds is None else args.folds
-    dataset = load_dataset(args.manifest)
-    # a corpus too small for the folds, or one a fold's fit refuses, is the manifest's fault
-    with file_errors(args.manifest):
-        report = kfold_cross_validate(dataset, folds, args.pipeline, args.pipeline.seed)
+    report = kfold_cross_validate(dataset, folds, args.pipeline, args.pipeline.seed)
     fold_lines = [
         f"fold {i + 1}: accuracy {a:.4f}"
         for i, a in enumerate(report.fold_accuracies)
@@ -409,13 +399,9 @@ def cmd_cv(args):
         f"over {folds} folds -> {paths}"]
 
 
-def cmd_report(args):
-    config = args.pipeline
+def cmd_report(args, matrix):
     test_fraction = REPORT_TEST_FRACTION if args.test_fraction is None else args.test_fraction
-    matrix = _read_labeled(args.features)
-    # a label with too few rows to split, or a table the fit refuses, is the table's fault
-    with file_errors(args.features):
-        report = comparison_report(matrix, config, test_fraction)
+    report = comparison_report(matrix, args.pipeline, test_fraction)
     acc = report["accuracy"]
     paths = _write_prefix(args.out, report, format_comparison(report))
     return report.warnings, [
@@ -443,36 +429,36 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_INPUT_HELP = {
-    "manifest": "manifest.txt of a corpus directory",
-    "features": "feature CSV",
-    "model": "model JSON from the train stage",
-}
+# an input's flag, help and reader, which names the file in each of its refusals
+_MANIFEST = ("manifest", "manifest.txt of a corpus directory", load_dataset)
+_TABLE = ("features", "feature CSV", read_feature_csv)
+_LABELED = ("features", "feature CSV", _read_labeled)
+_MODEL = ("model", "model JSON from the train stage", load_model)
 _MODEL_KEYS = ("k", "features_list", "kernel", "c", "eta", "norm", "seed")
 
 _CORPUS = ("corpus", "output directory")
 _PREFIX = ("prefix", "output prefix (writes <prefix>.json and <prefix>.txt)")
 
-# name, stage, help, required inputs, (what --out names: corpus, prefix or
-# file, for _outputs; its help), option keys
+# name, stage, help, required inputs in the order main reads them, (what --out
+# names: corpus, prefix or file, for _outputs; its help), option keys
 _COMMANDS = (
     ("synth", cmd_synth, "generate a synthetic labeled corpus", (), _CORPUS,
      ("counts", "duration_s", "sample_rate_hz", "noise_std", "seed")),
-    ("preprocess", cmd_preprocess, "denoise and normalize records", ("manifest",),
+    ("preprocess", cmd_preprocess, "denoise and normalize records", (_MANIFEST,),
      _CORPUS, ("norm",)),
-    ("features", cmd_features, "extract the feature table", ("manifest",),
+    ("features", cmd_features, "extract the feature table", (_MANIFEST,),
      ("file", "output CSV path"), ()),
-    ("select", cmd_select, "pick the least redundant features", ("features",),
+    ("select", cmd_select, "pick the least redundant features", (_TABLE,),
      ("file", "output JSON path"), ("k", "features_list")),
-    ("train", cmd_train, "train the one-vs-one SVM model", ("features",),
+    ("train", cmd_train, "train the one-vs-one SVM model", (_LABELED,),
      ("file", "output model JSON"), ("test_fraction", *_MODEL_KEYS)),
-    ("predict", cmd_predict, "label feature rows with a model", ("model", "features"),
+    ("predict", cmd_predict, "label feature rows with a model", (_MODEL, _TABLE),
      ("file", "output CSV path"), ()),
-    ("eval", cmd_eval, "score a model on labeled rows", ("model", "features"), _PREFIX,
+    ("eval", cmd_eval, "score a model on labeled rows", (_MODEL, _LABELED), _PREFIX,
      ("seed",)),
-    ("cv", cmd_cv, "stratified k-fold cross-validation", ("manifest",), _PREFIX,
+    ("cv", cmd_cv, "stratified k-fold cross-validation", (_MANIFEST,), _PREFIX,
      ("folds", *_MODEL_KEYS)),
-    ("report", cmd_report, "selected-k vs all-features comparison", ("features",), _PREFIX,
+    ("report", cmd_report, "selected-k vs all-features comparison", (_LABELED,), _PREFIX,
      ("test_fraction", *_MODEL_KEYS)),
 )
 
@@ -485,14 +471,14 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     for name, func, about, inputs, (writes, out_help), keys in _COMMANDS:
         p = commands.add_parser(name, help=about)
-        for flag in inputs:
-            p.add_argument(f"--{flag}", required=True, help=_INPUT_HELP[flag])
+        for flag, input_help, _ in inputs:
+            p.add_argument(f"--{flag}", required=True, help=input_help)
         p.add_argument("--out", required=True, help=out_help)
         if name == "train":
             p.add_argument("--test-out", help="where to write the held-out rows")
             p.add_argument("--selection", help="selection JSON from the select stage")
         _add_options(p, *keys)
-        p.set_defaults(func=func, keys=keys, writes=writes)
+        p.set_defaults(func=func, inputs=inputs, keys=keys, writes=writes)
     return parser
 
 
@@ -505,10 +491,21 @@ def main(argv=None) -> int:
         # built before the resolved values replace the flags: _pairing tells them apart
         args.pipeline = _pipeline_config(args, values)
         vars(args).update(values)
+        paths = [getattr(args, flag) for flag, _, _ in args.inputs]
+        read = _read_files(args, paths)
         for path in _outputs(args):
+            if os.path.realpath(path) in read:
+                raise ValueError(f"{path} is an input of this command")
             if os.path.exists(path) and not args.force:
                 raise ValueError(f"{path} exists; pass --force to overwrite")
-        warnings, lines = args.func(args)
+            # save_dataset makes a corpus directory; any other output's must exist
+            if args.writes != "corpus" and not os.path.isdir(os.path.dirname(path) or "."):
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        inputs = [reader(path) for (_, _, reader), path in zip(args.inputs, paths)]
+        # what the stage refuses is its data input's fault (synth's: the config's)
+        blamed = paths[-1] if paths else args.config
+        with file_errors(blamed) if blamed else contextlib.nullcontext():
+            warnings, lines = args.func(args, *inputs)
         _warn(warnings)
         print(*lines, sep="\n")
         return 0

@@ -434,7 +434,7 @@ class TestTrain:
         assert captured.out == ""
         assert captured.err.startswith("io error: ") and captured.err.count("\n") == 1
         assert str(model) in captured.err
-        assert test_out.exists()
+        assert not test_out.exists()
 
     @pytest.mark.parametrize("force", [False, True])
     def test_refuses_test_out_naming_the_model(self, tmp_path, capsys, monkeypatch, force):
@@ -709,6 +709,20 @@ class TestEval:
         assert not (tmp_path / "scores.json").exists()
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             evaluate_model(load_model(str(model)), table)
+
+    def test_label_the_table_lacks_names_the_table(self, model_path, features_csv, tmp_path,
+                                                   capsys):
+        """The model knows calm and the table has no calm row: the refusal is the
+        table's, like every other refusal of the stage."""
+        table = read_feature_csv(str(features_csv))
+        no_calm = tmp_path / "no_calm.csv"
+        write_feature_csv(subset_rows(table, [i for i, lab in enumerate(table.labels)
+                                              if lab is not EmotionLabel.CALM]), str(no_calm))
+        rc = cli.main(["eval", "--model", str(model_path), "--features", str(no_calm),
+                       "--out", str(tmp_path / "scores")])
+        assert (rc, capsys.readouterr().err) == (
+            1, f"error: {no_calm}: label 'calm' has no scored rows\n")
+        assert not (tmp_path / "scores.json").exists()
 
 
 class TestCv:
@@ -1284,6 +1298,58 @@ class TestExitCodes:
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):
             cli.main(["bogus"])
+
+
+class TestOutputRefusals:
+    """main refuses an output before it reads an input or runs the stage: one
+    that is an input, even with --force, and one that could not be opened."""
+
+    @pytest.fixture
+    def inputs(self, manifest, features_csv, model_path, tmp_path, monkeypatch):
+        """A working directory of copies of the corpus, the table and the model."""
+        shutil.copytree(os.path.dirname(manifest), tmp_path / "corpus")
+        shutil.copy(features_csv, tmp_path / "f.csv")
+        shutil.copy(model_path, tmp_path / "m.json")
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, named", [
+        (["eval", "--model", "m.json", "--features", "f.csv", "--out", "m"], "m.json"),
+        (["select", "--features", "f.csv", "--out", "f.csv"], "f.csv"),
+        (["preprocess", "--manifest", "corpus/manifest.txt", "--out", "corpus"],
+         os.path.join("corpus", "samples.npy")),
+    ])
+    def test_output_naming_an_input_is_refused_with_force(self, inputs, capsys, argv, named):
+        def files():
+            return {path: path.read_bytes() for path in inputs.rglob("*") if path.is_file()}
+
+        before = files()
+        assert cli.main([*argv, "--force"]) == 1
+        assert capsys.readouterr() == ("", f"error: {named} is an input of this command\n")
+        assert files() == before
+
+    @pytest.mark.parametrize("command, stage, written", [
+        ("features", "extract_dataset_features", "f.csv"),
+        ("cv", "kfold_cross_validate", "cv.json"),
+    ])
+    def test_missing_output_directory_is_refused_before_the_stage(
+            self, manifest, tmp_path, capsys, monkeypatch, command, stage, written):
+        monkeypatch.setattr(cli, stage, lambda *args: pytest.fail("the stage ran"))
+        out = tmp_path / "nosuch" / written.replace(".json", "")
+        rc = cli.main([command, "--manifest", manifest, "--out", str(out)])
+        path = str(tmp_path / "nosuch" / written)
+        assert (rc, capsys.readouterr()) == (
+            2, ("", f"io error: [Errno 2] No such file or directory: {path!r}\n"))
+
+    def test_file_as_corpus_out_is_refused_before_the_stage(self, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.setattr(cli, "generate_dataset", lambda config: pytest.fail("the stage ran"))
+        out = tmp_path / "afile"
+        out.write_text("kept\n")
+        rc = cli.main(["synth", "--out", str(out), "--force"])
+        assert (rc, capsys.readouterr()) == (
+            2, ("", f"io error: [Errno 17] File exists: {str(out)!r}\n"))
+        assert out.read_text() == "kept\n"
 
 
 class TestHelp:

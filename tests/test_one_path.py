@@ -1,5 +1,6 @@
 """Guards for duties with one owner: the CLI prints every `warning:` line
-through `cli._warn`, resolves every option and refuses and prints every
+through `cli._warn`, resolves every option, reads every input, blames every
+stage refusal on the command's data input and refuses and prints every
 output in `cli.main`, and parses every number with `dataset.parse_int` or
 `dataset.parse_float`; `dataset.parse_word` reads and words every label,
 kernel kind and norm mode; every text-mode `open` names its encoding; only
@@ -21,6 +22,13 @@ def strings(node) -> list:
     """Every string constant under node, the literal parts of f-strings included."""
     return [n.value for n in ast.walk(node)
             if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
+def cli_callers(name) -> list:
+    """The name of each function of cli, for each call of name in it."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    return [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+            for n in ast.walk(f) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == name]
 
 
 def test_cli_warns_only_through_its_helper():
@@ -48,17 +56,23 @@ def test_cli_outputs_only_in_main():
     prints every line a command returns; no command prints, warns or refuses."""
     tree = ast.parse(Path(cli.__file__).read_text())
     functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
-
-    def callers(name) -> list:
-        return [f.name for f in functions for n in ast.walk(f)
-                if isinstance(n, ast.Call) and getattr(n.func, "id", None) == name]
-
-    assert callers("_outputs") == callers("_warn") == ["main"]
-    assert sorted(set(callers("print"))) == ["_warn", "main"]
+    assert cli_callers("_outputs") == cli_callers("_warn") == ["main"]
+    assert sorted(set(cli_callers("print"))) == ["_warn", "main"]
     refusers = [f.name for f in functions
                 if [text for text in strings(f) if "pass --force to overwrite" in text]]
     assert refusers == ["main"]
     assert not hasattr(cli, "_writes_prefix") and not hasattr(cli, "_check_out")
+
+
+def test_cli_reads_inputs_only_in_main():
+    """main reads each input by its _COMMANDS row's reader and runs the command
+    under the one blame of its data input; no command reads an input or blames
+    a file, and the readers and the option checks name their own files."""
+    readers = ("file_errors", "load_dataset", "read_feature_csv", "_read_labeled", "load_model")
+    assert [f for name in readers for f in cli_callers(name) if f.startswith("cmd_")] == []
+    assert sorted(set(cli_callers("file_errors"))) == [
+        "_pairing", "_read_labeled", "_resolve", "main", "read_config_file"]
+    assert not hasattr(cli, "_INPUT_HELP")
 
 
 def test_text_files_name_their_encoding():

@@ -1318,7 +1318,7 @@ class TestOutputRefusals:
         (["select", "--features", "f.csv", "--out", "f.csv"], "f.csv"),
         (["preprocess", "--manifest", "corpus/manifest.txt", "--out", "corpus"],
          os.path.join("corpus", "samples.npy")),
-    ])
+    ], ids=["eval-model", "select-table", "preprocess-corpus"])
     def test_output_naming_an_input_is_refused_with_force(self, inputs, capsys, argv, named):
         def files():
             return {path: path.read_bytes() for path in inputs.rglob("*") if path.is_file()}
@@ -1331,7 +1331,7 @@ class TestOutputRefusals:
     @pytest.mark.parametrize("command, stage, written", [
         ("features", "extract_dataset_features", "f.csv"),
         ("cv", "kfold_cross_validate", "cv.json"),
-    ])
+    ], ids=["features", "cv"])
     def test_missing_output_directory_is_refused_before_the_stage(
             self, manifest, tmp_path, capsys, monkeypatch, command, stage, written):
         monkeypatch.setattr(cli, stage, lambda *args: pytest.fail("the stage ran"))

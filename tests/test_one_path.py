@@ -68,8 +68,8 @@ def test_cli_reads_inputs_only_in_main():
     """main reads each input by its _COMMANDS row's reader and runs the command
     under the one blame of its data input; no command reads an input or blames
     a file, and the readers and the option checks name their own files."""
-    readers = ("file_errors", "load_dataset", "read_feature_csv", "_read_labeled", "load_model")
-    assert [f for name in readers for f in cli_callers(name) if f.startswith("cmd_")] == []
+    names = ("file_errors", "load_dataset", "read_feature_csv", "_read_labeled", "load_model")
+    assert [f for name in names for f in cli_callers(name) if f.startswith("cmd_")] == []
     assert sorted(set(cli_callers("file_errors"))) == [
         "_pairing", "_read_labeled", "_resolve", "main", "read_config_file"]
     assert not hasattr(cli, "_INPUT_HELP")

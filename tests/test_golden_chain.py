@@ -5,7 +5,8 @@ README's synth ... report commands, predict on the held-out and on the full
 table, the same model commands under --norm both, and a synth and a report
 whose options come from the config files of CONFIGS. Each command's exit
 code, stdout and stderr, and the sha256 of every file the chain leaves, must
-equal golden_chain.json.
+equal golden_chain.json, and so must the --help text of the CLI and of each
+subcommand, formatted at a fixed width of HELP_COLUMNS.
 
 The table holds on the numpy and OpenBLAS code paths of the machine it was
 computed on: numpy picks its exp/log SIMD loops and OpenBLAS its kernels by
@@ -29,6 +30,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from gsremotion import cli
 
@@ -58,6 +60,11 @@ COMMANDS = [
     "synth --config synth.cfg --out data_cfg",
     "report --features features.csv --config report.cfg --out comparison_cfg",
 ]
+
+# "" is the CLI's own --help; argparse wraps at the COLUMNS the environment sets
+HELP_COMMANDS = ["", "synth", "preprocess", "features", "select", "train", "predict", "eval",
+                 "cv", "report"]
+HELP_COLUMNS = "100"
 
 # Written into the directory before the chain runs; their values take the
 # file path of every key they set, a quoted value and an exponent included.
@@ -91,6 +98,21 @@ def run_chain(directory: Path) -> dict:
     return {"commands": runs, "files": files}
 
 
+def help_texts() -> dict:
+    """Each entry of HELP_COMMANDS with the text its --help prints."""
+    texts = {}
+    with mock.patch.dict(os.environ, {"COLUMNS": HELP_COLUMNS}):
+        for command in HELP_COMMANDS:
+            out = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out):
+                    cli.main([*command.split(), "--help"])
+            except SystemExit as exc:
+                assert exc.code == 0, command
+            texts[command] = out.getvalue()
+    return texts
+
+
 def test_chain_keeps_its_bits(tmp_path):
     want = json.loads(GOLDEN.read_text())
     got = run_chain(tmp_path)
@@ -99,9 +121,17 @@ def test_chain_keeps_its_bits(tmp_path):
     assert got["files"] == want["files"]
 
 
+def test_help_keeps_its_text():
+    want = json.loads(GOLDEN.read_text())["help"]
+    got = help_texts()
+    for command in HELP_COMMANDS:
+        assert got[command] == want[command], command or "gsremotion"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = run_chain(Path(tmp))
+    table["help"] = help_texts()
     GOLDEN.write_text(json.dumps(table, indent=1) + "\n")
     print(f"wrote {len(table['commands'])} commands and {len(table['files'])} files "
           f"to {GOLDEN}", file=sys.stderr)

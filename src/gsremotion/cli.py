@@ -12,71 +12,45 @@ the file sets each, and so is a --test-out without a --test-fraction.
 
 main owns every option, input and output, in this order: the config file,
 the refusal of conflicting keys, each key of the command's _COMMANDS row
-resolved and checked once (_resolve), the model config (PipelineConfig,
-with the --selection file), the refusal of each file the row's --out
-implies (_outputs) that is an input, exists or cannot be opened, then the
-row's inputs, each read by its reader, then the command under its data
-input's blame, and last the warning and summary lines it returns.
+resolved and checked once (_resolve), for a command that fits a model its
+config (PipelineConfig, with the --selection file), the refusal of each file
+the row's --out implies (_outputs) that is an input, exists or cannot be
+opened, then the row's inputs, each read by its reader, then the command
+under its data input's blame, and last the warning and summary lines it
+returns.
+
+Importing cli loads only dataset beside the package. A run loads the library
+modules of its own command when the command's options are checked and the
+command runs, and builds the options of that command alone; each stage
+function is looked up on its module when it is called, so a rebinding there
+(a tracer's wrapper, a test's patch) is what runs.
 """
 
 import argparse
 import contextlib
 import csv
 import errno
+import importlib
 import os
 import sys
 
 import numpy as np
 
+from . import dataset
 from .dataset import (
     LABEL_ORDER,
     corpus_paths,
     file_errors,
-    load_dataset,
     parse_float,
     parse_int,
-    save_dataset,
-    stratified_split_indices,
     validate_test_fraction,
     write_json,
 )
-from .evaluate import (
-    SAMPLED_PER_LABEL,
-    ConfusionMatrix,
-    accuracy,
-    format_confusion,
-    format_sampled_rates,
-    format_rates,
-    kfold_cross_validate,
-    sampled_label_rates,
-    per_label_rates,
-)
-from .features import (
-    N_FEATURES,
-    extract_dataset_features,
-    read_feature_csv,
-    write_feature_csv,
-)
-from .kernels import KERNEL_KINDS, KernelSpec
-from .pipeline import (
-    PipelineConfig,
-    comparison_report,
-    fit_from_features,
-    format_comparison,
-    predict_rows,
-    subset_rows,
-)
-from .preprocess import NORM_MODES, preprocess_dataset, validate_norm_mode
-from .selection import (
-    SelectionResult,
-    read_selection_indices,
-    select_features,
-    validate_catalog_indices,
-    validate_k,
-    write_selection_json,
-)
-from .svm import load_model, save_model
-from .synth import SynthConfig, generate_dataset
+
+
+def _lib(name: str):
+    """The library module gsremotion.<name>, imported when first needed."""
+    return importlib.import_module(f"{__package__}.{name}")
 
 
 def _int_list(text: str) -> list:
@@ -96,7 +70,8 @@ def _check_counts(counts: list) -> None:
             f"counts needs {len(LABEL_ORDER)} values "
             f"({', '.join(l.value for l in LABEL_ORDER)}), got {len(counts)}"
         )
-    SynthConfig(per_label_counts=dict(zip(LABEL_ORDER, counts)))
+    from . import synth
+    synth.SynthConfig(per_label_counts=dict(zip(LABEL_ORDER, counts)))
 
 
 def _check_folds(folds: int) -> None:
@@ -107,35 +82,55 @@ def _check_folds(folds: int) -> None:
 DEFAULT_FOLDS = 5
 REPORT_TEST_FRACTION = 0.3
 
+
+def _kernel_help(command: str) -> str:
+    from . import kernels
+    return f"{' | '.join(kernels.KERNEL_KINDS)} (default {kernels.KernelSpec.kind})"
+
+
+def _norm_help(command: str) -> str:
+    from . import preprocess
+    return f"{' | '.join(preprocess.NORM_MODES)} (default {preprocess.DEFAULT_NORM_MODE})"
+
+
+def _seed_help(command: str) -> str:
+    """synth draws its corpus from SynthConfig's seed, the others split by the pipeline's."""
+    if command == "synth":
+        from .synth import SynthConfig as owner
+    else:
+        from .pipeline import PipelineConfig as owner
+    return f"random seed (default {owner.seed})"
+
+
 # Every option key some subcommand reads, as its flag --key (dashes for
 # underscores) and as a config-file key (any other key in a file is a typo):
 # the parser of its text, the rule its value must meet on its own, and the
-# flag's help (None: only a config file sets the key). duration_s and
-# sample_rate_hz are checked together when cmd_synth builds its SynthConfig.
+# flag's help (None: only a config file sets the key), or a function of the
+# command that words the help from the default's owner when the command's
+# parser is built. A rule or help imports its module only when it runs.
+# duration_s and sample_rate_hz are checked together when cmd_synth builds
+# its SynthConfig.
 _OPTIONS = {
-    "c": (parse_float, lambda c: PipelineConfig(c=c),
-          f"box constraint (default {PipelineConfig.c})"),
-    "eta": (parse_float, lambda eta: KernelSpec(eta=eta),
+    "c": (parse_float, lambda c: _lib("pipeline").PipelineConfig(c=c),
+          lambda _: f"box constraint (default {_lib('pipeline').PipelineConfig.c})"),
+    "eta": (parse_float, lambda eta: _lib("kernels").KernelSpec(eta=eta),
             "rbf kernel scale (default: one over the number of model features)"),
-    "features_list": (_int_list, validate_catalog_indices,
-                      "explicit catalog indices, e.g. 3,5,7"),
+    "features_list": (_int_list, lambda indices: _lib("selection").validate_catalog_indices(
+        indices), "explicit catalog indices, e.g. 3,5,7"),
     "folds": (parse_int, _check_folds, f"fold count (default {DEFAULT_FOLDS})"),
-    "k": (parse_int, lambda k: validate_k(k, N_FEATURES),
-          f"number of features to select (default {PipelineConfig.selection_k})"),
-    "kernel": (str, lambda kind: KernelSpec(kind=kind),
-               f"{' | '.join(KERNEL_KINDS)} (default {KernelSpec.kind})"),
-    "norm": (str, validate_norm_mode,
-             f"{' | '.join(NORM_MODES)} (default {PipelineConfig.norm_mode})"),
+    "k": (parse_int, lambda k: _lib("selection").validate_k(k, _lib("features").N_FEATURES),
+          lambda _: f"number of features to select (default {_lib('selection').DEFAULT_K})"),
+    "kernel": (str, lambda kind: _lib("kernels").KernelSpec(kind=kind), _kernel_help),
+    "norm": (str, lambda mode: _lib("preprocess").validate_norm_mode(mode), _norm_help),
     # the rule default_rng applies; a lambda, so importing cli loads no numpy.random
-    "seed": (parse_int, lambda seed: np.random.SeedSequence(seed),
-             f"random seed (default {PipelineConfig.seed})"),
+    "seed": (parse_int, lambda seed: np.random.SeedSequence(seed), _seed_help),
     "test_fraction": (parse_float, validate_test_fraction,
                       "share of rows held out by a stratified split (train: none unless "
                       f"given; report: default {REPORT_TEST_FRACTION})"),
     "counts": (_int_list, _check_counts, None),
     "duration_s": (parse_float, None, None),
     "sample_rate_hz": (parse_float, None, None),
-    "noise_std": (parse_float, lambda std: SynthConfig(noise_std_us=std), None),
+    "noise_std": (parse_float, lambda std: _lib("synth").SynthConfig(noise_std_us=std), None),
 }
 
 
@@ -229,22 +224,24 @@ def _given(**values) -> dict:
     return {name: value for name, value in values.items() if value is not None}
 
 
-def _pipeline_config(args, values: dict) -> PipelineConfig:
-    """The command's model config from its resolved values, with explicit
-    catalog indices from --features-list or else a selection file."""
+def _pipeline_config(args, values: dict):
+    """The model config of a command that fits one, from its resolved values,
+    with explicit catalog indices from --features-list or else a selection file."""
+    from . import kernels, pipeline, selection
     explicit = values.get("features_list")
     if explicit is None and getattr(args, "selection", None):
-        explicit = read_selection_indices(args.selection)
+        explicit = selection.read_selection_indices(args.selection)
     with _pairing(args, "kernel", "eta"):
-        kernel = KernelSpec(**_given(kind=values.get("kernel"), eta=values.get("eta")))
-    return PipelineConfig(kernel=kernel, explicit_features=explicit, **_given(
+        kernel = kernels.KernelSpec(**_given(kind=values.get("kernel"), eta=values.get("eta")))
+    return pipeline.PipelineConfig(kernel=kernel, explicit_features=explicit, **_given(
         c=values.get("c"), selection_k=values.get("k"),
         norm_mode=values.get("norm"), seed=values.get("seed")))
 
 
 def _read_labeled(path: str):
     """The feature table at path, every row of which must carry a label."""
-    matrix = read_feature_csv(path)
+    from . import features
+    matrix = features.read_feature_csv(path)
     with file_errors(path):
         if None in matrix.labels:
             unlabeled = matrix.record_ids[matrix.labels.index(None)]
@@ -293,53 +290,61 @@ def _write_prefix(out: str, payload: dict, text: str) -> str:
     return f"{out}.json, {out}.txt"
 
 
+# Each command imports the modules of its stage and calls through them.
 def cmd_synth(args):
-    config = SynthConfig(**_given(
+    from . import synth
+    config = synth.SynthConfig(**_given(
         per_label_counts=None if args.counts is None else dict(zip(LABEL_ORDER, args.counts)),
         duration_s=args.duration_s, sample_rate_hz=args.sample_rate_hz,
         noise_std_us=args.noise_std, seed=args.seed))
     try:
-        dataset = generate_dataset(config)
+        corpus = synth.generate_dataset(config)
     except MemoryError as exc:
         raise ValueError(f"cannot allocate the corpus: {exc}") from None
-    save_dataset(dataset, args.out)
-    return [], [f"wrote {len(dataset)} records to {args.out}"]
+    dataset.save_dataset(corpus, args.out)
+    return [], [f"wrote {len(corpus)} records to {args.out}"]
 
 
-def cmd_preprocess(args, dataset):
-    norm = args.pipeline.norm_mode
-    processed = preprocess_dataset(dataset, norm)
-    save_dataset(processed, args.out)
+def cmd_preprocess(args, corpus):
+    from . import preprocess
+    norm = preprocess.validate_norm_mode(
+        preprocess.DEFAULT_NORM_MODE if args.norm is None else args.norm)
+    processed = preprocess.preprocess_dataset(corpus, norm)
+    dataset.save_dataset(processed, args.out)
     return [], [f"preprocessed {len(processed)} records into {args.out} (norm={norm})"]
 
 
-def cmd_features(args, dataset):
-    matrix = extract_dataset_features(dataset)
-    write_feature_csv(matrix, args.out)
+def cmd_features(args, corpus):
+    from . import features
+    matrix = features.extract_dataset_features(corpus)
+    features.write_feature_csv(matrix, args.out)
     return [], [f"wrote {matrix.n_rows} x {matrix.n_features} feature rows to {args.out}"]
 
 
 def cmd_select(args, matrix):
-    explicit = args.pipeline.explicit_features
-    if explicit is not None:
-        result = SelectionResult(selected_indices=explicit)
+    from . import selection
+    if args.features_list is not None:
+        result = selection.SelectionResult(selected_indices=args.features_list)
     else:
-        result = select_features(matrix.values, args.pipeline.selection_k)
-    write_selection_json(result, args.out)
+        result = selection.select_features(
+            matrix.values, selection.DEFAULT_K if args.k is None else args.k)
+    selection.write_selection_json(result, args.out)
     return result.warnings, [f"selected {result.k} features -> {args.out}"]
 
 
 def cmd_train(args, matrix):
+    from . import features, pipeline, svm
     held_out, lines = None, []
     if args.test_fraction is not None:
-        train_rows, test_rows = stratified_split_indices(
+        train_rows, test_rows = dataset.stratified_split_indices(
             matrix.labels, args.test_fraction, args.pipeline.seed)
-        held_out, matrix = subset_rows(matrix, test_rows), subset_rows(matrix, train_rows)
-    fitted = fit_from_features(matrix, args.pipeline)
+        held_out = pipeline.subset_rows(matrix, test_rows)
+        matrix = pipeline.subset_rows(matrix, train_rows)
+    fitted = pipeline.fit_from_features(matrix, args.pipeline)
     if held_out is not None:  # written only once the fit succeeded
-        write_feature_csv(held_out, args.test_out)
+        features.write_feature_csv(held_out, args.test_out)
         lines.append(f"held out {held_out.n_rows} rows -> {args.test_out}")
-    save_model(fitted.model, args.out)
+    svm.save_model(fitted.model, args.out)
     return fitted.model.warnings(), lines + [
         f"trained {len(fitted.model.machines)} machines on {matrix.n_rows} rows "
         f"(k={len(fitted.model.feature_indices)}) -> {args.out}"
@@ -347,22 +352,24 @@ def cmd_train(args, matrix):
 
 
 def cmd_predict(args, model, matrix):
-    predicted = predict_rows(model, matrix.values)
+    from . import svm
+    predicted = svm.predict_batch(model, matrix.values)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")  # quotes an id holding a comma
         writer.writerow(["record_id", "label", "predicted"])
         for rid, true, pred in zip(matrix.record_ids, matrix.labels, predicted):
             writer.writerow([rid, true.value if true else "", pred.value])
-    return [], [f"wrote {matrix.n_rows} predictions to {args.out}"]
+    return model.warnings(), [f"wrote {matrix.n_rows} predictions to {args.out}"]
 
 
 def cmd_eval(args, model, matrix):
-    seed = args.pipeline.seed
-    predicted = predict_rows(model, matrix.values)
-    cm = ConfusionMatrix.from_predictions(matrix.labels, predicted, model.label_order)
-    acc = accuracy(cm)
-    rates = per_label_rates(cm)
-    sample = sampled_label_rates(matrix.labels, predicted, seed)
+    from . import evaluate, pipeline, svm
+    seed = pipeline.PipelineConfig.seed if args.seed is None else args.seed
+    predicted = svm.predict_batch(model, matrix.values)
+    cm = evaluate.ConfusionMatrix.from_predictions(matrix.labels, predicted, model.label_order)
+    acc = evaluate.accuracy(cm)
+    rates = evaluate.per_label_rates(cm)
+    sample = evaluate.sampled_label_rates(matrix.labels, predicted, seed)
     payload = {
         "accuracy": acc,
         "n_rows": cm.total,
@@ -370,21 +377,22 @@ def cmd_eval(args, model, matrix):
         "per_label_rate": {lab.value: rate for lab, rate in rates.items()},
         "confusion": cm.counts.tolist(),
         "sampled_rates": {
-            "note": f"{SAMPLED_PER_LABEL} records per label; coarse "
+            "note": f"{evaluate.SAMPLED_PER_LABEL} records per label; coarse "
                     "fixed-denominator view, not a statistic",
             "seed": seed,
             "rates": {lab.value: entry for lab, entry in sample.items()},
         },
     }
-    text = (format_confusion(cm) + "\n\n" + format_rates(cm)
-            + "\n\n" + format_sampled_rates(sample))
+    text = (evaluate.format_confusion(cm) + "\n\n" + evaluate.format_rates(cm)
+            + "\n\n" + evaluate.format_sampled_rates(sample))
     paths = _write_prefix(args.out, payload, text)
-    return [], [f"accuracy {acc:.4f} on {cm.total} rows -> {paths}"]
+    return model.warnings(), [f"accuracy {acc:.4f} on {cm.total} rows -> {paths}"]
 
 
-def cmd_cv(args, dataset):
+def cmd_cv(args, corpus):
+    from . import evaluate
     folds = DEFAULT_FOLDS if args.folds is None else args.folds
-    report = kfold_cross_validate(dataset, folds, args.pipeline, args.pipeline.seed)
+    report = evaluate.kfold_cross_validate(corpus, folds, args.pipeline, args.pipeline.seed)
     fold_lines = [
         f"fold {i + 1}: accuracy {a:.4f}"
         for i, a in enumerate(report.fold_accuracies)
@@ -392,7 +400,7 @@ def cmd_cv(args, dataset):
     text = "\n".join(fold_lines) + (
         f"\n\nmean {report.mean_accuracy:.4f}  std {report.std_accuracy:.4f}"
         f"\nheld-out accesses during fit: {report.heldout_accesses}\n\n"
-    ) + format_confusion(report.confusion)
+    ) + evaluate.format_confusion(report.confusion)
     paths = _write_prefix(args.out, report.to_dict(), text)
     return report.warnings, [
         f"cv mean accuracy {report.mean_accuracy:.4f} (std {report.std_accuracy:.4f}) "
@@ -400,40 +408,66 @@ def cmd_cv(args, dataset):
 
 
 def cmd_report(args, matrix):
+    from . import pipeline
     test_fraction = REPORT_TEST_FRACTION if args.test_fraction is None else args.test_fraction
-    report = comparison_report(matrix, args.pipeline, test_fraction)
+    report = pipeline.comparison_report(matrix, args.pipeline, test_fraction)
     acc = report["accuracy"]
-    paths = _write_prefix(args.out, report, format_comparison(report))
+    paths = _write_prefix(args.out, report, pipeline.format_comparison(report))
     return report.warnings, [
         f"test accuracy: {acc['selected']['test']:.4f} with {report['k']} features, "
         f"{acc['all_features']['test']:.4f} with all -> {paths}"]
 
 
-def _add_options(sub, *keys):
-    """Each key's flag (none for a key only a config file sets), then --config
-    and --force. A flag's value stays text for _resolve."""
+def _add_arguments(parser, name, func, about, inputs, out, keys):
+    """The inputs and --out of a subcommand's _COMMANDS row (train's --test-out
+    and --selection too), each key's flag (none for a key only a config file
+    sets), then --config and --force. A flag's value stays text for _resolve."""
+    writes, out_help = out
+    for flag, input_help, _ in inputs:
+        parser.add_argument(f"--{flag}", required=True, help=input_help)
+    parser.add_argument("--out", required=True, help=out_help)
+    if name == "train":
+        parser.add_argument("--test-out", help="where to write the held-out rows")
+        parser.add_argument("--selection", help="selection JSON from the select stage")
     for key in keys:
         help_text = _OPTIONS[key][2]
+        if callable(help_text):
+            help_text = help_text(name)
         if help_text is not None:
-            sub.add_argument(_flag(key), help=help_text)
-    sub.add_argument("--config", help="key = value defaults file")
-    sub.add_argument("--force", action="store_true", help="overwrite existing outputs")
+            parser.add_argument(_flag(key), help=help_text)
+    parser.add_argument("--config", help="key = value defaults file")
+    parser.add_argument("--force", action="store_true", help="overwrite existing outputs")
+    parser.set_defaults(func=func, inputs=inputs, keys=keys, writes=writes)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     """An argument argparse refuses (an unknown flag, a flag without its value)
-    is a validation error: exit 1, not argparse's 2."""
+    is a validation error: exit 1, not argparse's 2. A subcommand's parser
+    takes the arguments of its _COMMANDS row only when it first parses, so a
+    run builds the options of the command it runs and of no other."""
+
+    def __init__(self, *args, row=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._row = row
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._row is not None:
+            row, self._row = self._row, None
+            _add_arguments(self, *row)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# an input's flag, help and reader, which names the file in each of its refusals
-_MANIFEST = ("manifest", "manifest.txt of a corpus directory", load_dataset)
-_TABLE = ("features", "feature CSV", read_feature_csv)
+# an input's flag, help and reader, which names the file in each of its refusals;
+# a reader looks its function up on the library module when it reads
+_MANIFEST = ("manifest", "manifest.txt of a corpus directory",
+             lambda path: dataset.load_dataset(path))
+_TABLE = ("features", "feature CSV", lambda path: _lib("features").read_feature_csv(path))
 _LABELED = ("features", "feature CSV", _read_labeled)
-_MODEL = ("model", "model JSON from the train stage", load_model)
+_MODEL = ("model", "model JSON from the train stage", lambda path: _lib("svm").load_model(path))
 _MODEL_KEYS = ("k", "features_list", "kernel", "c", "eta", "norm", "seed")
 
 _CORPUS = ("corpus", "output directory")
@@ -469,16 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="GSR emotion classification pipeline",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, func, about, inputs, (writes, out_help), keys in _COMMANDS:
-        p = commands.add_parser(name, help=about)
-        for flag, input_help, _ in inputs:
-            p.add_argument(f"--{flag}", required=True, help=input_help)
-        p.add_argument("--out", required=True, help=out_help)
-        if name == "train":
-            p.add_argument("--test-out", help="where to write the held-out rows")
-            p.add_argument("--selection", help="selection JSON from the select stage")
-        _add_options(p, *keys)
-        p.set_defaults(func=func, inputs=inputs, keys=keys, writes=writes)
+    for row in _COMMANDS:
+        commands.add_parser(row[0], help=row[2], row=row)
     return parser
 
 
@@ -488,8 +514,9 @@ def main(argv=None) -> int:
         args.cfg = read_config_file(args.config) if args.config else {}
         _refuse_pairings(args)
         values = {key: _resolve(args, key) for key in args.keys}
-        # built before the resolved values replace the flags: _pairing tells them apart
-        args.pipeline = _pipeline_config(args, values)
+        if set(_MODEL_KEYS) <= set(args.keys):  # a command that fits a model
+            # built before the resolved values replace the flags: _pairing tells them apart
+            args.pipeline = _pipeline_config(args, values)
         vars(args).update(values)
         paths = [getattr(args, flag) for flag, _, _ in args.inputs]
         read = _read_files(args, paths)

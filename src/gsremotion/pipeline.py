@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 from .dataset import Dataset, stratified_split_indices
 from .evaluate import ConfusionMatrix, accuracy
 from .features import FeatureMatrix, fit_feature_normalization
-from .preprocess import preprocess_dataset, validate_norm_mode
-from .selection import SelectionResult, select_features, validate_catalog_indices
+from .preprocess import DEFAULT_NORM_MODE, preprocess_dataset, validate_norm_mode
+from .selection import DEFAULT_K, SelectionResult, select_features, validate_catalog_indices
 from .svm import MulticlassSvmModel, TrainConfig, predict_batch, train_multiclass
 
 
@@ -22,9 +22,9 @@ class PipelineConfig(TrainConfig):
     and normalization, with the defaults used throughout."""
 
     seed: int = 42
-    selection_k: int = 15
+    selection_k: int = DEFAULT_K
     explicit_features: list | None = None
-    norm_mode: str = "signal"
+    norm_mode: str = DEFAULT_NORM_MODE
 
     def __post_init__(self):
         super().__post_init__()

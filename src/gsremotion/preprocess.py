@@ -19,6 +19,7 @@ from .dataset import Dataset, EmotionLabel, parse_word
 from .wavelet import denoise
 
 NORM_MODES = ("signal", "feature", "both")
+DEFAULT_NORM_MODE = "signal"
 
 
 def validate_norm_mode(mode: str) -> str:

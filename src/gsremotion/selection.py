@@ -14,6 +14,8 @@ import numpy as np
 from .dataset import _typed, file_errors, read_json, write_json
 from .features import CATALOG_VERSION, FEATURE_NAMES
 
+DEFAULT_K = 15  # features kept when no k is given
+
 
 def covariance_matrix(X) -> np.ndarray:
     """Population covariance of the columns of a (rows x columns) table, symmetrized."""

@@ -23,10 +23,11 @@ import sys
 import numpy as np
 import pytest
 
-from gsremotion import dataset, pipeline
+from gsremotion import cli, dataset, pipeline
 from gsremotion.evaluate import ConfusionMatrix, kfold_cross_validate
-from gsremotion.features import extract_dataset_features
+from gsremotion.features import extract_dataset_features, write_feature_csv
 from gsremotion.pipeline import PipelineConfig, evaluate_model, fit_from_features, prepare_dataset
+from gsremotion.svm import save_model
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -109,10 +110,13 @@ def test_benchmark_tests_read_only_resolvable_names():
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_workload_imports_load_every_traced_module(workload):
-    """Tracer.install looks each target up in sys.modules, so the package and
-    the workload's own `from gsremotion import ...` lines, run in a fresh
-    interpreter, must load every traced module."""
+def test_workload_imports_load_every_traced_module(workload, tmp_path):
+    """Tracer.install looks each target up in sys.modules, so what a workload
+    runs before it installs the tracer must load every traced module, in a
+    fresh interpreter: the package and the workload's own `from gsremotion
+    import ...` lines, and for cli-default also the untraced in-process chain
+    that each traced repetition runs first, since cli loads a command's
+    modules only when the command runs."""
     function = "run_" + workload.replace("-", "_")
     body = next(node for node in perfbench_tree("run.py").body
                 if isinstance(node, ast.FunctionDef) and node.name == function)
@@ -120,6 +124,18 @@ def test_workload_imports_load_every_traced_module(workload):
         ast.unparse(node) for node in ast.walk(body)
         if isinstance(node, ast.ImportFrom) and node.module == "gsremotion"]
     assert len(lines) > 1
+    if workload == "cli-default":
+        config = tmp_path / "synth.cfg"
+        lines.append(f"""
+import contextlib, io, sys
+sys.path.insert(0, {PERFBENCH!r})
+from run import TINY_COUNT, chain_commands
+with open({str(config)!r}, "w") as fh:
+    fh.write("counts = " + ",".join([str(TINY_COUNT)] * 5) + "\\n")
+with contextlib.redirect_stdout(io.StringIO()):
+    for name, argv in chain_commands({str(tmp_path / "chain")!r}, 42, {str(config)!r}):
+        assert cli.main(argv) == 0, name
+""")
     code = "\n".join(lines + [
         "import sys",
         "print(sorted(m for m in sys.modules if m.startswith('gsremotion')))"])
@@ -211,3 +227,34 @@ def test_corpus_io_stays_what_the_tracer_measures(small_corpus, tmp_path):
     assert [s.name for s in spans].count("dataset.load") == 1
     assert saved.facts["bytes"] == sum(p.stat().st_size for p in out.rglob("*")) > 0
     assert len(loaded) == len(small_corpus)
+
+
+def test_cli_inputs_stay_visible_to_the_tracer(small_corpus, small_features, tmp_path):
+    """perfbench's dataset.load_s, svm.load_model_s and features.csv_read_s
+    are spans around the readers cli.main calls for a command's inputs, so
+    each input a command reads is one span of its reader."""
+    tracing = load_tracing()
+    manifest = dataset.save_dataset(small_corpus, str(tmp_path / "corpus"))
+    table = str(tmp_path / "features.csv")
+    write_feature_csv(small_features, table)
+    model = str(tmp_path / "model.json")
+    save_model(fit_from_features(small_features, PipelineConfig(seed=42)).model, model)
+    runs = [
+        (["cv", "--manifest", manifest, "--folds", "2"], {"dataset.load": 1}),
+        (["eval", "--model", model, "--features", table],
+         {"svm.load_model": 1, "features.csv_read": 1}),
+        (["select", "--features", table], {"features.csv_read": 1}),
+        (["predict", "--model", model, "--features", table],
+         {"svm.load_model": 1, "features.csv_read": 1}),
+    ]
+    readers = ("dataset.load", "svm.load_model", "features.csv_read")
+    for argv, want in runs:
+        tracer = tracing.Tracer()
+        tracer.install(tracing.TARGETS)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main([*argv, "--out", str(tmp_path / argv[0])]) == 0
+        finally:
+            tracer.uninstall()
+        names = [span.name for span in tracer.take()]
+        assert {name: names.count(name) for name in readers if name in names} == want, argv[0]

@@ -7,6 +7,7 @@ The corpus here is deliberately tiny; accuracy itself is covered by the
 library tests and the acceptance suite.
 """
 
+import ast
 import contextlib
 import csv
 import io
@@ -832,6 +833,24 @@ class TestNonConvergence:
             "test_fraction", "split_seed", "n_train", "n_test", "k", "selected_indices",
             "accuracy"}
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_scoring_warns_about_the_loaded_model(self, model_path, features_csv, tmp_path,
+                                                  capsys, command):
+        """A model file in which one machine did not converge is named when it
+        scores rows, as train named it; the run still succeeds."""
+        payload = json.loads(model_path.read_text())
+        payload["machines"][1]["converged"] = False
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        assert cli.main([command, "--model", str(model), "--features", str(features_csv),
+                         "--out", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err
+        machine = payload["machines"][1]
+        assert err == (f"warning: machine happiness/fear did not converge: stopped after "
+                       f"{machine['iterations']} iterations with KKT gap "
+                       f"{float.fromhex(machine['final_violation']):.4g}\n")
+        assert err == "".join(f"warning: {line}\n" for line in load_model(str(model)).warnings())
+
     def test_converged_run_is_quiet(self, features_csv, tmp_path, capsys):
         assert cli.main(["train", "--features", str(features_csv),
                          "--out", str(tmp_path / "model.json")]) == 0
@@ -1329,12 +1348,12 @@ class TestOutputRefusals:
         assert files() == before
 
     @pytest.mark.parametrize("command, stage, written", [
-        ("features", "extract_dataset_features", "f.csv"),
-        ("cv", "kfold_cross_validate", "cv.json"),
+        ("features", "gsremotion.features.extract_dataset_features", "f.csv"),
+        ("cv", "gsremotion.evaluate.kfold_cross_validate", "cv.json"),
     ], ids=["features", "cv"])
     def test_missing_output_directory_is_refused_before_the_stage(
             self, manifest, tmp_path, capsys, monkeypatch, command, stage, written):
-        monkeypatch.setattr(cli, stage, lambda *args: pytest.fail("the stage ran"))
+        monkeypatch.setattr(stage, lambda *args: pytest.fail("the stage ran"))
         out = tmp_path / "nosuch" / written.replace(".json", "")
         rc = cli.main([command, "--manifest", manifest, "--out", str(out)])
         path = str(tmp_path / "nosuch" / written)
@@ -1343,7 +1362,8 @@ class TestOutputRefusals:
 
     def test_file_as_corpus_out_is_refused_before_the_stage(self, tmp_path, capsys,
                                                            monkeypatch):
-        monkeypatch.setattr(cli, "generate_dataset", lambda config: pytest.fail("the stage ran"))
+        monkeypatch.setattr("gsremotion.synth.generate_dataset",
+                            lambda config: pytest.fail("the stage ran"))
         out = tmp_path / "afile"
         out.write_text("kept\n")
         rc = cli.main(["synth", "--out", str(out), "--force"])
@@ -1796,3 +1816,65 @@ class TestLocale:
                         "--out", str(out))
         assert (proc.returncode, proc.stderr) == (0, "")
         assert read_selection_indices(str(out)) == [2, 3, 5]
+
+
+class TestModuleBudget:
+    """Each command, run as `python -m gsremotion.cli` in a fresh interpreter,
+    imports only the library modules of its own stage, so one process of the
+    README chain does not pay for the modules of the others."""
+
+    SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    # what importing the package loads, and cli itself
+    BASE = {"gsremotion", "gsremotion.cli", "gsremotion.dataset", "gsremotion.wavelet"}
+    # the model commands may load every module but synth
+    MODEL = {"gsremotion.evaluate", "gsremotion.features", "gsremotion.kernels",
+             "gsremotion.pipeline", "gsremotion.preprocess", "gsremotion.selection",
+             "gsremotion.svm"}
+    BUDGET = {
+        "synth": {"gsremotion.synth"},
+        "preprocess": {"gsremotion.preprocess"},
+        "features": {"gsremotion.features"},
+        "select": {"gsremotion.features", "gsremotion.selection"},
+        "train": MODEL, "predict": MODEL, "eval": MODEL, "cv": MODEL, "report": MODEL,
+    }
+
+    # `python -m gsremotion.cli argv...`, then the package's modules it loaded
+    RUN = ("import runpy, sys\n"
+           "try:\n"
+           "    runpy.run_module('gsremotion.cli', run_name='__main__', alter_sys=True)\n"
+           "except SystemExit as exc:\n"
+           "    assert exc.code == 0, exc.code\n"
+           "print(sorted(name for name in sys.modules if name.split('.')[0] == 'gsremotion'))\n")
+
+    def imported(self, code, *argv, cwd=None) -> set:
+        """The gsremotion modules in sys.modules after a fresh interpreter runs
+        code with argv, from the list it prints last."""
+        env = dict(os.environ, PYTHONPATH=self.SRC)
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env=env, cwd=cwd, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+    def test_importing_cli_loads_only_dataset(self):
+        code = "import gsremotion.cli, sys\n" + self.RUN.splitlines()[-1]
+        assert self.imported(code) == self.BASE
+
+    @pytest.mark.parametrize("command", list(BUDGET))
+    def test_command_loads_only_its_stage(self, manifest, features_csv, model_path, tmp_path,
+                                          command):
+        cfg = write_config(tmp_path / "synth.cfg", "counts = 4,4,4,4,4\nduration_s = 16.0\n")
+        model, table = ["--model", str(model_path)], ["--features", str(features_csv)]
+        argv = {
+            "synth": ["--config", cfg, "--seed", "3", "--out", "corpus"],
+            "preprocess": ["--manifest", manifest, "--norm", "both", "--out", "clean"],
+            "features": ["--manifest", manifest, "--out", "f.csv"],
+            "select": [*table, "--k", "10", "--out", "s.json"],
+            "train": [*table, "--k", "10", "--kernel", "rbf", "--test-fraction", "0.5",
+                      "--test-out", "t.csv", "--out", "m.json"],
+            "predict": [*model, *table, "--out", "p.csv"],
+            "eval": [*model, *table, "--seed", "5", "--out", "scores"],
+            "cv": ["--manifest", manifest, "--folds", "2", "--out", "cv"],
+            "report": [*table, "--test-fraction", "0.5", "--out", "cmp"],
+        }[command]
+        loaded = self.imported(self.RUN, command, *argv, cwd=tmp_path)
+        assert loaded <= self.BASE | self.BUDGET[command]

@@ -19,11 +19,11 @@ opened, then the row's inputs, each read by its reader, then the command
 under its data input's blame, and last the warning and summary lines it
 returns.
 
-Importing cli loads only dataset beside the package. A run loads the library
-modules of its own command when the command's options are checked and the
-command runs, and builds the options of that command alone; each stage
-function is looked up on its module when it is called, so a rebinding there
-(a tracer's wrapper, a test's patch) is what runs.
+Importing cli loads no library module but dataset and those the package
+loads. A run builds the options of its own command alone, and loads that
+command's stage when the options are checked and the command runs; each
+stage function is looked up on its module when it is called, so a
+rebinding there (a tracer's wrapper, a test's patch) is what runs.
 """
 
 import argparse

@@ -2,7 +2,8 @@
 
 Every command runs in-process through cli.main so exit codes, stdout,
 stderr, and output files can all be asserted without subprocesses; only
-TestLocale starts a child, to run it under another locale.
+TestLocale starts a child, to run it under another locale, and
+TestModuleBudget, to see what a fresh interpreter loads.
 The corpus here is deliberately tiny; accuracy itself is covered by the
 library tests and the acceptance suite.
 """
